@@ -91,3 +91,58 @@ func TestMixedScaleExecutor(t *testing.T) {
 		r.Release()
 	}
 }
+
+// TestDeliveredFrameIsGeometryOnly pins what a consumer may read from a
+// delivered result's Frame, whichever scheduler produced it: geometry
+// (DCOnly, Sub, the MCU grid) stays valid, while the coefficient and
+// sample slabs went back to the pools when the image's last band
+// finished — not when the consumer releases the pixels. The consumer
+// reads while the executor is still decoding later images into the
+// recycled slabs, so `go test -race -count=10` covers the hand-over.
+func TestDeliveredFrameIsGeometryOnly(t *testing.T) {
+	items, err := imagegen.SizeSweep(jfif.Sub420, 0.5, [][2]int{{200, 152}, {97, 75}, {160, 128}}, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales := []jpegcodec.Scale{jpegcodec.Scale1, jpegcodec.Scale8, jpegcodec.Scale2}
+	const n = 24
+	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
+		ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 3, Scheduler: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for i := 0; i < n; i++ {
+				if err := ex.SubmitScaled(context.Background(), i, items[i%len(items)].Data, scales[i%len(scales)]); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			ex.Close()
+		}()
+		seen := 0
+		for ir := range ex.Results() {
+			seen++
+			if ir.Err != nil {
+				t.Fatalf("sched %d image %d: %v", sched, ir.Index, ir.Err)
+			}
+			f := ir.Res.Frame
+			scale := scales[ir.Index%len(scales)]
+			if f.Sub != jfif.Sub420 || f.DCOnly() != (scale == jpegcodec.Scale8) || f.MCURows == 0 {
+				t.Errorf("sched %d image %d: frame geometry lost: sub %v dcOnly %v rows %d", sched, ir.Index, f.Sub, f.DCOnly(), f.MCURows)
+			}
+			for c := range f.Coeff {
+				if f.Coeff[c] != nil || f.Samples[c] != nil || f.NZ[c] != nil {
+					t.Errorf("sched %d image %d: component %d still holds slabs after delivery", sched, ir.Index, c)
+				}
+			}
+			if w, h := f.OutDims(); ir.Res.Image.W != w || ir.Res.Image.H != h {
+				t.Errorf("sched %d image %d: image %dx%d, frame says %dx%d", sched, ir.Index, ir.Res.Image.W, ir.Res.Image.H, w, h)
+			}
+			ir.Res.Release()
+		}
+		if seen != n {
+			t.Fatalf("sched %d: %d of %d results", sched, seen, n)
+		}
+	}
+}

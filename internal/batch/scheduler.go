@@ -468,6 +468,9 @@ func (s *bandScheduler) complete(img *flightImage, scratch *jpegcodec.ConvertScr
 		ir.Err = err
 	} else {
 		img.plan.FinishSeams(img.prep.Output(), scratch)
+		// Coefficients and planes are dead once the seams are in; they
+		// go back now, not when the consumer is done with the pixels.
+		img.prep.Frame().Release()
 		ir.Res = img.res
 		if serr := img.res.Salvage.Err(); serr != nil {
 			ir.Err = fmt.Errorf("batch: image %d: %w", img.index, serr)

@@ -197,6 +197,55 @@ func (r *Reader) Fill32() bool {
 	return r.fillSlow(32) == nil
 }
 
+// Window checks the accumulator out into the caller's locals, for a loop
+// that decodes many symbols between touches of the Reader: acc holds the
+// bits buffered bits left-aligned (the next bit is bit 63, everything
+// below the buffered bits is zero), so peeking n bits is acc>>(64-n) and
+// consuming them is acc <<= n, bits -= n. ok is false once zero padding
+// past a marker has been appended; such a reader is read through its
+// methods only. The caller refills with Refill and RefillSlow, which keep
+// the byte position in the Reader, and hands the window back with
+// SetWindow before any other method is called.
+func (r *Reader) Window() (acc uint64, bits uint, ok bool) {
+	return r.acc << (64 - r.bits), r.bits, r.pad == 0
+}
+
+// SetWindow hands a window back after the caller consumed from it.
+func (r *Reader) SetWindow(acc uint64, bits uint) {
+	r.acc = acc >> (64 - bits)
+	r.bits = bits
+}
+
+// Refill tops a window up exactly as the reader's own eager refill
+// does, so byte positions match the method-driven path bit for bit, but
+// covers only the case that inlines: eight stuffing-free bytes ahead.
+// Otherwise the window comes back unchanged and RefillSlow finishes. It
+// must only be called with bits < 32, and it sits just inside the
+// compiler's inlining budget (go build -gcflags=-m: cost 78 of 80), which
+// the probe loops depend on: keep it that small.
+func (r *Reader) Refill(acc uint64, bits uint) (uint64, uint) {
+	d := r.data[r.pos:]
+	if len(d) < 8 {
+		return acc, bits
+	}
+	v := binary.BigEndian.Uint64(d)
+	if hasFF(v) {
+		return acc, bits
+	}
+	free := 64 - bits // whole bytes of it are taken: 1..8 of them
+	r.pos += int(free >> 3)
+	return acc | v>>bits&(^uint64(0)<<(free&7)), bits + free&^7
+}
+
+// RefillSlow is the reader's full refill on a window: byte stuffing,
+// marker detection, the last bytes of the segment. It never pads, so the
+// window may come back short; the caller then falls back to the methods.
+func (r *Reader) RefillSlow(acc uint64, bits uint) (uint64, uint) {
+	r.SetWindow(acc, bits)
+	r.refill()
+	return r.acc << (64 - r.bits), r.bits
+}
+
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (uint32, error) { return r.ReadBits(1) }
 

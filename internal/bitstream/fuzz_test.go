@@ -130,3 +130,58 @@ func FuzzWriterReaderRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWindowMatchesMethods reads one stream twice with the same size
+// schedule (sizes of 1..31 bits, one Huffman code plus its magnitude):
+// through Fill32 + ReadBits, and through a checked-out window that is
+// refilled below 32 bits and handed back after every read, falling back
+// to the methods once the segment cannot supply 32 bits. Values, byte
+// positions, buffered-bit counts and marker codes must agree after every
+// step: the entropy decoder's probe loops rest on exactly this.
+func FuzzWindowMatchesMethods(f *testing.F) {
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF1, 0x10, 0x42, 0x77, 0x01}, []byte{8, 4, 1})
+	f.Add(append(bytes.Repeat([]byte{0x5C}, 40), 0xFF, 0x00, 0x13, 0xFF, 0xD3, 0x44, 0x55), []byte{31, 16, 3})
+	f.Add(bytes.Repeat([]byte{0xFF, 0x00, 0x21}, 30), []byte{24, 7, 19})
+	f.Add(append(bytes.Repeat([]byte{0xA7}, 21), 0xFF), []byte{9, 15, 2, 30}) // trailing 0xFF
+	f.Add(append(bytes.Repeat([]byte{0x3E}, 70), 0xFF, 0xD9), []byte{11, 5})  // ends at EOI
+	f.Fuzz(func(t *testing.T, data []byte, sizes []byte) {
+		if len(sizes) == 0 || len(sizes) > 256 {
+			return
+		}
+		win, ref := NewReader(data), NewReader(data)
+		windowed := true
+		for step := 0; step < 1024; step++ {
+			n := uint(sizes[step%len(sizes)])%31 + 1
+			ref.Fill32()
+			wv, werr := ref.ReadBits(n)
+
+			var gv uint32
+			var gerr error
+			acc, bits, ok := win.Window()
+			if windowed && ok && bits < 32 {
+				if acc, bits = win.Refill(acc, bits); bits < 32 {
+					acc, bits = win.RefillSlow(acc, bits)
+				}
+			}
+			if windowed = windowed && ok && bits >= 32; windowed {
+				gv = uint32(acc >> (64 - n))
+				win.SetWindow(acc<<n, bits-n)
+			} else {
+				win.SetWindow(acc, bits)
+				win.Fill32()
+				gv, gerr = win.ReadBits(n)
+			}
+
+			if (gerr == nil) != (werr == nil) || gv != wv {
+				t.Fatalf("step %d n=%d: %#x, %v; methods %#x, %v", step, n, gv, gerr, wv, werr)
+			}
+			if win.BytePos() != ref.BytePos() || win.BitsBuffered() != ref.BitsBuffered() || win.Marker() != ref.Marker() {
+				t.Fatalf("step %d n=%d: pos %d buffered %d marker %#x; methods pos %d buffered %d marker %#x", step, n,
+					win.BytePos(), win.BitsBuffered(), win.Marker(), ref.BytePos(), ref.BitsBuffered(), ref.Marker())
+			}
+			if gerr != nil {
+				return
+			}
+		}
+	})
+}

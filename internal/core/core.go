@@ -142,7 +142,10 @@ type Stats struct {
 
 // Result is a finished decode.
 type Result struct {
-	Image    *jpegcodec.RGBImage
+	Image *jpegcodec.RGBImage
+	// Frame carries the decode's geometry (Sub, DCOnly, the MCU grid).
+	// Its coefficient and sample slabs went back to the pools when the
+	// back phase finished, whichever scheduler ran it.
 	Frame    *jpegcodec.Frame
 	Timeline *sim.Timeline
 	// TotalNs is the virtual makespan of the schedule.
@@ -157,12 +160,12 @@ type Result struct {
 	Salvage *jpegcodec.SalvageReport
 }
 
-// Release returns the decode's large buffers (coefficients, sample
-// planes, RGB pixels) to the codec's slab pools and nils Image.Pix,
-// Frame.Coeff and Frame.Samples. Call it only when the result's pixels
-// are no longer needed — a long-running service does so after encoding
-// its response, keeping steady-state allocation flat. Releasing is
-// optional; an unreleased result is simply garbage-collected.
+// Release returns the decode's RGB pixels (and whatever the frame still
+// holds) to the codec's slab pools and nils Image.Pix. Call it only when
+// the result's pixels are no longer needed — a long-running service does
+// so after encoding its response, keeping steady-state allocation flat.
+// Releasing is optional; an unreleased result is simply
+// garbage-collected.
 func (r *Result) Release() {
 	if r.Frame != nil {
 		r.Frame.Release()

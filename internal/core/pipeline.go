@@ -15,8 +15,8 @@ import (
 // shared worker pool executes back-phase bands from all of them — so it
 // needs the pieces of Decode as separate steps:
 //
-//	p, _ := core.Prepare(data, opts)       // parse + allocate (cheap)
-//	_ = p.EntropyDecode(ctx)               // stage 1: serial Huffman
+//	p, _ := core.Prepare(data, opts)       // parse + allocate the frame
+//	_ = p.EntropyDecode(ctx)               // stage 1: serial Huffman, then the output
 //	res, _ := p.FinishVirtual()            // the mode's virtual schedule
 //	bp := jpegcodec.PlanBands(p.Frame(), ...)
 //	... execute bands into p.Output() on any pool ...
@@ -28,8 +28,9 @@ type Prepared struct {
 	finished    bool
 }
 
-// Prepare parses the stream, allocates the whole-image buffers and
-// resolves ModeAuto. No entropy decoding happens yet.
+// Prepare parses the stream, allocates the frame's whole-image buffers
+// and resolves ModeAuto. No entropy decoding happens yet, and the RGB
+// output is not allocated until it has succeeded.
 func Prepare(data []byte, opts Options) (*Prepared, error) {
 	if opts.Spec == nil {
 		return nil, errors.New("core: Options.Spec is required")
@@ -52,7 +53,6 @@ func Prepare(data []byte, opts Options) (*Prepared, error) {
 		opts: opts,
 		f:    f,
 		ed:   ed,
-		out:  jpegcodec.NewRGBImage(f.OutW, f.OutH),
 		d:    f.Img.EntropyDensity(),
 	}
 	return &Prepared{st: st}, nil
@@ -62,7 +62,8 @@ func Prepare(data []byte, opts Options) (*Prepared, error) {
 func (p *Prepared) Frame() *jpegcodec.Frame { return p.st.f }
 
 // Output exposes the whole-image RGB buffer external band executors
-// write into; it becomes Result.Image after FinishVirtual.
+// write into (nil until EntropyDecode has succeeded); it becomes
+// Result.Image after FinishVirtual.
 func (p *Prepared) Output() *jpegcodec.RGBImage { return p.st.out }
 
 // Mode returns the resolved execution mode.
@@ -71,7 +72,11 @@ func (p *Prepared) Mode() Mode { return p.st.opts.Mode }
 // EntropyDecode runs stage 1: sequential Huffman decoding of the whole
 // image into the coefficient buffer, recording per-row bit counts and
 // their virtual costs. ctx (may be nil) is polled every few MCU rows so
-// a cancelled batch abandons a large image mid-stream.
+// a cancelled batch abandons a large image mid-stream. On success it
+// allocates the RGB output, so an image holds its largest byte buffer
+// only from the moment there is something to put in it; the back phase
+// overwrites every pixel, and a VirtualOnly decode, which runs no back
+// phase, gets the zeroed image it promises.
 func (p *Prepared) EntropyDecode(ctx context.Context) error {
 	if p.entropyDone {
 		return nil
@@ -95,6 +100,10 @@ func (p *Prepared) EntropyDecode(ctx context.Context) error {
 	//hetlint:nopoll one polynomial evaluation per MCU row, microseconds for the whole image
 	for i, bits := range st.ed.BitsPerRow {
 		st.rowCost[i] = st.opts.Spec.HuffmanNs(bits, blocksPerRow)
+	}
+	st.out = jpegcodec.NewRGBImage(st.f.OutW, st.f.OutH)
+	if st.opts.VirtualOnly {
+		clear(st.out.Pix)
 	}
 	p.entropyDone = true
 	return nil
@@ -137,6 +146,11 @@ func (p *Prepared) finish(skipReal bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !skipReal {
+		// The back phase has run: nothing reads coefficients or sample
+		// planes again. The frame keeps its geometry.
+		st.f.Release()
+	}
 	st.res.Image = st.out
 	st.res.Frame = st.f
 	st.res.Stats.MCURows = st.f.MCURows
@@ -159,5 +173,7 @@ func (p *Prepared) finish(skipReal bool) (*Result, error) {
 // call it after the result's Image left the scheduler.
 func (p *Prepared) Release() {
 	p.st.f.Release()
-	p.st.out.Release()
+	if p.st.out != nil {
+		p.st.out.Release()
+	}
 }

@@ -69,14 +69,18 @@ type CoefBuffer struct{ Data []int16 }
 type ByteBuffer struct{ Data []byte }
 
 // NewCoefBuffer allocates a device coefficient buffer (zeroed).
-//
-//hetlint:transfer ownership moves to the CoefBuffer; Free puts it back
-func (d *Device) NewCoefBuffer(n int) *CoefBuffer { return &CoefBuffer{Data: coefSlabs.Get(n)} }
+func (d *Device) NewCoefBuffer(n int) *CoefBuffer {
+	s := coefSlabs.Get(n) //hetlint:transfer ownership moves to the CoefBuffer; Free puts it back
+	clear(s)
+	return &CoefBuffer{Data: s}
+}
 
 // NewByteBuffer allocates a device byte buffer (zeroed).
-//
-//hetlint:transfer ownership moves to the ByteBuffer; Free puts it back
-func (d *Device) NewByteBuffer(n int) *ByteBuffer { return &ByteBuffer{Data: byteSlabs.Get(n)} }
+func (d *Device) NewByteBuffer(n int) *ByteBuffer {
+	s := byteSlabs.Get(n) //hetlint:transfer ownership moves to the ByteBuffer; Free puts it back
+	clear(s)
+	return &ByteBuffer{Data: s}
+}
 
 // Free returns the buffer's backing slab to the device allocator. The
 // buffer must not be used afterwards; freeing is optional.

@@ -18,6 +18,51 @@ const MaxCodeLength = 16
 // canonical MINCODE/MAXCODE walk.
 const lookupBits = 9
 
+// ProbeBits is the index width of the one-probe LUT (Table.Probes). It
+// is sized for the entropy stage's inner loops: wide enough that the
+// common code+magnitude pairs resolve in one load, small enough that a
+// scan's tables stay resident in L1 (4 KB each).
+const ProbeBits = 10
+
+// Probe is one entry of a Table's one-probe LUT, indexed by the next
+// ProbeBits bits of the stream. It reads the symbol as JPEG's RRRRSSSS
+// (run, magnitude category) and resolves as much of it as the index
+// holds:
+//
+//	bits 0..4   Len: bits to consume. 0 means no code this short starts
+//	            here; Table.Decode handles the symbol.
+//	bits 5..8   Run: the symbol's high nibble.
+//	bits 9..12  Extra: magnitude bits still to read after Len; 0 when the
+//	            category is 0 or the magnitude sat inside the index.
+//	bit 13      ZeroSize: the category is 0 (EOB, ZRL, an EOB run).
+//	bits 16..31 Value: the EXTENDed magnitude when it sat inside the
+//	            index (Len then covers code and magnitude), else 0.
+type Probe uint32
+
+const probeZeroSize Probe = 1 << 13
+
+// Len returns the number of bits the entry consumes (0: use Decode).
+func (p Probe) Len() uint { return uint(p & 31) }
+
+// Run returns the symbol's run nibble.
+func (p Probe) Run() int { return int(p>>5) & 15 }
+
+// Extra returns the magnitude bits still to be read after Len.
+func (p Probe) Extra() uint { return uint(p>>9) & 15 }
+
+// ZeroSize reports a symbol whose magnitude category is 0.
+func (p Probe) ZeroSize() bool { return p&probeZeroSize != 0 }
+
+// Value returns the EXTENDed magnitude resolved inside the index.
+func (p Probe) Value() int32 { return int32(p) >> 16 }
+
+// Extend implements the EXTEND procedure of T.81 F.2.2.1: map the t
+// magnitude bits v of category t (1..15) to the signed coefficient.
+func Extend(v uint32, t uint) int32 {
+	// A clear top bit marks a negative value: add 1 - 2^t.
+	return int32(v) + (int32(v>>(t-1))-1)&(1-int32(1)<<t)
+}
+
 // Spec holds a table in the JPEG interchange format: Counts[i] is the
 // number of codes of length i+1, and Values lists the symbols in order of
 // increasing code length.
@@ -64,6 +109,7 @@ type Table struct {
 	valPtr   [MaxCodeLength + 1]int32
 	values   []byte
 	lookup   [1 << lookupBits]uint16 // (size<<8)|symbol, 0 means invalid
+	probes   [1 << ProbeBits]Probe
 	maxLen   uint
 	numCodes int
 }
@@ -130,8 +176,71 @@ func New(spec Spec) (*Table, error) {
 			t.lookup[c+i] = uint16(size)<<8 | uint16(sym)
 		}
 	}
+	t.buildProbes(huffCode, huffSize)
 	return t, nil
 }
+
+// buildProbes fills the one-probe LUT: every code of length <= ProbeBits
+// fills the entries sharing its prefix and, where the magnitude bits fit
+// in the index as well, one run of entries per magnitude.
+func (t *Table) buildProbes(huffCode []uint32, huffSize []uint8) {
+	fill := func(p []Probe, e Probe) {
+		for i := range p {
+			p[i] = e
+		}
+	}
+	for k, sym := range t.spec.Values {
+		l := uint(huffSize[k])
+		if l > ProbeBits {
+			continue
+		}
+		size := uint(sym & 15)
+		span := uint32(1) << (ProbeBits - l)
+		first := huffCode[k] << (ProbeBits - l)
+		entries := t.probes[first : first+span]
+		if size == 0 || l+size > ProbeBits {
+			fill(entries, symbolProbe(l, sym))
+			continue
+		}
+		sub := span >> size
+		for m := uint32(0); m < 1<<size; m++ {
+			v := uint16(Extend(m, size))
+			fill(entries[m*sub:(m+1)*sub], Probe(l+size)|Probe(sym>>4)<<5|Probe(v)<<16)
+		}
+	}
+}
+
+// symbolProbe is the entry of an l-bit code for sym whose magnitude bits,
+// if it has any, are still to be read.
+func symbolProbe(l uint, sym byte) Probe {
+	e := Probe(l) | Probe(sym>>4)<<5
+	if sym&15 == 0 {
+		return e | probeZeroSize
+	}
+	return e | Probe(sym&15)<<9
+}
+
+// ProbeLong resolves a code longer than ProbeBits from a left-aligned
+// bit window holding at least MaxCodeLength bits, in the form of a LUT
+// entry that never carries a value. It is the second step of a probe
+// whose LUT entry had Len 0, and returns 0 itself when the bits start no
+// code at all (Decode then reports it).
+func (t *Table) ProbeLong(acc uint64) Probe {
+	// No shorter code matched, so the canonical ranges can be walked from
+	// here: the first length whose largest code is not below the prefix
+	// holds it.
+	for l := uint(ProbeBits + 1); l <= MaxCodeLength; l++ {
+		if code := int32(acc >> (64 - l)); code <= t.maxCode[l] { // -1 where no code has the length
+			return symbolProbe(l, t.values[t.valPtr[l]+code-t.minCode[l]])
+		}
+	}
+	return 0
+}
+
+// Probes returns the one-probe LUT. The entropy stage's inner loops
+// index it with the top ProbeBits of their bit window; Decode stays the
+// general path for whatever an entry cannot resolve.
+func (t *Table) Probes() *[1 << ProbeBits]Probe { return &t.probes }
 
 // Spec returns a copy of the interchange-format spec for this table.
 func (t *Table) Spec() Spec {

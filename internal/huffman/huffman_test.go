@@ -217,3 +217,99 @@ func BenchmarkDecodeACLuminance(b *testing.B) {
 		}
 	}
 }
+
+func TestExtendMatchesSpec(t *testing.T) {
+	// T.81 F.2.2.1 as written.
+	for n := uint(1); n <= 15; n++ {
+		for v := uint32(0); v < 1<<n; v++ {
+			want := int32(v)
+			if v < 1<<(n-1) {
+				want = int32(v) - int32(1<<n) + 1
+			}
+			if got := Extend(v, n); got != want {
+				t.Fatalf("Extend(%d, %d) = %d, want %d", v, n, got, want)
+			}
+		}
+	}
+}
+
+// TestProbesAgreeWithDecode checks, for every 16-bit prefix, what the
+// LUT and ProbeLong make of it against what Decode and ReadBits make of
+// the same bits, on the standard tables and on an optimal table with
+// codes past the index width.
+func TestProbesAgreeWithDecode(t *testing.T) {
+	var freq [256]int64
+	for i := range freq {
+		freq[i] = int64(1 + i*i%97) // 256 symbols: lengths up to 16
+	}
+	long, err := BuildFromFrequencies(freq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{StdDCLuminance, StdDCChrominance, StdACLuminance, StdACChrominance, long} {
+		tab, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inIndex, past := 0, 0
+		for p := 0; p < 1<<16; p++ {
+			acc := uint64(p) << 48
+			e := tab.Probes()[acc>>(64-ProbeBits)]
+			if e.Len() == 0 {
+				e = tab.ProbeLong(acc)
+			}
+			w := bitstream.NewWriter()
+			w.WriteBits(uint32(p), 16)
+			w.WriteBits(0, 16)
+			r := bitstream.NewReader(w.Flush())
+			sym, err := tab.Decode(r)
+			if err != nil {
+				if e.Len() != 0 {
+					t.Fatalf("prefix %#04x: entry %#x where Decode fails: %v", p, e, err)
+				}
+				continue
+			}
+			codeLen := uint(32 - r.BitsBuffered())
+			size := uint(sym & 15)
+			if e.Run() != int(sym>>4) || e.ZeroSize() != (size == 0) {
+				t.Fatalf("prefix %#04x: entry %#x, symbol %#02x", p, e, sym)
+			}
+			if size == 0 || codeLen+size > ProbeBits {
+				if e.Len() != codeLen || e.Extra() != size || e.Value() != 0 {
+					t.Fatalf("prefix %#04x: entry %#x, want len %d extra %d", p, e, codeLen, size)
+				}
+				if codeLen > ProbeBits {
+					past++
+				}
+				continue
+			}
+			bits, _ := r.ReadBits(size)
+			if e.Len() != codeLen+size || e.Extra() != 0 || e.Value() != Extend(bits, size) {
+				t.Fatalf("prefix %#04x: entry %#x, want len %d value %d", p, e, codeLen+size, Extend(bits, size))
+			}
+			inIndex++
+		}
+		if len(spec.Values) > 12 && (inIndex == 0 || past == 0) {
+			t.Errorf("AC table: %d prefixes resolved with their magnitude, %d past the index", inIndex, past)
+		}
+	}
+}
+
+func TestStandardRecognisesAnnexK(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want *Table
+	}{
+		{StdDCLuminance, StdDCLuminanceTable}, {StdDCChrominance, StdDCChrominanceTable},
+		{StdACLuminance, StdACLuminanceTable}, {StdACChrominance, StdACChrominanceTable},
+	} {
+		if got := Standard(c.spec.Counts[:], c.spec.Values); got != c.want {
+			t.Errorf("Standard did not return the shared table for %v", c.spec.Counts)
+		}
+		other := append([]byte(nil), c.spec.Values...)
+		other[0], other[1] = other[1], other[0]
+		if Standard(c.spec.Counts[:], other) != nil {
+			t.Errorf("Standard matched a table with swapped values")
+		}
+	}
+}

@@ -474,10 +474,15 @@ func (im *Image) parseDHT(seg []byte) error {
 		if len(seg) < 17+total {
 			return errors.New("jfif: short DHT values")
 		}
-		spec.Values = append([]byte(nil), seg[17:17+total]...)
-		tbl, err := huffman.New(spec)
-		if err != nil {
-			return err
+		// Most streams carry the Annex-K tables, which are compiled once
+		// for the process; only image-specific tables are built here.
+		tbl := huffman.Standard(seg[1:17], seg[17:17+total])
+		if tbl == nil {
+			spec.Values = append([]byte(nil), seg[17:17+total]...)
+			var err error
+			if tbl, err = huffman.New(spec); err != nil {
+				return err
+			}
 		}
 		if class == 0 {
 			im.DCTables[sel] = tbl

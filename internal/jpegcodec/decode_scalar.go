@@ -295,16 +295,38 @@ func DecodeScalar(data []byte) (*RGBImage, error) {
 // scale — the scalar scaled reference every other execution path's
 // scaled output must match byte for byte.
 func DecodeScalarScaled(data []byte, scale Scale) (*RGBImage, error) {
-	f, ed, err := PrepareDecodeScaled(data, scale)
-	if err != nil {
-		return nil, err
+	out, _, err := DecodeScalarWorkers(data, scale, 1)
+	return out, err
+}
+
+// DecodeScalarWorkers is DecodeScalarScaled with the back phase banded
+// across workers goroutines (byte-identical output). dcOnly reports that
+// the coefficient-domain DC-only path ran (baseline input at 1/8 scale).
+func DecodeScalarWorkers(data []byte, scale Scale, workers int) (out *RGBImage, dcOnly bool, err error) {
+	out, dcOnly, _, err = decodeWhole(data, scale, workers, false)
+	return out, dcOnly, err
+}
+
+// decodeWhole is the one whole-image sequence behind the scalar entry
+// points: prepare, entropy decode, allocate the output once there is
+// something to put in it, back phase. The frame goes back to the pools
+// on every path; nothing reads it after the last band.
+func decodeWhole(data []byte, scale Scale, workers int, salvage bool) (*RGBImage, bool, *SalvageReport, error) {
+	prepare := PrepareDecodeScaled
+	if salvage {
+		prepare = PrepareDecodeSalvageScaled
 	}
+	f, ed, err := prepare(data, scale)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	defer f.Release()
 	if err := ed.DecodeAll(); err != nil {
-		return nil, err
+		return nil, false, nil, err
 	}
 	out := NewRGBImage(f.OutW, f.OutH)
-	ParallelPhaseScalar(f, 0, f.MCURows, out)
-	return out, nil
+	ParallelPhaseScalarWorkers(f, 0, f.MCURows, out, workers)
+	return out, f.DCOnly(), ed.SalvageReport(), nil
 }
 
 // PrepareDecode parses the stream and allocates whole-image buffers,

@@ -99,6 +99,10 @@ func Encode(img *RGBImage, opts EncodeOptions) ([]byte, error) {
 
 	dcTabs := [2]huffman.Spec{huffman.StdDCLuminance, huffman.StdDCChrominance}
 	acTabs := [2]huffman.Spec{huffman.StdACLuminance, huffman.StdACChrominance}
+	tabs := tableSet{
+		dc: [2]*huffman.Table{huffman.StdDCLuminanceTable, huffman.StdDCChrominanceTable},
+		ac: [2]*huffman.Table{huffman.StdACLuminanceTable, huffman.StdACChrominanceTable},
+	}
 	if opts.OptimizeHuffman {
 		var dcFreq, acFreq [2][256]int64
 		countPass := &freqCounter{dc: &dcFreq, ac: &acFreq}
@@ -106,27 +110,19 @@ func Encode(img *RGBImage, opts EncodeOptions) ([]byte, error) {
 			return nil, err
 		}
 		for i := 0; i < 2; i++ {
-			spec, err := huffman.BuildFromFrequencies(dcFreq[i])
-			if err != nil {
+			var err error
+			if dcTabs[i], err = huffman.BuildFromFrequencies(dcFreq[i]); err != nil {
 				return nil, fmt.Errorf("jpegcodec: optimal DC table %d: %w", i, err)
 			}
-			dcTabs[i] = spec
-			spec, err = huffman.BuildFromFrequencies(acFreq[i])
-			if err != nil {
+			if acTabs[i], err = huffman.BuildFromFrequencies(acFreq[i]); err != nil {
 				return nil, fmt.Errorf("jpegcodec: optimal AC table %d: %w", i, err)
 			}
-			acTabs[i] = spec
-		}
-	}
-
-	var tabs tableSet
-	for i := 0; i < 2; i++ {
-		var err error
-		if tabs.dc[i], err = huffman.New(dcTabs[i]); err != nil {
-			return nil, err
-		}
-		if tabs.ac[i], err = huffman.New(acTabs[i]); err != nil {
-			return nil, err
+			if tabs.dc[i], err = huffman.New(dcTabs[i]); err != nil {
+				return nil, err
+			}
+			if tabs.ac[i], err = huffman.New(acTabs[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
 

@@ -44,13 +44,16 @@ type EntropyDecoder struct {
 	byteBase     int
 
 	discard bool
+	// generalOnly keeps every symbol on the general path; the
+	// differential tests decode each stream both ways.
+	generalOnly bool
 	// dcOnly (baseline 1/8-scale frames) keeps only DC coefficients:
 	// AC symbols are still Huffman-decoded to advance the bitstream, but
-	// their value bits are skipped without EXTEND, de-zigzag stores or
-	// NZ bookkeeping — the whole-image coefficient buffer collapses to
-	// one int32 per block and entropy decoding sheds its store traffic.
+	// land in scratch, without NZ bookkeeping — the whole-image
+	// coefficient buffer collapses to one int32 per block and entropy
+	// decoding sheds its store traffic to memory.
 	dcOnly  bool
-	scratch [64]int32
+	scratch [64]int32 // the block of a discard decode; the unread ACs of a dcOnly one
 
 	mcusSinceRestart int
 
@@ -228,7 +231,6 @@ func (d *EntropyDecoder) decodeMCURow(m int) error {
 				for h := 0; h < comp.H; h++ {
 					var blk []int32
 					if d.discard {
-						d.scratch = [64]int32{}
 						blk = d.scratch[:]
 					} else {
 						blk = f.Block(ci, mx*comp.H+h, m*comp.V+v)
@@ -249,37 +251,204 @@ func (d *EntropyDecoder) decodeMCURow(m int) error {
 	return nil
 }
 
+// The entropy stage's inner loops share one probe, written once below
+// and used by the baseline decoder (decodeBlock, at every scale) and by
+// the progressive DC-first and AC-first scans. A probe checks the
+// reader's bit window out into locals (bitstream.Reader.Window), tops it
+// up to at least 32 bits, enough for a code (<= 16 bits) and its
+// magnitude bits (<= 15), and resolves code length, run, category and,
+// where it sat inside the index, the EXTENDed value with one load from
+// the table's LUT (huffman.Table.Probes). Whatever that cannot settle is
+// left to the general path before a single bit of the symbol has been
+// consumed: fewer than 32 bits left before a marker or the end of the
+// segment, zero padding past a marker, and every malformed symbol. The
+// general path (Table.Decode and Reader.ReadBits, resumable at any
+// zigzag position) is therefore the only place errors are made, and
+// since the window refills when and as the reader itself would, both
+// paths agree on every coefficient, byte position and bit count.
+
+// extendTop EXTENDs the next x (1..15) bits of a window.
+func extendTop(acc uint64, x uint) int32 {
+	return huffman.Extend(uint32(acc>>((64-x)&63)), x)
+}
+
+// probeDC reads one DC difference. ok is false, with nothing consumed,
+// when the symbol is the general path's.
+func probeDC(r *bitstream.Reader, tab *huffman.Table) (diff int32, ok bool) {
+	acc, bits, ok := r.Window()
+	if !ok {
+		return 0, false
+	}
+	if bits < 32 {
+		if acc, bits = r.Refill(acc, bits); bits < 32 {
+			if acc, bits = r.RefillSlow(acc, bits); bits < 32 {
+				return 0, false
+			}
+		}
+	}
+	e := tab.Probes()[acc>>(64-huffman.ProbeBits)]
+	n := e.Len()
+	if n == 0 || e.Run() != 0 { // a long code, or not a DC category
+		r.SetWindow(acc, bits)
+		return 0, false
+	}
+	acc <<= n
+	bits -= n
+	diff = e.Value()
+	if x := e.Extra(); x != 0 {
+		diff = extendTop(acc, x)
+		acc <<= x
+		bits -= x
+	}
+	r.SetWindow(acc, bits)
+	return diff, true
+}
+
+// probeACs reads the AC run-lengths of zigzag band [k, se] into b,
+// de-zigzagged and shifted left by al, until the band ends. With eobRuns
+// (progressive first scans) a zero-size symbol with run < 15 starts an
+// EOB run of 2^run plus run appended bits, returned less the current
+// block; without (baseline) it is a plain EOB. It returns the position
+// reached, the last position written (maxK when none was), and whether
+// the symbol at the position reached is the general path's, in which
+// case none of its bits have been consumed.
+func probeACs(r *bitstream.Reader, tab *huffman.Table, b *[64]int32, k, se int, al uint, maxK int, eobRuns bool) (kEnd, last, eobrun int, general bool) {
+	acc, bits, ok := r.Window()
+	if !ok {
+		return k, maxK, 0, true
+	}
+	zz := &jfif.ZigZag
+	lut := tab.Probes()
+	var e huffman.Probe // a code past the LUT, resolved between two runs of the hot loop
+band:
+	for {
+		// The hot loop makes no calls, so the window stays in registers.
+		for k <= se {
+			if e == 0 {
+				if bits < 32 {
+					if acc, bits = r.Refill(acc, bits); bits < 32 {
+						break
+					}
+				}
+				if e = lut[acc>>(64-huffman.ProbeBits)]; e == 0 {
+					break
+				}
+			}
+			n := e.Len()
+			if e.ZeroSize() {
+				run := uint(e.Run())
+				acc <<= n
+				bits -= n
+				if run == 15 { // ZRL: sixteen zeros
+					k += 16
+					e = 0
+					continue
+				}
+				if eobRuns {
+					eobrun = 1<<run - 1 // this block is the first of the run
+					if run > 0 {
+						eobrun += int(acc >> (64 - run))
+						acc <<= run
+						bits -= run
+					}
+				}
+				break band
+			}
+			kk := k + e.Run()
+			if kk > se {
+				general = true
+				break band
+			}
+			acc <<= n
+			bits -= n
+			v := e.Value()
+			if x := e.Extra(); x != 0 {
+				v = extendTop(acc, x)
+				acc <<= x
+				bits -= x
+			}
+			b[zz[kk&63]&63] = v << (al & 15)
+			maxK = kk
+			k = kk + 1
+			e = 0
+		}
+		if k > se {
+			break
+		}
+		// The hot loop stopped before a symbol it could not take.
+		if bits < 32 {
+			if acc, bits = r.RefillSlow(acc, bits); bits < 32 {
+				general = true
+				break
+			}
+		} else if e = tab.ProbeLong(acc); e == 0 {
+			general = true
+			break
+		}
+	}
+	r.SetWindow(acc, bits)
+	return k, maxK, eobrun, general
+}
+
 // decodeBlock reads one 8x8 block: DC difference then AC run-lengths,
 // writing coefficients in natural order (de-zigzagged). It returns the
 // zigzag index of the last coefficient it wrote (0 for a DC-only block),
-// the sparsity summary the IDCT dispatcher keys on.
+// the sparsity summary the IDCT dispatcher keys on. The block is cleared
+// here, in cache, immediately before it is filled: coefficient slabs
+// arrive with unspecified contents. A DC-only frame (baseline 1/8 scale)
+// has one slot per block; its AC symbols are decoded all the same, to
+// advance the bitstream exactly as at full size, and land in scratch.
 func (d *EntropyDecoder) decodeBlock(blk []int32, comp int, dcTab, acTab *huffman.Table) (int, error) {
-	// DC coefficient.
-	t, err := dcTab.Decode(d.r)
-	if err != nil {
-		return 0, err
+	b := &d.scratch
+	if !d.dcOnly {
+		b = (*[64]int32)(blk)
+		*b = [64]int32{}
 	}
-	if t > 15 {
-		return 0, fmt.Errorf("bad DC category %d", t)
+	if d.generalOnly {
+		return d.decodeBlockGeneral(blk, comp, 0, 0, dcTab, acTab)
 	}
-	diff := int32(0)
-	if t > 0 {
-		bits, err := d.r.ReadBits(uint(t))
-		if err != nil {
-			return 0, err
-		}
-		diff = extend(bits, uint(t))
+	diff, ok := probeDC(d.r, dcTab)
+	if !ok {
+		return d.decodeBlockGeneral(blk, comp, 0, 0, dcTab, acTab)
 	}
 	d.dc[comp] += diff
 	blk[0] = d.dc[comp]
-
-	if d.dcOnly {
-		return 0, d.skipACs(acTab)
+	k, maxK, _, general := probeACs(d.r, acTab, b, 1, 63, 0, 0, false)
+	if general {
+		return d.decodeBlockGeneral(blk, comp, k, maxK, dcTab, acTab)
 	}
+	return maxK, nil
+}
 
-	// AC coefficients.
-	maxK := 0
-	for k := 1; k < 64; {
+// decodeBlockGeneral finishes a block from zigzag position k (0: the DC
+// coefficient; maxK is the last position written so far) through
+// Table.Decode and Reader.ReadBits: the general path behind the probe
+// loops, and the only one that reports errors.
+func (d *EntropyDecoder) decodeBlockGeneral(blk []int32, comp, k, maxK int, dcTab, acTab *huffman.Table) (int, error) {
+	if k == 0 {
+		t, err := dcTab.Decode(d.r)
+		if err != nil {
+			return 0, err
+		}
+		if t > 15 {
+			return 0, fmt.Errorf("bad DC category %d", t)
+		}
+		diff := int32(0)
+		if t > 0 {
+			bits, err := d.r.ReadBits(uint(t))
+			if err != nil {
+				return 0, err
+			}
+			diff = huffman.Extend(bits, uint(t))
+		}
+		d.dc[comp] += diff
+		blk[0] = d.dc[comp]
+		k = 1
+	}
+	if d.dcOnly {
+		return 0, d.skipACs(k, acTab)
+	}
+	for k < 64 {
 		rs, err := acTab.Decode(d.r)
 		if err != nil {
 			return maxK, err
@@ -301,20 +470,21 @@ func (d *EntropyDecoder) decodeBlock(blk []int32, comp int, dcTab, acTab *huffma
 		if err != nil {
 			return maxK, err
 		}
-		blk[jfif.ZigZag[k]] = extend(bits, s)
+		blk[jfif.ZigZag[k]] = huffman.Extend(bits, s)
 		maxK = k
 		k++
 	}
 	return maxK, nil
 }
 
-// skipACs walks one block's AC symbols without materializing the
-// coefficients: Huffman symbols are decoded and value bits consumed
-// (the bitstream position must advance exactly as in the storing path)
-// but EXTEND and the coefficient stores are skipped. Run/length errors
-// are still reported so corrupt streams fail identically at any scale.
-func (d *EntropyDecoder) skipACs(acTab *huffman.Table) error {
-	for k := 1; k < 64; {
+// skipACs walks a DC-only block's AC symbols from zigzag position k on
+// the general path without materializing the coefficients: Huffman
+// symbols are decoded and value bits consumed (the bitstream position
+// must advance exactly as in the storing path) but EXTEND and the
+// coefficient stores are skipped. Run/length errors are still reported
+// so corrupt streams fail identically at any scale.
+func (d *EntropyDecoder) skipACs(k int, acTab *huffman.Table) error {
+	for k < 64 {
 		rs, err := acTab.Decode(d.r)
 		if err != nil {
 			return err
@@ -338,15 +508,6 @@ func (d *EntropyDecoder) skipACs(acTab *huffman.Table) error {
 		k++
 	}
 	return nil
-}
-
-// extend implements the EXTEND procedure of T.81 F.2.2.1: map a magnitude
-// category value to its signed coefficient.
-func extend(v uint32, t uint) int32 {
-	if v < 1<<(t-1) {
-		return int32(v) - int32(1<<t) + 1
-	}
-	return int32(v)
 }
 
 // salvageResync absorbs a baseline entropy error: record it, then scan
@@ -430,11 +591,11 @@ func (d *EntropyDecoder) fillRowBits(newRow int, rowStart int64) {
 }
 
 // zeroMCUs clears the coefficients and sparsity watermarks of MCUs
-// [first, first+n) in raster order and records them as damaged. Pooled
-// slabs arrive zeroed, but the failing MCU may be partially written and
-// a resync can land on MCUs decoded from misinterpreted bits, so the
-// whole damaged span is cleared explicitly. NZ drops to 1 (DC-only,
-// DC = 0) so the flat fast path renders damaged blocks as mid-gray.
+// [first, first+n) in raster order and records them as damaged: blocks
+// the decoder never reached hold whatever the slab held, the failing MCU
+// may be partially written, and a resync can land on MCUs decoded from
+// misinterpreted bits. NZ drops to 1 (DC-only, DC = 0) so the flat fast
+// path renders damaged blocks as mid-gray.
 func (d *EntropyDecoder) zeroMCUs(first, n int) {
 	d.report.addDamage(first, n)
 	if d.discard {

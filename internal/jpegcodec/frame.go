@@ -16,9 +16,12 @@ import (
 
 // Slab pools for the large per-decode buffers (whole-image coefficients,
 // sample planes, interleaved RGB output), so steady-state batch decoding
-// stays allocation-flat. Reused slabs come back zeroed (entropy decoding
-// writes only the nonzero coefficients, and VirtualOnly decodes promise
-// a zeroed image).
+// stays allocation-flat. Slabs arrive with unspecified contents and
+// every stage overwrites what it owns in full: entropy decoding clears
+// each baseline block immediately before filling it and sets every NZ
+// entry, the IDCT writes every sample of the padded planes, and colour
+// conversion every output pixel. Only progressive coefficient slabs,
+// which scans accumulate into, are cleared up front (newFrame).
 var (
 	coeffPool pool.Slab[int32] // whole-image coefficient slabs
 	bytePool  pool.Slab[byte]  // sample planes and RGB pixels
@@ -199,7 +202,11 @@ func newFrame(im *jfif.Image, alloc bool, scale Scale) (*Frame, error) {
 			}
 		}
 		if alloc {
-			f.Coeff[i] = getCoeffSlab(p.Blocks() * f.CoeffStride)
+			coeff := getCoeffSlab(p.Blocks() * f.CoeffStride)
+			if im.Progressive {
+				clear(coeff) // scans accumulate into it
+			}
+			f.Coeff[i] = coeff
 			f.Samples[i] = getByteSlab(p.PlaneW() * p.PlaneH())
 			if f.CoeffStride == 64 {
 				// DC-only frames skip the sparsity watermark: every block

@@ -40,6 +40,7 @@ func FuzzProgressiveDecode(f *testing.F) {
 			// buffers; decoding correctness is covered below that size.
 			return
 		}
+		checkPathsAgree(t, "fuzz", data)
 		fr, ed, err := PrepareDecode(data)
 		if err != nil {
 			return

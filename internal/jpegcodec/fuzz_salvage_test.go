@@ -53,6 +53,7 @@ func FuzzSalvageDecode(f *testing.F) {
 			// buffers; decoding correctness is covered below that size.
 			return
 		}
+		checkPathsAgree(t, "fuzz", data)
 		out, rep, err := DecodeScalarSalvage(data)
 		if out == nil {
 			return

@@ -53,6 +53,7 @@ func FuzzScaledDecode(f *testing.F) {
 			// decoding correctness is covered below that size.
 			return
 		}
+		checkPathsAgree(t, "fuzz", data)
 		fr, ed, err := PrepareDecodeScaled(data, scale)
 		if err != nil {
 			return

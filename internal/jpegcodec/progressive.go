@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hetjpeg/internal/bitstream"
+	"hetjpeg/internal/huffman"
 	"hetjpeg/internal/jfif"
 )
 
@@ -56,6 +57,8 @@ type progDecoder struct {
 	report       *SalvageReport
 	restartsSeen int
 	byteBase     int // offset of r's window within sc.Data after a resync
+
+	generalOnly bool // see EntropyDecoder.generalOnly
 }
 
 func newProgDecoder(f *Frame, discard bool) *progDecoder {
@@ -398,8 +401,9 @@ func (d *progDecoder) addDCDamage(fromUnit, toUnit, totalUnits int) {
 }
 
 // decodeDC handles both DC passes of scan component si: the first scan
-// decodes a Huffman-coded difference and stores it shifted left by Al;
-// refinement scans append one raw bit at bit position Al.
+// decodes a Huffman-coded difference and stores it shifted left by Al
+// (through the probe of entropy.go); refinement scans append one raw
+// bit at bit position Al.
 func (d *progDecoder) decodeDC(blk []int32, si int) error {
 	sc := d.sc
 	if sc.Ah != 0 {
@@ -412,6 +416,21 @@ func (d *progDecoder) decodeDC(blk []int32, si int) error {
 		}
 		return nil
 	}
+	if d.generalOnly {
+		return d.decodeDCGeneral(blk, si)
+	}
+	diff, ok := probeDC(d.r, sc.Comps[si].DC)
+	if !ok {
+		return d.decodeDCGeneral(blk, si)
+	}
+	d.dc[si] += diff
+	blk[0] = d.dc[si] << uint(sc.Al)
+	return nil
+}
+
+// decodeDCGeneral is the first DC pass on the general path.
+func (d *progDecoder) decodeDCGeneral(blk []int32, si int) error {
+	sc := d.sc
 	t, err := sc.Comps[si].DC.Decode(d.r)
 	if err != nil {
 		return err
@@ -425,7 +444,7 @@ func (d *progDecoder) decodeDC(blk []int32, si int) error {
 		if err != nil {
 			return err
 		}
-		diff = extend(bits, uint(t))
+		diff = huffman.Extend(bits, uint(t))
 	}
 	d.dc[si] += diff
 	blk[0] = d.dc[si] << uint(sc.Al)
@@ -435,16 +454,35 @@ func (d *progDecoder) decodeDC(blk []int32, si int) error {
 // decodeACFirst decodes one block of an AC first scan (Ah = 0): plain
 // run-length coding within the band [Ss, Se], except that an s=0 symbol
 // with r < 15 starts an EOB run of 2^r plus r appended bits, covering
-// this block and the next eobrun-1 blocks of the scan.
+// this block and the next eobrun-1 blocks of the scan. The probe of
+// entropy.go reads the band; the general path finishes what it leaves.
 func (d *progDecoder) decodeACFirst(blk []int32, bx, by int) error {
 	if d.eobrun > 0 {
 		d.eobrun--
 		return nil
 	}
 	sc := d.sc
+	if d.generalOnly {
+		return d.decodeACFirstGeneral(blk, bx, by, sc.Ss)
+	}
+	k, maxK, eobrun, general := probeACs(d.r, sc.Comps[0].AC, (*[64]int32)(blk), sc.Ss, sc.Se, uint(sc.Al), -1, true)
+	d.eobrun = eobrun
+	if maxK >= 0 {
+		d.setNZ(sc.Comps[0].CompIdx, bx, by, maxK)
+	}
+	if general {
+		return d.decodeACFirstGeneral(blk, bx, by, k)
+	}
+	return nil
+}
+
+// decodeACFirstGeneral finishes an AC first-scan block from zigzag
+// position k on the general path.
+func (d *progDecoder) decodeACFirstGeneral(blk []int32, bx, by, k int) error {
+	sc := d.sc
 	ac := sc.Comps[0].AC
 	ci := sc.Comps[0].CompIdx
-	for k := sc.Ss; k <= sc.Se; {
+	for k <= sc.Se {
 		rs, err := ac.Decode(d.r)
 		if err != nil {
 			return err
@@ -475,7 +513,7 @@ func (d *progDecoder) decodeACFirst(blk []int32, bx, by int) error {
 		if err != nil {
 			return err
 		}
-		blk[jfif.ZigZag[k]] = extend(bits, s) << uint(sc.Al)
+		blk[jfif.ZigZag[k]] = huffman.Extend(bits, s) << uint(sc.Al)
 		d.setNZ(ci, bx, by, k)
 		k++
 	}

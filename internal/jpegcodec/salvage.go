@@ -151,19 +151,15 @@ func (r *SalvageReport) DamagedMCUs() int {
 	return s
 }
 
-// PrepareDecodeSalvage is PrepareDecode with salvage enabled: the
-// returned EntropyDecoder absorbs entropy errors by restart-marker
-// resynchronization instead of failing, and its SalvageReport()
-// describes what was lost. Errors that leave nothing decodable (no
-// frame header, missing tables, unsupported features) still fail.
-func PrepareDecodeSalvage(data []byte) (*Frame, *EntropyDecoder, error) {
-	return PrepareDecodeSalvageScaled(data, Scale1)
-}
-
-// PrepareDecodeSalvageScaled is PrepareDecodeSalvage at a decode scale.
-// A structurally damaged container (truncated mid-scan, corrupt segment
-// length after the first decodable scan) yields a decoder over the
-// salvageable prefix with the parse error pre-recorded in its report.
+// PrepareDecodeSalvageScaled is PrepareDecodeScaled with salvage
+// enabled: the returned EntropyDecoder absorbs entropy errors by
+// restart-marker resynchronization instead of failing, and its
+// SalvageReport() describes what was lost. Errors that leave nothing
+// decodable (no frame header, missing tables, unsupported features)
+// still fail. A structurally damaged container (truncated mid-scan,
+// corrupt segment length after the first decodable scan) yields a
+// decoder over the salvageable prefix with the parse error pre-recorded
+// in its report.
 func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, nil, err
@@ -198,18 +194,12 @@ func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecod
 // DecodeScalar. A stream with nothing salvageable returns a plain
 // error.
 func DecodeScalarSalvage(data []byte) (*RGBImage, *SalvageReport, error) {
-	f, ed, err := PrepareDecodeSalvage(data)
+	// Salvage-mode entropy decoding absorbs entropy errors; anything
+	// decodeWhole reports is fatal.
+	out, _, rep, err := decodeWhole(data, Scale1, 1, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ed.DecodeAll(); err != nil {
-		// Salvage-mode entropy decoding absorbs entropy errors; anything
-		// surfacing here is unexpected and fatal.
-		return nil, nil, err
-	}
-	out := NewRGBImage(f.OutW, f.OutH)
-	ParallelPhaseScalar(f, 0, f.MCURows, out)
-	rep := ed.SalvageReport()
 	if !rep.Impaired() {
 		return out, nil, nil
 	}

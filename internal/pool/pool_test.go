@@ -23,17 +23,25 @@ func TestGetPutReuse(t *testing.T) {
 		s[i] = int32(i)
 	}
 	p.Put(s)
-	// A same-class request must reuse the slab and see it zeroed.
+	// A same-class request must reuse the slab, and Get must not have
+	// spent a pass clearing it: contents are unspecified, which outside
+	// race builds means untouched.
 	r := p.Get(600)
 	if len(r) != 600 {
 		t.Fatalf("len %d", len(r))
 	}
 	if &r[0] != &s[0] {
-		t.Error("slab not reused within its class")
+		if poison {
+			t.Skip("sync.Pool drops a share of Puts under the race detector")
+		}
+		t.Fatal("slab not reused within its class")
 	}
 	for i, v := range r {
-		if v != 0 {
-			t.Fatalf("recycled slab dirty at %d", i)
+		if want := int32(i); !poison && v != want {
+			t.Fatalf("recycled slab rewritten at %d: %d, want %d", i, v, want)
+		}
+		if poison && uint32(v) != 0xA5A5A5A5 {
+			t.Fatalf("race build: slab not poisoned at %d: %#x", i, uint32(v))
 		}
 	}
 }
@@ -48,7 +56,7 @@ func TestNoUndersizedReuse(t *testing.T) {
 	}
 	// The small slab stays in its own class for the next small request.
 	again := p.Get(90)
-	if &again[0] != &small[0] {
+	if &again[0] != &small[0] && !poison { // the race detector's sync.Pool drops Puts
 		t.Error("small slab lost")
 	}
 }

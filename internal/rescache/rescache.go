@@ -18,10 +18,10 @@
 //     first caller decodes, the other N-1 wait on the flight and share
 //     the freshly inserted entry. N requests cost one decode.
 //
-// The cache stores only the image and its decode metadata: the leader's
-// Result has its Frame slabs (coefficients, sample planes) returned to
-// the pool at insert time, so a resident entry costs its RGB pixels,
-// not 3-4x that.
+// The cache stores only the image and its decode metadata: a Result's
+// Frame gave its slabs (coefficients, sample planes) back when its back
+// phase finished, so a resident entry costs its RGB pixels, not 3-4x
+// that.
 package rescache
 
 import (
@@ -276,11 +276,6 @@ func (c *Cache) Do(ctx context.Context, k Key, decode func() (*core.Result, erro
 		c.mu.Unlock()
 		close(f.done)
 		return nil, Miss, err
-	}
-	// Shed the entropy-side slabs before accounting: a resident entry
-	// costs its pixels and metadata, not the whole decode working set.
-	if res.Frame != nil {
-		res.Frame.Release()
 	}
 	ent := &Entry{
 		c:    c,

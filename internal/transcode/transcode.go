@@ -141,32 +141,13 @@ func Transcode(data []byte, opts Options) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	img, fast, err := decodeScaled(data, opts.Scale, opts.Workers)
+	img, fast, err := jpegcodec.DecodeScalarWorkers(data, opts.Scale, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	decNs := time.Since(t0).Nanoseconds()
 	defer img.Release()
 	return EncodeImage(img, opts, fast, decNs)
-}
-
-// decodeScaled is DecodeScalarScaled plus the two things the transcode
-// front ends need from the frame before it is released: whether the
-// coefficient-domain DC-only path ran, and a Workers-banded back phase.
-func decodeScaled(data []byte, scale jpegcodec.Scale, workers int) (*jpegcodec.RGBImage, bool, error) {
-	f, ed, err := jpegcodec.PrepareDecodeScaled(data, scale)
-	if err != nil {
-		return nil, false, err
-	}
-	fast := f.DCOnly()
-	if err := ed.DecodeAll(); err != nil {
-		f.Release()
-		return nil, false, err
-	}
-	out := jpegcodec.NewRGBImage(f.OutW, f.OutH)
-	jpegcodec.ParallelPhaseScalarWorkers(f, 0, f.MCURows, out, workers)
-	f.Release()
-	return out, fast, nil
 }
 
 // NaiveThumbnail is the reference the fast path is benchmarked against:
