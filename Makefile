@@ -11,35 +11,7 @@
 #   make lint-baseline  re-blesses the hetaudit baselines after an
 #                       intentional codegen change; commit the diff.
 
-BENCH_OUT ?= BENCH_2.json
-BENCH_COUNT ?= 5
-BENCH_TIME ?= 1s
-# The single-image decode hot path tracked across PRs.
-BENCH_PATTERN ?= BenchmarkDecodeScalar$$|BenchmarkDecodeScalarSub|BenchmarkDecodeScalarSize|BenchmarkParallelPhaseScalar|BenchmarkEntropySequential$$|BenchmarkEntropyParallelRestart$$
-
-# The batch wall-clock trajectory: the mixed-size corpus through both
-# schedulers (per-image pool vs pipelined band scheduler).
-BENCH_BATCH_OUT ?= BENCH_3.json
-BENCH_BATCH_PATTERN ?= BenchmarkBatchMixedSizes
-
-# The scaled decode trajectory: decode-to-scale (1/2, 1/4, DC-only 1/8)
-# per scale, plus the scaled mixed-size batch workload.
-BENCH_SCALE_OUT ?= BENCH_4.json
-
-# The HTTP service trajectory: cmd/loadgen against an in-process
-# cmd/imaged stack — steady-state p50/p99 wall latency, the overload
-# scenario's shed rate and degraded completions, and the hot-repeat
-# scenario's cached p50/hit-rate against the steady baseline.
-BENCH_HTTP_OUT ?= BENCH_6.json
-BENCH_HTTP_TIME ?= 3s
-
-# The transcode trajectory: the coefficient-domain DC-only 1/8
-# thumbnail against the naive full-decode + box-downsample + encode
-# route (the headline ratio), plus the pixel-path transcode per output
-# flavor (half-scale, full-size requantize, progressive output).
-BENCH_XCODE_OUT ?= BENCH_7.json
-
-.PHONY: all build test race bench bench-batch bench-scale bench-http bench-http-smoke bench-transcode bench-smoke fuzz-smoke conformance conformance-faults conformance-transcode cover fmt vet lint lint-baseline
+.PHONY: all build test race bench-http-smoke bench-smoke fuzz-smoke conformance conformance-faults conformance-transcode cover fmt vet lint lint-baseline
 
 all: build
 
@@ -52,57 +24,12 @@ test:
 race:
 	go test -race ./...
 
-# bench records the decode perf trajectory: raw `go test -bench` output
-# goes to bench.txt (benchstat-compatible), the parsed summary to
-# $(BENCH_OUT). Bump BENCH_OUT per PR (BENCH_2.json, BENCH_3.json, ...)
-# so the history stays diffable.
-bench:
-	go test ./internal/jpegcodec/ -run='^$$' -bench='$(BENCH_PATTERN)' \
-		-benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) | tee bench.txt
-	go run ./cmd/benchjson < bench.txt > $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT)"
-
-# bench-batch records the batch scheduler's wall-clock trajectory:
-# before/after of the per-image pool vs the band scheduler on the
-# mixed-size corpus, parsed into $(BENCH_BATCH_OUT).
-bench-batch:
-	go test . -run='^$$' -bench='$(BENCH_BATCH_PATTERN)' \
-		-benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) | tee bench_batch.txt
-	go run ./cmd/benchjson < bench_batch.txt > $(BENCH_BATCH_OUT)
-	@echo "wrote $(BENCH_BATCH_OUT)"
-
-# bench-scale records the decode-to-scale trajectory: the single-image
-# scaled decode per scale (div1 is the full-size baseline the speedup
-# table in README.md is computed from) and the scaled mixed-size batch
-# bench, parsed into $(BENCH_SCALE_OUT).
-bench-scale:
-	go test ./internal/jpegcodec/ -run='^$$' -bench='BenchmarkDecodeScaled' \
-		-benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) | tee bench_scale.txt
-	go test . -run='^$$' -bench='BenchmarkBatchScaledMixedSizes' \
-		-benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) | tee -a bench_scale.txt
-	go run ./cmd/benchjson < bench_scale.txt > $(BENCH_SCALE_OUT)
-	@echo "wrote $(BENCH_SCALE_OUT)"
-
-# bench-http records the decode service's robustness trajectory: the
-# loadgen closed-loop scenarios (steady, overload, hot-repeat) against
-# an in-process imaged server, summarized into $(BENCH_HTTP_OUT).
-bench-http:
-	go run ./cmd/loadgen -duration $(BENCH_HTTP_TIME) -out $(BENCH_HTTP_OUT)
-	@echo "wrote $(BENCH_HTTP_OUT)"
-
-# bench-http-smoke is the CI variant: a short run that exercises the
-# whole imaged + loadgen stack without recording its numbers.
+# bench-http-smoke runs cmd/loadgen briefly against an in-process
+# imaged, so CI exercises the whole HTTP stack. It records no numbers:
+# the service's performance is the service_mixed workload of the
+# benchmark (benchmark/README.md).
 bench-http-smoke:
 	go run ./cmd/loadgen -duration 500ms
-
-# bench-transcode records the transcode trajectory into
-# $(BENCH_XCODE_OUT): ThumbFastPath vs ThumbNaive is the committed
-# fast-path ratio (must stay ≥3×).
-bench-transcode:
-	go test ./internal/transcode/ -run='^$$' -bench='BenchmarkTranscode' \
-		-benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) | tee bench_transcode.txt
-	go run ./cmd/benchjson < bench_transcode.txt > $(BENCH_XCODE_OUT)
-	@echo "wrote $(BENCH_XCODE_OUT)"
 
 # bench-smoke compiles and runs every benchmark in the repo exactly once
 # (CI uses it so benchmarks can never silently rot).

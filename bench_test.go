@@ -22,32 +22,18 @@ import (
 	"hetjpeg/internal/platform"
 )
 
-// Shared fixtures, built once.
-var (
-	fixOnce   sync.Once
-	fixModels map[string]*perfmodel.Model
-	fixErr    error
-)
-
+// models returns the committed fit of every Table 1 machine, keyed by
+// name.
 func models(b testing.TB) map[string]*perfmodel.Model {
-	fixOnce.Do(func() {
-		// Full training corpora: the benchmark sweeps reach ~5 MP, and
-		// the quick test models (trained to 0.5 MP) extrapolate poorly
-		// out there — the paper's own Section 5.1 caveat.
-		fixModels = map[string]*perfmodel.Model{}
-		for _, spec := range platform.All() {
-			m, err := perfmodel.Default(spec)
-			if err != nil {
-				fixErr = err
-				return
-			}
-			fixModels[spec.Name] = m
+	ms := map[string]*perfmodel.Model{}
+	for _, spec := range platform.All() {
+		m, err := perfmodel.Default(spec)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	if fixErr != nil {
-		b.Fatal(fixErr)
+		ms[spec.Name] = m
 	}
-	return fixModels
+	return ms
 }
 
 var (
@@ -420,10 +406,12 @@ func BenchmarkAblation_PipelineCrossover(b *testing.B) {
 
 // What-if: the embedded (integrated GPU, zero-copy) machine from the
 // paper's conclusion. The weak GPU loses on raw kernels, but cheap
-// transfers keep heterogeneous decoding ahead of SIMD.
+// transfers keep heterogeneous decoding ahead of SIMD. The machine has
+// no committed model, so this benchmark runs the full Section 5.1 fit
+// first (about a minute and a half).
 func BenchmarkExtension_EmbeddedPlatform(b *testing.B) {
 	spec := platform.Embedded()
-	model, err := perfmodel.TrainQuick(spec)
+	model, err := perfmodel.Train(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -518,8 +506,8 @@ func BenchmarkBatchWallClock_WorkersN(b *testing.B) { benchBatchWallClock(b, run
 // own device workers. The band scheduler overlaps entropy streams and
 // shreds every image's back phase into work-stolen MCU bands. Pixels
 // are byte-identical across schedulers (TestSchedulerIdentity...); the
-// tracked number is wall-clock throughput, recorded in BENCH_3.json by
-// `make bench-batch`.
+// tracked wall-clock throughput of the band scheduler is the benchmark's
+// batch_gallery workload (benchmark/README.md).
 var (
 	mixedBatchOnce sync.Once
 	mixedBatchData [][]byte
@@ -620,9 +608,10 @@ func benchBatchMixedScaled(b *testing.B, scale hetjpeg.Scale) {
 	b.ReportMetric(mixedBatchPix*float64(b.N)/secs, "MPpx/s")
 }
 
-// BenchmarkBatchScaledMixedSizes tracks the scaled batch trajectory
-// (BENCH_4.json): the same mixed-size corpus decoded to every scale
-// through the pipelined band scheduler with per-scale calibration.
+// BenchmarkBatchScaledMixedSizes decodes the same mixed-size corpus to
+// every scale through the pipelined band scheduler with per-scale
+// calibration. The tracked scaled figures are the scaled third of the
+// benchmark's batch_gallery workload (benchmark/README.md).
 func BenchmarkBatchScaledMixedSizes(b *testing.B) {
 	for _, scale := range []hetjpeg.Scale{hetjpeg.Scale1, hetjpeg.Scale2, hetjpeg.Scale4, hetjpeg.Scale8} {
 		b.Run(fmt.Sprintf("div%d", scale.Denominator()), func(b *testing.B) { benchBatchMixedScaled(b, scale) })

@@ -28,7 +28,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	platformName := flag.String("platform", "GTX 560", "simulated platform (see hetjpeg.Platforms)")
-	train := flag.Bool("train", false, "fit the performance model at startup (slower start, PPS mode available)")
 	workers := flag.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "band scheduler in-flight image cap (0 = workers+2)")
 	salvage := flag.Bool("salvage", false, "serve corrupt-but-recoverable uploads as 200 + X-Hetjpeg-Salvaged")
@@ -43,7 +42,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	flag.Parse()
 
-	if err := run(*addr, *platformName, *train, imaged.Config{
+	if err := run(*addr, *platformName, imaged.Config{
 		Workers:          *workers,
 		MaxInFlight:      *maxInflight,
 		Salvage:          *salvage,
@@ -60,25 +59,22 @@ func main() {
 	}
 }
 
-func run(addr, platformName string, train bool, cfg imaged.Config, drainTimeout time.Duration) error {
+func run(addr, platformName string, cfg imaged.Config, drainTimeout time.Duration) error {
 	cfg.Spec = hetjpeg.PlatformByName(platformName)
 	if cfg.Spec == nil {
 		return fmt.Errorf("unknown platform %q (see hetjpeg.Platforms)", platformName)
 	}
-	if train {
-		log.Printf("fitting performance model for %s ...", cfg.Spec.Name)
-		model, err := hetjpeg.Train(cfg.Spec)
-		if err != nil {
-			return fmt.Errorf("train: %w", err)
-		}
-		cfg.Model = model
+	model, err := hetjpeg.DefaultModel(cfg.Spec)
+	if err != nil {
+		return err
 	}
+	cfg.Model = model
 	s, err := imaged.New(cfg)
 	if err != nil {
 		return err
 	}
 
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	srv := newHTTPServer(addr, s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("imaged: serving on %s (platform %s)", addr, cfg.Spec.Name)
@@ -102,5 +98,26 @@ func run(addr, platformName string, train bool, cfg imaged.Config, drainTimeout 
 		s.Close()
 		log.Printf("imaged: drained, exiting")
 		return nil
+	}
+}
+
+// Connection limits, fixed rather than flags. A client that trickles
+// its request headers, or parks an idle keep-alive connection, is cut
+// off instead of holding a goroutine for free.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer builds the listener-side server with the connection
+// limits above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }

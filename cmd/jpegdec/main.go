@@ -38,7 +38,6 @@ func main() {
 	scaleName := flag.String("scale", "1", "decode scale: 1|1/2|1/4|1/8 (scaled IDCT, not post-shrink)")
 	schedName := flag.String("scheduler", "bands", "batch wall-clock engine: bands|perimage")
 	platformName := flag.String("platform", "GTX 560", `"GT 430", "GTX 560" or "GTX 680"`)
-	modelPath := flag.String("model", "", "performance model JSON (default: train in-process)")
 	chunk := flag.Int("chunk", 0, "override pipelining chunk size in MCU rows")
 	split := flag.Bool("split-kernels", false, "disable Section 4.4 kernel merging")
 	report := flag.Bool("report", true, "print the virtual schedule breakdown")
@@ -72,18 +71,9 @@ func main() {
 		log.Fatalf("unknown scale %q (want 1, 1/2, 1/4 or 1/8)", *scaleName)
 	}
 
-	var model *hetjpeg.Model
-	var err error
-	if mode == hetjpeg.ModeSPS || mode == hetjpeg.ModePPS {
-		if *modelPath != "" {
-			model, err = hetjpeg.LoadModel(*modelPath)
-		} else {
-			log.Printf("training performance model for %s (use -model to reuse a saved one)", spec.Name)
-			model, err = hetjpeg.Train(spec)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	model, err := hetjpeg.DefaultModel(spec)
+	if err != nil {
+		log.Fatal(err)
 	}
 	// Resolve the auto sentinel so every report names the mode that
 	// actually ran.

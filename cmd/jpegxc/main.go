@@ -145,12 +145,9 @@ func transcodeBatch(files []string, opts transcode.Options, modeName, schedName,
 	if !ok {
 		log.Fatalf("unknown scheduler %q", schedName)
 	}
-	var model *hetjpeg.Model
-	if mode == hetjpeg.ModeSPS || mode == hetjpeg.ModePPS {
-		var err error
-		if model, err = hetjpeg.Train(spec); err != nil {
-			log.Fatal(err)
-		}
+	model, err := hetjpeg.DefaultModel(spec)
+	if err != nil {
+		log.Fatal(err)
 	}
 	p, err := transcode.NewPipeline(batch.Options{
 		Spec: spec, Model: model, Mode: core.Mode(mode), Scheduler: sched,

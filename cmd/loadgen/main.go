@@ -4,8 +4,8 @@
 // overload, and degraded 1/8-scale completions for opted-in requests.
 //
 // With no -addr it spins an in-process imaged server on a loopback
-// listener, so `make bench-http` needs no port juggling and measures
-// the full HTTP stack. Three scenarios run back to back:
+// listener, so `make bench-http-smoke` needs no port juggling and
+// exercises the full HTTP stack. Three scenarios run back to back:
 //
 //   - steady: concurrency ≈ decode workers, every request bypassing the
 //     decoded-output cache — the healthy-tier decode numbers (p50/p99
@@ -18,10 +18,12 @@
 //     exists for. Its p50 against steady's is the cache's speedup; the
 //     summary records the hit rate alongside.
 //
-// The summary JSON (BENCH_6.json in the repo history) is one entry per
-// scenario.
+// The summary JSON is one entry per scenario. The service's tracked
+// performance is the benchmark's service_mixed workload
+// (benchmark/README.md); loadgen's overload scenario has no
+// counterpart there.
 //
-//	go run ./cmd/loadgen -out BENCH_6.json
+//	go run ./cmd/loadgen -out loadgen.json
 //	go run ./cmd/loadgen -addr host:8080 -duration 10s -concurrency 64
 package main
 

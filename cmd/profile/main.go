@@ -2,7 +2,8 @@
 // simulated platform: it builds the training corpora, profiles every
 // image, fits the polynomial performance model (AIC-selected degree,
 // Horner form) and the pipelining chunk size (Section 4.5), and writes
-// the model as JSON for later decodes.
+// the model as JSON. `go generate ./internal/perfmodel` runs it for the
+// three Table 1 machines to rewrite the fits the library embeds.
 //
 // With -cpuprofile / -memprofile it also emits pprof artifacts covering
 // the run — the profiling step exercises the full decode hot path

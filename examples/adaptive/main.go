@@ -28,7 +28,7 @@ func main() {
 		float64(len(data))/float64(1600*1600))
 
 	spec := hetjpeg.PlatformByName("GTX 560")
-	model, err := hetjpeg.Train(spec)
+	model, err := hetjpeg.DefaultModel(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 	}
 
 	spec := hetjpeg.PlatformByName("GTX 560")
-	model, err := hetjpeg.Train(spec)
+	model, err := hetjpeg.DefaultModel(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func main() {
 
 	for _, name := range []string{"GT 430", "GTX 560", "GTX 680"} {
 		spec := hetjpeg.PlatformByName(name)
-		model, err := hetjpeg.Train(spec)
+		model, err := hetjpeg.DefaultModel(spec)
 		if err != nil {
 			log.Fatal(err)
 		}

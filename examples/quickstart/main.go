@@ -26,9 +26,9 @@ func main() {
 	fmt.Printf("encoded %dx%d to %d bytes (%.3f B/px)\n",
 		img.W, img.H, len(data), float64(len(data))/float64(img.W*img.H))
 
-	// Pick a machine, run the one-time offline profiling, decode.
+	// Pick a machine, take its committed offline profile, decode.
 	spec := hetjpeg.PlatformByName("GTX 560")
-	model, err := hetjpeg.Train(spec)
+	model, err := hetjpeg.DefaultModel(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -398,8 +398,7 @@ func main() {
 	if spec == nil {
 		log.Fatalf("unknown platform %q", *platformName)
 	}
-	log.Printf("training performance model for %s...", spec.Name)
-	model, err := hetjpeg.Train(spec)
+	model, err := hetjpeg.DefaultModel(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

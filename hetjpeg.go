@@ -14,7 +14,7 @@
 // Quick start:
 //
 //	spec := hetjpeg.PlatformByName("GTX 560")
-//	model, _ := hetjpeg.Train(spec) // once per platform (offline step)
+//	model, _ := hetjpeg.DefaultModel(spec) // the committed offline fit
 //	res, _ := hetjpeg.Decode(jpegBytes, hetjpeg.Options{
 //		Mode:  hetjpeg.ModePPS,
 //		Spec:  spec,
@@ -101,14 +101,12 @@ func PlatformByName(name string) *Platform { return platform.ByName(name) }
 // Model is a fitted per-platform performance model.
 type Model = perfmodel.Model
 
-// Train runs the offline profiling step for a platform: it generates the
-// training corpus, profiles every image, fits the regression model and
-// selects the pipelining chunk size. Results are cached per platform
-// within the process.
-func Train(spec *Platform) (*Model, error) { return perfmodel.Default(spec) }
-
-// LoadModel reads a model previously saved with Model.Save.
-func LoadModel(path string) (*Model, error) { return perfmodel.Load(path) }
+// DefaultModel returns the committed performance model of one of the
+// three Table 1 machines: the offline profiling step (corpus profiling,
+// regression fit, chunk-size selection) was run once by cmd/profile and
+// its result is embedded in the library. Every caller shares the
+// returned model. Other platforms have no committed model.
+func DefaultModel(spec *Platform) (*Model, error) { return perfmodel.Default(spec) }
 
 // Options configures a decode. Spec is required; Model is required for
 // ModeSPS and ModePPS.

@@ -42,7 +42,10 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 func TestPublicDecodeAllModes(t *testing.T) {
 	data := testJPEG(t, 256, 192)
 	spec := hetjpeg.PlatformByName("GTX 680")
-	model := models(t)[spec.Name]
+	model, err := hetjpeg.DefaultModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref, err := hetjpeg.DecodeRGB(data)
 	if err != nil {
 		t.Fatal(err)
@@ -94,30 +97,5 @@ func TestStdImageConversions(t *testing.T) {
 	g2 := hetjpeg.FromStdImage(gray)
 	if r, _, _ := g2.At(1, 1); r != 200 {
 		t.Fatalf("gray conversion got %d", r)
-	}
-}
-
-func TestModelSaveLoadViaPublicAPI(t *testing.T) {
-	spec := hetjpeg.PlatformByName("GTX 560")
-	model := models(t)[spec.Name]
-	path := t.TempDir() + "/m.json"
-	if err := model.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := hetjpeg.LoadModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := testJPEG(t, 320, 240)
-	res, err := hetjpeg.Decode(data, hetjpeg.Options{Mode: hetjpeg.ModePPS, Spec: spec, Model: loaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := hetjpeg.Decode(data, hetjpeg.Options{Mode: hetjpeg.ModePPS, Spec: spec, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats != res2.Stats {
-		t.Fatalf("loaded model schedules differently: %+v vs %+v", res.Stats, res2.Stats)
 	}
 }

@@ -31,7 +31,7 @@ func corpus(t testing.TB, n int) [][]byte {
 
 func TestBatchOverlapBeatsSerial(t *testing.T) {
 	spec := platform.GTX560()
-	model, err := perfmodel.TrainQuick(spec)
+	model, err := perfmodel.Default(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func mergeQuadratic(images []ImageResult) *sim.Timeline {
 // the old quadratic rescan: same makespan, same per-task times.
 func TestMergeMatchesQuadraticReference(t *testing.T) {
 	spec := platform.GTX560()
-	model, err := perfmodel.TrainQuick(spec)
+	model, err := perfmodel.Default(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

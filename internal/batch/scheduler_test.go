@@ -51,7 +51,7 @@ func mixedCorpus(t testing.TB) [][]byte {
 // worker counts and mixed image sizes.
 func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 	spec := platform.GTX560()
-	model, err := perfmodel.TrainQuick(spec)
+	model, err := perfmodel.Default(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestBandSchedulerAllCorrupt(t *testing.T) {
 // with a model and pipelined GPU without one.
 func TestModeAutoResolution(t *testing.T) {
 	spec := platform.GTX560()
-	model, err := perfmodel.TrainQuick(spec)
+	model, err := perfmodel.Default(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

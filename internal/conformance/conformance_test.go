@@ -177,10 +177,9 @@ var (
 
 func trainedModel(t *testing.T) *perfmodel.Model {
 	t.Helper()
-	// TrainQuick fits the same regression on a reduced grid — the SPS/PPS
-	// split decisions differ slightly from the full fit, but every split
-	// must produce identical pixels anyway, which is the property under test.
-	modelOnce.Do(func() { model, modelErr = perfmodel.TrainQuick(conformSpec) })
+	// The committed fit drives the SPS/PPS split decisions; every split
+	// must produce identical pixels, which is the property under test.
+	modelOnce.Do(func() { model, modelErr = perfmodel.Default(conformSpec) })
 	if modelErr != nil {
 		t.Fatalf("training model: %v", modelErr)
 	}

@@ -18,7 +18,7 @@ import (
 // shared spec and model, bit-identical pixels throughout.
 func TestDecodeConcurrentAllModes(t *testing.T) {
 	spec := platform.GTX560()
-	model, err := perfmodel.TrainQuick(spec)
+	model, err := perfmodel.Default(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,18 +21,18 @@ func encodeTest(t *testing.T, w, h int, sub jfif.Subsampling, detail float64) []
 	return items[0].Data
 }
 
-func quickModel(t testing.TB, spec *platform.Spec) *perfmodel.Model {
+func defaultModel(t testing.TB, spec *platform.Spec) *perfmodel.Model {
 	t.Helper()
-	m, err := perfmodel.TrainQuick(spec)
+	m, err := perfmodel.Default(spec)
 	if err != nil {
-		t.Fatalf("TrainQuick: %v", err)
+		t.Fatal(err)
 	}
 	return m
 }
 
 func TestAllModesBitExact(t *testing.T) {
 	spec := platform.GTX560()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub422, jfif.Sub420} {
 		for _, dim := range [][2]int{{160, 120}, {333, 257}, {512, 384}} {
 			data := encodeTest(t, dim[0], dim[1], sub, 0.7)
@@ -67,7 +67,7 @@ func TestAllModesBitExact(t *testing.T) {
 
 func TestAllModesBitExactGrayscale(t *testing.T) {
 	spec := platform.GTX680()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	gray := image.NewGray(image.Rect(0, 0, 130, 94))
 	for i := range gray.Pix {
 		gray.Pix[i] = byte((i*13 + i/130*7) % 256)
@@ -112,7 +112,7 @@ func TestSplitKernelsBitExact(t *testing.T) {
 
 func TestTimelinesValid(t *testing.T) {
 	spec := platform.GT430()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	data := encodeTest(t, 256, 256, jfif.Sub422, 0.5)
 	for _, mode := range AllModes() {
 		res, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model})
@@ -149,7 +149,7 @@ func TestPartitionAssignsWorkToBothSides(t *testing.T) {
 	// On the mid-range machine a large detailed image should use both
 	// CPU and GPU under SPS.
 	spec := platform.GT430()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	data := encodeTest(t, 768, 768, jfif.Sub422, 0.8)
 	res, err := Decode(data, Options{Mode: ModeSPS, Spec: spec, Model: model})
 	if err != nil {

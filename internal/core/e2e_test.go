@@ -15,7 +15,7 @@ import (
 
 func TestRestartIntervalStreamAllModes(t *testing.T) {
 	spec := platform.GTX560()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	img := imagegen.Generate(imagegen.Scene{Seed: 21, Detail: 0.7}, 320, 256)
 	data, err := jpegcodec.Encode(img, jpegcodec.EncodeOptions{
 		Quality:         85,
@@ -42,7 +42,7 @@ func TestRestartIntervalStreamAllModes(t *testing.T) {
 
 func TestOptimizedHuffmanStreamAllModes(t *testing.T) {
 	spec := platform.GTX680()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	img := imagegen.Generate(imagegen.Scene{Seed: 22, Detail: 0.5}, 200, 280)
 	data, err := jpegcodec.Encode(img, jpegcodec.EncodeOptions{
 		Quality:         80,
@@ -69,7 +69,7 @@ func TestOptimizedHuffmanStreamAllModes(t *testing.T) {
 
 func TestVirtualOnlyMatchesExecutedTimeline(t *testing.T) {
 	spec := platform.GTX560()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	data := encodeTest(t, 400, 304, jfif.Sub422, 0.6)
 	for _, mode := range AllModes() {
 		real, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model})
@@ -93,7 +93,7 @@ func TestPPSRepartitionOnSkewedImage(t *testing.T) {
 	// A top-smooth/bottom-dense image: the uniform-density assumption
 	// underestimates the remainder, and the correction should move rows.
 	spec := platform.GTX560()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	img := imagegen.GenerateGradientDetail(31, 1024, 1024, 0.0, 1.0)
 	data, err := jpegcodec.Encode(img, jpegcodec.EncodeOptions{Quality: 85, Subsampling: jfif.Sub422})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestPPSRepartitionOnSkewedImage(t *testing.T) {
 
 func TestSchedulesAreDeterministic(t *testing.T) {
 	spec := platform.GT430()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	data := encodeTest(t, 512, 384, jfif.Sub444, 0.8)
 	for _, mode := range []Mode{ModePipelinedGPU, ModeSPS, ModePPS} {
 		a, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model})
@@ -143,7 +143,7 @@ func TestTimelineBreakdownCoversAllWork(t *testing.T) {
 	// Every mode's timeline must contain Huffman work equal to the
 	// image's total entropy cost, regardless of how it is scheduled.
 	spec := platform.GTX680()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	data := encodeTest(t, 300, 300, jfif.Sub422, 0.6)
 	var huffTotals []float64
 	for _, mode := range AllModes() {
@@ -165,7 +165,7 @@ func TestTinyImagesAllModes(t *testing.T) {
 	// Degenerate dimensions exercise every boundary: 1-pixel rows,
 	// single MCU, partial MCUs in both axes.
 	spec := platform.GTX560()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub422, jfif.Sub420} {
 		for _, dim := range [][2]int{{1, 1}, {8, 8}, {16, 16}, {17, 1}, {1, 17}, {15, 31}} {
 			data := encodeTest(t, dim[0], dim[1], sub, 0.5)
@@ -188,7 +188,7 @@ func TestTinyImagesAllModes(t *testing.T) {
 
 func TestSplitKernelsAllPartitionedModes(t *testing.T) {
 	spec := platform.GTX560()
-	model := quickModel(t, spec)
+	model := defaultModel(t, spec)
 	data := encodeTest(t, 384, 288, jfif.Sub420, 0.7)
 	ref, err := Decode(data, Options{Mode: ModeSequential, Spec: spec})
 	if err != nil {

@@ -74,7 +74,7 @@ func (st *decodeState) runGPU(pipelined bool) error {
 // share is conservatively overestimated).
 func (st *decodeState) subModel() (*perfmodel.SubModel, error) {
 	if st.opts.Model == nil {
-		return nil, fmt.Errorf("core: mode %v requires Options.Model (run perfmodel.Train)", st.opts.Mode)
+		return nil, fmt.Errorf("core: mode %v requires Options.Model (see perfmodel.Default)", st.opts.Mode)
 	}
 	sub := st.f.Sub
 	if sub == jfif.SubGray {

@@ -19,7 +19,7 @@ import (
 // corpus; this is the fast in-package gate).
 func TestScaledModesIdenticalQuick(t *testing.T) {
 	spec := platform.ByName("GTX 560")
-	model, err := perfmodel.TrainQuick(spec)
+	model, err := perfmodel.Default(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

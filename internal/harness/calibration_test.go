@@ -105,7 +105,7 @@ func TestCalibrationModeOrdering(t *testing.T) {
 	// small tolerance), as in Tables 2 and 3.
 	data := fig9Data(t)
 	for _, spec := range platform.All() {
-		model, err := perfmodel.TrainQuick(spec)
+		model, err := perfmodel.Default(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

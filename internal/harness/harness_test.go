@@ -13,11 +13,11 @@ import (
 
 var testSizes = [][2]int{{320, 240}, {640, 480}, {1024, 768}, {1536, 1152}}
 
-func allQuickModels(t testing.TB) map[string]*perfmodel.Model {
+func allModels(t testing.TB) map[string]*perfmodel.Model {
 	t.Helper()
 	ms := map[string]*perfmodel.Model{}
 	for _, spec := range platform.All() {
-		m, err := perfmodel.TrainQuick(spec)
+		m, err := perfmodel.Default(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestSpeedupTableShape(t *testing.T) {
-	ms := allQuickModels(t)
+	ms := allModels(t)
 	corpus, err := imagegen.Build(imagegen.CorpusOptions{
 		Widths:   []int{320, 832},
 		Heights:  []int{256, 640},
@@ -169,7 +169,7 @@ func TestSpeedupTableShape(t *testing.T) {
 }
 
 func TestFigure10SpeedupGrowsWithSize(t *testing.T) {
-	ms := allQuickModels(t)
+	ms := allModels(t)
 	pts, err := Figure10(jfif.Sub444, testSizes, ms)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestFigure10SpeedupGrowsWithSize(t *testing.T) {
 }
 
 func TestFigure11AmdahlBand(t *testing.T) {
-	ms := allQuickModels(t)
+	ms := allModels(t)
 	pts, err := Figure11(platform.GTX680(), jfif.Sub444, testSizes, ms["GTX 680"])
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestFigure11AmdahlBand(t *testing.T) {
 }
 
 func TestFigure12Balance(t *testing.T) {
-	ms := allQuickModels(t)
+	ms := allModels(t)
 	pts, err := Figure12(jfif.Sub444, testSizes, ms)
 	if err != nil {
 		t.Fatal(err)

@@ -32,9 +32,9 @@
 //     resident, admission shed/degrade/timeout counters and the
 //     calibrator's ns/MCU gauges.
 //
-// cmd/imaged is the binary; cmd/loadgen drives it and records the
-// p50/p99/shed-rate trajectory (BENCH_5.json) plus the hot-repeat
-// cache scenario (BENCH_6.json).
+// cmd/imaged is the binary. Its performance, hits and misses, is the
+// service_mixed workload of the benchmark (benchmark/README.md);
+// cmd/loadgen drives its overload behaviour.
 package imaged
 
 import (

@@ -8,8 +8,8 @@ import (
 )
 
 // Single-image scalar decode benchmarks: the CPU hot path this library's
-// partitioning story leans on. BenchmarkDecodeScalar is the headline
-// number tracked in BENCH_*.json across PRs.
+// partitioning story leans on. The tracked figures are the benchmark's
+// decode_dense and decode_smooth workloads (benchmark/README.md).
 
 func scalarFixture(b *testing.B, w, h int, sub jfif.Subsampling, ri int) []byte {
 	b.Helper()

@@ -7,9 +7,10 @@ import (
 	"hetjpeg/internal/jfif"
 )
 
-// Scaled decode benchmarks: the decode-to-fit hot path. The headline
-// trajectory (BENCH_4.json via `make bench-scale`) tracks the full
-// pipeline — entropy decode plus scaled back phase — per scale on the
+// Scaled decode benchmarks: the decode-to-fit hot path, tracked as the
+// scaled third of the benchmark's batch_gallery workload
+// (benchmark/README.md). These time the full pipeline — entropy decode
+// plus scaled back phase — per scale on the
 // bench-corpus geometry. The 1/8 path additionally exercises the
 // DC-only entropy store elision, so its speedup over full decode
 // reflects both the collapsed back phase and the cheaper stage 1.

@@ -9,13 +9,15 @@
 //	PCPUScalar(w, h)   - CPU scalar parallel-phase time
 //	PGPU(w, h)         - GPU parallel-phase time incl. transfers
 //	TDisp(w, h)        - CPU-side dispatch overhead
+//
+// The fit of each Table 1 machine is committed as data (Default);
+// Train refits it.
 package perfmodel
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
@@ -281,53 +283,23 @@ func (m *Model) Save(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Load reads a model saved by Save.
-func Load(path string) (*Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Model
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-var (
-	trainProfilesOnce sync.Once
-	trainProfiles     []*ItemProfile
-	trainProfilesErr  error
-)
-
-// defaultTrainingProfiles summarizes the default training corpora once
-// per process: image summaries (geometry, per-row entropy bits) are
-// platform-independent, so all three machines share them.
-func defaultTrainingProfiles() ([]*ItemProfile, error) {
-	trainProfilesOnce.Do(func() {
-		for _, sub := range []jfif.Subsampling{jfif.Sub422, jfif.Sub444, jfif.Sub420} {
-			items, err := imagegen.Build(imagegen.DefaultTraining(sub))
-			if err != nil {
-				trainProfilesErr = err
-				return
-			}
-			ps, err := Summarize(items)
-			if err != nil {
-				trainProfilesErr = err
-				return
-			}
-			trainProfiles = append(trainProfiles, ps...)
-		}
-	})
-	return trainProfiles, trainProfilesErr
-}
-
-// Train builds the default training corpora (both subsamplings), profiles
-// them, fits the model for spec and selects the chunk size.
+// Train is the refit behind the committed models (see Default): it
+// builds the default training corpora (all three subsamplings),
+// profiles them, fits the model for spec and selects the chunk size.
+// Building and profiling the 432-image corpus takes about a minute and
+// a half on one core.
 func Train(spec *platform.Spec) (*Model, error) {
-	profiles, err := defaultTrainingProfiles()
-	if err != nil {
-		return nil, err
+	var profiles []*ItemProfile
+	for _, sub := range []jfif.Subsampling{jfif.Sub422, jfif.Sub444, jfif.Sub420} {
+		items, err := imagegen.Build(imagegen.DefaultTraining(sub))
+		if err != nil {
+			return nil, err
+		}
+		ps, err := Summarize(items)
+		if err != nil {
+			return nil, err
+		}
+		profiles = append(profiles, ps...)
 	}
 	m, err := Fit(spec, profiles)
 	if err != nil {

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -119,7 +120,11 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,9 @@ import (
 	"hetjpeg/internal/jpegcodec"
 )
 
-// Transcode benchmarks: the BENCH_7.json trajectory (`make
-// bench-transcode`). The headline comparison is ThumbFastPath vs
+// Transcode benchmarks; the tracked figures are the benchmark's
+// transcode_mixed workload (benchmark/README.md). The headline
+// comparison here is ThumbFastPath vs
 // ThumbNaive on the same input and output geometry — the
 // coefficient-domain DC-only thumbnail against the naive full decode +
 // box downsample + encode, which the fast path must beat by ≥3×. The
