@@ -49,7 +49,7 @@ fuzz-smoke:
 	go test ./internal/transcode/ -run='^$$' -fuzz=FuzzTranscode -fuzztime=10s
 
 # conformance runs the differential harness: the generated baseline +
-# progressive corpus through all modes, both schedulers and worker
+# progressive corpus through all modes, the batch scheduler and worker
 # counts 1-8 — at full size and at every decode scale (byte-identity
 # against the scalar scaled reference) — and plane-level comparison
 # against the stdlib decoder.
@@ -61,7 +61,7 @@ conformance:
 # dropped/duplicated/renumbered restart markers, corrupted marker
 # lengths) must never panic, strict mode must keep failing exactly as
 # before, and salvage mode must hold its committed recovery floors with
-# byte-identical salvaged pixels across every mode and scheduler.
+# byte-identical salvaged pixels across every mode and worker count.
 conformance-faults:
 	go test ./internal/conformance/ -v -run 'TestFault'
 
@@ -70,7 +70,7 @@ conformance-faults:
 # quality (decoded with Go's image/jpeg on the encoder side), bit-exact
 # equality of the DC-only 1/8 fast path with the pixel round trip, and
 # byte identity of pipelined transcodes with the one-shot path across
-# schedulers × workers 1-8 × execution modes.
+# workers 1-8 × execution modes.
 conformance-transcode:
 	go test ./internal/conformance/ -v -run 'TestConformanceTranscode|TestConformanceEncoderRoundTrip'
 

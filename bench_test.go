@@ -501,13 +501,13 @@ func BenchmarkBatchWallClock_WorkersN(b *testing.B) { benchBatchWallClock(b, run
 
 // Mixed-size wall-clock batch: the workload the band scheduler exists
 // for. The corpus spans 0.3–4.9 MP across all three subsamplings with
-// one 5 MP straggler; under the per-image pool that straggler pins one
-// worker while the rest drain, and every concurrent decode spins up its
-// own device workers. The band scheduler overlaps entropy streams and
-// shreds every image's back phase into work-stolen MCU bands. Pixels
-// are byte-identical across schedulers (TestSchedulerIdentity...); the
-// tracked wall-clock throughput of the band scheduler is the benchmark's
-// batch_gallery workload (benchmark/README.md).
+// one 5 MP straggler; a whole-image pool would pin one worker on that
+// straggler while the rest drain. The band scheduler overlaps entropy
+// streams and shreds every image's back phase into work-stolen MCU
+// bands, with pixels byte-identical to a core.Decode loop
+// (TestSchedulerIdentity...). The tracked wall-clock throughput of the
+// band scheduler is the benchmark's batch_gallery workload
+// (benchmark/README.md).
 var (
 	mixedBatchOnce sync.Once
 	mixedBatchData [][]byte
@@ -547,12 +547,11 @@ func mixedBatchCorpus(b *testing.B) [][]byte {
 	return mixedBatchData
 }
 
-func benchBatchMixed(b *testing.B, sched hetjpeg.BatchScheduler) {
+func BenchmarkBatchMixedSizes(b *testing.B) {
 	stream := mixedBatchCorpus(b)
 	opts := hetjpeg.BatchOptions{
-		Spec:      platform.GTX560(),
-		Scheduler: sched,
-		Workers:   runtime.GOMAXPROCS(0),
+		Spec:    platform.GTX560(),
+		Workers: runtime.GOMAXPROCS(0),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -571,11 +570,6 @@ func benchBatchMixed(b *testing.B, sched hetjpeg.BatchScheduler) {
 	secs := b.Elapsed().Seconds()
 	b.ReportMetric(float64(len(stream)*b.N)/secs, "imgs/s")
 	b.ReportMetric(mixedBatchPix*float64(b.N)/secs, "MPpx/s")
-}
-
-func BenchmarkBatchMixedSizes(b *testing.B) {
-	b.Run("perimage", func(b *testing.B) { benchBatchMixed(b, hetjpeg.SchedulerPerImage) })
-	b.Run("bands", func(b *testing.B) { benchBatchMixed(b, hetjpeg.SchedulerBands) })
 }
 
 // benchBatchMixedScaled runs the mixed-size corpus through the band

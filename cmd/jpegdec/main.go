@@ -36,7 +36,6 @@ func main() {
 	out := flag.String("out", "", "output PNG file (optional, single input only)")
 	modeName := flag.String("mode", "pps", "auto|sequential|simd|gpu|pipeline|sps|pps")
 	scaleName := flag.String("scale", "1", "decode scale: 1|1/2|1/4|1/8 (scaled IDCT, not post-shrink)")
-	schedName := flag.String("scheduler", "bands", "batch wall-clock engine: bands|perimage")
 	platformName := flag.String("platform", "GTX 560", `"GT 430", "GTX 560" or "GTX 680"`)
 	chunk := flag.Int("chunk", 0, "override pipelining chunk size in MCU rows")
 	split := flag.Bool("split-kernels", false, "disable Section 4.4 kernel merging")
@@ -62,10 +61,6 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown mode %q", *modeName)
 	}
-	sched, ok := hetjpeg.ParseScheduler(*schedName)
-	if !ok {
-		log.Fatalf("unknown scheduler %q", *schedName)
-	}
 	scale, ok := hetjpeg.ParseScale(*scaleName)
 	if !ok {
 		log.Fatalf("unknown scale %q (want 1, 1/2, 1/4 or 1/8)", *scaleName)
@@ -80,7 +75,7 @@ func main() {
 	mode = mode.Resolve(model)
 
 	if len(files) > 1 {
-		decodeBatch(files, spec, model, mode, sched, scale, *workers, *salvage)
+		decodeBatch(files, spec, model, mode, scale, *workers, *salvage)
 		return
 	}
 
@@ -175,7 +170,7 @@ func printSalvageReport(rep *hetjpeg.SalvageReport, err error) {
 // that fails to read or decode is reported in its slot; the others
 // still decode. With salvage, partially recovered images print as
 // SALVAGED and the process exits with code 3.
-func decodeBatch(files []string, spec *hetjpeg.Platform, model *hetjpeg.Model, mode core.Mode, sched hetjpeg.BatchScheduler, scale hetjpeg.Scale, workers int, salvage bool) {
+func decodeBatch(files []string, spec *hetjpeg.Platform, model *hetjpeg.Model, mode core.Mode, scale hetjpeg.Scale, workers int, salvage bool) {
 	datas := make([][]byte, len(files))
 	readErr := make([]error, len(files))
 	for i, name := range files {
@@ -183,7 +178,7 @@ func decodeBatch(files []string, spec *hetjpeg.Platform, model *hetjpeg.Model, m
 	}
 	start := time.Now()
 	res, err := hetjpeg.DecodeBatch(datas, hetjpeg.BatchOptions{
-		Spec: spec, Model: model, Mode: mode, Scheduler: sched, Workers: workers, Scale: scale,
+		Spec: spec, Model: model, Mode: mode, Workers: workers, Scale: scale,
 		Salvage: salvage,
 	})
 	if err != nil {

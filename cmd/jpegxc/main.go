@@ -41,7 +41,6 @@ func main() {
 	script := flag.String("script", "", "progressive scan script: "+strings.Join(hetjpeg.ScriptNames(), "|"))
 	subName := flag.String("subsampling", "444", "output chroma layout: 444|422|420")
 	modeName := flag.String("mode", "pps", "decode mode: auto|sequential|simd|gpu|pipeline|sps|pps")
-	schedName := flag.String("scheduler", "bands", "batch decode engine: bands|perimage")
 	platformName := flag.String("platform", "GTX 560", `"GT 430", "GTX 560" or "GTX 680"`)
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "intra-image parallelism and batch concurrency")
 	flag.Parse()
@@ -86,7 +85,7 @@ func main() {
 	}
 
 	if len(files) > 1 {
-		transcodeBatch(files, opts, *modeName, *schedName, *platformName, *outDir, *workers)
+		transcodeBatch(files, opts, *modeName, *platformName, *outDir, *workers)
 		return
 	}
 
@@ -132,7 +131,7 @@ func printResult(src, dst string, inBytes int, res *transcode.Result) {
 // decode stages share one heterogeneous batch executor while each
 // finished decode re-encodes on its submitter's goroutine. A file that
 // fails only fails its own slot.
-func transcodeBatch(files []string, opts transcode.Options, modeName, schedName, platformName, outDir string, workers int) {
+func transcodeBatch(files []string, opts transcode.Options, modeName, platformName, outDir string, workers int) {
 	spec := hetjpeg.PlatformByName(platformName)
 	if spec == nil {
 		log.Fatalf("unknown platform %q", platformName)
@@ -141,16 +140,12 @@ func transcodeBatch(files []string, opts transcode.Options, modeName, schedName,
 	if !ok {
 		log.Fatalf("unknown mode %q", modeName)
 	}
-	sched, ok := hetjpeg.ParseScheduler(schedName)
-	if !ok {
-		log.Fatalf("unknown scheduler %q", schedName)
-	}
 	model, err := hetjpeg.DefaultModel(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	p, err := transcode.NewPipeline(batch.Options{
-		Spec: spec, Model: model, Mode: core.Mode(mode), Scheduler: sched,
+		Spec: spec, Model: model, Mode: core.Mode(mode),
 		Workers: workers, Scale: opts.Scale,
 	})
 	if err != nil {

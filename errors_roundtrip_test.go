@@ -3,7 +3,7 @@ package hetjpeg_test
 // The typed-sentinel contract errwrapcheck enforces, verified end to
 // end: ErrUnsupported, ErrUnsupportedScale and ErrPartialData must
 // survive errors.Is through every layer wrap (jpegcodec → core →
-// batch), because the webserver maps them to HTTP statuses and batch
+// batch), because cmd/imaged maps them to HTTP statuses and batch
 // callers use them to distinguish "out of scope" and "degraded but
 // displayable" from "corrupt".
 

@@ -75,19 +75,6 @@ func ParseMode(name string) (Mode, bool) {
 	return ModeAuto, false
 }
 
-// ParseScheduler maps a batch scheduler name ("bands", "perimage") to
-// its BatchScheduler; ok is false for unknown names. The empty string
-// parses as the default (SchedulerBands).
-func ParseScheduler(name string) (BatchScheduler, bool) {
-	switch name {
-	case "", "bands":
-		return SchedulerBands, true
-	case "perimage":
-		return SchedulerPerImage, true
-	}
-	return SchedulerBands, false
-}
-
 // Platform describes one simulated CPU-GPU machine (Table 1).
 type Platform = platform.Spec
 
@@ -274,19 +261,8 @@ func FromStdImage(src image.Image) *Image {
 }
 
 // BatchOptions configures DecodeBatch. Workers bounds wall-clock
-// concurrency (0 = GOMAXPROCS); Scheduler selects the wall-clock engine.
+// concurrency (0 = GOMAXPROCS).
 type BatchOptions = batch.Options
-
-// BatchScheduler selects the batch wall-clock engine: the pipelined
-// MCU-band work-stealing scheduler (default) or the whole-image worker
-// pool. Pixels and virtual timelines are identical across schedulers.
-type BatchScheduler = batch.Scheduler
-
-// The batch wall-clock engines.
-const (
-	SchedulerBands    = batch.SchedulerBands
-	SchedulerPerImage = batch.SchedulerPerImage
-)
 
 // BatchResult is the outcome of DecodeBatch.
 type BatchResult = batch.Result
@@ -298,12 +274,12 @@ type BatchResult = batch.Result
 // failure condition.
 type BatchImageResult = batch.ImageResult
 
-// BatchExecutor is a long-lived concurrent decode service with a
-// streaming Submit/Results interface. Beyond blocking Submit it offers
-// the service-robustness surface cmd/imaged is built on:
-// TrySubmitScaled (non-blocking admission, ErrBatchBusy when
-// saturated), QueueStats (occupancy + calibrated rates for Retry-After
-// arithmetic), and Stop (abandonment-safe shutdown that never leaks
+// BatchExecutor is a long-lived concurrent decode service over the
+// band scheduler. Decode waits for one image (the call a request
+// handler makes); Submit/Results stream many in completion order.
+// Beside them it offers the service-robustness surface cmd/imaged is
+// built on: QueueStats (occupancy + calibrated rates for Retry-After
+// arithmetic) and Stop (abandonment-safe shutdown that never leaks
 // workers).
 type BatchExecutor = batch.Executor
 
@@ -315,12 +291,8 @@ type BatchQueueStats = batch.QueueStats
 // with errors.Is.
 var ErrBatchClosed = batch.ErrClosed
 
-// ErrBatchBusy marks a TrySubmitScaled refused for lack of capacity —
-// the executor's load-shedding signal; check it with errors.Is.
-var ErrBatchBusy = batch.ErrBusy
-
-// NewBatchExecutor starts a worker pool that decodes submitted images
-// concurrently and delivers them on Results in completion order.
+// NewBatchExecutor starts a band scheduler that decodes submitted images
+// concurrently.
 func NewBatchExecutor(opts BatchOptions) (*BatchExecutor, error) {
 	return batch.NewExecutor(opts)
 }

@@ -1,17 +1,16 @@
 // Package batch extends the paper's single-image pipeline to streams of
 // images — the workload its introduction motivates (billions of photos
-// viewed through browsers and galleries). It is two schedulers in one:
+// viewed through browsers and galleries). It runs in two clocks:
 //
-// In wall-clock time, a two-stage pipelined band scheduler (the
-// default, see scheduler.go) overlaps sequential entropy decoding of
+// In wall-clock time, one engine — the two-stage pipelined band
+// scheduler (scheduler.go) — overlaps sequential entropy decoding of
 // several in-flight images with a shared work-stealing pool executing
 // MCU-row-band back-phase tasks from all of them, with band size and
-// in-flight depth chosen by an online-calibrated performance model. The
-// PR 1 whole-image worker pool remains available as
-// SchedulerPerImage for comparison. Submit/Results give a streaming
-// interface for services; Decode is the slice-based convenience
-// wrapper. Both schedulers produce byte-identical pixels and identical
-// virtual timelines.
+// in-flight depth chosen by an online-calibrated performance model.
+// Executor.Decode waits for one image; Submit/Results stream many in
+// completion order; the package-level Decode is the slice-based
+// convenience wrapper. Pixels and virtual timelines are byte-identical
+// to a plain loop of core.Decode.
 //
 // In virtual time, the paper's semantics are preserved exactly: each
 // image's timeline keeps the invariant that entropy decoding is
@@ -43,28 +42,6 @@ import (
 // errors.Is.
 var ErrClosed = errors.New("batch: executor closed")
 
-// ErrBusy reports a TrySubmitScaled refused because the executor has no
-// admission capacity right now. The image was not accepted; a service
-// front end translates this into load shedding (HTTP 429) instead of
-// queueing without bound. Check it with errors.Is.
-var ErrBusy = errors.New("batch: executor at capacity")
-
-// Scheduler selects the wall-clock execution engine of a batch decode.
-// Pixels and virtual timelines are identical across schedulers; only
-// host wall-clock behavior differs.
-type Scheduler int
-
-const (
-	// SchedulerBands, the default, is the two-stage pipelined engine:
-	// entropy decoding of several images in flight overlapped with a
-	// shared work-stealing pool of MCU-row-band back-phase tasks.
-	SchedulerBands Scheduler = iota
-	// SchedulerPerImage is the whole-image worker pool: each worker
-	// decodes one image end to end. Kept for comparison (a mixed-size
-	// corpus leaves workers idle behind a large straggler).
-	SchedulerPerImage
-)
-
 // Options configures a batch decode.
 type Options struct {
 	Spec  *platform.Spec
@@ -73,13 +50,10 @@ type Options struct {
 	// (core.ModeAuto) resolves to ModePPS when a model is present and
 	// ModePipelinedGPU otherwise.
 	Mode core.Mode
-	// Workers bounds the wall-clock decode parallelism (band workers,
-	// or whole-image workers under SchedulerPerImage). Zero means
-	// runtime.GOMAXPROCS(0). The virtual batch timeline is independent
-	// of Workers.
+	// Workers bounds the wall-clock decode parallelism (band workers).
+	// Zero means runtime.GOMAXPROCS(0). The virtual batch timeline is
+	// independent of Workers.
 	Workers int
-	// Scheduler selects the wall-clock engine (default SchedulerBands).
-	Scheduler Scheduler
 	// MaxInFlight caps how many images the band scheduler holds open
 	// at once (each costs whole-image coefficient + sample + RGB
 	// buffers). Zero means Workers+2. The online model chooses the
@@ -100,8 +74,6 @@ type Options struct {
 	// as usual (Res nil).
 	Salvage bool
 }
-
-func (o Options) mode() core.Mode { return o.Mode.Resolve(o.Model) }
 
 func (o Options) workers() int {
 	if o.Workers > 0 {
@@ -168,13 +140,17 @@ type job struct {
 	data  []byte
 	// scale is the decode scale for this image (already validated).
 	scale jpegcodec.Scale
+	// reply, when set, receives this image's result instead of the
+	// shared Results stream (Executor.Decode). It is 1-buffered, so the
+	// delivery never blocks.
+	reply chan ImageResult
 }
 
 // Executor is a concurrent batch-decode service: submitted images are
-// decoded by the configured wall-clock scheduler and delivered on
-// Results in completion order. A long-running process creates one
-// Executor and feeds it requests; one-shot batches can use Decode
-// instead.
+// decoded by the band scheduler. Decode waits for one image's result;
+// Submit delivers on Results in completion order. A long-running
+// process creates one Executor and feeds it requests; one-shot batches
+// can use the package-level Decode instead.
 type Executor struct {
 	opts    Options
 	jobs    chan job
@@ -192,19 +168,8 @@ type Executor struct {
 	// so abandoning Results cannot leak the worker goroutines.
 	stopc    chan struct{}
 	stopOnce sync.Once
-	// bands is the band scheduler when Options.Scheduler is
-	// SchedulerBands (nil under SchedulerPerImage); TrySubmitScaled and
-	// QueueStats consult its admission state directly.
+	// bands is the scheduler; QueueStats consults its admission state.
 	bands *bandScheduler
-	// devWorkers is each decode's share of the host's device-simulation
-	// budget (SchedulerPerImage only): GOMAXPROCS split evenly across
-	// the pool width, so N concurrent decodes are hard-bounded at
-	// GOMAXPROCS device goroutines total instead of N×GOMAXPROCS. The
-	// static split is deterministic (a decode's wall-clock does not
-	// depend on what else was momentarily in flight); size Workers to
-	// the expected concurrency — a lone image on a wide pool pays a
-	// 1/Workers share.
-	devWorkers int
 }
 
 // NewExecutor starts the scheduler's worker goroutines.
@@ -225,72 +190,20 @@ func NewExecutor(opts Options) (*Executor, error) {
 		results: make(chan ImageResult, n),
 		stopc:   make(chan struct{}),
 	}
-	switch opts.Scheduler {
-	case SchedulerPerImage:
-		e.devWorkers = runtime.GOMAXPROCS(0) / n
-		if e.devWorkers < 1 {
-			e.devWorkers = 1
-		}
-		e.wg.Add(n)
-		for i := 0; i < n; i++ {
-			go e.worker()
-		}
-	case SchedulerBands:
-		s := newBandScheduler(opts, n, e.results, e.stopc)
-		e.bands = s
-		e.wg.Add(n + 1)
-		go s.intake(e.jobs, &e.wg)
-		for i := 0; i < n; i++ {
-			go s.worker(i, &e.wg)
-		}
-	default:
-		return nil, fmt.Errorf("batch: unknown scheduler %d", opts.Scheduler)
+	e.bands = newBandScheduler(opts, n, e.results, e.stopc)
+	e.wg.Add(n + 1)
+	go e.bands.intake(e.jobs, &e.wg)
+	for i := 0; i < n; i++ {
+		go e.bands.worker(i, &e.wg)
 	}
 	return e, nil
 }
 
-func (e *Executor) worker() {
-	defer e.wg.Done()
-	for j := range e.jobs {
-		ir := e.decodeOne(j)
-		select {
-		case e.results <- ir:
-		case <-e.stopc:
-			// Stop: the Results reader is gone; hand the pixel and
-			// coefficient slabs back instead of blocking forever.
-			if ir.Res != nil {
-				ir.Res.Release()
-			}
-		}
-	}
-}
-
-func (e *Executor) decodeOne(j job) ImageResult {
-	if err := j.ctx.Err(); err != nil {
-		return ImageResult{Index: j.index, Err: err}
-	}
-	res, err := core.Decode(j.data, core.Options{
-		Mode:          e.opts.mode(),
-		Spec:          e.opts.Spec,
-		Model:         e.opts.Model,
-		DeviceWorkers: e.devWorkers,
-		Scale:         j.scale,
-		Salvage:       e.opts.Salvage,
-	})
-	if err != nil {
-		// A salvaged decode returns both a usable result and an error
-		// wrapping jpegcodec.ErrPartialData; pass both through.
-		return ImageResult{Index: j.index, Res: res, Err: fmt.Errorf("batch: image %d: %w", j.index, err)}
-	}
-	return ImageResult{Index: j.index, Res: res}
-}
-
 // Submit enqueues one image at the executor's configured scale. It
-// blocks while the scheduler's intake is full — the band scheduler's
-// calibrated in-flight image budget (at most Options.MaxInFlight), or,
-// under SchedulerPerImage, all workers busy with the result buffer full
-// — and returns ctx.Err() if ctx is cancelled first. Index is echoed in
-// the corresponding ImageResult.
+// blocks while the scheduler's calibrated in-flight image budget (at
+// most Options.MaxInFlight) is spent, and returns ctx.Err() if ctx is
+// cancelled first. Index is echoed in the corresponding ImageResult,
+// which arrives on Results.
 //
 // Submit after Close (or racing it) returns ErrClosed; it never panics.
 // A Submit already blocked in the intake when Close lands completes
@@ -307,7 +220,36 @@ func (e *Executor) Submit(ctx context.Context, index int, data []byte) error {
 // scale so mixed traffic stays accurately sized. An invalid scale fails
 // immediately with ErrUnsupportedScale.
 func (e *Executor) SubmitScaled(ctx context.Context, index int, data []byte, scale jpegcodec.Scale) error {
-	if err := scale.Validate(); err != nil {
+	return e.submit(ctx, job{ctx: ctx, index: index, data: data, scale: scale})
+}
+
+// Decode decodes one image at scale and waits for its result — the
+// blocking per-image call a request handler makes. The result comes
+// back on the image's own reply channel, never on Results, so callers
+// of Decode need no router over the shared stream. The wait itself is
+// unbounded on purpose: ctx flows into the decode (the entropy stage
+// polls it, every back-phase band checks it), so a deadline aborts the
+// decode machinery and the result, carrying ctx's error, arrives
+// promptly rather than the caller abandoning a decode that keeps
+// burning CPU.
+//
+// The returned error reports a submission that never happened — an
+// invalid scale, ErrClosed, or ctx ending while the intake was full —
+// and then the ImageResult is zero. Decode failures are in
+// ImageResult.Err, with the batch contract: a salvaged image carries
+// both Res and Err. The image is not part of a stream, so its Index is
+// 0.
+func (e *Executor) Decode(ctx context.Context, data []byte, scale jpegcodec.Scale) (ImageResult, error) {
+	reply := make(chan ImageResult, 1)
+	if err := e.submit(ctx, job{ctx: ctx, data: data, scale: scale, reply: reply}); err != nil {
+		return ImageResult{}, err
+	}
+	return <-reply, nil
+}
+
+// submit validates j's scale and hands j to the intake.
+func (e *Executor) submit(ctx context.Context, j job) error {
+	if err := j.scale.Validate(); err != nil {
 		return fmt.Errorf("batch: %w", err)
 	}
 	if !e.beginSubmit() {
@@ -315,45 +257,12 @@ func (e *Executor) SubmitScaled(ctx context.Context, index int, data []byte, sca
 	}
 	defer e.senders.Done()
 	select {
-	case e.jobs <- job{ctx: ctx, index: index, data: data, scale: scale}:
+	case e.jobs <- j:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-e.stopc:
 		return ErrClosed
-	}
-}
-
-// TrySubmitScaled is the non-blocking admission path: the image is
-// accepted only if the scheduler has capacity for it right now —
-// under SchedulerBands, a free slot in the calibrated in-flight budget;
-// under SchedulerPerImage, an idle worker — and otherwise the call
-// returns ErrBusy immediately without queueing. A service puts this (or
-// a bounded queue draining into Submit) in front of its request intake
-// so overload becomes explicit load shedding instead of unbounded
-// buffering. ctx is the decode's cancellation context (it is not waited
-// on here); a successful TrySubmitScaled delivers exactly one
-// ImageResult, like Submit.
-func (e *Executor) TrySubmitScaled(ctx context.Context, index int, data []byte, scale jpegcodec.Scale) error {
-	if err := scale.Validate(); err != nil {
-		return fmt.Errorf("batch: %w", err)
-	}
-	if !e.beginSubmit() {
-		return ErrClosed
-	}
-	defer e.senders.Done()
-	j := job{ctx: ctx, index: index, data: data, scale: scale}
-	if e.bands != nil {
-		if !e.bands.tryAccept(j) {
-			return ErrBusy
-		}
-		return nil
-	}
-	select {
-	case e.jobs <- j:
-		return nil
-	default:
-		return ErrBusy
 	}
 }
 
@@ -374,13 +283,12 @@ func (e *Executor) beginSubmit() bool {
 // QueueStats is a point-in-time snapshot of the band scheduler's
 // occupancy and calibrated rates — what a service front end needs to
 // compute honest backpressure signals (a Retry-After from the fitted
-// ns/MCU rates, an overload watermark from InFlight vs Target). Under
-// SchedulerPerImage all fields are zero.
+// ns/MCU rates, an overload watermark from InFlight vs Target).
 type QueueStats struct {
 	// InFlight counts images between admission and result delivery.
 	InFlight int `json:"inFlight"`
-	// Target is the calibrated in-flight budget: admission blocks (and
-	// TrySubmitScaled sheds) while InFlight >= Target.
+	// Target is the calibrated in-flight budget: admission blocks while
+	// InFlight >= Target.
 	Target int `json:"target"`
 	// Queued counts admitted images still waiting for their entropy
 	// stage to start.
@@ -399,18 +307,14 @@ type QueueStats struct {
 // QueueStats snapshots the scheduler's admission state. The snapshot is
 // advisory: it is stale the moment it returns, which is fine for load
 // shedding and Retry-After hints.
-func (e *Executor) QueueStats() QueueStats {
-	if e.bands == nil {
-		return QueueStats{}
-	}
-	return e.bands.queueStats()
-}
+func (e *Executor) QueueStats() QueueStats { return e.bands.queueStats() }
 
-// Results returns the channel on which decoded images arrive, in
-// completion order (not submission order). It is closed after Close
-// once all in-flight decodes have drained. Callers must drain Results
-// until it closes (or call Stop): the scheduler's workers block
-// delivering to an absent reader.
+// Results returns the channel on which images submitted through Submit
+// or SubmitScaled arrive, in completion order (not submission order);
+// Decode's results never appear on it. It is closed after Close once
+// all in-flight decodes have drained. Callers must drain Results until
+// it closes (or call Stop): the scheduler's workers block delivering
+// to an absent reader.
 func (e *Executor) Results() <-chan ImageResult { return e.results }
 
 // Close stops accepting submissions and, once the in-flight decodes

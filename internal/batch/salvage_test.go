@@ -36,10 +36,11 @@ func salvageCorpusImage(t testing.TB, seed int64, ri int) (clean, hurt []byte) {
 }
 
 // TestBatchSalvageDelivery mixes clean, salvageable and fatally corrupt
-// images through both schedulers and asserts the delivery contract:
+// images through the executor and asserts the delivery contract:
 // salvaged images carry BOTH a usable Res (pixels identical to the
 // scalar salvage reference) and an Err wrapping ErrPartialData; fatal
-// images carry only Err; Result.Failed counts only the fatal ones.
+// images carry only Err; Result.Failed counts only the fatal ones. The
+// contract must hold with one band worker and with several.
 func TestBatchSalvageDelivery(t *testing.T) {
 	spec := platform.GTX560()
 	clean, hurt := salvageCorpusImage(t, 61, 4)
@@ -51,9 +52,9 @@ func TestBatchSalvageDelivery(t *testing.T) {
 	fatal := []byte("not a jpeg at all")
 	datas := [][]byte{clean, hurt, fatal, hurt, clean}
 
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		t.Run(fmt.Sprintf("sched%d", sched), func(t *testing.T) {
-			res, err := Decode(datas, Options{Spec: spec, Scheduler: sched, Salvage: true, Workers: 3})
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			res, err := Decode(datas, Options{Spec: spec, Salvage: true, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,14 +119,15 @@ func TestBatchSalvageOffUnchanged(t *testing.T) {
 // TestBatchMidCancellationDeliversCompleted cancels a streaming batch
 // after the first result arrives and asserts that every submitted image
 // still gets exactly one ImageResult — completed decodes are delivered,
-// cancelled ones report an error, and no slot is left with neither.
+// cancelled ones report an error, and no slot is left with neither —
+// with one band worker and with two.
 func TestBatchMidCancellationDeliversCompleted(t *testing.T) {
 	spec := platform.GTX560()
 	clean, hurt := salvageCorpusImage(t, 63, 4)
 	const n = 12
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		t.Run(fmt.Sprintf("sched%d", sched), func(t *testing.T) {
-			ex, err := NewExecutor(Options{Spec: spec, Scheduler: sched, Salvage: true, Workers: 2})
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			ex, err := NewExecutor(Options{Spec: spec, Salvage: true, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,13 +175,13 @@ func TestBatchMidCancellationDeliversCompleted(t *testing.T) {
 			if completed == 0 {
 				t.Fatal("cancellation swallowed every completed image")
 			}
-			t.Logf("sched%d: %d submitted, %d completed before cancellation took hold", sched, submitted, completed)
+			t.Logf("workers%d: %d submitted, %d completed before cancellation took hold", workers, submitted, completed)
 		})
 	}
 }
 
 // TestBatchSalvageStress is the -race gate: many goroutines pushing a
-// mix of salvageable, fatal and clean images through both schedulers
+// mix of salvageable, fatal and clean images through the executor
 // with a mid-flight cancellation, checking only the delivery invariants
 // (every submission answered once, salvaged implies both fields, no
 // {nil,nil}) — any data race in the salvage bookkeeping shows up under
@@ -192,60 +194,58 @@ func TestBatchSalvageStress(t *testing.T) {
 	if testing.Short() {
 		n = 16
 	}
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		ex, err := NewExecutor(Options{Spec: spec, Scheduler: sched, Salvage: true, Workers: 4, MaxInFlight: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		submitted := make(map[int]bool)
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g * n; i < (g+1)*n; i++ {
-					var data []byte
-					switch i % 3 {
-					case 0:
-						data = clean
-					case 1:
-						data = hurt
-					default:
-						data = fatal
-					}
-					if ex.Submit(ctx, i, data) == nil {
-						mu.Lock()
-						submitted[i] = true
-						mu.Unlock()
-					}
+	ex, err := NewExecutor(Options{Spec: spec, Salvage: true, Workers: 4, MaxInFlight: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	submitted := make(map[int]bool)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g * n; i < (g+1)*n; i++ {
+				var data []byte
+				switch i % 3 {
+				case 0:
+					data = clean
+				case 1:
+					data = hurt
+				default:
+					data = fatal
 				}
-			}(g)
+				if ex.Submit(ctx, i, data) == nil {
+					mu.Lock()
+					submitted[i] = true
+					mu.Unlock()
+				}
+			}
+		}(g)
+	}
+	go func() {
+		wg.Wait()
+		ex.Close()
+	}()
+	got := 0
+	for ir := range ex.Results() {
+		got++
+		if ir.Res == nil && ir.Err == nil {
+			t.Fatalf("empty ImageResult for image %d", ir.Index)
 		}
-		go func() {
-			wg.Wait()
-			ex.Close()
-		}()
-		got := 0
-		for ir := range ex.Results() {
-			got++
-			if ir.Res == nil && ir.Err == nil {
-				t.Fatalf("sched%d: empty ImageResult for image %d", sched, ir.Index)
-			}
-			if ir.Res != nil && ir.Err != nil && !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
-				t.Fatalf("sched%d image %d: both fields set but err is %v", sched, ir.Index, ir.Err)
-			}
-			if got == n { // partway through: yank the context
-				cancel()
-			}
-			if ir.Res != nil {
-				ir.Res.Release()
-			}
+		if ir.Res != nil && ir.Err != nil && !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
+			t.Fatalf("image %d: both fields set but err is %v", ir.Index, ir.Err)
 		}
-		cancel()
-		if got != len(submitted) {
-			t.Fatalf("sched%d: %d submissions, %d results", sched, len(submitted), got)
+		if got == n { // partway through: yank the context
+			cancel()
 		}
+		if ir.Res != nil {
+			ir.Res.Release()
+		}
+	}
+	cancel()
+	if got != len(submitted) {
+		t.Fatalf("%d submissions, %d results", len(submitted), got)
 	}
 }

@@ -27,7 +27,7 @@ func TestInvalidScaleIsConfigError(t *testing.T) {
 }
 
 // TestMixedScaleExecutor streams the same images at different scales
-// through one executor (both schedulers) and asserts every result is
+// through one executor and asserts every result is
 // byte-identical to its scale's scalar reference — the mixed
 // thumbnail/full traffic the per-scale calibrator exists for.
 func TestMixedScaleExecutor(t *testing.T) {
@@ -53,39 +53,37 @@ func TestMixedScaleExecutor(t *testing.T) {
 			refs = append(refs, ref)
 		}
 	}
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 3, Scheduler: sched})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bad per-submit scale fails fast without consuming a slot.
-		if err := ex.SubmitScaled(context.Background(), 99, subs[0].data, 7); !errors.Is(err, jpegcodec.ErrUnsupportedScale) {
-			t.Fatalf("SubmitScaled(7) err = %v", err)
-		}
-		go func() {
-			for i, s := range subs {
-				if err := ex.SubmitScaled(context.Background(), i, s.data, s.scale); err != nil {
-					t.Error(err)
-					break
-				}
+	ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bad per-submit scale fails fast without consuming a slot.
+	if err := ex.SubmitScaled(context.Background(), 99, subs[0].data, 7); !errors.Is(err, jpegcodec.ErrUnsupportedScale) {
+		t.Fatalf("SubmitScaled(7) err = %v", err)
+	}
+	go func() {
+		for i, s := range subs {
+			if err := ex.SubmitScaled(context.Background(), i, s.data, s.scale); err != nil {
+				t.Error(err)
+				break
 			}
-			ex.Close()
-		}()
-		got := make([]*ImageResult, len(subs))
-		for ir := range ex.Results() {
-			ir := ir
-			got[ir.Index] = &ir
 		}
-		for i := range subs {
-			name := fmt.Sprintf("sched%d image %d scale %v", sched, i, subs[i].scale)
-			if got[i] == nil || got[i].Err != nil {
-				t.Fatalf("%s: missing or failed: %+v", name, got[i])
-			}
-			if !bytes.Equal(got[i].Res.Image.Pix, refs[i].Pix) {
-				t.Errorf("%s: pixels differ from scalar scaled reference", name)
-			}
-			got[i].Res.Release()
+		ex.Close()
+	}()
+	got := make([]*ImageResult, len(subs))
+	for ir := range ex.Results() {
+		ir := ir
+		got[ir.Index] = &ir
+	}
+	for i := range subs {
+		name := fmt.Sprintf("image %d scale %v", i, subs[i].scale)
+		if got[i] == nil || got[i].Err != nil {
+			t.Fatalf("%s: missing or failed: %+v", name, got[i])
 		}
+		if !bytes.Equal(got[i].Res.Image.Pix, refs[i].Pix) {
+			t.Errorf("%s: pixels differ from scalar scaled reference", name)
+		}
+		got[i].Res.Release()
 	}
 	for _, r := range refs {
 		r.Release()
@@ -93,7 +91,7 @@ func TestMixedScaleExecutor(t *testing.T) {
 }
 
 // TestDeliveredFrameIsGeometryOnly pins what a consumer may read from a
-// delivered result's Frame, whichever scheduler produced it: geometry
+// delivered result's Frame: geometry
 // (DCOnly, Sub, the MCU grid) stays valid, while the coefficient and
 // sample slabs went back to the pools when the image's last band
 // finished — not when the consumer releases the pixels. The consumer
@@ -106,43 +104,41 @@ func TestDeliveredFrameIsGeometryOnly(t *testing.T) {
 	}
 	scales := []jpegcodec.Scale{jpegcodec.Scale1, jpegcodec.Scale8, jpegcodec.Scale2}
 	const n = 24
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 3, Scheduler: sched})
-		if err != nil {
-			t.Fatal(err)
+	ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := ex.SubmitScaled(context.Background(), i, items[i%len(items)].Data, scales[i%len(scales)]); err != nil {
+				t.Error(err)
+				break
+			}
 		}
-		go func() {
-			for i := 0; i < n; i++ {
-				if err := ex.SubmitScaled(context.Background(), i, items[i%len(items)].Data, scales[i%len(scales)]); err != nil {
-					t.Error(err)
-					break
-				}
-			}
-			ex.Close()
-		}()
-		seen := 0
-		for ir := range ex.Results() {
-			seen++
-			if ir.Err != nil {
-				t.Fatalf("sched %d image %d: %v", sched, ir.Index, ir.Err)
-			}
-			f := ir.Res.Frame
-			scale := scales[ir.Index%len(scales)]
-			if f.Sub != jfif.Sub420 || f.DCOnly() != (scale == jpegcodec.Scale8) || f.MCURows == 0 {
-				t.Errorf("sched %d image %d: frame geometry lost: sub %v dcOnly %v rows %d", sched, ir.Index, f.Sub, f.DCOnly(), f.MCURows)
-			}
-			for c := range f.Coeff {
-				if f.Coeff[c] != nil || f.Samples[c] != nil || f.NZ[c] != nil {
-					t.Errorf("sched %d image %d: component %d still holds slabs after delivery", sched, ir.Index, c)
-				}
-			}
-			if w, h := f.OutDims(); ir.Res.Image.W != w || ir.Res.Image.H != h {
-				t.Errorf("sched %d image %d: image %dx%d, frame says %dx%d", sched, ir.Index, ir.Res.Image.W, ir.Res.Image.H, w, h)
-			}
-			ir.Res.Release()
+		ex.Close()
+	}()
+	seen := 0
+	for ir := range ex.Results() {
+		seen++
+		if ir.Err != nil {
+			t.Fatalf("image %d: %v", ir.Index, ir.Err)
 		}
-		if seen != n {
-			t.Fatalf("sched %d: %d of %d results", sched, seen, n)
+		f := ir.Res.Frame
+		scale := scales[ir.Index%len(scales)]
+		if f.Sub != jfif.Sub420 || f.DCOnly() != (scale == jpegcodec.Scale8) || f.MCURows == 0 {
+			t.Errorf("image %d: frame geometry lost: sub %v dcOnly %v rows %d", ir.Index, f.Sub, f.DCOnly(), f.MCURows)
 		}
+		for c := range f.Coeff {
+			if f.Coeff[c] != nil || f.Samples[c] != nil || f.NZ[c] != nil {
+				t.Errorf("image %d: component %d still holds slabs after delivery", ir.Index, c)
+			}
+		}
+		if w, h := f.OutDims(); ir.Res.Image.W != w || ir.Res.Image.H != h {
+			t.Errorf("image %d: image %dx%d, frame says %dx%d", ir.Index, ir.Res.Image.W, ir.Res.Image.H, w, h)
+		}
+		ir.Res.Release()
+	}
+	if seen != n {
+		t.Fatalf("%d of %d results", seen, n)
 	}
 }

@@ -31,8 +31,8 @@ import (
 // entropy work naturally overlaps back-phase work across images. Real
 // pixels come from the fused scalar band pipeline (byte-identical to
 // every other execution path); each image's virtual timeline and stats
-// are built by core.Prepared.FinishVirtual exactly as the per-image
-// executor would, so the paper's virtual-time story (per-image PPS,
+// are built by core.Prepared.FinishVirtual exactly as core.Decode
+// builds them, so the paper's virtual-time story (per-image PPS,
 // deterministic merge) is unchanged.
 //
 // Two knobs adapt online instead of being tuned offline:
@@ -203,6 +203,7 @@ func (c *calibrator) inflightTarget(workers, maxInflight int) int {
 type flightImage struct {
 	ctx   context.Context
 	index int
+	reply chan ImageResult // Decode's own channel (job.reply), or nil
 	prep  *core.Prepared
 	plan  *jpegcodec.BandPlan
 	res   *core.Result
@@ -217,8 +218,7 @@ type bandTask struct {
 	band int
 }
 
-// bandScheduler is the two-stage pipelined engine behind Executor when
-// Options.Scheduler is SchedulerBands.
+// bandScheduler is the two-stage pipelined engine behind Executor.
 type bandScheduler struct {
 	opts        Options
 	workers     int
@@ -250,23 +250,6 @@ func newBandScheduler(opts Options, workers int, results chan<- ImageResult, sto
 	s.cond = sync.NewCond(&s.mu)
 	s.target = s.cal.inflightTarget(workers, s.maxInflight)
 	return s
-}
-
-// tryAccept admits one job iff the in-flight budget has room right now,
-// bypassing the intake goroutine's blocking wait — the non-blocking
-// admission behind Executor.TrySubmitScaled. The Executor's senders
-// gate guarantees no tryAccept runs after intakeDone is set, so the
-// workers' exit condition (intakeDone && inflight == 0) stays sound.
-func (s *bandScheduler) tryAccept(j job) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight >= s.target {
-		return false
-	}
-	s.inflight++
-	s.entropyQ = append(s.entropyQ, j)
-	s.cond.Broadcast()
-	return true
 }
 
 // queueStats snapshots occupancy and calibration under the scheduling
@@ -361,7 +344,7 @@ func (s *bandScheduler) runEntropy(id int, j job) {
 	img, entNs, ir := s.entropyStage(j)
 	s.mu.Lock()
 	if img == nil {
-		s.deliver(ir)
+		s.deliver(ir, j.reply)
 		return
 	}
 	f := img.prep.Frame()
@@ -417,7 +400,7 @@ func (s *bandScheduler) entropyStage(j job) (*flightImage, float64, ImageResult)
 		prep.Release()
 		return fail(err)
 	}
-	return &flightImage{ctx: j.ctx, index: j.index, prep: prep, res: res}, entNs, ImageResult{}
+	return &flightImage{ctx: j.ctx, index: j.index, reply: j.reply, prep: prep, res: res}, entNs, ImageResult{}
 }
 
 // runBand executes one band task and accounts for the image's
@@ -457,8 +440,8 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 
 // complete finishes an image whose last band ran: seam rows, then
 // delivery (or buffer release on failure). A salvaged image delivers
-// with BOTH Res and Err set, matching decodeOne's contract. Called and
-// returns with mu held.
+// with BOTH Res and Err set, matching core.Decode's contract. Called
+// and returns with mu held.
 func (s *bandScheduler) complete(img *flightImage, scratch *jpegcodec.ConvertScratch) {
 	err := img.err
 	s.mu.Unlock()
@@ -477,20 +460,26 @@ func (s *bandScheduler) complete(img *flightImage, scratch *jpegcodec.ConvertScr
 		}
 	}
 	s.mu.Lock()
-	s.deliver(ir)
+	s.deliver(ir, img.reply)
 }
 
-// deliver sends one result and retires its in-flight slot. Called and
-// returns with mu held (the send itself is unlocked). After Stop the
-// Results reader may be gone: the result is discarded and its buffers
-// released so the pipeline always drains.
-func (s *bandScheduler) deliver(ir ImageResult) {
+// deliver sends one result and retires its in-flight slot: to the
+// image's reply channel when it has one (1-buffered, so the send never
+// blocks), otherwise to the shared Results stream. Called and returns
+// with mu held (the send itself is unlocked). After Stop the Results
+// reader may be gone: the result is discarded and its buffers released
+// so the pipeline always drains.
+func (s *bandScheduler) deliver(ir ImageResult, reply chan<- ImageResult) {
 	s.mu.Unlock()
-	select {
-	case s.results <- ir:
-	case <-s.stopc:
-		if ir.Res != nil {
-			ir.Res.Release()
+	if reply != nil {
+		reply <- ir
+	} else {
+		select {
+		case s.results <- ir:
+		case <-s.stopc:
+			if ir.Res != nil {
+				ir.Res.Release()
+			}
 		}
 	}
 	s.mu.Lock()

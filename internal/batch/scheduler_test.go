@@ -45,10 +45,10 @@ func mixedCorpus(t testing.TB) [][]byte {
 	return out
 }
 
-// The band scheduler must be indistinguishable from the per-image pool
-// in everything but wall-clock: byte-identical pixels, identical
-// virtual times and scheduling statistics — across every mode, several
-// worker counts and mixed image sizes.
+// The band scheduler must be indistinguishable from a plain sequential
+// loop of core.Decode in everything but wall-clock: byte-identical
+// pixels, identical virtual times and scheduling statistics — across
+// every mode, several worker counts and mixed image sizes.
 func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 	spec := platform.GTX560()
 	model, err := perfmodel.Default(spec)
@@ -59,21 +59,20 @@ func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	modes := append([]core.Mode{core.ModeAuto}, core.AllModes()...)
 	for _, mode := range modes {
-		ref, err := Decode(datas, Options{
-			Spec: spec, Model: model, Mode: mode,
-			Scheduler: SchedulerPerImage, Workers: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
+		ref := &Result{Images: make([]ImageResult, len(datas))}
+		for i, data := range datas {
+			res, err := core.Decode(data, core.Options{Mode: mode, Spec: spec, Model: model})
+			if err != nil {
+				t.Fatalf("%v: reference decode of image %d: %v", mode, i, err)
+			}
+			ref.Images[i] = ImageResult{Index: i, Res: res}
+			ref.SerialNs += res.TotalNs
 		}
-		if ref.Failed != 0 {
-			t.Fatalf("%v: reference pool failed %d images", mode, ref.Failed)
-		}
+		ref.PipelinedNs = MergeTimelines(ref.Images).Makespan()
 		for _, w := range workerCounts {
 			t.Run(fmt.Sprintf("%v/workers%d", mode, w), func(t *testing.T) {
 				got, err := Decode(datas, Options{
-					Spec: spec, Model: model, Mode: mode,
-					Scheduler: SchedulerBands, Workers: w,
+					Spec: spec, Model: model, Mode: mode, Workers: w,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -82,7 +81,7 @@ func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 					t.Fatalf("band scheduler failed %d images", got.Failed)
 				}
 				if got.SerialNs != ref.SerialNs || got.PipelinedNs != ref.PipelinedNs {
-					t.Errorf("virtual times differ: bands (%.1f, %.1f) vs pool (%.1f, %.1f)",
+					t.Errorf("virtual times differ: bands (%.1f, %.1f) vs core.Decode loop (%.1f, %.1f)",
 						got.SerialNs, got.PipelinedNs, ref.SerialNs, ref.PipelinedNs)
 				}
 				for i := range datas {
@@ -91,7 +90,7 @@ func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 						t.Errorf("image %d stats differ: %+v vs %+v", i, g.Res.Stats, r.Res.Stats)
 					}
 					if !bytes.Equal(g.Res.Image.Pix, r.Res.Image.Pix) {
-						t.Errorf("image %d pixels differ between schedulers", i)
+						t.Errorf("image %d pixels differ from core.Decode", i)
 					}
 				}
 			})
@@ -175,21 +174,36 @@ func TestBandSchedulerAllCorrupt(t *testing.T) {
 }
 
 // Zero-value Options must be self-describing: ModeAuto resolves to PPS
-// with a model and pipelined GPU without one.
+// with a model and pipelined GPU without one — the executor's decode
+// matches core.Decode in the resolved mode exactly.
 func TestModeAutoResolution(t *testing.T) {
 	spec := platform.GTX560()
 	model, err := perfmodel.Default(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := (Options{}).mode(); m != core.ModePipelinedGPU {
-		t.Errorf("auto without model = %v, want pipeline", m)
-	}
-	if m := (Options{Model: model}).mode(); m != core.ModePPS {
-		t.Errorf("auto with model = %v, want pps", m)
-	}
-	if m := (Options{Mode: core.ModeSequential, Model: model}).mode(); m != core.ModeSequential {
-		t.Errorf("explicit mode overridden to %v", m)
+	data := corpus(t, 1)[0]
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want core.Mode
+	}{
+		{"auto without model", Options{Spec: spec}, core.ModePipelinedGPU},
+		{"auto with model", Options{Spec: spec, Model: model}, core.ModePPS},
+		{"explicit mode", Options{Spec: spec, Model: model, Mode: core.ModeSequential}, core.ModeSequential},
+	} {
+		got, err := Decode([][]byte{data}, tc.opts)
+		if err != nil || got.Failed != 0 {
+			t.Fatalf("%s: %v (%d failed)", tc.name, err, got.Failed)
+		}
+		ref, err := core.Decode(data, core.Options{Spec: spec, Model: tc.opts.Model, Mode: tc.want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := got.Images[0].Res; g.TotalNs != ref.TotalNs || g.Stats != ref.Stats {
+			t.Errorf("%s: executor decode (%.1f ns, %+v) is not %v (%.1f ns, %+v)",
+				tc.name, g.TotalNs, g.Stats, tc.want, ref.TotalNs, ref.Stats)
+		}
 	}
 }
 

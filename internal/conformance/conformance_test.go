@@ -222,7 +222,7 @@ func TestConformanceModesIdentical(t *testing.T) {
 }
 
 // TestConformanceSchedulersWorkers decodes the whole corpus as batches
-// through both wall-clock schedulers at worker counts 1..8 and asserts
+// through the band scheduler at worker counts 1..8 and asserts
 // every image is byte-identical to the scalar reference.
 func TestConformanceSchedulersWorkers(t *testing.T) {
 	items := corpus(t)
@@ -236,28 +236,25 @@ func TestConformanceSchedulersWorkers(t *testing.T) {
 	if testing.Short() {
 		workerCounts = []int{1, 4}
 	}
-	for _, sched := range []batch.Scheduler{batch.SchedulerBands, batch.SchedulerPerImage} {
-		for _, workers := range workerCounts {
-			name := fmt.Sprintf("sched%d-w%d", sched, workers)
-			res, err := batch.Decode(datas, batch.Options{
-				Spec:      conformSpec,
-				Workers:   workers,
-				Scheduler: sched,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+	for _, workers := range workerCounts {
+		name := fmt.Sprintf("w%d", workers)
+		res, err := batch.Decode(datas, batch.Options{
+			Spec:    conformSpec,
+			Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, ir := range res.Images {
+			if ir.Err != nil {
+				t.Errorf("%s: image %s failed: %v", name, items[i].Name, ir.Err)
+				continue
 			}
-			for i, ir := range res.Images {
-				if ir.Err != nil {
-					t.Errorf("%s: image %s failed: %v", name, items[i].Name, ir.Err)
-					continue
-				}
-				if !bytes.Equal(ir.Res.Image.Pix, refs[i].Pix) {
-					t.Errorf("%s: image %s differs from scalar reference%s",
-						name, items[i].Name, firstPixelDiff(ir.Res.Image, refs[i]))
-				}
-				ir.Res.Release()
+			if !bytes.Equal(ir.Res.Image.Pix, refs[i].Pix) {
+				t.Errorf("%s: image %s differs from scalar reference%s",
+					name, items[i].Name, firstPixelDiff(ir.Res.Image, refs[i]))
 			}
+			ir.Res.Release()
 		}
 	}
 }

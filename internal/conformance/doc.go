@@ -1,14 +1,14 @@
 // Package conformance is the decoder's differential conformance
 // harness. Its tests decode a deterministic generated corpus — baseline
 // and progressive, every subsampling, restart intervals, all scan
-// scripts — through every execution mode and both batch schedulers at
+// scripts — through every execution mode and the batch scheduler at
 // worker counts 1..8, asserting byte-identical RGB output across all of
 // them, and compare the reconstructed YCbCr sample planes against Go's
 // standard library image/jpeg decoder.
 //
 // Tolerances, and why they are what they are:
 //
-//   - Within hetjpeg (modes × schedulers × worker counts): exact. Every
+//   - Within hetjpeg (modes × worker counts): exact. Every
 //     configuration consumes the same whole-image coefficient buffer and
 //     the same kernels, so a single differing byte is a bug.
 //   - Against image/jpeg, baseline and progressive: max ±1 per YCbCr

@@ -19,7 +19,7 @@ import (
 // The fault-injection gate: systematically corrupted streams must never
 // panic, strict-mode behavior must be unchanged (an error, exactly as
 // before), and salvage mode must recover what the committed per-fixture
-// floors promise — with every execution mode and both batch schedulers
+// floors promise — with every execution mode and the batch scheduler
 // producing byte-identical salvaged pixels.
 //
 // The invariant linking the two modes is deliberately one-directional:
@@ -299,7 +299,7 @@ func modeIdentityFaults(fx faultFixture) []faultgen.Fault {
 }
 
 // TestFaultModeIdentity decodes corrupted variants through every
-// execution mode and both batch schedulers and asserts pixels and
+// execution mode and the batch scheduler and asserts pixels and
 // salvage reports are identical to the scalar salvage reference —
 // salvage decisions live in the sequential entropy stage, so no mode
 // may diverge.
@@ -333,40 +333,38 @@ func TestFaultModeIdentity(t *testing.T) {
 					compareReports(t, fmt.Sprintf("%s mode %v", f.Name, mode), res.Salvage, refRep)
 					res.Release()
 				}
-				for _, sched := range []batch.Scheduler{batch.SchedulerBands, batch.SchedulerPerImage} {
-					for _, workers := range []int{1, 4} {
-						name := fmt.Sprintf("%s sched%d-w%d", f.Name, sched, workers)
-						bres, err := batch.Decode([][]byte{f.Data, fx.data, f.Data}, batch.Options{
-							Spec: conformSpec, Workers: workers, Scheduler: sched, Salvage: true,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("%s w%d", f.Name, workers)
+					bres, err := batch.Decode([][]byte{f.Data, fx.data, f.Data}, batch.Options{
+						Spec: conformSpec, Workers: workers, Salvage: true,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, ir := range bres.Images {
+						if ir.Res == nil {
+							t.Fatalf("%s image %d: no result: %v", name, i, ir.Err)
 						}
-						for i, ir := range bres.Images {
-							if ir.Res == nil {
-								t.Fatalf("%s image %d: no result: %v", name, i, ir.Err)
+						want := ref
+						if i == 1 {
+							if ir.Err != nil {
+								t.Fatalf("%s: clean sibling image reported error: %v", name, ir.Err)
 							}
-							want := ref
-							if i == 1 {
-								if ir.Err != nil {
-									t.Fatalf("%s: clean sibling image reported error: %v", name, ir.Err)
-								}
-								ir.Res.Release()
-								continue
-							}
-							if (ir.Err != nil) != (refErr != nil) {
-								t.Fatalf("%s image %d: error presence %v, reference %v", name, i, ir.Err, refErr)
-							}
-							if !bytes.Equal(ir.Res.Image.Pix, want.Pix) {
-								t.Errorf("%s image %d: salvaged pixels differ from scalar reference%s",
-									name, i, firstPixelDiff(ir.Res.Image, want))
-							}
-							compareReports(t, fmt.Sprintf("%s image %d", name, i), ir.Res.Salvage, refRep)
 							ir.Res.Release()
+							continue
 						}
-						if refErr != nil && bres.Salvaged != 2 {
-							t.Errorf("%s: Salvaged = %d, want 2", name, bres.Salvaged)
+						if (ir.Err != nil) != (refErr != nil) {
+							t.Fatalf("%s image %d: error presence %v, reference %v", name, i, ir.Err, refErr)
 						}
+						if !bytes.Equal(ir.Res.Image.Pix, want.Pix) {
+							t.Errorf("%s image %d: salvaged pixels differ from scalar reference%s",
+								name, i, firstPixelDiff(ir.Res.Image, want))
+						}
+						compareReports(t, fmt.Sprintf("%s image %d", name, i), ir.Res.Salvage, refRep)
+						ir.Res.Release()
+					}
+					if refErr != nil && bres.Salvaged != 2 {
+						t.Errorf("%s: Salvaged = %d, want 2", name, bres.Salvaged)
 					}
 				}
 				ref.Release()

@@ -13,7 +13,7 @@ import (
 
 // Scaled conformance: decode-to-scale output must be byte-identical to
 // the scalar scaled reference (DecodeScalarScaled) across every
-// execution mode, both batch schedulers and all worker counts, for the
+// execution mode, the batch scheduler and all worker counts, for the
 // full baseline + progressive corpus. Scale 1 rides along to pin the
 // scaled plumbing's identity with the original full-size path.
 
@@ -76,7 +76,7 @@ func TestConformanceScaledModesIdentical(t *testing.T) {
 }
 
 // TestConformanceScaledSchedulersWorkers decodes the whole corpus as
-// batches at every scale through both wall-clock schedulers and worker
+// batches at every scale through the band scheduler at worker
 // counts 1-8, asserting every image matches the scalar scaled
 // reference.
 func TestConformanceScaledSchedulersWorkers(t *testing.T) {
@@ -96,29 +96,26 @@ func TestConformanceScaledSchedulersWorkers(t *testing.T) {
 		for i, it := range items {
 			refs[i] = scaledRef(t, it, scale)
 		}
-		for _, sched := range []batch.Scheduler{batch.SchedulerBands, batch.SchedulerPerImage} {
-			for _, workers := range workerCounts {
-				name := fmt.Sprintf("scale%v-sched%d-w%d", scale, sched, workers)
-				res, err := batch.Decode(datas, batch.Options{
-					Spec:      conformSpec,
-					Workers:   workers,
-					Scheduler: sched,
-					Scale:     scale,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		for _, workers := range workerCounts {
+			name := fmt.Sprintf("scale%v-w%d", scale, workers)
+			res, err := batch.Decode(datas, batch.Options{
+				Spec:    conformSpec,
+				Workers: workers,
+				Scale:   scale,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, ir := range res.Images {
+				if ir.Err != nil {
+					t.Errorf("%s: image %s failed: %v", name, items[i].Name, ir.Err)
+					continue
 				}
-				for i, ir := range res.Images {
-					if ir.Err != nil {
-						t.Errorf("%s: image %s failed: %v", name, items[i].Name, ir.Err)
-						continue
-					}
-					if !bytes.Equal(ir.Res.Image.Pix, refs[i].Pix) {
-						t.Errorf("%s: image %s differs from scalar scaled reference%s",
-							name, items[i].Name, firstPixelDiff(ir.Res.Image, refs[i]))
-					}
-					ir.Res.Release()
+				if !bytes.Equal(ir.Res.Image.Pix, refs[i].Pix) {
+					t.Errorf("%s: image %s differs from scalar scaled reference%s",
+						name, items[i].Name, firstPixelDiff(ir.Res.Image, refs[i]))
 				}
+				ir.Res.Release()
 			}
 		}
 		for _, r := range refs {

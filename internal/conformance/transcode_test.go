@@ -23,7 +23,7 @@ import (
 // output). Exactness: the coefficient-domain DC-only fast path must
 // re-encode bit-identically to the pixel round trip at 1/8. Identity:
 // transcoding through the batch pipeline must produce the same bytes
-// as the one-shot path for both schedulers, worker counts 1-8 and
+// as the one-shot path for worker counts 1-8 and
 // every execution mode.
 
 // rgbDistortion compares two same-geometry RGB images: PSNR over all
@@ -219,8 +219,7 @@ var transcodeIdentityOpts = []transcode.Options{
 }
 
 // TestConformanceTranscodeSchedulersWorkers transcodes a corpus subset
-// through the batch pipeline under both wall-clock schedulers and
-// worker counts 1-8, asserting every output is byte-identical to the
+// through the batch pipeline at worker counts 1-8, asserting every output is byte-identical to the
 // one-shot path.
 func TestConformanceTranscodeSchedulersWorkers(t *testing.T) {
 	items := corpus(t)
@@ -243,38 +242,35 @@ func TestConformanceTranscodeSchedulersWorkers(t *testing.T) {
 			}
 			refs[i] = res.Data
 		}
-		for _, sched := range []batch.Scheduler{batch.SchedulerBands, batch.SchedulerPerImage} {
-			for _, workers := range workerCounts {
-				name := fmt.Sprintf("opts%d-sched%d-w%d", oi, sched, workers)
-				p, err := transcode.NewPipeline(batch.Options{
-					Spec:      conformSpec,
-					Workers:   workers,
-					Scheduler: sched,
-					Scale:     opts.Scale,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				popts := opts
-				popts.Workers = workers
-				for i, it := range subset {
-					res, err := p.Transcode(t.Context(), it.Data, popts)
-					if err != nil {
-						t.Errorf("%s: %s: %v", name, it.Name, err)
-						continue
-					}
-					if !bytes.Equal(res.Data, refs[i]) {
-						t.Errorf("%s: %s differs from the one-shot transcode", name, it.Name)
-					}
-				}
-				p.Close()
+		for _, workers := range workerCounts {
+			name := fmt.Sprintf("opts%d-w%d", oi, workers)
+			p, err := transcode.NewPipeline(batch.Options{
+				Spec:    conformSpec,
+				Workers: workers,
+				Scale:   opts.Scale,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			popts := opts
+			popts.Workers = workers
+			for i, it := range subset {
+				res, err := p.Transcode(t.Context(), it.Data, popts)
+				if err != nil {
+					t.Errorf("%s: %s: %v", name, it.Name, err)
+					continue
+				}
+				if !bytes.Equal(res.Data, refs[i]) {
+					t.Errorf("%s: %s differs from the one-shot transcode", name, it.Name)
+				}
+			}
+			p.Close()
 		}
 	}
 }
 
 // TestConformanceTranscodeModesIdentical runs the pipeline under every
-// execution mode (the scheduler above pins the wall-clock engines; this
+// execution mode (the test above pins the worker counts; this
 // pins the per-image decode kernels) and asserts byte identity with the
 // one-shot path on the DC fast-path options.
 func TestConformanceTranscodeModesIdentical(t *testing.T) {

@@ -101,12 +101,6 @@ type Options struct {
 	// output is byte-identical either way. It affects host wall-clock
 	// only — the virtual timeline models the single-core schedule.
 	CPUWorkers int
-	// DeviceWorkers bounds the host goroutines simulating one decode's
-	// device (kernel work-groups). 0 means GOMAXPROCS. Batch decoding
-	// splits a shared budget across concurrent images so N in-flight
-	// decodes do not contend on N×GOMAXPROCS device workers. Virtual
-	// costs and pixels are unaffected; only host wall-clock changes.
-	DeviceWorkers int
 	// Scale selects decode-to-scale (1/2, 1/4, 1/8): the back phase
 	// reconstructs directly at the reduced resolution through scaled
 	// IDCT kernels, in every mode. The zero value decodes full size;

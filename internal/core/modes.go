@@ -42,7 +42,7 @@ func (st *decodeState) runGPU(pipelined bool) error {
 	if st.virtual() {
 		st.fillChunkPlans(chunks)
 	} else {
-		dev := gpusim.NewWithWorkers(st.opts.Spec, st.opts.DeviceWorkers)
+		dev := gpusim.New(st.opts.Spec)
 		eng := kernels.NewEngine(dev, f, !st.opts.SplitKernels)
 		st.runChunksOnDevice(eng, chunks)
 		eng.Release()
@@ -150,7 +150,7 @@ func (st *decodeState) runPartitioned(pps bool) error {
 	if st.virtual() {
 		st.fillChunkPlans(chunks)
 	} else {
-		dev := gpusim.NewWithWorkers(st.opts.Spec, st.opts.DeviceWorkers)
+		dev := gpusim.New(st.opts.Spec)
 		eng := kernels.NewEngine(dev, f, !st.opts.SplitKernels)
 		var wg sync.WaitGroup
 		wg.Add(1)

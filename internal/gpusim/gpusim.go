@@ -35,21 +35,10 @@ type Device struct {
 }
 
 // New creates a device simulated with up to GOMAXPROCS host workers.
-func New(spec *platform.Spec) *Device {
-	return NewWithWorkers(spec, 0)
-}
-
-// NewWithWorkers creates a device simulated with up to n host workers
-// (n <= 0 means GOMAXPROCS). Schedulers running several decodes
-// concurrently pass a per-decode share of a host-wide budget, so N
-// in-flight images do not contend on N×GOMAXPROCS device goroutines.
 // The worker count affects host wall-clock only; kernel results and
-// virtual costs are identical for any n.
-func NewWithWorkers(spec *platform.Spec, n int) *Device {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return &Device{Spec: spec, workers: n}
+// virtual costs are identical for any count.
+func New(spec *platform.Spec) *Device {
+	return &Device{Spec: spec, workers: runtime.GOMAXPROCS(0)}
 }
 
 // Device buffers are the other large per-decode allocation besides the

@@ -5,7 +5,9 @@ package imaged
 // bytes/MCU into MCUs, priced at the entropy + back-phase ns/MCU rates,
 // spread across the workers, rounded up to whole seconds and clamped to
 // [1s, 60s]. A cold (uncalibrated) server must answer 1s rather than
-// divide by zero or promise the moon.
+// divide by zero or promise the moon. TestRetryAfterSeconds prices a
+// decode-only backlog; TestRetryAfterSecondsMixed adds the transcode
+// backlog's encode term.
 
 import (
 	"testing"
@@ -104,19 +106,20 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := retryAfterSeconds(tc.pending, tc.st, tc.workers); got != tc.want {
-				t.Errorf("retryAfterSeconds(%d, %+v, %d) = %d, want %d",
+			// No transcode backlog: the learned encode rate must not
+			// move the price.
+			if got := retryAfterSeconds(tc.pending, 0, tc.st, tc.workers, 700_000); got != tc.want {
+				t.Errorf("retryAfterSeconds(%d, 0, %+v, %d, 7e5) = %d, want %d",
 					tc.pending, tc.st, tc.workers, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestRetryAfterSecondsMixed pins the transcode-aware pricing: the
-// decode term is unchanged from retryAfterSeconds, and bytes admitted
-// for /transcode additionally owe an encode pass at the learned encode
-// ns/MCU. With no transcode backlog (or a cold encode rate) the mixed
-// estimate must equal the decode-only one.
+// TestRetryAfterSecondsMixed pins the transcode-aware pricing: bytes
+// admitted for /transcode owe an encode pass at the learned encode
+// ns/MCU on top of the decode term. With no transcode backlog (or a
+// cold encode rate) the estimate must equal the decode-only one.
 func TestRetryAfterSecondsMixed(t *testing.T) {
 	calibrated := hetjpeg.BatchQueueStats{
 		EntropyNsPerMCU: 300_000,
@@ -144,8 +147,9 @@ func TestRetryAfterSecondsMixed(t *testing.T) {
 			want:      1,
 		},
 		{
-			// Zero transcode backlog: identical to retryAfterSeconds
-			// ("bytes to MCUs to seconds" case above answers 3s).
+			// Zero transcode backlog: identical to decode-only pricing
+			// (TestRetryAfterSeconds' "bytes to MCUs to seconds" case
+			// answers 3s).
 			name:      "no transcode backlog matches decode-only pricing",
 			pending:   2_000_000,
 			transcode: 0,
@@ -209,21 +213,11 @@ func TestRetryAfterSecondsMixed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := retryAfterSecondsMixed(tc.pending, tc.transcode, tc.st, tc.workers, tc.encNs)
+			got := retryAfterSeconds(tc.pending, tc.transcode, tc.st, tc.workers, tc.encNs)
 			if got != tc.want {
-				t.Errorf("retryAfterSecondsMixed(%d, %d, %+v, %d, %g) = %d, want %d",
+				t.Errorf("retryAfterSeconds(%d, %d, %+v, %d, %g) = %d, want %d",
 					tc.pending, tc.transcode, tc.st, tc.workers, tc.encNs, got, tc.want)
 			}
 		})
-	}
-	// Agreement property: for any decode-only backlog the two pricers
-	// must answer identically — /decode and /transcode 429s stay
-	// consistent when no encode work is queued.
-	for _, pending := range []int64{0, 100, 1500, 2_000_000, 1 << 30} {
-		a := retryAfterSeconds(pending, calibrated, 2)
-		b := retryAfterSecondsMixed(pending, 0, calibrated, 2, 700_000)
-		if a != b {
-			t.Errorf("pending=%d: retryAfterSeconds=%d but mixed=%d with zero transcode backlog", pending, a, b)
-		}
 	}
 }

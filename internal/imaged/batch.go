@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -57,9 +56,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a multipart/form-data batch of JPEGs")
 		return
 	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, decodeReply{Error: "server is draining", Draining: true})
+	if s.refuseDraining(w) {
 		return
 	}
 	q := r.URL.Query()
@@ -85,7 +82,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	bypass = bypass || s.cache == nil
 	items := make([]batchItemReply, len(parts))
 	type job struct {
 		idx int
@@ -103,15 +99,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		key := rescache.KeyFor(pt.data, scale, s.cfg.Salvage)
-		if !bypass {
-			if ent := s.cache.Get(key); ent != nil {
-				// Resident: served ahead of admission, can't be shed.
-				items[i].decodeReply, items[i].Status = s.replyFor(ent.Result(), ent.Err(), "hit", scale, false, timeout)
-				ent.Release()
-				continue
-			}
-		} else {
-			s.cache.NoteBypass()
+		if ent := s.probe(key, bypass); ent != nil {
+			// Resident: served ahead of admission, can't be shed.
+			items[i].decodeReply, items[i].Status = s.replyFor(ent.Result(), ent.Err(), "hit", scale, false, timeout)
+			ent.Release()
+			continue
 		}
 		jobs = append(jobs, job{i, key})
 		missBytes += int64(len(pt.data))
@@ -124,13 +116,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if s.gate.admit(missBytes) {
 			defer s.gate.release(missBytes)
 		} else {
-			sec := s.retryAfterSec()
-			w.Header().Set("Retry-After", strconv.Itoa(sec))
+			shed := s.shed(w)
 			for _, j := range jobs {
 				items[j.idx].Status = http.StatusTooManyRequests
-				items[j.idx].Error = "admission queue full"
-				items[j.idx].Shed = true
-				items[j.idx].RetryAfterSec = sec
+				items[j.idx].decodeReply = shed
 			}
 			jobs = nil
 		}
@@ -153,28 +142,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					items[j.idx].decodeReply = decodeReply{Error: "internal error"}
 				}
 			}()
-			data := parts[j.idx].data
-			var (
-				res       *hetjpeg.Result
-				decodeErr error
-				outcome   string
-			)
-			if bypass {
-				res, decodeErr = s.decodeOnce(ctx, data, scale)
-				if res != nil {
-					defer res.Release()
-				}
-				outcome = "bypass"
-			} else {
-				ent, st, err := s.cache.Do(ctx, j.key, func() (*hetjpeg.Result, error) {
-					return s.decodeOnce(ctx, data, scale)
-				})
-				decodeErr, outcome = err, st.String()
-				if ent != nil {
-					res = ent.Result()
-					defer ent.Release()
-				}
-			}
+			res, outcome, release, decodeErr := s.decodeStep(ctx, parts[j.idx].data, scale, j.key, bypass)
+			defer release()
 			items[j.idx].decodeReply, items[j.idx].Status = s.replyFor(res, decodeErr, outcome, scale, false, timeout)
 		}(j)
 	}

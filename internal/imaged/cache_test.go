@@ -4,7 +4,7 @@ package imaged
 // ahead of admission (a full gate cannot shed them), every response
 // names its cache outcome in X-Hetjpeg-Cache, ?cache=bypass opts out,
 // and the /batch path applies the same discipline per part with
-// intra-batch singleflight.
+// intra-batch singleflight while each part keeps its own status.
 
 import (
 	"bytes"
@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"hetjpeg"
 )
 
 type namedPart struct {
@@ -153,6 +155,36 @@ func TestCacheBypassAndDisabled(t *testing.T) {
 	}
 }
 
+// twelveBitJPEG flips the SOF0 precision byte to 12 bits: a valid JPEG
+// with an out-of-scope feature, the ErrUnsupported class.
+func twelveBitJPEG(t *testing.T) []byte {
+	t.Helper()
+	data := encodeJPEG(t, 64, 48, false)
+	i := bytes.Index(data, []byte{0xFF, 0xC0})
+	if i < 0 {
+		t.Fatal("no SOF0 marker")
+	}
+	data[i+4] = 12
+	return data
+}
+
+// truncatedRestartJPEG cuts a restart-interval stream inside its
+// entropy data: strict decoding fails, salvage recovers a partial image.
+func truncatedRestartJPEG(t *testing.T) []byte {
+	t.Helper()
+	img := hetjpeg.NewImage(160, 128)
+	for y := 0; y < 128; y++ {
+		for x := 0; x < 160; x++ {
+			img.Set(x, y, byte(x*2), byte(y*2), byte(x+y))
+		}
+	}
+	data, err := hetjpeg.Encode(img, hetjpeg.EncodeOptions{Quality: 85, Subsampling: hetjpeg.Sub420, RestartInterval: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[:len(data)*3/4]
+}
+
 func TestBatchDecodesAndCollapsesDuplicates(t *testing.T) {
 	s := newTestServer(t, testConfig(t))
 	h := s.Handler()
@@ -200,6 +232,53 @@ func TestBatchDecodesAndCollapsesDuplicates(t *testing.T) {
 	}
 	if st := s.cache.Stats(); st.Misses != 2 {
 		t.Errorf("repeat batch re-decoded: %d misses, want still 2", st.Misses)
+	}
+}
+
+// TestBatchIsolatesUnsupportedPart: the unsupported sentinel survives
+// every wrap down to a 12-bit part's own status, without failing its
+// sibling.
+func TestBatchIsolatesUnsupportedPart(t *testing.T) {
+	s := newTestServer(t, testConfig(t))
+	rr, reply := postBatch(t, s.Handler(), "", []namedPart{
+		{"good", encodeJPEG(t, 64, 48, false)}, {"twelve", twelveBitJPEG(t)},
+	})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rr.Code, rr.Body.String())
+	}
+	if reply.Count != 2 || reply.OK != 1 || reply.Errors != 1 {
+		t.Fatalf("batch summary %+v, want count=2 ok=1 errors=1", reply)
+	}
+	if it := reply.Items[0]; it.Status != http.StatusOK {
+		t.Errorf("sibling part: status %d, want 200", it.Status)
+	}
+	if it := reply.Items[1]; it.Status != http.StatusUnsupportedMediaType || !it.Unsupported {
+		t.Errorf("12-bit part: status %d unsupported %v, want 415 true", it.Status, it.Unsupported)
+	}
+}
+
+// TestBatchSalvagesTruncatedPart: with salvage on, a truncated
+// restart-interval part comes back 200 with a strict partial recovery,
+// and its clean sibling is not marked salvaged.
+func TestBatchSalvagesTruncatedPart(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Salvage = true
+	s := newTestServer(t, cfg)
+	rr, reply := postBatch(t, s.Handler(), "", []namedPart{
+		{"good", encodeJPEG(t, 64, 48, false)}, {"hurt", truncatedRestartJPEG(t)},
+	})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rr.Code, rr.Body.String())
+	}
+	if reply.Count != 2 || reply.OK != 2 || reply.Salvaged != 1 || reply.Errors != 0 {
+		t.Fatalf("batch summary %+v, want count=2 ok=2 salvaged=1 errors=0", reply)
+	}
+	if it := reply.Items[0]; it.Status != http.StatusOK || it.Salvaged {
+		t.Errorf("clean part misreported: %+v", it)
+	}
+	if it := reply.Items[1]; it.Status != http.StatusOK || !it.Salvaged || it.SalvageError == "" ||
+		it.Width != 160 || it.RecoveredMCUs <= 0 || it.RecoveredMCUs >= it.TotalMCUs {
+		t.Errorf("truncated restart-interval part: %+v, want 200 salvaged 160 wide with 0 < recoveredMcus < totalMcus", it)
 	}
 }
 

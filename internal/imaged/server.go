@@ -1,8 +1,8 @@
 // Package imaged is the production image-decode edge service the
 // paper's gallery workload motivates (ROADMAP item 2): the
 // band-scheduler batch executor wrapped in the process-level robustness
-// an internet-facing decode tier needs. Where examples/webserver feeds
-// requests straight into the decoder, imaged adds:
+// an internet-facing decode tier needs. Beyond decoding each request
+// through Executor.Decode, imaged adds:
 //
 //   - admission control and backpressure: a bounded budget of pending
 //     requests AND pending body bytes; past it, requests are shed with
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -159,7 +158,6 @@ type Server struct {
 	cfg   Config
 	ex    *hetjpeg.BatchExecutor
 	gate  *gate
-	disp  *dispatcher
 	cache *rescache.Cache // nil when CacheBytes < 0: every request decodes
 	log   *log.Logger
 
@@ -203,7 +201,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		ex:      ex,
 		gate:    newGate(cfg.MaxQueue, cfg.MaxQueueBytes, cfg.DegradeWatermark, cfg.OverloadAfter),
-		disp:    newDispatcher(ex),
 		cache:   rescache.New(cfg.CacheBytes),
 		log:     cfg.Log,
 		started: time.Now(),
@@ -228,8 +225,13 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close shuts the decode executor down and waits for its pipeline to
 // drain. Call it after the HTTP server's Shutdown returned, so no
-// handler can still submit.
-func (s *Server) Close() { s.disp.close() }
+// handler can still submit. Every decode went through Executor.Decode,
+// so the Results stream carries nothing; it only closes.
+func (s *Server) Close() {
+	s.ex.Close()
+	for range s.ex.Results() {
+	}
+}
 
 // Handler returns the service's routing tree wrapped in the recovery +
 // request-log middleware.
@@ -308,9 +310,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a JPEG body")
 		return
 	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, decodeReply{Error: "server is draining", Draining: true})
+	if s.refuseDraining(w) {
 		return
 	}
 	q := r.URL.Query()
@@ -340,11 +340,8 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	// Cache probe BEFORE admission: a resident result burns no queue
 	// budget and cannot be shed — repeat traffic stays fast even while
 	// the gate is rejecting fresh decode work.
-	bypass = bypass || s.cache == nil
 	key := rescache.KeyFor(data, scale, s.cfg.Salvage)
-	if bypass {
-		s.cache.NoteBypass()
-	} else if ent := s.cache.Get(key); ent != nil {
+	if ent := s.probe(key, bypass); ent != nil {
 		defer ent.Release()
 		reply, code := s.replyFor(ent.Result(), ent.Err(), "hit", scale, false, timeout)
 		reply.WallMs = float64(time.Since(start).Microseconds()) / 1000
@@ -356,13 +353,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	// lifetime, or shed with an honest Retry-After.
 	n := int64(len(data))
 	if !s.gate.admit(n) {
-		sec := s.retryAfterSec()
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		writeJSON(w, http.StatusTooManyRequests, decodeReply{
-			Error:         "admission queue full",
-			Shed:          true,
-			RetryAfterSec: sec,
-		})
+		writeJSON(w, http.StatusTooManyRequests, s.shed(w))
 		return
 	}
 	defer s.gate.release(n)
@@ -381,31 +372,8 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	var (
-		res       *hetjpeg.Result
-		decodeErr error
-		outcome   string
-	)
-	if bypass {
-		res, decodeErr = s.decodeOnce(ctx, data, scale)
-		if res != nil {
-			// Metadata only leaves the process; the pixel and coefficient
-			// slabs go back to the pool so sustained load stays
-			// allocation-flat.
-			defer res.Release()
-		}
-		outcome = "bypass"
-	} else {
-		ent, st, err := s.cache.Do(ctx, key, func() (*hetjpeg.Result, error) {
-			return s.decodeOnce(ctx, data, scale)
-		})
-		decodeErr = err
-		outcome = st.String()
-		if ent != nil {
-			res = ent.Result()
-			defer ent.Release()
-		}
-	}
+	res, outcome, release, decodeErr := s.decodeStep(ctx, data, scale, key, bypass)
+	defer release()
 
 	reply, code := s.replyFor(res, decodeErr, outcome, scale, degraded, timeout)
 	reply.WallMs = float64(time.Since(start).Microseconds()) / 1000
@@ -424,13 +392,68 @@ func cacheModeFromQuery(v string) (bypass bool, err error) {
 	return false, fmt.Errorf("unknown cache mode %q (want bypass)", v)
 }
 
-// decodeOnce runs one decode through the dispatcher and, when pixels
+// refuseDraining answers 503 when the server is draining and reports
+// whether it did; every decode path calls it before reading the body.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.writeDecodeReply(w, http.StatusServiceUnavailable, decodeReply{Error: "server is draining", Draining: true})
+	return true
+}
+
+// shed prices a refused admission from the calibrated rates, sets the
+// Retry-After header and returns the 429 body.
+func (s *Server) shed(w http.ResponseWriter) decodeReply {
+	sec := s.retryAfterSec()
+	w.Header().Set("Retry-After", strconv.Itoa(sec))
+	return decodeReply{Error: "admission queue full", Shed: true, RetryAfterSec: sec}
+}
+
+// probe is the pre-admission half of the decode step: the resident
+// entry for key, or nil when the request must decode. A bypassing
+// request (?cache=bypass, or caching disabled) is counted and never
+// probes.
+func (s *Server) probe(key rescache.Key, bypass bool) *rescache.Entry {
+	if bypass || s.cache == nil {
+		s.cache.NoteBypass()
+		return nil
+	}
+	return s.cache.Get(key)
+}
+
+// decodeStep is the admitted half of the decode step: a bypassing
+// request (as in probe) decodes directly, any other goes through the cache's
+// singleflight and leaves its result resident. It returns the result
+// (nil on failure), the X-Hetjpeg-Cache outcome, the release that
+// hands the buffers back once the caller is done with res, and the
+// decode error (set beside res when salvaged). Metadata leaves the
+// process; the pixel and coefficient slabs go back to the pool so
+// sustained load stays allocation-flat.
+func (s *Server) decodeStep(ctx context.Context, data []byte, scale hetjpeg.Scale, key rescache.Key, bypass bool) (*hetjpeg.Result, string, func(), error) {
+	if bypass || s.cache == nil {
+		res, err := s.decodeOnce(ctx, data, scale)
+		if res == nil {
+			return nil, "bypass", func() {}, err
+		}
+		return res, "bypass", res.Release, err
+	}
+	ent, st, err := s.cache.Do(ctx, key, func() (*hetjpeg.Result, error) {
+		return s.decodeOnce(ctx, data, scale)
+	})
+	if ent == nil {
+		return nil, st.String(), func() {}, err
+	}
+	return ent.Result(), st.String(), ent.Release, err
+}
+
+// decodeOnce runs one decode through the executor and, when pixels
 // came back, the per-scale latency histogram. The contract mirrors the
 // batch API: result and error may BOTH be set (salvage); a nil result
 // is a true failure classified by the error.
 func (s *Server) decodeOnce(ctx context.Context, data []byte, scale hetjpeg.Scale) (*hetjpeg.Result, error) {
 	t0 := time.Now()
-	ir, err := s.disp.decode(ctx, data, scale)
+	ir, err := s.ex.Decode(ctx, data, scale)
 	if err != nil {
 		// Submission never happened: deadline hit while queued for
 		// admission into the scheduler, or the executor closed under us.
@@ -554,30 +577,8 @@ func readJPEGBody(w http.ResponseWriter, r *http.Request, maxBody int64) (data [
 }
 
 func (s *Server) retryAfterSec() int {
-	return retryAfterSecondsMixed(s.gate.pendingByteCount(), s.transBytes.Load(),
+	return retryAfterSeconds(s.gate.pendingByteCount(), s.transBytes.Load(),
 		s.ex.QueueStats(), s.cfg.Workers, s.encRates.Max())
-}
-
-// retryAfterSeconds prices a 429's Retry-After from the scheduler's
-// calibrated rates: pending admitted bytes → MCUs (bytes/MCU EWMA) →
-// nanoseconds (entropy + back-phase ns/MCU, spread across the workers),
-// rounded up to whole seconds and clamped to [1s, 60s]. Uncalibrated
-// (cold) servers answer 1s.
-func retryAfterSeconds(pendingBytes int64, st hetjpeg.BatchQueueStats, workers int) int {
-	perMCU := st.EntropyNsPerMCU + st.BackNsPerMCU
-	if st.BytesPerMCU <= 0 || perMCU <= 0 {
-		return 1
-	}
-	mcus := float64(pendingBytes) / st.BytesPerMCU
-	ns := mcus * perMCU / float64(workers)
-	sec := int(math.Ceil(ns / 1e9))
-	if sec < 1 {
-		sec = 1
-	}
-	if sec > 60 {
-		sec = 60
-	}
-	return sec
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -75,9 +75,7 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a JPEG body")
 		return
 	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, decodeReply{Error: "server is draining", Draining: true})
+	if s.refuseDraining(w) {
 		return
 	}
 	topts, timeout, bypass, err := s.transcodeParams(r.URL.Query())
@@ -94,28 +92,15 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 	// Probe the decoded-output cache before admission: a resident decode
 	// skips the whole decode stage. Unlike /decode, a hit still passes
 	// admission — the re-encode is real work the gate must budget.
-	bypass = bypass || s.cache == nil
 	key := rescache.KeyFor(data, topts.Scale, s.cfg.Salvage)
-	outcome := "bypass"
-	var ent *rescache.Entry
-	if bypass {
-		s.cache.NoteBypass()
-	} else if ent = s.cache.Get(key); ent != nil {
-		outcome = "hit"
-	}
+	ent := s.probe(key, bypass)
 
 	n := int64(len(data))
 	if !s.gate.admit(n) {
 		if ent != nil {
 			ent.Release()
 		}
-		sec := s.retryAfterSec()
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		writeJSON(w, http.StatusTooManyRequests, decodeReply{
-			Error:         "admission queue full",
-			Shed:          true,
-			RetryAfterSec: sec,
-		})
+		writeJSON(w, http.StatusTooManyRequests, s.shed(w))
 		return
 	}
 	defer s.gate.release(n)
@@ -129,29 +114,17 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 
 	var (
 		res       *hetjpeg.Result
+		outcome   string
+		release   func()
 		decodeErr error
 	)
 	t0 := time.Now()
-	switch {
-	case ent != nil:
-		res, decodeErr = ent.Result(), ent.Err()
-		defer ent.Release()
-	case bypass:
-		res, decodeErr = s.decodeOnce(ctx, data, topts.Scale)
-		if res != nil {
-			defer res.Release()
-		}
-	default:
-		e, st, err := s.cache.Do(ctx, key, func() (*hetjpeg.Result, error) {
-			return s.decodeOnce(ctx, data, topts.Scale)
-		})
-		decodeErr = err
-		outcome = st.String()
-		if e != nil {
-			res = e.Result()
-			defer e.Release()
-		}
+	if ent != nil {
+		res, outcome, release, decodeErr = ent.Result(), "hit", ent.Release, ent.Err()
+	} else {
+		res, outcome, release, decodeErr = s.decodeStep(ctx, data, topts.Scale, key, bypass)
 	}
+	defer release()
 	decNs := time.Since(t0).Nanoseconds()
 
 	if res == nil {
@@ -185,14 +158,16 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(tr.Data)
 }
 
-// retryAfterSecondsMixed extends retryAfterSeconds with the transcode
-// backlog: every pending byte owes a decode, and the transcode subset
-// additionally owes a re-encode at the learned encode ns/MCU (both
-// backlogs mapped through the same input bytes/MCU calibration — the
-// output MCU count is unknown until each decode runs, so the input
-// geometry stands in for it). Same [1s, 60s] clamp; cold servers
-// answer 1s.
-func retryAfterSecondsMixed(pendingBytes, transcodeBytes int64, st hetjpeg.BatchQueueStats, workers int, encNsPerMCU float64) int {
+// retryAfterSeconds prices a 429's Retry-After from the scheduler's
+// calibrated rates: every pending admitted byte owes a decode — bytes
+// → MCUs (bytes/MCU EWMA) → nanoseconds (entropy + back-phase ns/MCU)
+// — and the transcode subset additionally owes a re-encode at the
+// learned encode ns/MCU (both backlogs mapped through the same input
+// bytes/MCU calibration: the output MCU count is unknown until each
+// decode runs, so the input geometry stands in for it). The total is
+// spread across the workers, rounded up to whole seconds and clamped
+// to [1s, 60s]; uncalibrated (cold) servers answer 1s.
+func retryAfterSeconds(pendingBytes, transcodeBytes int64, st hetjpeg.BatchQueueStats, workers int, encNsPerMCU float64) int {
 	if st.BytesPerMCU <= 0 {
 		return 1
 	}

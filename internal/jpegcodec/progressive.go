@@ -16,7 +16,7 @@ import (
 // decoder fills in one pass. The back phase (dequant+IDCT, upsampling,
 // color conversion) is completely unchanged: once the last scan lands,
 // a progressive Frame is indistinguishable from a baseline one, so every
-// execution mode and both batch schedulers run progressive images
+// execution mode and the batch scheduler run progressive images
 // through the very same BandPlan machinery and produce identical pixels.
 //
 // Sparsity bookkeeping rides along: Frame.NZ starts at 1 (DC-only) and

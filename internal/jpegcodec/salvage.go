@@ -18,7 +18,7 @@ import (
 // SalvageReport so the caller gets a partial image *and* a precise
 // account of what is missing, instead of nothing.
 //
-// Because every execution mode and both batch schedulers consume the
+// Because every execution mode and the batch scheduler consume the
 // coefficient state this one sequential decoder produces, salvage
 // decisions made here yield byte-identical pixels everywhere; the
 // fault-injection conformance harness asserts it.

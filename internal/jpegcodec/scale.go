@@ -57,7 +57,7 @@ func (s Scale) String() string {
 // ParseScale maps a scale name to its Scale; ok is false for unknown
 // names. Accepted spellings are the fractions "1", "1/2", "1/4", "1/8"
 // and the bare denominators "2", "4", "8"; the empty string parses as
-// full size. Frontends (CLI flag, webserver query parameter) parse with
+// full size. Frontends (CLI flag, imaged query parameter) parse with
 // this so the name set has one authoritative site.
 func ParseScale(name string) (Scale, bool) {
 	switch name {

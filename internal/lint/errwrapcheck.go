@@ -9,7 +9,7 @@ import (
 
 // ErrWrapCheck guards the typed-sentinel contract: ErrUnsupported,
 // ErrUnsupportedScale and ErrPartialData must survive errors.Is through
-// every layer (jpegcodec → core → batch → webserver; ErrPartialData
+// every layer (jpegcodec → core → batch → imaged; ErrPartialData
 // additionally rides *alongside* a usable result on the salvage path,
 // where losing the sentinel would turn "degraded but displayable" into
 // "corrupt"), so an error value may only be folded into a new error

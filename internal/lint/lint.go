@@ -10,7 +10,7 @@
 //   - errwrapcheck: errors crossing package boundaries wrap the typed
 //     sentinels (ErrUnsupported, ErrUnsupportedScale) with %w — never a
 //     re-stringifying %v/%s or err.Error() — so errors.Is keeps working
-//     through the batch and webserver layers.
+//     through the batch and imaged layers.
 //   - ctxloopcheck: a function that accepts a context.Context and loops
 //     over data-sized work (MCU rows, bands, scans, images) must poll
 //     ctx inside the loop or pass it to a callee, the cancellation

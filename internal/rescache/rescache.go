@@ -215,7 +215,10 @@ func (c *Cache) Get(k Key) *Entry {
 // to the cache and every waiter. On success the returned entry is
 // retained for the caller (Release when done) and err replays the
 // decode's salvage error if any. A failed decode (nil result) is not
-// cached; the leader's error is shared with all waiters.
+// cached; the leader's error is shared with all waiters — except a
+// cancellation or deadline, which belongs to the leader's request, not
+// to the image: a waiter whose own ctx is still live starts over,
+// leading a new flight or joining one (and is counted again).
 //
 // A waiter whose ctx expires before the leader finishes gets ctx's
 // error; the flight itself is never cancelled by a waiter.
@@ -233,19 +236,30 @@ func (c *Cache) Do(ctx context.Context, k Key, decode func() (*core.Result, erro
 	}
 
 	c.mu.Lock()
-	if ent := c.entries[k]; ent != nil {
-		c.hits++
-		ent.refs++
-		c.ll.MoveToFront(ent.elem)
-		c.mu.Unlock()
-		return ent, Hit, ent.err
-	}
-	if f := c.flights[k]; f != nil {
+	for {
+		if ent := c.entries[k]; ent != nil {
+			c.hits++
+			ent.refs++
+			c.ll.MoveToFront(ent.elem)
+			c.mu.Unlock()
+			return ent, Hit, ent.err
+		}
+		f := c.flights[k]
+		if f == nil {
+			break
+		}
 		f.waiters++
 		c.waits++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
+			if f.ent == nil && ctx.Err() == nil && isContextErr(f.err) {
+				// The leader's request ended, not the decode: retry
+				// under this caller's live ctx. Failed flights are never
+				// cached, so the retry cannot serve stale data.
+				c.mu.Lock()
+				continue
+			}
 			return f.ent, Wait, f.firstError()
 		case <-ctx.Done():
 			c.mu.Lock()
@@ -332,6 +346,11 @@ func (c *Cache) NoteBypass() {
 
 // firstError returns the error shared by a finished flight.
 func (f *flight) firstError() error { return f.err }
+
+// isContextErr reports whether err is a cancellation or deadline.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
 
 // evictOverBudgetLocked evicts least-recently-used entries until the
 // budget holds, never evicting keep (the entry just inserted: a result

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"hetjpeg/internal/core"
 	"hetjpeg/internal/jpegcodec"
@@ -192,6 +193,71 @@ func TestFailedDecodeIsNotCached(t *testing.T) {
 		t.Errorf("retry after failure status = %v, want Miss", st2)
 	}
 	ent2.Release()
+}
+
+// TestLeaderDeadlineDoesNotFailWaiters pins that a flight ended by its
+// leader's own deadline is not a failure of the image: a waiter whose
+// ctx is still live starts over and decodes, while a real decode error
+// is still shared with every waiter.
+func TestLeaderDeadlineDoesNotFailWaiters(t *testing.T) {
+	boom := errors.New("corrupt stream")
+	for _, tc := range []struct {
+		name    string
+		leadErr func(ctx context.Context) error
+		want    error // nil: the waiter must decode and succeed
+	}{
+		{"deadline", func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }, nil},
+		{"decode error", func(context.Context) error { return boom }, boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(1 << 20)
+			k := keyN(0, jpegcodec.Scale1, false)
+			lctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			defer cancel()
+			joined := make(chan struct{})
+			leaderDone := make(chan error, 1)
+			go func() {
+				_, _, err := c.Do(lctx, k, func() (*core.Result, error) {
+					<-joined
+					return nil, tc.leadErr(lctx)
+				})
+				leaderDone <- err
+			}()
+			waiterDone := make(chan struct{})
+			var (
+				ent *Entry
+				err error
+			)
+			go func() {
+				defer close(waiterDone)
+				// Join only once the leader's flight exists.
+				for c.Stats().Misses == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				ent, _, err = c.Do(context.Background(), k, func() (*core.Result, error) {
+					return fakeResult(8, 8), nil
+				})
+			}()
+			for c.Stats().Waits == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			close(joined)
+			<-waiterDone
+			if lerr := <-leaderDone; lerr == nil {
+				t.Fatal("leader succeeded, want its failure")
+			}
+			if tc.want == nil {
+				if err != nil || ent == nil {
+					t.Fatalf("waiter got (%v, %v), want a decoded entry: the leader's deadline failed it", ent, err)
+				}
+				ent.Release()
+				return
+			}
+			if ent != nil || !errors.Is(err, tc.want) {
+				t.Fatalf("waiter got (%v, %v), want the leader's %v", ent, err, tc.want)
+			}
+		})
+	}
 }
 
 // TestSalvagedErrorReplayed pins that a cached salvage-mode result

@@ -76,17 +76,12 @@ func (r *Rates) Calibrate() {
 }
 
 // Pipeline routes the decode stage of transcodes through a shared
-// batch executor — the work-stealing band scheduler (or the per-image
-// pool) decodes many in-flight inputs concurrently — and runs the
-// re-encode stage on the submitting goroutine. It is the batch mirror
-// of the one-shot Transcode and feeds the same Rates.
+// batch executor — the work-stealing band scheduler decodes many
+// in-flight inputs concurrently — and runs the re-encode stage on the
+// calling goroutine. It is the batch mirror of the one-shot Transcode
+// and feeds the same Rates.
 type Pipeline struct {
 	ex *batch.Executor
-
-	mu      sync.Mutex
-	next    int
-	waiters map[int]chan batch.ImageResult
-	done    chan struct{}
 
 	// Rates learns the ns/MCU encode cost per rate class from every
 	// transcode the pipeline completes.
@@ -100,34 +95,7 @@ func NewPipeline(opts batch.Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{
-		ex:      ex,
-		waiters: make(map[int]chan batch.ImageResult),
-		done:    make(chan struct{}),
-	}
-	go p.route()
-	return p, nil
-}
-
-// route fans the executor's completion-order results back out to the
-// per-call waiter channels (the dispatcher pattern from imaged). A
-// result without a waiter belongs to a call that already gave up on a
-// submission error; its buffers are recycled rather than leaked.
-func (p *Pipeline) route() {
-	defer close(p.done)
-	for ir := range p.ex.Results() {
-		p.mu.Lock()
-		ch := p.waiters[ir.Index]
-		delete(p.waiters, ir.Index)
-		p.mu.Unlock()
-		if ch == nil {
-			if ir.Res != nil {
-				ir.Res.Release()
-			}
-			continue
-		}
-		ch <- ir // buffered; routing never blocks on a caller
-	}
+	return &Pipeline{ex: ex}, nil
 }
 
 // Transcode decodes data at opts.Scale through the executor, then
@@ -138,20 +106,10 @@ func (p *Pipeline) Transcode(ctx context.Context, data []byte, opts Options) (*R
 		return nil, err
 	}
 	t0 := time.Now()
-
-	ch := make(chan batch.ImageResult, 1)
-	p.mu.Lock()
-	idx := p.next
-	p.next++
-	p.waiters[idx] = ch
-	p.mu.Unlock()
-	if err := p.ex.SubmitScaled(ctx, idx, data, opts.Scale); err != nil {
-		p.mu.Lock()
-		delete(p.waiters, idx)
-		p.mu.Unlock()
+	ir, err := p.ex.Decode(ctx, data, opts.Scale)
+	if err != nil {
 		return nil, err
 	}
-	ir := <-ch
 	if ir.Err != nil {
 		if ir.Res != nil {
 			ir.Res.Release()
@@ -169,9 +127,10 @@ func (p *Pipeline) Transcode(ctx context.Context, data []byte, opts Options) (*R
 	return res, nil
 }
 
-// Close shuts the executor down and waits for the routing loop to
-// drain. Call only once no Transcode call can still submit.
+// Close shuts the executor down and waits for it to drain. Call only
+// once no Transcode call can still submit.
 func (p *Pipeline) Close() {
 	p.ex.Close()
-	<-p.done
+	for range p.ex.Results() {
+	}
 }

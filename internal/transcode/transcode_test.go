@@ -189,17 +189,16 @@ func TestNaiveThumbnailMatchesGeometry(t *testing.T) {
 	}
 }
 
-func pipelineOptions(sched batch.Scheduler, workers int) batch.Options {
+func pipelineOptions(workers int) batch.Options {
 	return batch.Options{
-		Spec:      platform.ByName("GTX 560"),
-		Mode:      core.ModePipelinedGPU,
-		Workers:   workers,
-		Scheduler: sched,
+		Spec:    platform.ByName("GTX 560"),
+		Mode:    core.ModePipelinedGPU,
+		Workers: workers,
 	}
 }
 
 // TestPipelineMatchesOneShot pins the tentpole's cross-engine
-// guarantee: the batch pipeline (both schedulers) emits byte-identical
+// guarantee: the batch pipeline emits byte-identical
 // transcodes to the one-shot scalar path.
 func TestPipelineMatchesOneShot(t *testing.T) {
 	srcs := [][]byte{
@@ -215,32 +214,30 @@ func TestPipelineMatchesOneShot(t *testing.T) {
 		}
 		refs = append(refs, res.Data)
 	}
-	for _, sched := range []batch.Scheduler{batch.SchedulerBands, batch.SchedulerPerImage} {
-		p, err := NewPipeline(pipelineOptions(sched, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, src := range srcs {
-			res, err := p.Transcode(context.Background(), src, opts)
-			if err != nil {
-				t.Fatalf("scheduler %v image %d: %v", sched, i, err)
-			}
-			if !bytes.Equal(res.Data, refs[i]) {
-				t.Errorf("scheduler %v image %d: pipeline output differs from one-shot", sched, i)
-			}
-			if !res.FastPath {
-				t.Errorf("scheduler %v image %d: baseline 1/8 did not take the fast path", sched, i)
-			}
-		}
-		if p.Rates.Value(perfmodel.EncodeOptimized) <= 0 {
-			t.Errorf("scheduler %v: pipeline did not observe encode rates", sched)
-		}
-		p.Close()
+	p, err := NewPipeline(pipelineOptions(2))
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i, src := range srcs {
+		res, err := p.Transcode(context.Background(), src, opts)
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		if !bytes.Equal(res.Data, refs[i]) {
+			t.Errorf("image %d: pipeline output differs from one-shot", i)
+		}
+		if !res.FastPath {
+			t.Errorf("image %d: baseline 1/8 did not take the fast path", i)
+		}
+	}
+	if p.Rates.Value(perfmodel.EncodeOptimized) <= 0 {
+		t.Error("pipeline did not observe encode rates")
+	}
+	p.Close()
 }
 
 func TestPipelineErrorPaths(t *testing.T) {
-	p, err := NewPipeline(pipelineOptions(batch.SchedulerBands, 1))
+	p, err := NewPipeline(pipelineOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
