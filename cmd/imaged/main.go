@@ -31,7 +31,7 @@ func main() {
 	workers := flag.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "band scheduler in-flight image cap (0 = workers+2)")
 	salvage := flag.Bool("salvage", false, "serve corrupt-but-recoverable uploads as 200 + X-Hetjpeg-Salvaged")
-	maxBody := flag.Int64("max-body", 64<<20, "per-request body cap in bytes (413 past it)")
+	maxBody := flag.Int64("max-body", defaultMaxBody, "per-request body cap in bytes (413 past it)")
 	maxQueue := flag.Int("max-queue", 0, "admission cap on concurrently admitted requests (0 = 4×workers); 429 past it")
 	maxQueueBytes := flag.Int64("max-queue-bytes", 256<<20, "admission byte budget across admitted bodies; 429 past it")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "decoded-output cache budget in bytes (negative disables caching)")
@@ -74,7 +74,7 @@ func run(addr, platformName string, cfg imaged.Config, drainTimeout time.Duratio
 		return err
 	}
 
-	srv := newHTTPServer(addr, s.Handler())
+	srv := newHTTPServer(addr, s.Handler(), cfg.MaxBody)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("imaged: serving on %s (platform %s)", addr, cfg.Spec.Name)
@@ -102,22 +102,39 @@ func run(addr, platformName string, cfg imaged.Config, drainTimeout time.Duratio
 }
 
 // Connection limits, fixed rather than flags. A client that trickles
-// its request headers, or parks an idle keep-alive connection, is cut
-// off instead of holding a goroutine for free.
+// its request headers or body, or parks an idle keep-alive connection,
+// is cut off instead of holding a goroutine for free.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 	maxHeaderBytes    = 64 << 10
+	// minBodyRate is the slowest upload, in bytes per second, that still
+	// gets a body of the full -max-body size in before ReadTimeout.
+	minBodyRate = 1 << 20
+	// defaultMaxBody is -max-body's default, which is also what the
+	// service applies when the flag is not positive.
+	defaultMaxBody = 64 << 20
 )
 
 // newHTTPServer builds the listener-side server with the connection
-// limits above.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
+// limits above; maxBody sizes the whole-request read timeout.
+func newHTTPServer(addr string, h http.Handler, maxBody int64) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout(maxBody),
 		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    maxHeaderBytes,
 	}
+}
+
+// readTimeout bounds the read of one whole request: the header
+// allowance plus a maxBody body at minBodyRate (74 s at the 64 MiB
+// default).
+func readTimeout(maxBody int64) time.Duration {
+	if maxBody <= 0 {
+		maxBody = defaultMaxBody
+	}
+	return readHeaderTimeout + time.Duration(float64(maxBody)/minBodyRate*float64(time.Second))
 }

@@ -187,8 +187,8 @@ func trainedModel(t *testing.T) *perfmodel.Model {
 }
 
 // TestConformanceModesIdentical decodes every corpus file under all six
-// execution modes (several CPU worker counts for the CPU-tile modes)
-// and asserts the RGB output is byte-identical to the scalar reference.
+// execution modes, and through the multi-worker scalar back phase, and
+// asserts the RGB output is byte-identical to the scalar reference.
 func TestConformanceModesIdentical(t *testing.T) {
 	m := trainedModel(t)
 	for _, it := range corpus(t) {
@@ -197,27 +197,43 @@ func TestConformanceModesIdentical(t *testing.T) {
 			_, ref := decodeFrames(t, it)
 			defer ref.Release()
 			for _, mode := range core.AllModes() {
-				for _, cw := range []int{0, 3} {
-					res, err := core.Decode(it.Data, core.Options{
-						Mode:       mode,
-						Spec:       conformSpec,
-						Model:      m,
-						CPUWorkers: cw,
-					})
-					if err != nil {
-						t.Fatalf("mode %v workers %d: %v", mode, cw, err)
-					}
-					if !bytes.Equal(res.Image.Pix, ref.Pix) {
-						t.Errorf("mode %v workers %d: pixels differ from scalar reference%s",
-							mode, cw, firstPixelDiff(res.Image, ref))
-					}
-					if res.Stats.EntropyScans > 1 != it.Progressive {
-						t.Errorf("mode %v: EntropyScans = %d, progressive = %v", mode, res.Stats.EntropyScans, it.Progressive)
-					}
-					res.Release()
+				res, err := core.Decode(it.Data, core.Options{
+					Mode:  mode,
+					Spec:  conformSpec,
+					Model: m,
+				})
+				if err != nil {
+					t.Fatalf("mode %v: %v", mode, err)
 				}
+				if !bytes.Equal(res.Image.Pix, ref.Pix) {
+					t.Errorf("mode %v: pixels differ from scalar reference%s",
+						mode, firstPixelDiff(res.Image, ref))
+				}
+				if res.Stats.EntropyScans > 1 != it.Progressive {
+					t.Errorf("mode %v: EntropyScans = %d, progressive = %v", mode, res.Stats.EntropyScans, it.Progressive)
+				}
+				res.Release()
 			}
+			checkScalarWorkers(t, it, jpegcodec.Scale1, ref)
 		})
+	}
+}
+
+// checkScalarWorkers asserts that the banded scalar back phase the
+// transcoder runs (jpegcodec.DecodeScalarWorkers) matches ref at one and
+// at several workers.
+func checkScalarWorkers(t *testing.T, it imagegen.Item, scale jpegcodec.Scale, ref *jpegcodec.RGBImage) {
+	t.Helper()
+	for _, w := range []int{1, 3} {
+		img, _, err := jpegcodec.DecodeScalarWorkers(it.Data, scale, w)
+		if err != nil {
+			t.Fatalf("scale %v workers %d: %v", scale, w, err)
+		}
+		if !bytes.Equal(img.Pix, ref.Pix) {
+			t.Errorf("scale %v workers %d: pixels differ from scalar reference%s",
+				scale, w, firstPixelDiff(img, ref))
+		}
+		img.Release()
 	}
 }
 

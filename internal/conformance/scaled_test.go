@@ -31,16 +31,14 @@ func scaledRef(t *testing.T, it imagegen.Item, scale jpegcodec.Scale) *jpegcodec
 }
 
 // TestConformanceScaledModesIdentical decodes every corpus file at
-// every scale under all six execution modes (and several CPU worker
-// counts) and asserts the RGB output is byte-identical to the scalar
-// scaled reference.
+// every scale under all six execution modes, and through the
+// multi-worker scalar back phase, and asserts the RGB output is
+// byte-identical to the scalar scaled reference.
 func TestConformanceScaledModesIdentical(t *testing.T) {
 	m := trainedModel(t)
 	scales := conformScales
-	workerCounts := []int{0, 3}
 	if testing.Short() {
 		scales = []jpegcodec.Scale{jpegcodec.Scale2, jpegcodec.Scale8}
-		workerCounts = []int{0}
 	}
 	for _, it := range corpus(t) {
 		it := it
@@ -48,27 +46,25 @@ func TestConformanceScaledModesIdentical(t *testing.T) {
 			for _, scale := range scales {
 				ref := scaledRef(t, it, scale)
 				for _, mode := range core.AllModes() {
-					for _, cw := range workerCounts {
-						res, err := core.Decode(it.Data, core.Options{
-							Mode:       mode,
-							Spec:       conformSpec,
-							Model:      m,
-							CPUWorkers: cw,
-							Scale:      scale,
-						})
-						if err != nil {
-							t.Fatalf("scale %v mode %v workers %d: %v", scale, mode, cw, err)
-						}
-						if !bytes.Equal(res.Image.Pix, ref.Pix) {
-							t.Errorf("scale %v mode %v workers %d: pixels differ from scalar scaled reference%s",
-								scale, mode, cw, firstPixelDiff(res.Image, ref))
-						}
-						if res.Stats.Scale != scale.Denominator() {
-							t.Errorf("scale %v mode %v: Stats.Scale = %d", scale, mode, res.Stats.Scale)
-						}
-						res.Release()
+					res, err := core.Decode(it.Data, core.Options{
+						Mode:  mode,
+						Spec:  conformSpec,
+						Model: m,
+						Scale: scale,
+					})
+					if err != nil {
+						t.Fatalf("scale %v mode %v: %v", scale, mode, err)
 					}
+					if !bytes.Equal(res.Image.Pix, ref.Pix) {
+						t.Errorf("scale %v mode %v: pixels differ from scalar scaled reference%s",
+							scale, mode, firstPixelDiff(res.Image, ref))
+					}
+					if res.Stats.Scale != scale.Denominator() {
+						t.Errorf("scale %v mode %v: Stats.Scale = %d", scale, mode, res.Stats.Scale)
+					}
+					res.Release()
 				}
+				checkScalarWorkers(t, it, scale, ref)
 				ref.Release()
 			}
 		})

@@ -90,17 +90,11 @@ type Options struct {
 	ChunkRows int
 	// SplitKernels disables the Section 4.4 kernel merging (ablation).
 	SplitKernels bool
-	// VirtualOnly skips the real pixel work and fills the timeline from
-	// the analytic cost plan (identical to executed costs; asserted by
-	// tests). The returned Image is zeroed. Large experiment sweeps use
-	// it to evaluate schedules cheaply.
+	// VirtualOnly skips the real pixel work. The timeline is the same
+	// as an executed decode's, since every mode prices its device work
+	// through kernels.CostPlan either way. The returned Image is zeroed.
+	// Large experiment sweeps use it to evaluate schedules cheaply.
 	VirtualOnly bool
-	// CPUWorkers sets the intra-image worker pool for the CPU parallel
-	// phase of the sequential/SIMD modes (the paper's CPU-side band
-	// decomposition). 0 or 1 runs the fused single-threaded pipeline;
-	// output is byte-identical either way. It affects host wall-clock
-	// only — the virtual timeline models the single-core schedule.
-	CPUWorkers int
 	// Scale selects decode-to-scale (1/2, 1/4, 1/8): the back phase
 	// reconstructs directly at the reduced resolution through scaled
 	// IDCT kernels, in every mode. The zero value decodes full size;
@@ -205,10 +199,10 @@ type decodeState struct {
 
 	// skipReal suppresses the real pixel work of the mode runners (an
 	// external band scheduler owns it) while still building the mode's
-	// exact virtual timeline and stats — the analytic cost plans are
-	// identical to executed costs (asserted by tests), so the result is
-	// indistinguishable from an executed decode except that out is
-	// filled by the external scheduler rather than the runner.
+	// exact virtual timeline and stats. Costs come from the cost plans
+	// on every path, so the result is indistinguishable from an executed
+	// decode except that out is filled by the external scheduler rather
+	// than the runner.
 	skipReal bool
 
 	rowCost []float64 // virtual huffman ns per MCU row
@@ -270,7 +264,7 @@ func regionBlocks(f *jpegcodec.Frame, m0, m1 int) int {
 // chunk's chroma samples, so it is deferred to the consumer of the
 // boundary (the next chunk or the CPU tile). Units are output rows
 // (MCUOutH per MCU row), so the rule holds at every decode scale.
-func gpuRowBound(f *jpegcodec.Frame, m int, isEnd bool) int {
+func gpuRowBound(f *jpegcodec.Frame, m int) int {
 	if m <= 0 {
 		return 0
 	}
@@ -281,7 +275,6 @@ func gpuRowBound(f *jpegcodec.Frame, m int, isEnd bool) int {
 	if f.Sub == jfif.Sub420 {
 		y--
 	}
-	_ = isEnd
 	if y > f.OutH {
 		y = f.OutH
 	}
@@ -298,7 +291,7 @@ func (st *decodeState) addHuffTasks(tl *sim.Timeline, m0, m1 int) *sim.Task {
 	return last
 }
 
-// addGPUChunkTasks appends dispatch (CPU) and the executed device records
+// addGPUChunkTasks appends dispatch (CPU) and the planned device records
 // (GPU queue) for one chunk. The first device record depends on the
 // dispatch.
 func (st *decodeState) addGPUChunkTasks(tl *sim.Timeline, ck *gpuChunk) {
@@ -317,12 +310,12 @@ type gpuChunk struct {
 	recs   []kernels.CostRecord
 }
 
-// runChunksOnDevice executes the chunks in order on the simulated device,
-// recording their cost records. It runs in a separate goroutine in the
-// partitioned modes so host wall-clock time also overlaps.
+// runChunksOnDevice executes the chunks in order on the simulated device.
+// It runs in a separate goroutine in the partitioned modes so host
+// wall-clock time also overlaps.
 func (st *decodeState) runChunksOnDevice(eng *kernels.Engine, chunks []*gpuChunk) {
 	for _, ck := range chunks {
-		ck.recs = eng.DecodeChunk(ck.m0, ck.m1, ck.y0, ck.y1, st.out)
+		eng.DecodeChunk(ck.m0, ck.m1, ck.y0, ck.y1, st.out)
 	}
 }
 
@@ -336,20 +329,20 @@ func (st *decodeState) makeChunks(s, c int, yEnd int) []*gpuChunk {
 		if m1 > s {
 			m1 = s
 		}
-		y0 := gpuRowBound(st.f, m0, false)
+		y0 := gpuRowBound(st.f, m0)
 		var y1 int
 		if m1 == s {
 			y1 = yEnd
 		} else {
-			y1 = gpuRowBound(st.f, m1, false)
+			y1 = gpuRowBound(st.f, m1)
 		}
 		chunks = append(chunks, &gpuChunk{m0: m0, m1: m1, y0: y0, y1: y1})
 	}
 	return chunks
 }
 
-// fillChunkPlans populates chunk cost records from the analytic plan
-// without executing kernels (VirtualOnly decodes).
+// fillChunkPlans prices every chunk through kernels.CostPlan, the one
+// device cost model, whether or not the kernels then execute.
 func (st *decodeState) fillChunkPlans(chunks []*gpuChunk) {
 	for _, ck := range chunks {
 		ck.recs = kernels.CostPlan(st.opts.Spec, st.f, ck.m0, ck.m1, ck.y0, ck.y1, !st.opts.SplitKernels)

@@ -17,12 +17,12 @@ import (
 // whole-image CPU parallel phase.
 func (st *decodeState) runCPUOnly(simd bool) error {
 	if !st.virtual() {
-		jpegcodec.ParallelPhaseScalarWorkers(st.f, 0, st.f.MCURows, st.out, st.opts.CPUWorkers)
+		jpegcodec.ParallelPhaseScalar(st.f, 0, st.f.MCURows, st.out)
 	}
 
 	tl := sim.New()
 	st.addHuffTasks(tl, 0, st.f.MCURows)
-	addWholeImageCPUTasks(tl, st.f, st.opts.Spec, simd)
+	st.newCPUTile(0).addTasks(tl, st.f, st.opts.Spec, simd)
 	st.res.Timeline = tl
 	st.res.Stats.CPUMCURows = st.f.MCURows
 	return nil
@@ -39,11 +39,9 @@ func (st *decodeState) runGPU(pipelined bool) error {
 	} else {
 		chunks = st.makeChunks(f.MCURows, f.MCURows, f.OutH)
 	}
-	if st.virtual() {
-		st.fillChunkPlans(chunks)
-	} else {
-		dev := gpusim.New(st.opts.Spec)
-		eng := kernels.NewEngine(dev, f, !st.opts.SplitKernels)
+	st.fillChunkPlans(chunks)
+	if !st.virtual() {
+		eng := kernels.NewEngine(gpusim.New(st.opts.Spec), f, !st.opts.SplitKernels)
 		st.runChunksOnDevice(eng, chunks)
 		eng.Release()
 	}
@@ -135,23 +133,21 @@ func (st *decodeState) runPartitioned(pps bool) error {
 	// first dispatch, so there is nothing mid-flight to correct.
 	var chunks []*gpuChunk
 	if pps {
-		chunks = st.makeChunks(s, st.chunkRows(), gpuRowBound(f, s, true))
+		chunks = st.makeChunks(s, st.chunkRows(), gpuRowBound(f, s))
 		if len(chunks) >= 2 && !st.progressive() {
 			s = st.repartition(in, sm, chunks, s)
-			chunks = st.makeChunks(s, st.chunkRows(), gpuRowBound(f, s, true))
+			chunks = st.makeChunks(s, st.chunkRows(), gpuRowBound(f, s))
 		}
 	} else {
-		chunks = st.makeChunks(s, s, gpuRowBound(f, s, true))
+		chunks = st.makeChunks(s, s, gpuRowBound(f, s))
 	}
 
 	tile := st.newCPUTile(s)
 
+	st.fillChunkPlans(chunks)
 	// Real execution: device chunks run concurrently with the CPU tile.
-	if st.virtual() {
-		st.fillChunkPlans(chunks)
-	} else {
-		dev := gpusim.New(st.opts.Spec)
-		eng := kernels.NewEngine(dev, f, !st.opts.SplitKernels)
+	if !st.virtual() {
+		eng := kernels.NewEngine(gpusim.New(st.opts.Spec), f, !st.opts.SplitKernels)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -208,11 +204,7 @@ func (st *decodeState) repartition(in partition.Inputs, sm *perfmodel.SubModel, 
 		if cpuNow > start {
 			start = cpuNow
 		}
-		var kns float64
-		for _, r := range kernels.CostPlan(spec, f, ck.m0, ck.m1, ck.y0, ck.y1, !st.opts.SplitKernels) {
-			kns += r.Ns
-		}
-		gpuEnd = start + kns
+		gpuEnd = start + kernels.TotalNs(kernels.CostPlan(spec, f, ck.m0, ck.m1, ck.y0, ck.y1, !st.opts.SplitKernels))
 	}
 	last := chunks[len(chunks)-1]
 	mLast0 := last.m0

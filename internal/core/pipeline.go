@@ -112,8 +112,8 @@ func (p *Prepared) EntropyDecode(ctx context.Context) error {
 // FinishVirtual builds the resolved mode's virtual timeline, statistics
 // and result without executing the back phase: the caller owns the real
 // pixel work (band tasks into Output). Timeline, stats and virtual
-// times are identical to an executing Decode of the same mode — the
-// analytic cost plans match executed kernel costs exactly.
+// times are identical to an executing Decode of the same mode: both
+// price the device work through kernels.CostPlan.
 func (p *Prepared) FinishVirtual() (*Result, error) { return p.finish(true) }
 
 func (p *Prepared) finish(skipReal bool) (*Result, error) {

@@ -37,7 +37,7 @@ func TestScaledModesIdenticalQuick(t *testing.T) {
 			for _, mode := range AllModes() {
 				name := fmt.Sprintf("%v-scale%v-%v", sub, scale, mode)
 				res, err := Decode(data, Options{
-					Mode: mode, Spec: spec, Model: model, Scale: scale, CPUWorkers: 3,
+					Mode: mode, Spec: spec, Model: model, Scale: scale,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -59,8 +59,8 @@ func TestScaledModesIdenticalQuick(t *testing.T) {
 }
 
 // TestScaledVirtualMatchesExecuted asserts a VirtualOnly scaled decode
-// produces the same virtual timeline totals as the executing decode —
-// the analytic scaled cost plans must match executed kernel costs.
+// produces the same virtual timeline totals as the executing decode:
+// skipping the pixel work must change no scaled cost plan.
 func TestScaledVirtualMatchesExecuted(t *testing.T) {
 	spec := platform.ByName("GT 430")
 	items, err := imagegen.SizeSweep(jfif.Sub420, 0.5, [][2]int{{200, 152}}, 29)

@@ -29,7 +29,7 @@ type cpuTile struct {
 
 // newCPUTile computes the tile for a split at MCU row s.
 func (st *decodeState) newCPUTile(s int) cpuTile {
-	return cpuTile{s: s, yStart: gpuRowBound(st.f, s, true)}
+	return cpuTile{s: s, yStart: gpuRowBound(st.f, s)}
 }
 
 // empty reports whether the CPU share is empty.
@@ -56,9 +56,10 @@ func (t cpuTile) exec(f *jpegcodec.Frame, out *jpegcodec.RGBImage) {
 	jpegcodec.ColorConvertRange(f, t.yStart, f.OutH, out)
 }
 
-// addTasks appends the tile's virtual stage costs (SIMD path) to the CPU
-// resource: IDCT, upsampling and color conversion as separate tasks so
-// breakdown figures can attribute them.
+// addTasks appends the tile's virtual stage costs to the CPU resource:
+// IDCT, upsampling and color conversion as separate tasks so breakdown
+// figures can attribute them. The tile at s = 0 is the whole image (the
+// sequential and SIMD modes).
 func (t cpuTile) addTasks(tl *sim.Timeline, f *jpegcodec.Frame, spec *platform.Spec, simd bool) {
 	if t.empty(f) {
 		return
@@ -72,24 +73,6 @@ func (t cpuTile) addTasks(tl *sim.Timeline, f *jpegcodec.Frame, spec *platform.S
 		blocks += f.Planes[0].BlocksPerRow + 2*f.Planes[1].BlocksPerRow
 	}
 	rows := f.OutH - t.yStart
-	pixels := rows * f.OutW
-	tl.Add(sim.ResCPU, sim.KindIDCT, "cpu idct", float64(blocks)*c.IDCTNsPerBlock*idctCostFactor(f))
-	if f.Sub == jfif.Sub422 || f.Sub == jfif.Sub420 {
-		tl.Add(sim.ResCPU, sim.KindUpsample, "cpu upsample", float64(pixels)*c.UpsampleNsPerPix)
-	}
-	tl.Add(sim.ResCPU, sim.KindColor, "cpu color",
-		float64(pixels)*(c.ColorNsPerPix+c.StoreNsPerPix)+float64(rows)*c.RowOverheadNsPerY)
-}
-
-// addWholeImageCPUTasks appends stage tasks for the full-image CPU
-// parallel phase (sequential and SIMD modes).
-func addWholeImageCPUTasks(tl *sim.Timeline, f *jpegcodec.Frame, spec *platform.Spec, simd bool) {
-	c := spec.CPUScalar
-	if simd {
-		c = spec.CPUSIMD
-	}
-	blocks := regionBlocks(f, 0, f.MCURows)
-	rows := f.OutH
 	pixels := rows * f.OutW
 	tl.Add(sim.ResCPU, sim.KindIDCT, "cpu idct", float64(blocks)*c.IDCTNsPerBlock*idctCostFactor(f))
 	if f.Sub == jfif.Sub422 || f.Sub == jfif.Sub420 {

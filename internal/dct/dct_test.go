@@ -172,56 +172,6 @@ func TestLinearityQuick(t *testing.T) {
 	}
 }
 
-func TestAANForwardMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	scales := AANScales()
-	for trial := 0; trial < 100; trial++ {
-		in := randBlock(rng)
-		var fin, want [BlockSize]float64
-		for i, v := range in {
-			fin[i] = float64(v)
-		}
-		ForwardRef(&fin, &want)
-		got := fin
-		ForwardAAN(&got)
-		for i := range got {
-			g := got[i] * scales[i]
-			if math.Abs(g-want[i]) > 0.01 {
-				t.Fatalf("trial %d coef %d: aan=%v ref=%v", trial, i, g, want[i])
-			}
-		}
-	}
-}
-
-func TestAANInverseMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	scales := AANInverseScales()
-	for trial := 0; trial < 100; trial++ {
-		samples := randBlock(rng)
-		var fin, coefF [BlockSize]float64
-		for i, v := range samples {
-			fin[i] = float64(v)
-		}
-		ForwardRef(&fin, &coefF)
-
-		var want [BlockSize]float64
-		InverseRef(&coefF, &want)
-
-		scaled := coefF
-		for i := range scaled {
-			scaled[i] *= scales[i]
-		}
-		var out [BlockSize]int32
-		InverseAANSamples(&scaled, &out)
-		for i := range out {
-			w := math.Max(0, math.Min(255, want[i]))
-			if math.Abs(float64(out[i])-w) > 1.0 {
-				t.Fatalf("trial %d sample %d: aan=%d ref=%v", trial, i, out[i], want[i])
-			}
-		}
-	}
-}
-
 func TestReferenceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := randBlock(rng)

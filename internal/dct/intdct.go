@@ -1,8 +1,8 @@
 // Package dct implements the 8x8 forward and inverse discrete cosine
 // transforms used by JPEG: an accurate integer implementation (the
 // "islow" algorithm, used as the canonical bit-exact path for every
-// decoder mode in this repository), a naive float reference for testing,
-// and float AAN variants for ablation studies.
+// decoder mode in this repository) and a naive float reference for
+// testing.
 package dct
 
 // BlockSize is the number of samples/coefficients in one JPEG block.

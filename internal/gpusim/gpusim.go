@@ -9,11 +9,11 @@
 //     goroutine pool. Every decoder mode therefore produces bit-exact
 //     pixels.
 //
-//   - Timing: each kernel and transfer reports a virtual-time cost
-//     derived from the calibrated platform model (arithmetic throughput,
-//     global-memory bandwidth, launch overhead, PCIe latency/bandwidth).
-//     Schedulers consume only these costs, reproducing the paper's
-//     performance landscape deterministically.
+//   - Timing: the device reports none. kernels.CostPlan prices every
+//     launch and transfer from the calibrated platform model (arithmetic
+//     throughput, global-memory bandwidth, launch overhead, PCIe
+//     latency/bandwidth), and schedulers consume only those costs,
+//     reproducing the paper's performance landscape deterministically.
 package gpusim
 
 import (
@@ -25,9 +25,6 @@ import (
 	"hetjpeg/internal/pool"
 )
 
-// WarpSize is the SIMT issue width (NVIDIA terminology, Section 4.1).
-const WarpSize = 32
-
 // Device is one simulated GPU.
 type Device struct {
 	Spec    *platform.Spec
@@ -35,8 +32,8 @@ type Device struct {
 }
 
 // New creates a device simulated with up to GOMAXPROCS host workers.
-// The worker count affects host wall-clock only; kernel results and
-// virtual costs are identical for any count.
+// The worker count affects host wall-clock only; kernel results are
+// identical for any count.
 func New(spec *platform.Spec) *Device {
 	return &Device{Spec: spec, workers: runtime.GOMAXPROCS(0)}
 }
@@ -91,9 +88,7 @@ func (b *ByteBuffer) Free() {
 
 // CopyInAt moves host coefficients (int32 in the whole-image buffer) into
 // a device buffer at element offset off, narrowing to int16 (the paper's
-// `short` device buffers). Transfer cost is accounted by the caller so
-// that multiple component copies of one chunk form a single logical
-// transfer.
+// `short` device buffers).
 func (d *Device) CopyInAt(dst *CoefBuffer, off int, src []int32) {
 	if off+len(src) > len(dst.Data) {
 		panic(fmt.Sprintf("gpusim: CopyInAt overflow (%d+%d into %d)", off, len(src), len(dst.Data)))
@@ -106,10 +101,9 @@ func (d *Device) CopyInAt(dst *CoefBuffer, off int, src []int32) {
 
 // CopyOutAt moves n device bytes starting at offset off back into the
 // host buffer at the same offset (device and host share the whole-image
-// layout) and returns the virtual transfer cost.
-func (d *Device) CopyOutAt(dst []byte, off int, src *ByteBuffer, n int) float64 {
+// layout).
+func (d *Device) CopyOutAt(dst []byte, off int, src *ByteBuffer, n int) {
 	copy(dst[off:off+n], src.Data[off:off+n])
-	return d.Spec.TransferNs(n)
 }
 
 // Group is the per-work-group execution context passed to kernel phases.
@@ -123,8 +117,8 @@ type Group struct {
 // separate phases, matching OpenCL barrier(CLK_LOCAL_MEM_FENCE) usage.
 type PhaseFunc func(g *Group, item int)
 
-// Kernel is a compiled ND-range launch: the work decomposition, the
-// lock-step phases, and the cost accounting the device charges for it.
+// Kernel is a compiled ND-range launch: the work decomposition and the
+// lock-step phases.
 type Kernel struct {
 	Name          string
 	Groups        int
@@ -132,28 +126,14 @@ type Kernel struct {
 	LocalInt32    int // local memory words per group
 
 	Phases []PhaseFunc
-
-	// Cost accounting, filled by the kernel author from the actual work:
-	Ops         float64 // total arithmetic operations
-	GlobalBytes float64 // total global memory traffic in bytes
-	// DivergentFraction is the fraction of warps suffering branch
-	// divergence (both sides executed); their op cost doubles.
-	DivergentFraction float64
 }
 
-// CostNs returns the virtual execution time of k on d, delegating to the
-// platform's shared kernel cost formula (also used by the analytic cost
-// plans, so executed and planned costs agree exactly).
-func (d *Device) CostNs(k *Kernel) float64 {
-	return d.Spec.KernelCostNs(k.Ops, k.GlobalBytes, k.Groups, k.LocalInt32, k.DivergentFraction)
-}
-
-// Run executes the kernel's work-groups concurrently and returns the
-// virtual cost. Execution is synchronous from the caller's perspective;
-// virtual-time asynchrony is modeled by the scheduler's timeline.
-func (d *Device) Run(k *Kernel) float64 {
+// Run executes the kernel's work-groups concurrently. Execution is
+// synchronous from the caller's perspective; virtual-time asynchrony is
+// modeled by the scheduler's timeline.
+func (d *Device) Run(k *Kernel) {
 	if k.Groups <= 0 || k.ItemsPerGroup <= 0 {
-		return d.Spec.GPU.LaunchNs
+		return
 	}
 	nw := d.workers
 	if nw > k.Groups {
@@ -168,7 +148,7 @@ func (d *Device) Run(k *Kernel) float64 {
 			}
 			runGroup(k, g)
 		}
-		return d.CostNs(k)
+		return
 	}
 	var wg sync.WaitGroup
 	next := make(chan int, nw)
@@ -191,7 +171,6 @@ func (d *Device) Run(k *Kernel) float64 {
 	}
 	close(next)
 	wg.Wait()
-	return d.CostNs(k)
 }
 
 func runGroup(k *Kernel, g *Group) {
@@ -200,10 +179,4 @@ func runGroup(k *Kernel, g *Group) {
 			phase(g, item)
 		}
 	}
-}
-
-// Warps returns the number of warps an ND-range occupies.
-func Warps(groups, itemsPerGroup int) int {
-	perGroup := (itemsPerGroup + WarpSize - 1) / WarpSize
-	return groups * perGroup
 }

@@ -19,7 +19,6 @@ func TestRunExecutesAllItems(t *testing.T) {
 		Phases: []PhaseFunc{func(g *Group, item int) {
 			atomic.AddInt64(&count, 1)
 		}},
-		Ops: 1,
 	}
 	d.Run(k)
 	if count != 13*7 {
@@ -48,7 +47,6 @@ func TestPhasesAreBarriered(t *testing.T) {
 				}
 			},
 		},
-		Ops: 1,
 	}
 	d.Run(k)
 	if bad != 0 {
@@ -72,32 +70,10 @@ func TestLocalMemoryZeroedPerGroup(t *testing.T) {
 			}
 			g.Local[0] = 42 // pollute for the next group on this worker
 		}},
-		Ops: 1,
 	}
 	d.Run(k)
 	if bad != 0 {
 		t.Fatalf("%d groups saw dirty local memory", bad)
-	}
-}
-
-func TestCostModelComponents(t *testing.T) {
-	d := dev()
-	g := d.Spec.GPU
-	k := &Kernel{Ops: 1e6, GlobalBytes: 1e6, Groups: 10, LocalInt32: 64}
-	want := g.LaunchNs + 10*g.GroupSchedNs + 1e6/g.EffOpsPerNs + 1e6/g.MemBWBytesNs
-	if got := d.CostNs(k); got != want {
-		t.Fatalf("cost %v want %v", got, want)
-	}
-	// Divergence doubles the affected fraction's op cost.
-	k2 := &Kernel{Ops: 1e6, DivergentFraction: 1}
-	if got := d.CostNs(k2); got != g.LaunchNs+2e6/g.EffOpsPerNs {
-		t.Fatalf("divergent cost %v", got)
-	}
-	// Local memory beyond the occupancy knee slows compute.
-	k3 := &Kernel{Ops: 1e6, Groups: 1, LocalInt32: 2 * g.MaxLocalInt32}
-	plain := &Kernel{Ops: 1e6, Groups: 1, LocalInt32: g.MaxLocalInt32}
-	if d.CostNs(k3) <= d.CostNs(plain) {
-		t.Fatal("occupancy penalty missing")
 	}
 }
 
@@ -113,10 +89,7 @@ func TestCopyInNarrowsAndCopyOut(t *testing.T) {
 		bb.Data[i] = byte(i)
 	}
 	host := make([]byte, 10)
-	ns := d.CopyOutAt(host, 3, bb, 5)
-	if ns <= 0 {
-		t.Fatal("transfer cost must be positive")
-	}
+	d.CopyOutAt(host, 3, bb, 5)
 	for i := 3; i < 8; i++ {
 		if host[i] != byte(i) {
 			t.Fatalf("host[%d]=%d", i, host[i])
@@ -124,21 +97,5 @@ func TestCopyInNarrowsAndCopyOut(t *testing.T) {
 	}
 	if host[0] != 0 || host[9] != 0 {
 		t.Fatal("CopyOutAt touched bytes outside its range")
-	}
-}
-
-func TestEmptyKernelChargesLaunchOnly(t *testing.T) {
-	d := dev()
-	if got := d.Run(&Kernel{}); got != d.Spec.GPU.LaunchNs {
-		t.Fatalf("empty kernel cost %v want launch %v", got, d.Spec.GPU.LaunchNs)
-	}
-}
-
-func TestWarps(t *testing.T) {
-	if w := Warps(4, 64); w != 8 {
-		t.Fatalf("Warps(4,64)=%d want 8", w)
-	}
-	if w := Warps(3, 33); w != 6 {
-		t.Fatalf("Warps(3,33)=%d want 6 (round up)", w)
 	}
 }

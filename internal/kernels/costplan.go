@@ -3,20 +3,58 @@ package kernels
 import (
 	"fmt"
 
+	"hetjpeg/internal/dct"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/platform"
 	"hetjpeg/internal/sim"
 )
 
-// CostPlan returns the virtual cost records DecodeChunk would produce for
-// MCU rows [m0, m1) with color-converted pixel rows [y0, y1) (pass -1 for
-// the chunk's natural rows), without executing any pixel work. The
-// performance model's offline profiler uses it to sweep thousands of
-// training images cheaply; a test asserts it stays identical to the
-// executed costs.
+// Operation cost constants (arithmetic ops per unit of work) of the
+// device cost model.
+const (
+	opsIDCTPerBlock   = 640.0 // 16 1-D passes + dequantization + stores
+	opsColorPerPix    = 12.0
+	opsUps422PerPix   = 5.0
+	opsUps420PerPix   = 8.0
+	opsAddressPerItem = 6.0
+)
+
+// opsIDCTScaledPerBlock returns the per-block cost of the scaled IDCT
+// kernel for a reconstruction of blockPix x blockPix samples, scaling
+// the full-size kernel cost by the arithmetic ratio of the scaled
+// transforms (shared with the CPU-side virtual cost model).
+func opsIDCTScaledPerBlock(blockPix int) float64 {
+	if blockPix >= 8 {
+		return opsIDCTPerBlock
+	}
+	return opsIDCTPerBlock * dct.ScaledOpsPerBlock(blockPix) / dct.ScaledOpsPerBlock(8)
+}
+
+// CostRecord reports one device-side operation's virtual time.
+type CostRecord struct {
+	Kind  sim.Kind
+	Label string
+	Ns    float64
+}
+
+// TotalNs sums a cost-record list.
+func TotalNs(recs []CostRecord) float64 {
+	var s float64
+	for _, r := range recs {
+		s += r.Ns
+	}
+	return s
+}
+
+// CostPlan prices Engine.DecodeChunk for MCU rows [m0, m1) with
+// color-converted pixel rows [y0, y1) (pass -1 for the chunk's natural
+// rows): the host-to-device transfer, each kernel launch of the frame's
+// plan and the device-to-host readback, in order. It reads only the
+// frame's geometry, so executed and virtual-only decodes, the schedulers
+// and the performance model's offline profiler all see the same costs.
 func CostPlan(spec *platform.Spec, f *jpegcodec.Frame, m0, m1, y0, y1 int, merged bool) []CostRecord {
-	dev := dryDevice{spec}
+	dev := pricer{spec}
 	var recs []CostRecord
 	r0, r1 := f.PixelRows(m0, m1)
 	if y0 < 0 {
@@ -55,15 +93,15 @@ func CostPlan(spec *platform.Spec, f *jpegcodec.Frame, m0, m1, y0, y1 int, merge
 	return recs
 }
 
-// dryDevice wraps cost-only versions of the kernel geometry math so that
-// CostPlan and the executing Engine share formulas via costOf.
-type dryDevice struct{ spec *platform.Spec }
+// pricer restates each kernel's launch geometry and work and prices it
+// through the platform's kernel cost formula.
+type pricer struct{ spec *platform.Spec }
 
-func (d dryDevice) costOf(ops, bytes float64, groups, localInt32 int) float64 {
-	return d.spec.KernelCostNs(ops, bytes, groups, localInt32, 0)
+func (d pricer) costOf(ops, bytes float64, groups, localInt32 int) float64 {
+	return d.spec.KernelCostNs(ops, bytes, groups, localInt32)
 }
 
-func (d dryDevice) idctCost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
+func (d pricer) idctCost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	nBlocks := 0
 	for _, p := range f.Planes {
 		nBlocks += (m1 - m0) * p.V * p.BlocksPerRow
@@ -81,7 +119,7 @@ func (d dryDevice) idctCost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	return CostRecord{sim.KindIDCT, fmt.Sprintf("idct[%d,%d)x%d", m0, m1, nBlocks), d.costOf(ops, bytes, groups, gb*64)}
 }
 
-func (d dryDevice) merged444Cost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
+func (d pricer) merged444Cost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	p := f.Planes[0]
 	nBlocks := (m1 - m0) * p.V * p.BlocksPerRow
 	gb := d.spec.WorkGroupBlocks
@@ -99,7 +137,7 @@ func (d dryDevice) merged444Cost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	return CostRecord{sim.KindMergedKernel, fmt.Sprintf("merged444[%d,%d)", m0, m1), d.costOf(ops, bytes, groups, gb*192)}
 }
 
-func (d dryDevice) upsampleColorCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
+func (d pricer) upsampleColorCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
 		return CostRecord{sim.KindMergedKernel, "upsample_color(empty)", d.spec.GPU.LaunchNs}
@@ -118,7 +156,7 @@ func (d dryDevice) upsampleColorCost(f *jpegcodec.Frame, r0, r1 int) CostRecord 
 	return CostRecord{sim.KindMergedKernel, fmt.Sprintf("upsample_color[%d,%d)", r0, r1), d.costOf(ops, bytes, groups, 0)}
 }
 
-func (d dryDevice) color444Cost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
+func (d pricer) color444Cost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
 		return CostRecord{sim.KindColor, "color(empty)", d.spec.GPU.LaunchNs}
@@ -131,7 +169,7 @@ func (d dryDevice) color444Cost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	return CostRecord{sim.KindColor, fmt.Sprintf("color444[%d,%d)", r0, r1), d.costOf(ops, float64(pixels)*6, groups, 0)}
 }
 
-func (d dryDevice) upsampleCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
+func (d pricer) upsampleCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
 		return CostRecord{sim.KindUpsample, "upsample(empty)", d.spec.GPU.LaunchNs}
@@ -149,7 +187,7 @@ func (d dryDevice) upsampleCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	return CostRecord{sim.KindUpsample, fmt.Sprintf("upsample[%d,%d)", r0, r1), d.costOf(ops, float64(outSamples)*1.5, groups, 0)}
 }
 
-func (d dryDevice) colorUpsCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
+func (d pricer) colorUpsCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
 		return CostRecord{sim.KindColor, "color(empty)", d.spec.GPU.LaunchNs}
@@ -162,7 +200,7 @@ func (d dryDevice) colorUpsCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	return CostRecord{sim.KindColor, fmt.Sprintf("color_ups[%d,%d)", r0, r1), d.costOf(ops, float64(pixels)*6, groups, 0)}
 }
 
-func (d dryDevice) grayCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
+func (d pricer) grayCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
 		return CostRecord{sim.KindColor, "gray(empty)", d.spec.GPU.LaunchNs}

@@ -4,48 +4,21 @@
 // upsampling kernel, the color-conversion kernel, and the merged kernels
 // of Section 4.4 (IDCT+color for 4:4:4, upsampling+color for 4:2:2 and
 // the 4:2:0 extension). An Engine owns the device-resident buffers for
-// one frame and decodes chunks of MCU rows, returning the virtual cost of
-// every operation.
+// one frame and decodes chunks of MCU rows into pixels.
+//
+// This file executes the kernels; costplan.go prices them. CostPlan is
+// the only device cost model: it restates each launch's geometry and
+// work from the frame alone, so virtual time never depends on whether
+// the kernels ran.
 package kernels
 
 import (
-	"fmt"
-
 	"hetjpeg/internal/color"
 	"hetjpeg/internal/dct"
 	"hetjpeg/internal/gpusim"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
-	"hetjpeg/internal/sim"
 )
-
-// Operation cost constants (arithmetic ops per unit of work), used by the
-// device cost model.
-const (
-	opsIDCTPerBlock   = 640.0 // 16 1-D passes + dequantization + stores
-	opsColorPerPix    = 12.0
-	opsUps422PerPix   = 5.0
-	opsUps420PerPix   = 8.0
-	opsAddressPerItem = 6.0
-)
-
-// opsIDCTScaledPerBlock returns the per-block cost of the scaled IDCT
-// kernel for a reconstruction of blockPix x blockPix samples, scaling
-// the full-size kernel cost by the arithmetic ratio of the scaled
-// transforms (shared with the CPU-side virtual cost model).
-func opsIDCTScaledPerBlock(blockPix int) float64 {
-	if blockPix >= 8 {
-		return opsIDCTPerBlock
-	}
-	return opsIDCTPerBlock * dct.ScaledOpsPerBlock(blockPix) / dct.ScaledOpsPerBlock(8)
-}
-
-// CostRecord reports one device-side operation's virtual time.
-type CostRecord struct {
-	Kind  sim.Kind
-	Label string
-	Ns    float64
-}
 
 // Engine drives the GPU parallel phase for one frame. Device buffers are
 // whole-image sized (the Section 3 re-engineering) so chunked transfers
@@ -119,9 +92,8 @@ func (e *Engine) Release() {
 // row needs chroma samples from the next chunk's first block row: the
 // boundary output row is deferred to the later chunk (or to the CPU
 // partition), which by then has all its inputs resident.
-func (e *Engine) DecodeChunk(m0, m1, y0, y1 int, out *jpegcodec.RGBImage) []CostRecord {
+func (e *Engine) DecodeChunk(m0, m1, y0, y1 int, out *jpegcodec.RGBImage) {
 	f := e.F
-	var recs []CostRecord
 	r0, r1 := f.PixelRows(m0, m1)
 	if y0 < 0 {
 		y0 = r0
@@ -130,34 +102,30 @@ func (e *Engine) DecodeChunk(m0, m1, y0, y1 int, out *jpegcodec.RGBImage) []Cost
 		y1 = r1
 	}
 
-	// Host -> device: one logical transfer for the chunk's coefficient
-	// data across all components (the Y|Cb|Cr buffer layout of Section 4).
-	bytes := 0
+	// Host -> device: the chunk's coefficient data across all components
+	// (the Y|Cb|Cr buffer layout of Section 4).
 	for c, p := range f.Planes {
-		src := f.CoeffRows(c, m0, m1)
 		off := m0 * p.V * p.BlocksPerRow * e.stride
-		e.Dev.CopyInAt(e.coef[c], off, src)
-		bytes += len(src) * 2
+		e.Dev.CopyInAt(e.coef[c], off, f.CoeffRows(c, m0, m1))
 	}
-	recs = append(recs, CostRecord{sim.KindHostToDevice, fmt.Sprintf("h2d[%d,%d)", m0, m1), e.Dev.Spec.TransferNs(bytes)})
 
 	// Kernel plan.
 	switch {
 	case f.Sub == jfif.SubGray:
-		recs = append(recs, e.runIDCT(m0, m1))
-		recs = append(recs, e.runGrayColor(y0, y1))
+		e.runIDCT(m0, m1)
+		e.runGrayColor(y0, y1)
 	case f.Sub == jfif.Sub444 && e.Merged:
-		recs = append(recs, e.runMerged444(m0, m1))
+		e.runMerged444(m0, m1)
 	case f.Sub == jfif.Sub444:
-		recs = append(recs, e.runIDCT(m0, m1))
-		recs = append(recs, e.runColor444(y0, y1))
+		e.runIDCT(m0, m1)
+		e.runColor444(y0, y1)
 	case e.Merged:
-		recs = append(recs, e.runIDCT(m0, m1))
-		recs = append(recs, e.runUpsampleColor(y0, y1))
+		e.runIDCT(m0, m1)
+		e.runUpsampleColor(y0, y1)
 	default:
-		recs = append(recs, e.runIDCT(m0, m1))
-		recs = append(recs, e.runUpsample(y0, y1))
-		recs = append(recs, e.runColorFromUpsampled(y0, y1))
+		e.runIDCT(m0, m1)
+		e.runUpsample(y0, y1)
+		e.runColorFromUpsampled(y0, y1)
 	}
 
 	// Device -> host readback of finished rows (output-scale geometry).
@@ -166,9 +134,7 @@ func (e *Engine) DecodeChunk(m0, m1, y0, y1 int, out *jpegcodec.RGBImage) []Cost
 	if n < 0 {
 		n = 0
 	}
-	ns := e.Dev.CopyOutAt(out.Pix, y0*w*3, e.rgb, n)
-	recs = append(recs, CostRecord{sim.KindDeviceToHost, fmt.Sprintf("d2h[%d,%d)", y0, y1), ns})
-	return recs
+	e.Dev.CopyOutAt(out.Pix, y0*w*3, e.rgb, n)
 }
 
 // blockRef locates one block inside the per-component device buffers.
@@ -210,10 +176,11 @@ func (ix *blockIndex) at(bi int) blockRef {
 // runIDCT launches the Section 4.1 IDCT kernel over every block of every
 // component in MCU rows [m0, m1) (single launch, Y|Cb|Cr buffer order).
 // Scaled decodes dispatch the reduced-resolution kernel instead.
-func (e *Engine) runIDCT(m0, m1 int) CostRecord {
+func (e *Engine) runIDCT(m0, m1 int) {
 	f := e.F
 	if f.BlockPixels() < 8 {
-		return e.runIDCTScaled(m0, m1)
+		e.runIDCTScaled(m0, m1)
+		return
 	}
 	ix := newBlockIndex(f, m0, m1)
 	nBlocks := ix.n
@@ -255,17 +222,13 @@ func (e *Engine) runIDCT(m0, m1 int) CostRecord {
 		dct.InverseIntRowBytes(local, row, e.samples[r.comp].Data[base:base+8:base+8])
 	}
 
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "idct",
 		Groups:        groups,
 		ItemsPerGroup: groupBlocks * 8,
 		LocalInt32:    groupBlocks * 64,
 		Phases:        []gpusim.PhaseFunc{colPass, rowPass},
-		Ops:           float64(nBlocks)*opsIDCTPerBlock + float64(groups*groupBlocks*8)*opsAddressPerItem,
-		GlobalBytes:   float64(nBlocks) * (128 + 64), // coef in (int16), samples out
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindIDCT, fmt.Sprintf("idct[%d,%d)x%d", m0, m1, nBlocks), ns}
+	})
 }
 
 // runIDCTScaled is the decode-to-scale IDCT kernel: a scaled block is
@@ -274,7 +237,7 @@ func (e *Engine) runIDCT(m0, m1 int) CostRecord {
 // use), writing BlockPix x BlockPix clamped samples through the same
 // dct scaled kernels as the CPU path — output stays byte-identical. No
 // local memory or phase barrier is needed.
-func (e *Engine) runIDCTScaled(m0, m1 int) CostRecord {
+func (e *Engine) runIDCTScaled(m0, m1 int) {
 	f := e.F
 	ix := newBlockIndex(f, m0, m1)
 	nBlocks := ix.n
@@ -313,26 +276,23 @@ func (e *Engine) runIDCTScaled(m0, m1 int) CostRecord {
 		}
 	}
 
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "idct_scaled",
 		Groups:        groups,
 		ItemsPerGroup: groupBlocks,
 		Phases:        []gpusim.PhaseFunc{phase},
-		Ops:           float64(nBlocks)*opsIDCTScaledPerBlock(bp) + float64(groups*groupBlocks)*opsAddressPerItem,
-		GlobalBytes:   float64(nBlocks) * float64(stride*2+bp*bp),
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindIDCT, fmt.Sprintf("idct/%d[%d,%d)x%d", 8/bp, m0, m1, nBlocks), ns}
+	})
 }
 
 // runMerged444 is the Section 4.4 merged IDCT + color-conversion kernel
 // for 4:4:4 frames: three column passes (Y, Cb, Cr) into local memory,
 // then a row pass that converts and stores interleaved RGB directly.
 // Scaled decodes dispatch the reduced-resolution merged kernel instead.
-func (e *Engine) runMerged444(m0, m1 int) CostRecord {
+func (e *Engine) runMerged444(m0, m1 int) {
 	f := e.F
 	if f.BlockPixels() < 8 {
-		return e.runMerged444Scaled(m0, m1)
+		e.runMerged444Scaled(m0, m1)
+		return
 	}
 	p := f.Planes[0]
 	b0, b1 := m0*p.V, m1*p.V
@@ -394,18 +354,13 @@ func (e *Engine) runMerged444(m0, m1 int) CostRecord {
 		}
 	}
 
-	pixels := (b1 - b0) * 8 * p.PlaneW()
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "merged_idct_color_444",
 		Groups:        groups,
 		ItemsPerGroup: groupBlocks * 8,
 		LocalInt32:    groupBlocks * 192,
 		Phases:        []gpusim.PhaseFunc{colPassFor(0), colPassFor(1), colPassFor(2), rowPass},
-		Ops:           float64(nBlocks)*3*opsIDCTPerBlock + float64(pixels)*opsColorPerPix + float64(groups*groupBlocks*8)*opsAddressPerItem,
-		GlobalBytes:   float64(nBlocks)*3*128 + float64(pixels)*3, // coef in x3, RGB out; no intermediate traffic
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindMergedKernel, fmt.Sprintf("merged444[%d,%d)", m0, m1), ns}
+	})
 }
 
 // runMerged444Scaled is the merged IDCT + color kernel at reduced
@@ -414,7 +369,7 @@ func (e *Engine) runMerged444(m0, m1 int) CostRecord {
 // the same dct scaled kernels as the CPU path, then converts and stores
 // the BlockPix x BlockPix RGB pixels. Roundtripping through clamped
 // bytes keeps the output byte-identical to the scalar pipeline.
-func (e *Engine) runMerged444Scaled(m0, m1 int) CostRecord {
+func (e *Engine) runMerged444Scaled(m0, m1 int) {
 	f := e.F
 	p := f.Planes[0]
 	bp := f.BlockPixels()
@@ -470,17 +425,12 @@ func (e *Engine) runMerged444Scaled(m0, m1 int) CostRecord {
 		}
 	}
 
-	pixels := (b1 - b0) * bp * p.PlaneW()
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "merged_idct_color_444_scaled",
 		Groups:        groups,
 		ItemsPerGroup: groupBlocks,
 		Phases:        []gpusim.PhaseFunc{phase},
-		Ops:           float64(nBlocks)*3*opsIDCTScaledPerBlock(bp) + float64(pixels)*opsColorPerPix + float64(groups*groupBlocks)*opsAddressPerItem,
-		GlobalBytes:   float64(nBlocks)*3*float64(stride*2) + float64(pixels)*3,
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindMergedKernel, fmt.Sprintf("merged444/%d[%d,%d)", 8/bp, m0, m1), ns}
+	})
 }
 
 // runUpsampleColor is the Section 4.4 merged upsampling + color kernel
@@ -488,7 +438,7 @@ func (e *Engine) runMerged444Scaled(m0, m1 int) CostRecord {
 // chroma for one 8-pixel output segment in registers, loads the matching
 // luma row, converts and stores RGB. Work-group shape keeps all 16 items
 // of a block on the same branch (no divergence, Section 4.2).
-func (e *Engine) runUpsampleColor(r0, r1 int) CostRecord {
+func (e *Engine) runUpsampleColor(r0, r1 int) {
 	f := e.F
 	w, h := f.OutDims()
 	yp := f.Planes[0]
@@ -501,7 +451,7 @@ func (e *Engine) runUpsampleColor(r0, r1 int) CostRecord {
 
 	rows := r1 - r0
 	if rows <= 0 {
-		return CostRecord{sim.KindMergedKernel, "upsample_color(empty)", e.Dev.Spec.GPU.LaunchNs}
+		return
 	}
 	// One item produces one 8-pixel output segment.
 	segsPerRow := (w + 7) / 8
@@ -546,32 +496,23 @@ func (e *Engine) runUpsampleColor(r0, r1 int) CostRecord {
 		}
 	}
 
-	upsOps := opsUps422PerPix
-	if is420 {
-		upsOps = opsUps420PerPix
-	}
-	pixels := rows * w
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "merged_upsample_color",
 		Groups:        groups,
 		ItemsPerGroup: groupItems,
 		Phases:        []gpusim.PhaseFunc{phase},
-		Ops:           float64(pixels)*(upsOps+opsColorPerPix) + float64(groups*groupItems)*opsAddressPerItem,
-		GlobalBytes:   float64(pixels) * (1 + 1 + 3), // luma in, chroma in (2 half-res planes), RGB out
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindMergedKernel, fmt.Sprintf("upsample_color[%d,%d)", r0, r1), ns}
+	})
 }
 
 // runColor444 is the standalone color-conversion kernel (Section 4.3),
 // used in split (non-merged) mode for 4:4:4 frames.
-func (e *Engine) runColor444(r0, r1 int) CostRecord {
+func (e *Engine) runColor444(r0, r1 int) {
 	f := e.F
 	w, h := f.OutDims()
 	pw := f.Planes[0].PlaneW()
 	rows := r1 - r0
 	if rows <= 0 {
-		return CostRecord{sim.KindColor, "color(empty)", e.Dev.Spec.GPU.LaunchNs}
+		return
 	}
 	segsPerRow := (w + 3) / 4 // one item converts 4 pixels (vectorized, Fig. 4)
 	items := rows * segsPerRow
@@ -595,25 +536,18 @@ func (e *Engine) runColor444(r0, r1 int) CostRecord {
 			e.rgb.Data[i], e.rgb.Data[i+1], e.rgb.Data[i+2] = r, gg, b
 		}
 	}
-	pixels := rows * w
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "color_444",
 		Groups:        groups,
 		ItemsPerGroup: groupItems,
 		Phases:        []gpusim.PhaseFunc{phase},
-		Ops:           float64(pixels)*opsColorPerPix + float64(groups*groupItems)*opsAddressPerItem,
-		GlobalBytes:   float64(pixels) * (3 + 3), // Y,Cb,Cr in; RGB out
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindColor, fmt.Sprintf("color444[%d,%d)", r0, r1), ns}
+	})
 }
 
 // runUpsample is the standalone Section 4.2 upsampling kernel (split
 // mode): expands the chroma planes to full resolution into dedicated
-// device buffers. The odd/even work-item split follows Algorithm 1; the
-// end-pixel if-statement is charged as branch divergence when the
-// work-group shape does not isolate it (the paper avoids it by shape).
-func (e *Engine) runUpsample(r0, r1 int) CostRecord {
+// device buffers. The odd/even work-item split follows Algorithm 1.
+func (e *Engine) runUpsample(r0, r1 int) {
 	f := e.F
 	yp := f.Planes[0]
 	cp := f.Planes[1]
@@ -621,7 +555,7 @@ func (e *Engine) runUpsample(r0, r1 int) CostRecord {
 	cph := cp.PlaneH()
 	rows := r1 - r0
 	if rows <= 0 {
-		return CostRecord{sim.KindUpsample, "upsample(empty)", e.Dev.Spec.GPU.LaunchNs}
+		return
 	}
 	// Two items per (component, output row, chroma block): each produces
 	// an 8-pixel half of the 16-pixel output row (Section 4.2).
@@ -656,32 +590,23 @@ func (e *Engine) runUpsample(r0, r1 int) CostRecord {
 			}
 		}
 	}
-	upsOps := opsUps422PerPix
-	if is420 {
-		upsOps = opsUps420PerPix
-	}
-	outSamples := rows * ypw * 2
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "upsample",
 		Groups:        groups,
 		ItemsPerGroup: groupItems,
 		Phases:        []gpusim.PhaseFunc{phase},
-		Ops:           float64(outSamples)*upsOps + float64(groups*groupItems)*opsAddressPerItem,
-		GlobalBytes:   float64(outSamples) * (0.5 + 1), // half-res in, full-res out
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindUpsample, fmt.Sprintf("upsample[%d,%d)", r0, r1), ns}
+	})
 }
 
 // runColorFromUpsampled converts using the full-resolution chroma planes
 // produced by runUpsample (split mode tail).
-func (e *Engine) runColorFromUpsampled(r0, r1 int) CostRecord {
+func (e *Engine) runColorFromUpsampled(r0, r1 int) {
 	f := e.F
 	w, h := f.OutDims()
 	pw := f.Planes[0].PlaneW()
 	rows := r1 - r0
 	if rows <= 0 {
-		return CostRecord{sim.KindColor, "color(empty)", e.Dev.Spec.GPU.LaunchNs}
+		return
 	}
 	segsPerRow := (w + 3) / 4
 	items := rows * segsPerRow
@@ -705,27 +630,22 @@ func (e *Engine) runColorFromUpsampled(r0, r1 int) CostRecord {
 			e.rgb.Data[i], e.rgb.Data[i+1], e.rgb.Data[i+2] = r, gg, b
 		}
 	}
-	pixels := rows * w
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "color_upsampled",
 		Groups:        groups,
 		ItemsPerGroup: groupItems,
 		Phases:        []gpusim.PhaseFunc{phase},
-		Ops:           float64(pixels)*opsColorPerPix + float64(groups*groupItems)*opsAddressPerItem,
-		GlobalBytes:   float64(pixels) * (3 + 3),
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindColor, fmt.Sprintf("color_ups[%d,%d)", r0, r1), ns}
+	})
 }
 
 // runGrayColor replicates the luma plane into RGB for grayscale frames.
-func (e *Engine) runGrayColor(r0, r1 int) CostRecord {
+func (e *Engine) runGrayColor(r0, r1 int) {
 	f := e.F
 	w, h := f.OutDims()
 	pw := f.Planes[0].PlaneW()
 	rows := r1 - r0
 	if rows <= 0 {
-		return CostRecord{sim.KindColor, "gray(empty)", e.Dev.Spec.GPU.LaunchNs}
+		return
 	}
 	segsPerRow := (w + 7) / 8
 	items := rows * segsPerRow
@@ -749,35 +669,10 @@ func (e *Engine) runGrayColor(r0, r1 int) CostRecord {
 			e.rgb.Data[i], e.rgb.Data[i+1], e.rgb.Data[i+2] = v, v, v
 		}
 	}
-	pixels := rows * w
-	k := &gpusim.Kernel{
+	e.Dev.Run(&gpusim.Kernel{
 		Name:          "gray_rgb",
 		Groups:        groups,
 		ItemsPerGroup: groupItems,
 		Phases:        []gpusim.PhaseFunc{phase},
-		Ops:           float64(pixels)*2 + float64(groups*groupItems)*opsAddressPerItem,
-		GlobalBytes:   float64(pixels) * 4,
-	}
-	ns := e.Dev.Run(k)
-	return CostRecord{sim.KindColor, fmt.Sprintf("gray[%d,%d)", r0, r1), ns}
-}
-
-// TotalNs sums a cost-record list.
-func TotalNs(recs []CostRecord) float64 {
-	var s float64
-	for _, r := range recs {
-		s += r.Ns
-	}
-	return s
-}
-
-// KernelNs sums only kernel (non-transfer) records.
-func KernelNs(recs []CostRecord) float64 {
-	var s float64
-	for _, r := range recs {
-		if r.Kind != sim.KindHostToDevice && r.Kind != sim.KindDeviceToHost {
-			s += r.Ns
-		}
-	}
-	return s
+	})
 }

@@ -3,7 +3,6 @@ package kernels
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 
 	"hetjpeg/internal/gpusim"
@@ -76,43 +75,6 @@ func TestEngineScaledMatchesScalar(t *testing.T) {
 				}
 				eng.Release()
 				eng2.Release()
-			}
-		}
-	}
-}
-
-// TestCostPlanMatchesExecutionScaled pins the analytic plan to the
-// executed records at every scale (the virtual timelines of scaled
-// decodes depend on it).
-func TestCostPlanMatchesExecutionScaled(t *testing.T) {
-	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub420} {
-		for _, scale := range []jpegcodec.Scale{jpegcodec.Scale2, jpegcodec.Scale4, jpegcodec.Scale8} {
-			for _, merged := range []bool{true, false} {
-				f, _ := preparedScaled(t, 200, 120, sub, scale)
-				spec := platform.GT430()
-				eng := NewEngine(gpusim.New(spec), f, merged)
-				out := jpegcodec.NewRGBImage(f.OutW, f.OutH)
-				for _, chunk := range [][2]int{{0, f.MCURows}, {1, f.MCURows - 1}} {
-					if chunk[0] >= chunk[1] {
-						continue
-					}
-					got := eng.DecodeChunk(chunk[0], chunk[1], -1, -1, out)
-					want := CostPlan(spec, f, chunk[0], chunk[1], -1, -1, merged)
-					if len(got) != len(want) {
-						t.Fatalf("%v scale %v merged=%v: %d records vs %d", sub, scale, merged, len(got), len(want))
-					}
-					for i := range got {
-						if got[i].Kind != want[i].Kind || got[i].Label != want[i].Label {
-							t.Errorf("%v scale %v merged=%v rec %d: %v %q vs %v %q",
-								sub, scale, merged, i, got[i].Kind, got[i].Label, want[i].Kind, want[i].Label)
-						}
-						if math.Abs(got[i].Ns-want[i].Ns) > 1e-6*(1+want[i].Ns) {
-							t.Errorf("%v scale %v merged=%v rec %d (%s): %.3f vs %.3f ns",
-								sub, scale, merged, i, got[i].Label, got[i].Ns, want[i].Ns)
-						}
-					}
-				}
-				eng.Release()
 			}
 		}
 	}

@@ -3,7 +3,7 @@ package lint
 // Codegen audit: parse the Go compiler's bounds-check-elimination and
 // escape-analysis diagnostics, attribute each site to its enclosing
 // function, and diff the aggregate against a committed baseline. The
-// hot loops in this repo (AAN IDCT, bitstream refill, Huffman walk,
+// hot loops in this repo (integer IDCT, bitstream refill, Huffman walk,
 // color convert) were hand-shaped so the compiler proves their index
 // expressions in bounds and keeps their scratch on the stack; a NEW
 // bounds check or heap escape in one of them is a silent performance

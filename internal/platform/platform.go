@@ -251,13 +251,12 @@ func (s *Spec) TransferNs(bytes int) float64 {
 	return s.PCIe.LatencyNs + float64(bytes)/s.PCIe.BytesPerNs
 }
 
-// KernelCostNs is the single source of truth for device kernel timing,
-// shared by the executing simulator (gpusim) and the analytic cost plans
-// (kernels.CostPlan): launch overhead, per-group scheduling, compute and
-// memory components (summed, so merged kernels model their saved global
-// traffic), an occupancy penalty for local-memory-heavy groups, and a
-// branch-divergence multiplier.
-func (s *Spec) KernelCostNs(ops, globalBytes float64, groups, localInt32PerGroup int, divergentFrac float64) float64 {
+// KernelCostNs is the device kernel cost formula, applied by
+// kernels.CostPlan to every launch: launch overhead, per-group
+// scheduling, compute and memory components (summed, so merged kernels
+// model their saved global traffic), and an occupancy penalty for
+// local-memory-heavy groups.
+func (s *Spec) KernelCostNs(ops, globalBytes float64, groups, localInt32PerGroup int) float64 {
 	g := s.GPU
 	eff := g.EffOpsPerNs
 	if g.MaxLocalInt32 > 0 && localInt32PerGroup > g.MaxLocalInt32 {
@@ -266,7 +265,7 @@ func (s *Spec) KernelCostNs(ops, globalBytes float64, groups, localInt32PerGroup
 		eff *= float64(g.MaxLocalInt32) / float64(localInt32PerGroup)
 	}
 	t := g.LaunchNs + float64(groups)*g.GroupSchedNs
-	t += ops * (1 + divergentFrac) / eff
+	t += ops / eff
 	t += globalBytes / g.MemBWBytesNs
 	return t
 }

@@ -66,6 +66,29 @@ func TestCostMonotonicity(t *testing.T) {
 	}
 }
 
+func TestCostModelComponents(t *testing.T) {
+	s := GTX560()
+	g := s.GPU
+	// Launch, per-group scheduling, compute and global-memory terms sum.
+	want := g.LaunchNs + 10*g.GroupSchedNs + 1e6/g.EffOpsPerNs + 1e6/g.MemBWBytesNs
+	if got := s.KernelCostNs(1e6, 1e6, 10, 64); got != want {
+		t.Fatalf("cost %v want %v", got, want)
+	}
+	if got := s.KernelCostNs(0, 0, 0, 0); got != g.LaunchNs {
+		t.Fatalf("empty launch cost %v want %v", got, g.LaunchNs)
+	}
+	// Local memory up to the occupancy knee is free; beyond it compute
+	// slows in proportion to the oversubscription.
+	atKnee := s.KernelCostNs(1e6, 0, 1, g.MaxLocalInt32)
+	if want := g.LaunchNs + g.GroupSchedNs + 1e6/g.EffOpsPerNs; atKnee != want {
+		t.Fatalf("cost at the knee %v want %v", atKnee, want)
+	}
+	past := s.KernelCostNs(1e6, 0, 1, 2*g.MaxLocalInt32)
+	if want := g.LaunchNs + g.GroupSchedNs + 2e6/g.EffOpsPerNs; past != want {
+		t.Fatalf("cost past the knee %v want %v", past, want)
+	}
+}
+
 func TestGPURanking(t *testing.T) {
 	// Effective device throughput must rank GT 430 < GTX 560 < GTX 680,
 	// matching the hardware tiers.
