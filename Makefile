@@ -11,7 +11,7 @@
 #   make lint-baseline  re-blesses the hetaudit baselines after an
 #                       intentional codegen change; commit the diff.
 
-.PHONY: all build test race bench-http-smoke bench-smoke fuzz-smoke conformance conformance-faults conformance-transcode cover fmt vet lint lint-baseline
+.PHONY: all build test race bench-smoke fuzz-smoke conformance conformance-faults conformance-transcode cover fmt vet lint lint-baseline
 
 all: build
 
@@ -23,13 +23,6 @@ test:
 
 race:
 	go test -race ./...
-
-# bench-http-smoke runs cmd/loadgen briefly against an in-process
-# imaged, so CI exercises the whole HTTP stack. It records no numbers:
-# the service's performance is the service_mixed workload of the
-# benchmark (benchmark/README.md).
-bench-http-smoke:
-	go run ./cmd/loadgen -duration 500ms
 
 # bench-smoke compiles and runs every benchmark in the repo exactly once
 # (CI uses it so benchmarks can never silently rot).
@@ -69,8 +62,9 @@ conformance-faults:
 # pipeline: encoder-alone and full-transcode distortion floors per
 # quality (decoded with Go's image/jpeg on the encoder side), bit-exact
 # equality of the DC-only 1/8 fast path with the pixel round trip, and
-# byte identity of pipelined transcodes with the one-shot path across
-# workers 1-8 × execution modes.
+# byte identity of executor-decoded transcodes (imaged's /transcode
+# composition) with the one-shot path across workers 1-8 × execution
+# modes.
 conformance-transcode:
 	go test ./internal/conformance/ -v -run 'TestConformanceTranscode|TestConformanceEncoderRoundTrip'
 

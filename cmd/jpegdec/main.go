@@ -53,6 +53,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *out != "" && len(files) > 1 {
+		log.Fatal("-out only applies to a single input")
+	}
 	spec := hetjpeg.PlatformByName(*platformName)
 	if spec == nil {
 		log.Fatalf("unknown platform %q", *platformName)

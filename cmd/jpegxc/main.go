@@ -2,8 +2,8 @@
 // 1/2, 1/4 or 1/8 scale), then re-encode with optimal Huffman tables
 // and optional progressive output. Baseline inputs transcoded to 1/8
 // ride the coefficient-domain DC-only fast path — no pixel-domain IDCT
-// runs. Several positional files transcode as one concurrent batch over
-// the heterogeneous decode pipeline.
+// runs. Several positional files transcode concurrently, at most
+// -workers at a time, each through the same one-shot path on one worker.
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,11 +19,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"hetjpeg"
-	"hetjpeg/internal/batch"
-	"hetjpeg/internal/core"
 	"hetjpeg/internal/transcode"
 )
 
@@ -40,8 +38,6 @@ func main() {
 	progressive := flag.Bool("progressive", false, "emit a progressive (SOF2) output stream")
 	script := flag.String("script", "", "progressive scan script: "+strings.Join(hetjpeg.ScriptNames(), "|"))
 	subName := flag.String("subsampling", "444", "output chroma layout: 444|422|420")
-	modeName := flag.String("mode", "pps", "decode mode: auto|sequential|simd|gpu|pipeline|sps|pps")
-	platformName := flag.String("platform", "GTX 560", `"GT 430", "GTX 560" or "GTX 680"`)
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "intra-image parallelism and batch concurrency")
 	flag.Parse()
 
@@ -85,7 +81,7 @@ func main() {
 	}
 
 	if len(files) > 1 {
-		transcodeBatch(files, opts, *modeName, *platformName, *outDir, *workers)
+		transcodeBatch(files, opts, *outDir, *workers)
 		return
 	}
 
@@ -127,56 +123,34 @@ func printResult(src, dst string, inBytes int, res *transcode.Result) {
 		float64(res.DecodeNs)/1e6, float64(res.EncodeNs)/1e6, res.MCUs)
 }
 
-// transcodeBatch runs the files through the pipelined front end: the
-// decode stages share one heterogeneous batch executor while each
-// finished decode re-encodes on its submitter's goroutine. A file that
-// fails only fails its own slot.
-func transcodeBatch(files []string, opts transcode.Options, modeName, platformName, outDir string, workers int) {
-	spec := hetjpeg.PlatformByName(platformName)
-	if spec == nil {
-		log.Fatalf("unknown platform %q", platformName)
-	}
-	mode, ok := hetjpeg.ParseMode(modeName)
-	if !ok {
-		log.Fatalf("unknown mode %q", modeName)
-	}
-	model, err := hetjpeg.DefaultModel(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p, err := transcode.NewPipeline(batch.Options{
-		Spec: spec, Model: model, Mode: core.Mode(mode),
-		Workers: workers, Scale: opts.Scale,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer p.Close()
-
+// transcodeBatch transcodes the files concurrently, at most workers at
+// once, each through the one-shot path on one worker (the output bytes
+// do not depend on the worker count). A file that fails only fails its
+// own slot; any failure exits 1.
+func transcodeBatch(files []string, opts transcode.Options, outDir string, workers int) {
+	opts.Workers = 1
 	type slot struct {
 		res *transcode.Result
 		err error
 	}
 	slots := make([]slot, len(files))
 	start := time.Now()
-	var sem = make(chan struct{}, workers)
-	done := make(chan int)
+	sem := make(chan struct{}, max(workers, 1))
+	var wg sync.WaitGroup
 	for i, name := range files {
-		go func(i int, name string) {
-			defer func() { done <- i }()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
 			data, err := os.ReadFile(name)
 			if err != nil {
 				slots[i].err = err
 				return
 			}
-			slots[i].res, slots[i].err = p.Transcode(context.Background(), data, opts)
-		}(i, name)
+			slots[i].res, slots[i].err = transcode.Transcode(data, opts)
+		}()
 	}
-	for range files {
-		<-done
-	}
+	wg.Wait()
 	wall := time.Since(start)
 
 	failed, fast := 0, 0
@@ -200,8 +174,8 @@ func transcodeBatch(files []string, opts transcode.Options, modeName, platformNa
 				float64(s.res.DecodeNs)/1e6, float64(s.res.EncodeNs)/1e6)
 		}
 	}
-	fmt.Printf("\n%d files (%d failed, %d fast-path) on %s with %s, %d workers\n",
-		len(files), failed, fast, spec, mode, workers)
+	fmt.Printf("\n%d files (%d failed, %d fast-path), %d workers\n",
+		len(files), failed, fast, workers)
 	fmt.Printf("wall clock: %.2f ms\n", float64(wall.Microseconds())/1000)
 	if failed > 0 {
 		os.Exit(1)

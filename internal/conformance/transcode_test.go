@@ -22,9 +22,9 @@ import (
 // prove stdlib interoperability of optimized-Huffman and progressive
 // output). Exactness: the coefficient-domain DC-only fast path must
 // re-encode bit-identically to the pixel round trip at 1/8. Identity:
-// transcoding through the batch pipeline must produce the same bytes
-// as the one-shot path for worker counts 1-8 and
-// every execution mode.
+// transcoding the way imaged's /transcode does (decode through the
+// batch executor, then EncodeImage) must produce the same bytes as the
+// one-shot path for worker counts 1-8 and every execution mode.
 
 // rgbDistortion compares two same-geometry RGB images: PSNR over all
 // channels (+Inf when identical) and the worst single-channel error.
@@ -218,13 +218,41 @@ var transcodeIdentityOpts = []transcode.Options{
 	{Quality: 85, Progressive: true, Script: "spectral"},
 }
 
+// executorTranscode is imaged's /transcode composition: decode through
+// the batch executor at opts.Scale, then re-encode the decoded pixels.
+func executorTranscode(t *testing.T, ex *batch.Executor, data []byte, opts transcode.Options) ([]byte, error) {
+	ir, err := ex.Decode(t.Context(), data, opts.Scale)
+	if err != nil {
+		return nil, err
+	}
+	if ir.Res == nil {
+		return nil, ir.Err
+	}
+	defer ir.Res.Release()
+	if ir.Err != nil {
+		return nil, ir.Err
+	}
+	res, err := transcode.EncodeImage(ir.Res.Image, opts, ir.Res.Frame.DCOnly(), 0)
+	if err != nil {
+		return nil, err
+	}
+	return res.Data, nil
+}
+
+// closeExecutor shuts ex down and waits for its pipeline to drain.
+func closeExecutor(ex *batch.Executor) {
+	ex.Close()
+	for range ex.Results() {
+	}
+}
+
 // TestConformanceTranscodeSchedulersWorkers transcodes a corpus subset
-// through the batch pipeline at worker counts 1-8, asserting every output is byte-identical to the
-// one-shot path.
+// through the batch executor at worker counts 1-8, asserting every
+// output is byte-identical to the one-shot path.
 func TestConformanceTranscodeSchedulersWorkers(t *testing.T) {
 	items := corpus(t)
 	// Every 3rd item keeps baseline × progressive × subsampling variety
-	// without running the full corpus through each pipeline config.
+	// without running the full corpus through each executor config.
 	var subset []imagegen.Item
 	for i := 0; i < len(items); i += 3 {
 		subset = append(subset, items[i])
@@ -244,10 +272,9 @@ func TestConformanceTranscodeSchedulersWorkers(t *testing.T) {
 		}
 		for _, workers := range workerCounts {
 			name := fmt.Sprintf("opts%d-w%d", oi, workers)
-			p, err := transcode.NewPipeline(batch.Options{
+			ex, err := batch.NewExecutor(batch.Options{
 				Spec:    conformSpec,
 				Workers: workers,
-				Scale:   opts.Scale,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -255,21 +282,21 @@ func TestConformanceTranscodeSchedulersWorkers(t *testing.T) {
 			popts := opts
 			popts.Workers = workers
 			for i, it := range subset {
-				res, err := p.Transcode(t.Context(), it.Data, popts)
+				got, err := executorTranscode(t, ex, it.Data, popts)
 				if err != nil {
 					t.Errorf("%s: %s: %v", name, it.Name, err)
 					continue
 				}
-				if !bytes.Equal(res.Data, refs[i]) {
+				if !bytes.Equal(got, refs[i]) {
 					t.Errorf("%s: %s differs from the one-shot transcode", name, it.Name)
 				}
 			}
-			p.Close()
+			closeExecutor(ex)
 		}
 	}
 }
 
-// TestConformanceTranscodeModesIdentical runs the pipeline under every
+// TestConformanceTranscodeModesIdentical runs the executor under every
 // execution mode (the test above pins the worker counts; this
 // pins the per-image decode kernels) and asserts byte identity with the
 // one-shot path on the DC fast-path options.
@@ -287,26 +314,25 @@ func TestConformanceTranscodeModesIdentical(t *testing.T) {
 		refs[i] = res.Data
 	}
 	for _, mode := range core.AllModes() {
-		p, err := transcode.NewPipeline(batch.Options{
+		ex, err := batch.NewExecutor(batch.Options{
 			Spec:    conformSpec,
 			Model:   m,
 			Mode:    mode,
 			Workers: 2,
-			Scale:   opts.Scale,
 		})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 		for i, it := range subset {
-			res, err := p.Transcode(t.Context(), it.Data, opts)
+			got, err := executorTranscode(t, ex, it.Data, opts)
 			if err != nil {
 				t.Errorf("mode %v: %s: %v", mode, it.Name, err)
 				continue
 			}
-			if !bytes.Equal(res.Data, refs[i]) {
+			if !bytes.Equal(got, refs[i]) {
 				t.Errorf("mode %v: %s differs from the one-shot transcode", mode, it.Name)
 			}
 		}
-		p.Close()
+		closeExecutor(ex)
 	}
 }

@@ -22,7 +22,9 @@ type namedPart struct {
 	data []byte
 }
 
-func postBatch(t *testing.T, h http.Handler, query string, parts []namedPart) (*httptest.ResponseRecorder, batchReply) {
+// batchBody encodes parts as a multipart/form-data /batch body and
+// returns it with its Content-Type.
+func batchBody(t *testing.T, parts []namedPart) ([]byte, string) {
 	t.Helper()
 	var buf bytes.Buffer
 	mw := multipart.NewWriter(&buf)
@@ -38,8 +40,14 @@ func postBatch(t *testing.T, h http.Handler, query string, parts []namedPart) (*
 	if err := mw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/batch?"+query, &buf)
-	req.Header.Set("Content-Type", mw.FormDataContentType())
+	return buf.Bytes(), mw.FormDataContentType()
+}
+
+func postBatch(t *testing.T, h http.Handler, query string, parts []namedPart) (*httptest.ResponseRecorder, batchReply) {
+	t.Helper()
+	body, contentType := batchBody(t, parts)
+	req := httptest.NewRequest(http.MethodPost, "/batch?"+query, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, req)
 	var reply batchReply

@@ -34,7 +34,7 @@
 //
 // cmd/imaged is the binary. Its performance, hits and misses, is the
 // service_mixed workload of the benchmark (benchmark/README.md);
-// cmd/loadgen drives its overload behaviour.
+// TestChaosOverload holds its overload invariants.
 package imaged
 
 import (
@@ -75,8 +75,6 @@ type Config struct {
 	// Salvage enables error-resilient decoding: corrupt-but-recoverable
 	// uploads return 200 with X-Hetjpeg-Salvaged instead of 422.
 	Salvage bool
-	// Scale is the default decode scale (?scale= overrides per request).
-	Scale hetjpeg.Scale
 
 	// MaxBody caps one request body (default 64 MiB). Oversized bodies
 	// get 413 with a JSON error.
@@ -191,7 +189,6 @@ func New(cfg Config) (*Server, error) {
 		Mode:        cfg.Mode,
 		Workers:     cfg.Workers,
 		MaxInFlight: cfg.MaxInFlight,
-		Scale:       cfg.Scale,
 		Salvage:     cfg.Salvage,
 	})
 	if err != nil {

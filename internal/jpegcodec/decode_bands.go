@@ -83,12 +83,6 @@ func (bp *BandPlan) Bands() int { return len(bp.starts) - 1 }
 // batch scheduler's online calibration normalizes measured times by).
 func (bp *BandPlan) BandMCURows(i int) int { return bp.starts[i+1] - bp.starts[i] }
 
-// NeedsSeams reports whether FinishSeams has pixel rows to convert: only
-// 4:2:0 plans with interior boundaries defer seam rows.
-func (bp *BandPlan) NeedsSeams() bool {
-	return bp.f.Sub == jfif.Sub420 && bp.Bands() > 1
-}
-
 // ExecBand runs band i's share of the fused pipeline into out: IDCT of
 // its MCU rows, then upsampling + color conversion of the pixel rows
 // whose inputs lie entirely within rows reconstructed by this band (the

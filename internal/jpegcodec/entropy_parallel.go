@@ -6,7 +6,6 @@ import (
 
 	"hetjpeg/internal/bitstream"
 	"hetjpeg/internal/huffman"
-	"hetjpeg/internal/jfif"
 )
 
 // Parallel entropy decoding across restart intervals. The paper treats
@@ -174,135 +173,4 @@ func decodeSegment(f *Frame, seg restartSegment, rowBits []int64) error {
 		rowBits[my] += bitPos() - start
 	}
 	return nil
-}
-
-// HasRestartIntervals reports whether a parsed image can use the
-// parallel restart decoder.
-func HasRestartIntervals(im *jfif.Image) bool { return im.RestartInterval > 0 }
-
-// splitRestartSegmentsSalvage is the marker-number-aware splitter: where
-// the strict splitter assumes every marker ends exactly one restart
-// interval, this one resolves each marker's modulo-8 number against the
-// expected sequence, so dropped markers widen the preceding segment to
-// the intervals it physically contains and duplicated markers collapse
-// to nothing instead of shifting every later segment off position.
-// Structural problems are recorded in rep rather than failing.
-func splitRestartSegmentsSalvage(f *Frame, rep *SalvageReport) []restartSegment {
-	ri := f.Img.RestartInterval
-	data := f.Img.EntropyData
-	totalMCU := f.MCUsPerRow * f.MCURows
-	var segs []restartSegment
-	start := 0
-	intervals := 0 // restart intervals accounted for so far
-	emit := func(end, span int) {
-		firstMCU := intervals * ri
-		if firstMCU >= totalMCU {
-			rep.record(0, fmt.Errorf("jpegcodec: restart markers past the image (interval %d)", intervals))
-			return
-		}
-		n := span * ri
-		if firstMCU+n > totalMCU {
-			n = totalMCU - firstMCU
-		}
-		segs = append(segs, restartSegment{data: data[start:end], firstMCU: firstMCU, numMCU: n})
-		intervals += span
-	}
-	for i := 0; i+1 < len(data); i++ {
-		if data[i] != 0xFF {
-			continue
-		}
-		nxt := data[i+1]
-		if nxt == 0x00 {
-			i++
-			continue
-		}
-		if nxt < 0xD0 || nxt > 0xD7 {
-			continue
-		}
-		dskip := (int(nxt-0xD0) - intervals%8 + 8) % 8
-		switch {
-		case dskip <= maxResyncSkip:
-			// This marker closes interval intervals+dskip: the blob holds
-			// dskip+1 intervals' worth of data (dropped markers included).
-			emit(i, dskip+1)
-		case i == start:
-			// Empty blob with a stale number: a duplicated marker; drop it.
-		default:
-			// Misnumbered marker after real data: trust stream order over
-			// the number (decode errors surface in per-segment salvage).
-			emit(i, 1)
-		}
-		start = i + 2
-		i++
-	}
-	if intervals*ri < totalMCU {
-		segs = append(segs, restartSegment{
-			data:     data[start:],
-			firstMCU: intervals * ri,
-			numMCU:   totalMCU - intervals*ri,
-		})
-	}
-	return segs
-}
-
-// DecodeAllParallelRestartSalvage is DecodeAllParallelRestart with
-// per-segment salvage: a corrupt segment zeroes its own remaining MCUs
-// and records the error instead of killing its siblings, so the decode
-// always completes. The returned report is non-nil; its Err() is nil
-// when every segment decoded cleanly.
-func DecodeAllParallelRestartSalvage(f *Frame, workers int) ([]int64, *SalvageReport, error) {
-	if f.Img.Progressive {
-		return nil, nil, fmt.Errorf("jpegcodec: parallel restart decoding applies to baseline scans only")
-	}
-	if f.Img.RestartInterval <= 0 {
-		return nil, nil, fmt.Errorf("jpegcodec: stream has no restart interval")
-	}
-	for ci, comp := range f.Img.Components {
-		if f.Img.DCTables[comp.DCSel] == nil || f.Img.ACTables[comp.ACSel] == nil {
-			return nil, nil, fmt.Errorf("jpegcodec: missing Huffman table for component %d", ci)
-		}
-	}
-	rep := NewSalvageReport(f.MCUsPerRow * f.MCURows)
-	segs := splitRestartSegmentsSalvage(f, rep)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-
-	bitsPerRow := make([]int64, f.MCURows)
-	var mu sync.Mutex // guards bitsPerRow merging and rep
-
-	jobs := make(chan restartSegment)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			local := make([]int64, f.MCURows)
-			zero := &EntropyDecoder{f: f, report: rep}
-			for seg := range jobs {
-				if err := decodeSegment(f, seg, local); err != nil {
-					// The segment's tail is lost; zero it (disjoint blocks,
-					// so only the report needs the lock) and keep going.
-					mu.Lock()
-					rep.record(0, err)
-					zero.zeroMCUs(seg.firstMCU, seg.numMCU)
-					mu.Unlock()
-				}
-			}
-			mu.Lock()
-			for i, b := range local {
-				bitsPerRow[i] += b
-			}
-			mu.Unlock()
-		}()
-	}
-	for _, s := range segs {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
-	return bitsPerRow, rep, nil
 }

@@ -129,11 +129,6 @@ func NewFrameGeometry(im *jfif.Image) (*Frame, error) {
 	return f, err
 }
 
-// NewFrame builds the decode state for a parsed image at full size.
-func NewFrame(im *jfif.Image) (*Frame, error) {
-	return newFrame(im, true, Scale1)
-}
-
 // NewFrameScaled builds the decode state for a parsed image at the
 // given decode scale: sample planes and the output geometry shrink by
 // the scale denominator, and baseline Scale8 frames collapse the
@@ -310,13 +305,6 @@ func (f *Frame) mcuOutH() int {
 		return f.MCUHeight
 	}
 	return f.MCUOutH
-}
-
-// RGBBytes returns the byte size of the interleaved RGB output for MCU
-// rows [m0, m1) (device→host transfer size, at the output scale).
-func (f *Frame) RGBBytes(m0, m1 int) int {
-	r0, r1 := f.PixelRows(m0, m1)
-	return (r1 - r0) * f.outW() * 3
 }
 
 // PixelRows maps MCU row range [m0, m1) to output pixel rows, clamped

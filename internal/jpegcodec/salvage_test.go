@@ -288,101 +288,6 @@ func TestSalvageProgressiveTruncation(t *testing.T) {
 	}
 }
 
-// TestParallelRestartSalvage: the per-segment salvage variant of the
-// parallel restart decoder. Clean streams produce exactly the strict
-// sequential coefficients; gutting one segment's data damages only that
-// segment while its siblings decode intact.
-func TestParallelRestartSalvage(t *testing.T) {
-	img := testImage(160, 128, 17)
-	data, err := Encode(img, EncodeOptions{Quality: 85, Subsampling: jfif.Sub420, RestartInterval: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeCoeff := func(d []byte, parallel bool) (*Frame, *SalvageReport) {
-		t.Helper()
-		f, ed, err := PrepareDecode(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !parallel {
-			if err := ed.DecodeAll(); err != nil {
-				t.Fatal(err)
-			}
-			return f, nil
-		}
-		_, rep, err := DecodeAllParallelRestartSalvage(f, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f, rep
-	}
-
-	ref, _ := decodeCoeff(data, false)
-	got, rep := decodeCoeff(data, true)
-	if rep.Impaired() {
-		t.Fatalf("clean stream impaired: %v", rep.Err())
-	}
-	for c := range ref.Coeff {
-		if !equalInt32(ref.Coeff[c], got.Coeff[c]) {
-			t.Fatalf("clean parallel salvage coefficients differ (component %d)", c)
-		}
-	}
-
-	// Gut the third restart segment: delete its bytes, keep both markers.
-	im, err := jfif.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entStart := bytes.Index(data, im.EntropyData)
-	var marks []int
-	for i := entStart; i+1 < entStart+len(im.EntropyData); i++ {
-		if data[i] == 0xFF {
-			if data[i+1] == 0x00 {
-				i++
-			} else if data[i+1] >= 0xD0 && data[i+1] <= 0xD7 {
-				marks = append(marks, i)
-				i++
-			}
-		}
-	}
-	if len(marks) < 4 {
-		t.Fatalf("only %d restart markers", len(marks))
-	}
-	mut := append([]byte(nil), data[:marks[2]+2]...)
-	mut = append(mut, data[marks[3]:]...)
-
-	dmg, rep := decodeCoeff(mut, true)
-	if !rep.Impaired() {
-		t.Fatal("gutted segment not reported")
-	}
-	checkReportInvariants(t, rep)
-	if len(rep.Damaged) != 1 || rep.Damaged[0].FirstMCU != 3*4 || rep.Damaged[0].NumMCU != 4 {
-		t.Fatalf("Damaged = %+v, want exactly segment 3 (MCUs 12-15)", rep.Damaged)
-	}
-	// Every MCU outside the gutted segment matches the clean decode.
-	for c, comp := range ref.Img.Components {
-		p := ref.Planes[c]
-		cs := 64
-		if ref.DCOnly() {
-			cs = 1
-		}
-		for u := 0; u < rep.TotalMCUs; u++ {
-			if u >= 12 && u < 16 {
-				continue
-			}
-			my, mx := u/ref.MCUsPerRow, u%ref.MCUsPerRow
-			for v := 0; v < comp.V; v++ {
-				for h := 0; h < comp.H; h++ {
-					bi := ((my*comp.V+v)*p.BlocksPerRow + mx*comp.H + h) * cs
-					if !equalInt32(ref.Coeff[c][bi:bi+cs], dmg.Coeff[c][bi:bi+cs]) {
-						t.Fatalf("sibling MCU %d component %d corrupted by segment salvage", u, c)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSalvageUnsupportedStillFatal: ErrUnsupported is out of scope, not
 // corruption; salvage must not mask it.
 func TestSalvageUnsupportedStillFatal(t *testing.T) {

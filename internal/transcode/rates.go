@@ -1,11 +1,9 @@
 package transcode
 
 import (
-	"context"
 	"sync"
 	"time"
 
-	"hetjpeg/internal/batch"
 	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/perfmodel"
 )
@@ -72,65 +70,5 @@ func (r *Rates) Calibrate() {
 		r.mu.Lock()
 		r.r.At(opts.Class()).Seed(float64(ns) / float64(mcus))
 		r.mu.Unlock()
-	}
-}
-
-// Pipeline routes the decode stage of transcodes through a shared
-// batch executor — the work-stealing band scheduler decodes many
-// in-flight inputs concurrently — and runs the re-encode stage on the
-// calling goroutine. It is the batch mirror of the one-shot Transcode
-// and feeds the same Rates.
-type Pipeline struct {
-	ex *batch.Executor
-
-	// Rates learns the ns/MCU encode cost per rate class from every
-	// transcode the pipeline completes.
-	Rates Rates
-}
-
-// NewPipeline starts a pipeline over a fresh executor with the given
-// batch options.
-func NewPipeline(opts batch.Options) (*Pipeline, error) {
-	ex, err := batch.NewExecutor(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{ex: ex}, nil
-}
-
-// Transcode decodes data at opts.Scale through the executor, then
-// re-encodes with the transcode knobs. ctx bounds the decode stage
-// (it flows into the entropy and back phases).
-func (p *Pipeline) Transcode(ctx context.Context, data []byte, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	ir, err := p.ex.Decode(ctx, data, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	if ir.Err != nil {
-		if ir.Res != nil {
-			ir.Res.Release()
-		}
-		return nil, ir.Err
-	}
-	decNs := time.Since(t0).Nanoseconds()
-	defer ir.Res.Release()
-
-	res, err := EncodeImage(ir.Res.Image, opts, ir.Res.Frame.DCOnly(), decNs)
-	if err != nil {
-		return nil, err
-	}
-	p.Rates.ObserveResult(res)
-	return res, nil
-}
-
-// Close shuts the executor down and waits for it to drain. Call only
-// once no Transcode call can still submit.
-func (p *Pipeline) Close() {
-	p.ex.Close()
-	for range p.ex.Results() {
 	}
 }

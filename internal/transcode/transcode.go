@@ -113,9 +113,9 @@ func (o *Options) outputMCUs(w, h int) int {
 }
 
 // EncodeImage runs the re-encode stage over an already-decoded image:
-// the shared second half of every transcode front end (the one-shot
-// path here, the batch pipeline, imaged's /transcode handler). fastPath
-// and decodeNs describe the decode stage the caller ran.
+// the shared second half of both transcode front ends (the one-shot
+// path here and imaged's /transcode handler). fastPath and decodeNs
+// describe the decode stage the caller ran.
 func EncodeImage(img *jpegcodec.RGBImage, opts Options, fastPath bool, decodeNs int64) (*Result, error) {
 	t0 := time.Now()
 	data, err := jpegcodec.Encode(img, opts.encodeOptions())

@@ -2,16 +2,12 @@ package transcode
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 
-	"hetjpeg/internal/batch"
-	"hetjpeg/internal/core"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/perfmodel"
-	"hetjpeg/internal/platform"
 )
 
 // testJPEG encodes a synthetic detail image so decode inputs carry real
@@ -186,67 +182,6 @@ func TestNaiveThumbnailMatchesGeometry(t *testing.T) {
 	}
 	if full.W != 97 || full.H != 75 {
 		t.Errorf("scale-1 naive output %dx%d, want 97x75", full.W, full.H)
-	}
-}
-
-func pipelineOptions(workers int) batch.Options {
-	return batch.Options{
-		Spec:    platform.ByName("GTX 560"),
-		Mode:    core.ModePipelinedGPU,
-		Workers: workers,
-	}
-}
-
-// TestPipelineMatchesOneShot pins the tentpole's cross-engine
-// guarantee: the batch pipeline emits byte-identical
-// transcodes to the one-shot scalar path.
-func TestPipelineMatchesOneShot(t *testing.T) {
-	srcs := [][]byte{
-		testJPEG(t, 97, 75, jpegcodec.EncodeOptions{Quality: 90, Subsampling: jfif.Sub420}),
-		testJPEG(t, 160, 128, jpegcodec.EncodeOptions{Quality: 85}),
-	}
-	opts := Options{Scale: jpegcodec.Scale8, Quality: 80}
-	var refs [][]byte
-	for _, src := range srcs {
-		res, err := Transcode(src, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, res.Data)
-	}
-	p, err := NewPipeline(pipelineOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, src := range srcs {
-		res, err := p.Transcode(context.Background(), src, opts)
-		if err != nil {
-			t.Fatalf("image %d: %v", i, err)
-		}
-		if !bytes.Equal(res.Data, refs[i]) {
-			t.Errorf("image %d: pipeline output differs from one-shot", i)
-		}
-		if !res.FastPath {
-			t.Errorf("image %d: baseline 1/8 did not take the fast path", i)
-		}
-	}
-	if p.Rates.Value(perfmodel.EncodeOptimized) <= 0 {
-		t.Error("pipeline did not observe encode rates")
-	}
-	p.Close()
-}
-
-func TestPipelineErrorPaths(t *testing.T) {
-	p, err := NewPipeline(pipelineOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := p.Transcode(context.Background(), []byte("junk"), Options{}); err == nil {
-		t.Error("garbage input transcoded through pipeline; want error")
-	}
-	if _, err := p.Transcode(context.Background(), nil, Options{Script: "x"}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("bad options: %v does not wrap ErrBadOptions", err)
 	}
 }
 
