@@ -30,6 +30,7 @@ package hetjpeg
 import (
 	"context"
 	"image"
+	"runtime"
 
 	"hetjpeg/internal/batch"
 	"hetjpeg/internal/core"
@@ -169,14 +170,18 @@ func ParseScale(name string) (Scale, bool) { return jpegcodec.ParseScale(name) }
 // salvaged stream to byte-identical pixels, exactly like a clean one.
 func Decode(data []byte, opts Options) (*Result, error) { return core.Decode(data, opts) }
 
-// DecodeRGB is the convenience path: a plain single-threaded decode with
-// no platform simulation.
-func DecodeRGB(data []byte) (*Image, error) { return jpegcodec.DecodeScalar(data) }
+// DecodeRGB is the convenience path: a wall-clock decode with no
+// platform simulation, on up to GOMAXPROCS cores. A baseline stream
+// pipelines inside the image: one core entropy-decodes MCU rows while
+// another runs the back phase (IDCT, upsampling, colour) on the rows
+// already decoded. Pixels are those of the sequential reference.
+func DecodeRGB(data []byte) (*Image, error) { return DecodeRGBScaled(data, Scale1) }
 
-// DecodeRGBScaled is DecodeRGB at a decode scale (the scalar scaled
-// reference path).
+// DecodeRGBScaled is DecodeRGB at a decode scale; pixels are those of
+// the scalar scaled reference.
 func DecodeRGBScaled(data []byte, scale Scale) (*Image, error) {
-	return jpegcodec.DecodeScalarScaled(data, scale)
+	img, _, err := jpegcodec.DecodeScalarWorkers(data, scale, runtime.GOMAXPROCS(0))
+	return img, err
 }
 
 // Subsampling selects the encoder's chroma layout.

@@ -63,15 +63,18 @@ func PlanBands(f *Frame, m0, m1, bandRows int) *BandPlan {
 	return bp
 }
 
-// planBandsN slices MCU rows [m0, m1) into exactly n equal-share bands
-// (the ParallelPhaseScalarWorkers decomposition). n must be in [1, m1-m0].
-func planBandsN(f *Frame, m0, m1, n int) *BandPlan {
-	bp := &BandPlan{f: f}
+// planBandsN slices MCU rows [m0, m1) into a head band [m0, head), none
+// when head == m0, and n equal-share bands over [head, m1): the
+// ParallelPhaseScalarWorkers decomposition, and the pipelined decode's
+// follower band and tail. n must be in [1, m1-head].
+func planBandsN(f *Frame, m0, head, m1, n int) *BandPlan {
+	bp := &BandPlan{f: f, starts: make([]int, 0, n+2)}
 	bp.r0, bp.r1 = f.PixelRows(m0, m1)
-	rows := m1 - m0
-	bp.starts = make([]int, n+1)
+	if head > m0 {
+		bp.starts = append(bp.starts, m0)
+	}
 	for i := 0; i <= n; i++ {
-		bp.starts[i] = m0 + rows*i/n
+		bp.starts = append(bp.starts, head+(m1-head)*i/n)
 	}
 	return bp
 }
@@ -105,23 +108,7 @@ func (bp *BandPlan) ExecBand(i int, out *RGBImage, s *ConvertScratch) {
 	if i < bp.Bands()-1 {
 		hi = bandBound(f, b)
 	}
-	y := lo
-	for m := a; m < b; m++ {
-		for c := range f.Planes {
-			IDCTRange(f, c, m, m+1)
-		}
-		yEnd := hi
-		if m+1 < b {
-			if e := bandBound(f, m+1); e < yEnd {
-				yEnd = e
-			}
-		}
-		if yEnd < y {
-			yEnd = y
-		}
-		colorConvertRange(f, y, yEnd, out, &s.cs)
-		y = yEnd
-	}
+	parallelPhaseBands(f, a, b, lo, hi, out, &s.cs, nil)
 }
 
 // FinishSeams converts the deferred 4:2:0 seam rows (two pixel rows per

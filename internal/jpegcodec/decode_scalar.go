@@ -235,22 +235,30 @@ func bandBound(f *Frame, m int) int {
 // pipeline: each MCU row band is transformed and then immediately
 // upsampled and color-converted while hot in cache.
 func ParallelPhaseScalar(f *Frame, m0, m1 int, out *RGBImage) {
-	parallelPhaseBands(f, m0, m1, out, newConvertScratch(f))
+	r0, r1 := f.PixelRows(m0, m1)
+	parallelPhaseBands(f, m0, m1, r0, r1, out, newConvertScratch(f), nil)
 }
 
-// parallelPhaseBands is the fused pipeline over MCU rows [m0, m1),
-// converting pixel rows [PixelRows(m0), yEnd-deferred bounds .. r1).
-func parallelPhaseBands(f *Frame, m0, m1 int, out *RGBImage, cs *convertScratch) {
-	r0, r1 := f.PixelRows(m0, m1)
-	y := r0
+// parallelPhaseBands is the fused pipeline over MCU rows [m0, m1): each
+// row is inverse-transformed, then the pixel rows within [lo, hi) that
+// it completes (bandBound's deferral) are converted. When wait is
+// non-nil it is called before row m, and the loop stops if it returns
+// false: the pipelined decode's follower waits there for the entropy
+// stage, and stops where the tail bands begin.
+func parallelPhaseBands(f *Frame, m0, m1, lo, hi int, out *RGBImage, cs *convertScratch, wait func(m int) bool) {
+	y := lo
 	for m := m0; m < m1; m++ {
+		if wait != nil && !wait(m) {
+			return
+		}
 		for c := range f.Planes {
 			IDCTRange(f, c, m, m+1)
 		}
-		yEnd := r1
+		yEnd := hi
 		if m+1 < m1 {
-			yEnd = bandBound(f, m+1)
+			yEnd = min(yEnd, bandBound(f, m+1))
 		}
+		yEnd = max(yEnd, y)
 		colorConvertRange(f, y, yEnd, out, cs)
 		y = yEnd
 	}
@@ -272,17 +280,24 @@ func ParallelPhaseScalarWorkers(f *Frame, m0, m1 int, out *RGBImage, workers int
 		ParallelPhaseScalar(f, m0, m1, out)
 		return
 	}
-	bp := planBandsN(f, m0, m1, workers)
+	bp := planBandsN(f, m0, m0, m1, workers)
+	execBands(bp, 0, out)
+	bp.FinishSeams(out, &ConvertScratch{})
+}
+
+// execBands runs bands [first, Bands()) of bp, the first on the calling
+// goroutine and each other on its own, and returns once all are done.
+func execBands(bp *BandPlan, first int, out *RGBImage) {
 	var wg sync.WaitGroup
-	for i := 0; i < bp.Bands(); i++ {
+	for i := first + 1; i < bp.Bands(); i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			bp.ExecBand(i, out, &ConvertScratch{})
-		}(i)
+		}()
 	}
+	bp.ExecBand(first, out, &ConvertScratch{})
 	wg.Wait()
-	bp.FinishSeams(out, &ConvertScratch{})
 }
 
 // DecodeScalar is the sequential reference decoder (the libjpeg analog):
@@ -299,9 +314,12 @@ func DecodeScalarScaled(data []byte, scale Scale) (*RGBImage, error) {
 	return out, err
 }
 
-// DecodeScalarWorkers is DecodeScalarScaled with the back phase banded
-// across workers goroutines (byte-identical output). dcOnly reports that
-// the coefficient-domain DC-only path ran (baseline input at 1/8 scale).
+// DecodeScalarWorkers is DecodeScalarScaled on up to workers goroutines,
+// with byte-identical output and the same errors. A baseline stream
+// overlaps its entropy stage with the back phase (decodePipelined); a
+// progressive one decodes whole, then bands the back phase. dcOnly
+// reports that the coefficient-domain DC-only path ran (baseline input
+// at 1/8 scale).
 func DecodeScalarWorkers(data []byte, scale Scale, workers int) (out *RGBImage, dcOnly bool, err error) {
 	out, dcOnly, _, err = decodeWhole(data, scale, workers, false)
 	return out, dcOnly, err
@@ -309,8 +327,10 @@ func DecodeScalarWorkers(data []byte, scale Scale, workers int) (out *RGBImage, 
 
 // decodeWhole is the one whole-image sequence behind the scalar entry
 // points: prepare, entropy decode, allocate the output once there is
-// something to put in it, back phase. The frame goes back to the pools
-// on every path; nothing reads it after the last band.
+// something to put in it, back phase. A baseline stream with two or
+// more workers overlaps the two stages instead (decodePipelined). The
+// frame goes back to the pools on every path; nothing reads it after
+// the last band.
 func decodeWhole(data []byte, scale Scale, workers int, salvage bool) (*RGBImage, bool, *SalvageReport, error) {
 	prepare := PrepareDecodeScaled
 	if salvage {
@@ -321,12 +341,107 @@ func decodeWhole(data []byte, scale Scale, workers int, salvage bool) (*RGBImage
 		return nil, false, nil, err
 	}
 	defer f.Release()
-	if err := ed.DecodeAll(); err != nil {
+	var out *RGBImage
+	if workers >= 2 && !f.Img.Progressive {
+		out, err = decodePipelined(f, ed, workers)
+	} else if err = ed.DecodeAll(); err == nil {
+		out = NewRGBImage(f.OutW, f.OutH)
+		ParallelPhaseScalarWorkers(f, 0, f.MCURows, out, workers)
+	}
+	if err != nil {
 		return nil, false, nil, err
 	}
-	out := NewRGBImage(f.OutW, f.OutH)
-	ParallelPhaseScalarWorkers(f, 0, f.MCURows, out, workers)
 	return out, f.DCOnly(), ed.SalvageReport(), nil
+}
+
+// decodePipelined is the paper's pipeline inside one baseline image
+// (§4.5/§5.2) on the wall clock. The caller entropy-decodes one MCU row
+// at a time and publishes it; a follower goroutine runs the fused back
+// phase one row behind. When entropy ends, the follower keeps a
+// 1/workers share of the rows it has not claimed, and the rest run as
+// BandPlan bands on the caller and up to workers-2 more goroutines.
+// Pixels and errors are those of the sequential decode.
+func decodePipelined(f *Frame, ed *EntropyDecoder, workers int) (*RGBImage, error) {
+	rows := f.MCURows
+	out := NewRGBImage(f.OutW, f.OutH)
+	feed := &rowFeed{limit: rows}
+	feed.cond.L = &feed.mu
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r0, r1 := f.PixelRows(0, rows)
+		parallelPhaseBands(f, 0, rows, r0, r1, out, newConvertScratch(f), feed.wait)
+	}()
+	for !ed.Done() {
+		if _, err := ed.DecodeRows(1); err != nil {
+			feed.split(0)
+			<-done
+			out.Release()
+			return nil, err
+		}
+		feed.publish(ed.Row())
+	}
+	split := feed.split(workers)
+	if split == rows {
+		// The follower claimed every row and converts through the last.
+		<-done
+		return out, nil
+	}
+	bp := planBandsN(f, 0, split, rows, min(workers-1, rows-split))
+	first := 0
+	if split > 0 {
+		first = 1 // band 0, rows [0, split), is the follower's
+	}
+	execBands(bp, first, out)
+	<-done
+	bp.FinishSeams(out, &ConvertScratch{})
+	return out, nil
+}
+
+// rowFeed hands entropy-decoded MCU rows to the pipelined decode's
+// follower. Rows below ready are decoded; the follower has started the
+// rows below claimed and stops before limit.
+type rowFeed struct {
+	mu                    sync.Mutex
+	cond                  sync.Cond
+	ready, claimed, limit int
+}
+
+// wait blocks until row m is decoded or beyond the follower's limit, and
+// reports whether the follower owns it.
+func (r *rowFeed) wait(m int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for m >= r.ready && m < r.limit {
+		r.cond.Wait()
+	}
+	if m >= r.limit {
+		return false
+	}
+	r.claimed = m + 1
+	return true
+}
+
+// publish records that rows [0, ready) are decoded.
+func (r *rowFeed) publish(ready int) {
+	r.mu.Lock()
+	r.ready = ready
+	r.mu.Unlock()
+	r.cond.Signal()
+}
+
+// split caps the follower at a 1/share of the rows it has not claimed
+// (none for share 0, which stops it) and returns the cap.
+func (r *rowFeed) split(share int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if share == 0 {
+		r.limit = r.claimed
+	} else {
+		r.limit = r.claimed + (r.limit-r.claimed)/share
+	}
+	r.cond.Signal()
+	return r.limit
 }
 
 // PrepareDecode parses the stream and allocates whole-image buffers,

@@ -1,6 +1,7 @@
 package jpegcodec
 
 import (
+	"bytes"
 	"testing"
 
 	"hetjpeg/internal/jfif"
@@ -11,9 +12,10 @@ import (
 // allocations are bugs. The scale byte is fuzzed alongside the stream,
 // so invalid scales must keep returning the typed ErrUnsupportedScale
 // sentinel (never reaching the parser) while valid ones exercise the
-// DC-only entropy path, the scaled IDCT dispatch and the scaled 4:2:0
-// seam geometry. Seeds cover every subsampling, baseline and
-// progressive, with and without restart markers, plus truncations.
+// DC-only entropy path, the scaled IDCT dispatch, the scaled 4:2:0
+// seam geometry and the pipelined decode. Seeds cover every
+// subsampling, baseline and progressive, with and without restart
+// markers, plus truncations.
 func FuzzScaledDecode(f *testing.F) {
 	img := testImage(40, 24, 6)
 	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub422, jfif.Sub420} {
@@ -54,16 +56,20 @@ func FuzzScaledDecode(f *testing.F) {
 			return
 		}
 		checkPathsAgree(t, "fuzz", data)
-		fr, ed, err := PrepareDecodeScaled(data, scale)
-		if err != nil {
+		// The pipelined decode (workers 2) must fail exactly when the
+		// sequential one does, with its error, and otherwise match it.
+		seq, seqErr := DecodeScalarScaled(data, scale)
+		pip, _, pipErr := DecodeScalarWorkers(data, scale, 2)
+		if (seqErr == nil) != (pipErr == nil) || seqErr != nil && seqErr.Error() != pipErr.Error() {
+			t.Fatalf("scale %d: sequential error %v, pipelined error %v", scaleByte, seqErr, pipErr)
+		}
+		if seqErr != nil {
 			return
 		}
-		defer fr.Release()
-		if err := ed.DecodeAll(); err != nil {
-			return
+		defer seq.Release()
+		defer pip.Release()
+		if !bytes.Equal(seq.Pix, pip.Pix) {
+			t.Fatalf("scale %d: pipelined pixels differ from the sequential decode", scaleByte)
 		}
-		out := NewRGBImage(fr.OutW, fr.OutH)
-		defer out.Release()
-		ParallelPhaseScalar(fr, 0, fr.MCURows, out)
 	})
 }

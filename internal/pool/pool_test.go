@@ -31,9 +31,6 @@ func TestGetPutReuse(t *testing.T) {
 		t.Fatalf("len %d", len(r))
 	}
 	if &r[0] != &s[0] {
-		if poison {
-			t.Skip("sync.Pool drops a share of Puts under the race detector")
-		}
 		t.Fatal("slab not reused within its class")
 	}
 	for i, v := range r {
@@ -56,7 +53,7 @@ func TestNoUndersizedReuse(t *testing.T) {
 	}
 	// The small slab stays in its own class for the next small request.
 	again := p.Get(90)
-	if &again[0] != &small[0] && !poison { // the race detector's sync.Pool drops Puts
+	if &again[0] != &small[0] {
 		t.Error("small slab lost")
 	}
 }
@@ -67,4 +64,52 @@ func TestZeroLength(t *testing.T) {
 		t.Error("Get(0) should be nil")
 	}
 	p.Put(nil) // must not panic
+}
+
+// TestReuseAcrossGoroutines: a slab put back on one goroutine is the
+// next one a Get on another receives, whichever processors they ran on.
+func TestReuseAcrossGoroutines(t *testing.T) {
+	var p Slab[byte]
+	put := make(chan *byte)
+	go func() {
+		s := p.Get(3000)
+		p.Put(s)
+		put <- &s[0]
+	}()
+	first := <-put
+	got := make(chan *byte)
+	go func() {
+		s := p.Get(2500)
+		got <- &s[0]
+		p.Put(s)
+	}()
+	if <-got != first {
+		t.Fatal("slab put on one goroutine not reused by a Get on another")
+	}
+}
+
+// TestPutOverCapsDrops: a class keeps at most maxPerClass slabs, and a
+// pool at most maxParkedBytes; a Put over either cap drops the slab.
+func TestPutOverCapsDrops(t *testing.T) {
+	var p Slab[int32]
+	for i := 0; i <= maxPerClass; i++ {
+		p.Put(make([]int32, 0, 1024))
+	}
+	if n := len(p.classes[class(1024)]); n != maxPerClass {
+		t.Fatalf("class holds %d slabs after %d Puts, want %d", n, maxPerClass+1, maxPerClass)
+	}
+
+	// Two slabs of half the byte cap fill the pool, and a small one
+	// more would take it over. The slabs are never written, so the
+	// memory behind them is never touched.
+	var q Slab[byte]
+	q.Put(make([]byte, 0, maxParkedBytes/2))
+	q.Put(make([]byte, 0, maxParkedBytes/2))
+	q.Put(make([]byte, 0, 16))
+	if q.parked != maxParkedBytes {
+		t.Fatalf("parked %d bytes, want %d", q.parked, maxParkedBytes)
+	}
+	if n := len(q.classes[class(16)]); n != 0 {
+		t.Fatalf("the Put over the byte cap was kept")
+	}
 }
