@@ -33,11 +33,13 @@ bench-smoke:
 fuzz-smoke:
 	go test ./internal/bitstream/ -fuzz=FuzzReaderMatchesReference -fuzztime=10s
 	go test ./internal/bitstream/ -fuzz=FuzzWriterReaderRoundTrip -fuzztime=10s
+	go test ./internal/bitstream/ -fuzz=FuzzWriterMatchesReference -fuzztime=10s
 	go test ./internal/huffman/ -fuzz=FuzzDecodeArbitraryBits -fuzztime=10s
 	go test ./internal/huffman/ -fuzz=FuzzEncodeDecodeRoundTrip -fuzztime=10s
 	go test ./internal/jpegcodec/ -run='^$$' -fuzz=FuzzProgressiveDecode -fuzztime=10s
 	go test ./internal/jpegcodec/ -run='^$$' -fuzz=FuzzScaledDecode -fuzztime=10s
 	go test ./internal/jpegcodec/ -run='^$$' -fuzz=FuzzSalvageDecode -fuzztime=10s
+	go test ./internal/jpegcodec/ -run='^$$' -fuzz=FuzzEncodeMatchesReference -fuzztime=10s
 	go test ./internal/rescache/ -fuzz=FuzzCacheKeyIsolation -fuzztime=10s
 	go test ./internal/transcode/ -run='^$$' -fuzz=FuzzTranscode -fuzztime=10s
 

@@ -291,11 +291,13 @@ func (r *Reader) SkipRestartMarker() (byte, error) {
 }
 
 // Writer writes bits MSB-first, inserting JPEG byte stuffing after each
-// 0xFF data byte.
+// 0xFF data byte. Bits gather in a 64-bit accumulator and leave it 32
+// at a time: four bytes in one append when none of them is 0xFF, byte
+// by byte with stuffing otherwise.
 type Writer struct {
 	buf  []byte
-	acc  uint32
-	bits uint
+	acc  uint64 // the low `bits` bits are pending, oldest first
+	bits uint   // < 32 between calls
 }
 
 // NewWriter returns an empty Writer.
@@ -307,31 +309,53 @@ func NewWriter() *Writer { return &Writer{} }
 // returns the possibly-regrown buffer for the caller to recycle.
 func NewWriterBuf(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
 
-// WriteBits appends the low n bits of v (n ≤ 24), MSB first.
+// WriteBits appends the low n bits of v (n ≤ 32, so a Huffman code and
+// its magnitude bits fit one call), MSB first.
 func (w *Writer) WriteBits(v uint32, n uint) {
-	if n == 0 {
+	w.acc = w.acc<<n | uint64(v&(1<<n-1))
+	w.bits += n
+	if w.bits >= 32 {
+		w.bits -= 32
+		w.put32(uint32(w.acc >> w.bits))
+	}
+}
+
+// put32 appends four data bytes, stuffing a zero after any 0xFF.
+func (w *Writer) put32(word uint32) {
+	// The SWAR test for a 0xFF byte: a zero byte in ^word.
+	if x := ^word; (x-0x01010101)&^x&0x80808080 == 0 {
+		w.buf = binary.BigEndian.AppendUint32(w.buf, word)
 		return
 	}
-	w.acc = w.acc<<n | (v & ((1 << n) - 1))
-	w.bits += n
-	for w.bits >= 8 {
-		b := byte(w.acc >> (w.bits - 8))
-		w.buf = append(w.buf, b)
-		if b == 0xFF {
-			w.buf = append(w.buf, 0x00)
-		}
+	for sh := 24; sh >= 0; sh -= 8 {
+		w.putByte(byte(word >> sh))
+	}
+}
+
+func (w *Writer) putByte(b byte) {
+	w.buf = append(w.buf, b)
+	if b == 0xFF {
+		w.buf = append(w.buf, 0x00)
+	}
+}
+
+// flushByte pads the pending bits to a byte boundary with 1-bits (the
+// JPEG convention) and appends every whole pending byte.
+func (w *Writer) flushByte() {
+	if pad := -w.bits & 7; pad > 0 {
+		w.acc = w.acc<<pad | (1<<pad - 1)
+		w.bits += pad
+	}
+	for w.bits > 0 {
 		w.bits -= 8
-		w.acc &= (1 << w.bits) - 1
+		w.putByte(byte(w.acc >> w.bits))
 	}
 }
 
 // Flush pads the final partial byte with 1-bits (JPEG convention) and
 // returns the encoded segment. The Writer remains usable.
 func (w *Writer) Flush() []byte {
-	if w.bits > 0 {
-		pad := 8 - w.bits
-		w.WriteBits((1<<pad)-1, pad)
-	}
+	w.flushByte()
 	return w.buf
 }
 
@@ -339,14 +363,12 @@ func (w *Writer) Flush() []byte {
 // RSTn marker (n in 0..7) unstuffed, as required between restart
 // intervals.
 func (w *Writer) WriteRestartMarker(n int) {
-	if w.bits > 0 {
-		pad := 8 - w.bits
-		w.WriteBits((1<<pad)-1, pad)
-	}
+	w.flushByte()
 	w.buf = append(w.buf, 0xFF, 0xD0+byte(n&7))
 }
 
-// Len returns the number of bytes emitted so far (excluding buffered bits).
+// Len returns the number of bytes emitted so far (excluding buffered
+// bits, of which there may be up to 31).
 func (w *Writer) Len() int { return len(w.buf) }
 
 // BitLen returns the total number of payload bits written so far.

@@ -131,6 +131,75 @@ func FuzzWriterReaderRoundTrip(f *testing.F) {
 	})
 }
 
+// refWriter is a bit-at-a-time reference writer: the differential
+// oracle for Writer's 64-bit accumulator, four-byte stores and
+// stuffing.
+type refWriter struct {
+	buf  []byte
+	acc  uint32
+	bits uint
+}
+
+func (w *refWriter) writeBits(v uint32, n uint) {
+	for ; n > 0; n-- {
+		w.acc = w.acc<<1 | v>>(n-1)&1
+		if w.bits++; w.bits == 8 {
+			w.buf = append(w.buf, byte(w.acc))
+			if byte(w.acc) == 0xFF {
+				w.buf = append(w.buf, 0x00)
+			}
+			w.acc, w.bits = 0, 0
+		}
+	}
+}
+
+func (w *refWriter) pad() {
+	if w.bits > 0 {
+		w.writeBits(0xFF, 8-w.bits)
+	}
+}
+
+// FuzzWriterMatchesReference drives Writer and the reference writer
+// through one schedule of writes of 0..32 bits, restart markers and
+// flushes; the bytes must agree at every flush.
+func FuzzWriterMatchesReference(f *testing.F) {
+	f.Add([]byte{8, 0xFF, 0xFF, 0xFF, 0xFF, 27, 1, 2, 3, 4, 0x80 | 3, 5})
+	f.Add([]byte{32, 0xFF, 0xFF, 0xFF, 0xFF, 32, 0xFE, 0xFF, 0xFF, 0x7F, 0xC0})
+	f.Add(bytes.Repeat([]byte{17, 0xFF, 0x00, 0xFF, 0x01}, 20))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		w := NewWriter()
+		ref := &refWriter{}
+		for len(prog) > 0 {
+			op := prog[0]
+			prog = prog[1:]
+			switch {
+			case op == 0xC0:
+				ref.pad()
+				if got := w.Flush(); !bytes.Equal(got, ref.buf) {
+					t.Fatalf("flush: % x, reference % x", got, ref.buf)
+				}
+			case op&0x80 != 0:
+				w.WriteRestartMarker(int(op))
+				ref.pad()
+				ref.buf = append(ref.buf, 0xFF, 0xD0+op&7)
+			default:
+				n := uint(op) % 33
+				var v uint32
+				for i := 0; i < 4 && len(prog) > 0; i++ {
+					v = v<<8 | uint32(prog[0])
+					prog = prog[1:]
+				}
+				w.WriteBits(v, n)
+				ref.writeBits(v, n)
+			}
+		}
+		ref.pad()
+		if got := w.Flush(); !bytes.Equal(got, ref.buf) {
+			t.Fatalf("final flush: % x, reference % x", got, ref.buf)
+		}
+	})
+}
+
 // FuzzWindowMatchesMethods reads one stream twice with the same size
 // schedule (sizes of 1..31 bits, one Huffman code plus its magnitude):
 // through Fill32 + ReadBits, and through a checked-out window that is

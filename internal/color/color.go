@@ -55,13 +55,55 @@ func YCbCrToRGB(y, cb, cr int32) (r, g, b byte) {
 	return
 }
 
-// RGBToYCbCr converts one pixel to JFIF full-range YCbCr.
+// RGBToYCbCr converts one pixel to JFIF full-range YCbCr. The encoder
+// converts whole rows with RGBToYCbCrRow; this is the oracle it is held
+// to.
 func RGBToYCbCr(r, g, b byte) (y, cb, cr byte) {
 	ri, gi, bi := int32(r), int32(g), int32(b)
 	y = clamp((fix0_29900*ri + fix0_58700*gi + fix0_11400*bi + half) >> scaleBits)
 	cb = clamp(((-fix0_16874*ri - fix0_33126*gi + fix0_50000*bi + half) >> scaleBits) + 128)
 	cr = clamp(((fix0_50000*ri - fix0_41869*gi - fix0_08131*bi + half) >> scaleBits) + 128)
 	return
+}
+
+// yccTab is libjpeg's rgb_ycc_tab: RGBToYCbCr's products per channel
+// value, with the rounding half and Cb/Cr's 128<<16 offset folded into
+// Cb's blue term, which is also Cr's red term, as in libjpeg. A component
+// is then three loads, two adds and a shift.
+var yccTab = func() (t struct{ ry, gy, by, rcb, gcb, bcb, gcr, bcr [256]int32 }) {
+	for i := int32(0); i < 256; i++ {
+		t.ry[i] = fix0_29900 * i
+		t.gy[i] = fix0_58700 * i
+		t.by[i] = fix0_11400*i + half
+		t.rcb[i] = -fix0_16874 * i
+		t.gcb[i] = -fix0_33126 * i
+		t.bcb[i] = fix0_50000*i + half + 128<<scaleBits
+		t.gcr[i] = -fix0_41869 * i
+		t.bcr[i] = -fix0_08131 * i
+	}
+	return t
+}()
+
+// RGBToYCbCrRow converts len(y) interleaved RGB pixels from pix (at
+// least 3·len(y) bytes) into the y, cb and cr rows, exactly as
+// RGBToYCbCr does pixel by pixel.
+// Y never leaves [0, 255]. Cb and Cr do in one place each: pure blue
+// (pure red) gives Cb (Cr) 256, which RGBToYCbCr clamps to 255; c-c>>8
+// does the same for 256 and leaves 0..255 alone, so no clamp is needed.
+// TestRGBToYCbCrRowExhaustive checks all 2^24 triples.
+func RGBToYCbCrRow(pix, y, cb, cr []byte) {
+	t := &yccTab
+	n := len(y)
+	cb, cr = cb[:n], cr[:n]
+	for i := 0; i < n && len(pix) >= 3; i++ {
+		r, g, b := pix[0], pix[1], pix[2]
+		pix = pix[3:]
+		y[i] = byte((t.ry[r] + t.gy[g] + t.by[b]) >> scaleBits)
+		c := (t.rcb[r] + t.gcb[g] + t.bcb[b]) >> scaleBits
+		cb[i] = byte(c - c>>8)
+		c = (t.bcb[r] + t.gcr[g] + t.bcr[b]) >> scaleBits // Cr's red term is Cb's blue term
+		cr[i] = byte(c - c>>8)
+	}
 }
 
 // UpsampleRowH2V1Fancy implements Algorithm 1 of the paper for an entire

@@ -281,3 +281,25 @@ func TestPointwiseMatchesRowH2V2(t *testing.T) {
 		}
 	}
 }
+
+// TestRGBToYCbCrRowExhaustive holds the table conversion to
+// RGBToYCbCr, the per-pixel oracle, over all 2^24 RGB triples.
+func TestRGBToYCbCrRowExhaustive(t *testing.T) {
+	pix := make([]byte, 3*256)
+	y, cb, cr := make([]byte, 256), make([]byte, 256), make([]byte, 256)
+	for r := 0; r < 256; r++ {
+		for g := 0; g < 256; g++ {
+			for b := 0; b < 256; b++ {
+				pix[3*b], pix[3*b+1], pix[3*b+2] = byte(r), byte(g), byte(b)
+			}
+			RGBToYCbCrRow(pix, y, cb, cr)
+			for b := 0; b < 256; b++ {
+				wy, wcb, wcr := RGBToYCbCr(byte(r), byte(g), byte(b))
+				if y[b] != wy || cb[b] != wcb || cr[b] != wcr {
+					t.Fatalf("RGB(%d,%d,%d): row gives %d,%d,%d, RGBToYCbCr %d,%d,%d",
+						r, g, b, y[b], cb[b], cr[b], wy, wcb, wcr)
+				}
+			}
+		}
+	}
+}

@@ -356,6 +356,26 @@ func BenchmarkEncode1MP(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode1MPTranscode encodes with the transcoder's settings:
+// 4:4:4 with optimised tables, baseline and progressive.
+func BenchmarkEncode1MPTranscode(b *testing.B) {
+	img := makeTestImage(1024, 1024, 1)
+	for _, c := range []struct {
+		name        string
+		progressive bool
+	}{{"baseline", false}, {"progressive", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(img.Pix)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Encode(img, EncodeOptions{Quality: 80, OptimizeHuffman: true, Progressive: c.progressive}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkDecodeScalar1MP(b *testing.B) {
 	img := makeTestImage(1024, 1024, 1)
 	data, err := Encode(img, EncodeOptions{Quality: 85, Subsampling: jfif.Sub422})

@@ -2,7 +2,9 @@ package jpegcodec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"hetjpeg/internal/bitstream"
 	"hetjpeg/internal/color"
@@ -72,20 +74,24 @@ func Encode(img *RGBImage, opts EncodeOptions) ([]byte, error) {
 	planes, infos, releasePlanes := buildEncodePlanes(img, opts.Subsampling, opts.Workers)
 
 	// Quantized coefficients per component, blocks in raster order, in
-	// pooled whole-image slabs (the encode-side mirror of Frame.Coeff).
-	quants := [3]*[64]uint16{&lumaQ, &chromaQ, &chromaQ}
-	coeffs := make([][]int32, 3)
+	// pooled whole-image slabs (the encode-side mirror of Frame.Coeff),
+	// and beside them one nonzero mask per block: bit k is set when the
+	// coefficient at zigzag position k is nonzero.
+	recips := recipsFor(opts.Quality, &lumaQ, &chromaQ)
+	var coeffs [3][]int32
+	var masks [3][]uint64
 	for ci := range planes {
-		c := getCoeffSlab(infos[ci].Blocks() * 64)
-		forwardComponent(planes[ci], infos[ci], quants[ci], c, opts.Workers)
-		coeffs[ci] = c
+		coeffs[ci] = getCoeffSlab(infos[ci].Blocks() * 64)
+		masks[ci] = getMaskSlab(infos[ci].Blocks())
+		forwardComponent(planes[ci], infos[ci], &recips[min(ci, 1)], coeffs[ci], masks[ci], opts.Workers)
 	}
 	// The sample planes are consumed by the forward pass; only the
-	// coefficients feed entropy encoding.
+	// coefficients and masks feed entropy encoding.
 	releasePlanes()
 	defer func() {
-		for _, c := range coeffs {
-			putCoeffSlab(c)
+		for ci := range coeffs {
+			putCoeffSlab(coeffs[ci])
+			putMaskSlab(masks[ci])
 		}
 	}()
 
@@ -94,21 +100,20 @@ func Encode(img *RGBImage, opts EncodeOptions) ([]byte, error) {
 	mcuRows := (img.H + mcuH - 1) / mcuH
 
 	if opts.Progressive {
-		return encodeProgressive(img, opts, comps, coeffs, infos, &lumaQ, &chromaQ, mcusPerRow, mcuRows)
+		return encodeProgressive(img, opts, comps, coeffs, masks, infos, &lumaQ, &chromaQ, mcusPerRow, mcuRows)
 	}
 
+	scan := baselineScan{comps: comps, coeffs: coeffs, masks: masks, infos: infos,
+		mcusPerRow: mcusPerRow, mcuRows: mcuRows, restartInterval: opts.RestartInterval}
 	dcTabs := [2]huffman.Spec{huffman.StdDCLuminance, huffman.StdDCChrominance}
 	acTabs := [2]huffman.Spec{huffman.StdACLuminance, huffman.StdACChrominance}
-	tabs := tableSet{
-		dc: [2]*huffman.Table{huffman.StdDCLuminanceTable, huffman.StdDCChrominanceTable},
-		ac: [2]*huffman.Table{huffman.StdACLuminanceTable, huffman.StdACChrominanceTable},
-	}
+	dc := [2]*huffman.Table{huffman.StdDCLuminanceTable, huffman.StdDCChrominanceTable}
+	ac := [2]*huffman.Table{huffman.StdACLuminanceTable, huffman.StdACChrominanceTable}
 	if opts.OptimizeHuffman {
 		var dcFreq, acFreq [2][256]int64
-		countPass := &freqCounter{dc: &dcFreq, ac: &acFreq}
-		if err := encodeScan(countPass, comps, coeffs, infos, mcusPerRow, mcuRows, opts.RestartInterval); err != nil {
-			return nil, err
-		}
+		scan.walk(nil, func(tab int, blk *[64]int32, mask uint64, diff int32) {
+			countBlock(&dcFreq[tab&1], &acFreq[tab&1], blk, mask, diff)
+		})
 		for i := 0; i < 2; i++ {
 			var err error
 			if dcTabs[i], err = huffman.BuildFromFrequencies(dcFreq[i]); err != nil {
@@ -117,20 +122,20 @@ func Encode(img *RGBImage, opts EncodeOptions) ([]byte, error) {
 			if acTabs[i], err = huffman.BuildFromFrequencies(acFreq[i]); err != nil {
 				return nil, fmt.Errorf("jpegcodec: optimal AC table %d: %w", i, err)
 			}
-			if tabs.dc[i], err = huffman.New(dcTabs[i]); err != nil {
+			if dc[i], err = huffman.New(dcTabs[i]); err != nil {
 				return nil, err
 			}
-			if tabs.ac[i], err = huffman.New(acTabs[i]); err != nil {
+			if ac[i], err = huffman.New(acTabs[i]); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	emit := &bitEmitter{w: newEntropyWriter(infos), tabs: &tabs}
-	if err := encodeScan(emit, comps, coeffs, infos, mcusPerRow, mcuRows, opts.RestartInterval); err != nil {
-		return nil, err
-	}
-	entropy := emit.w.Flush()
+	w := newEntropyWriter(infos)
+	scan.walk(w.WriteRestartMarker, func(tab int, blk *[64]int32, mask uint64, diff int32) {
+		emitBlock(w, dc[tab&1], ac[tab&1], blk, mask, diff)
+	})
+	entropy := w.Flush()
 
 	jw := jfif.NewWriter()
 	jw.WriteAPP0()
@@ -201,18 +206,6 @@ func parallelRowBands(n, workers int, fn func(lo, hi int)) {
 // consumed them.
 func buildEncodePlanes(img *RGBImage, sub jfif.Subsampling, workers int) ([3][]byte, [3]PlaneInfo, func()) {
 	w, h := img.W, img.H
-	yP := getByteSlab(w * h)
-	cbP := getByteSlab(w * h)
-	crP := getByteSlab(w * h)
-	parallelRowBands(h, workers, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			px := y * w * 3
-			for i := y * w; i < (y+1)*w; i, px = i+1, px+3 {
-				yP[i], cbP[i], crP[i] = color.RGBToYCbCr(img.Pix[px], img.Pix[px+1], img.Pix[px+2])
-			}
-		}
-	})
-
 	hs, vs := sub.Factors()
 	mcuW, mcuH := sub.MCUPixels()
 	mcusPerRow := (w + mcuW - 1) / mcuW
@@ -225,15 +218,48 @@ func buildEncodePlanes(img *RGBImage, sub jfif.Subsampling, workers int) ([3][]b
 	infos[1] = PlaneInfo{CompW: cw, CompH: ch, BlocksPerRow: mcusPerRow, BlockRows: mcuRows, H: 1, V: 1}
 	infos[2] = infos[1]
 
-	// Downsample chroma. cb2/cr2 alias cbP/crP at 4:4:4 and are fresh
-	// pooled slabs otherwise.
-	var cb2, cr2 []byte
+	var planes [3][]byte
+	release := func() {
+		for _, p := range planes {
+			putByteSlab(p)
+		}
+	}
+	if sub == jfif.Sub444 {
+		// Convert straight into the padded planes. Padded row y converts
+		// image row min(y, h-1) and replicates its last sample to the
+		// right, so no band reads rows another band writes.
+		pw, ph := infos[0].PlaneW(), infos[0].PlaneH()
+		for ci := range planes {
+			planes[ci] = getByteSlab(pw * ph)
+		}
+		parallelRowBands(ph, workers, func(lo, hi int) {
+			for y := lo; y < hi; y++ {
+				src := img.Pix[min(y, h-1)*w*3:]
+				rows := [3][]byte{planes[0][y*pw : y*pw+pw], planes[1][y*pw : y*pw+pw], planes[2][y*pw : y*pw+pw]}
+				color.RGBToYCbCrRow(src, rows[0][:w], rows[1][:w], rows[2][:w])
+				for _, row := range rows {
+					last := row[w-1]
+					for x := w; x < pw; x++ {
+						row[x] = last
+					}
+				}
+			}
+		})
+		return planes, infos, release
+	}
+
+	yP := getByteSlab(w * h)
+	cbP := getByteSlab(w * h)
+	crP := getByteSlab(w * h)
+	parallelRowBands(h, workers, func(lo, hi int) {
+		color.RGBToYCbCrRow(img.Pix[lo*w*3:], yP[lo*w:hi*w], cbP[lo*w:hi*w], crP[lo*w:hi*w])
+	})
+
+	// Downsample chroma into fresh pooled slabs.
+	cb2 := getByteSlab(cw * ch)
+	cr2 := getByteSlab(cw * ch)
 	switch sub {
-	case jfif.Sub444:
-		cb2, cr2 = cbP, crP
 	case jfif.Sub422:
-		cb2 = getByteSlab(cw * ch)
-		cr2 = getByteSlab(cw * ch)
 		parallelRowBands(h, workers, func(lo, hi int) {
 			// Per-band scratch for padding odd-width rows to the
 			// downsampler's even input length.
@@ -250,30 +276,17 @@ func buildEncodePlanes(img *RGBImage, sub jfif.Subsampling, workers int) ([3][]b
 		evenW, evenH := 2*cw, 2*ch
 		cbe := padPlaneSlab(cbP, w, h, evenW, evenH, workers)
 		cre := padPlaneSlab(crP, w, h, evenW, evenH, workers)
-		cb2 = getByteSlab(cw * ch)
-		cr2 = getByteSlab(cw * ch)
 		color.DownsampleH2V2(cbe, evenW, evenH, cb2)
 		color.DownsampleH2V2(cre, evenW, evenH, cr2)
 		putByteSlab(cbe)
 		putByteSlab(cre)
 	}
 
-	var planes [3][]byte
 	planes[0] = padPlaneSlab(yP, w, h, infos[0].PlaneW(), infos[0].PlaneH(), workers)
 	planes[1] = padPlaneSlab(cb2, cw, ch, infos[1].PlaneW(), infos[1].PlaneH(), workers)
 	planes[2] = padPlaneSlab(cr2, cw, ch, infos[2].PlaneW(), infos[2].PlaneH(), workers)
-
-	putByteSlab(yP)
-	putByteSlab(cbP)
-	putByteSlab(crP)
-	if sub != jfif.Sub444 {
-		putByteSlab(cb2)
-		putByteSlab(cr2)
-	}
-	release := func() {
-		for _, p := range planes {
-			putByteSlab(p)
-		}
+	for _, p := range [][]byte{yP, cbP, crP, cb2, cr2} {
+		putByteSlab(p)
 	}
 	return planes, infos, release
 }
@@ -315,12 +328,58 @@ func padPlaneSlab(p []byte, w, h, pw, ph, workers int) []byte {
 	return out
 }
 
+// recipShift is the fixed shift of the forward pass's reciprocal
+// quantiser: 20 + 11, for dividends below 2^20 and divisors below 2^11.
+const recipShift = 31
+
+// quantRecip is a quantisation table as the forward pass divides by it.
+// ForwardInt's output is scaled by 8, so coefficient i divides by
+// d = 8·quant[i], rounding half away from zero. Per natural-order
+// coefficient it holds m = ⌈2^31/d⌉ and the rounding bias (d/2)·m, so
+// that (|v|·m + bias) >> 31 equals (|v| + d/2) / d. With n = |v| + d/2,
+// m exceeds 2^31/d by less than 1, so n·m/2^31 exceeds n/d by less than
+// n/2^31 < 2^-11 ≤ 1/d: too little to lift n/d, whose fraction is at
+// most (d-1)/d, to the next integer. Baseline tables give
+// d ≤ 8·255 = 2040, ForwardInt's output stays far below 2^20 for 8-bit
+// samples, and TestQuantRecipExact checks every such d and dividend.
+type quantRecip struct {
+	mul, bias [64]uint64
+}
+
+// recipCache holds each quality's reciprocal tables (luma, chroma),
+// built on first use: the forward pass's goroutines share them, so
+// tables built per Encode would cost a heap allocation each time.
+var recipCache [101]atomic.Pointer[[2]quantRecip]
+
+// recipsFor returns the reciprocal tables of quality's luma and chroma
+// quantisation tables, which are functions of the quality alone.
+func recipsFor(quality int, luma, chroma *[64]uint16) *[2]quantRecip {
+	c := &recipCache[min(max(quality, 1), 100)]
+	r := c.Load()
+	if r == nil {
+		r = &[2]quantRecip{newQuantRecip(luma), newQuantRecip(chroma)}
+		c.Store(r)
+	}
+	return r
+}
+
+func newQuantRecip(quant *[64]uint16) quantRecip {
+	var r quantRecip
+	for i, q := range quant {
+		d := 8 * uint64(q)
+		r.mul[i] = (1<<recipShift + d - 1) / d
+		r.bias[i] = d / 2 * r.mul[i]
+	}
+	return r
+}
+
 // forwardComponent runs level shift, forward DCT and quantization over
 // every block of a padded plane, writing quantized coefficients into
-// out (len info.Blocks()*64). Block rows fan out as contiguous bands;
-// each band owns disjoint output blocks, so results match the
-// sequential pass bit for bit.
-func forwardComponent(plane []byte, info PlaneInfo, quant *[64]uint16, out []int32, workers int) {
+// out (len info.Blocks()*64) and each block's nonzero mask into masks
+// (len info.Blocks()). Block rows fan out as contiguous bands; each
+// band owns disjoint output blocks, so results match the sequential
+// pass bit for bit.
+func forwardComponent(plane []byte, info PlaneInfo, r *quantRecip, out []int32, masks []uint64, workers int) {
 	pw := info.PlaneW()
 	parallelRowBands(info.BlockRows, workers, func(lo, hi int) {
 		var blk [64]int32
@@ -333,135 +392,123 @@ func forwardComponent(plane []byte, info PlaneInfo, quant *[64]uint16, out []int
 					}
 				}
 				dct.ForwardInt(&blk)
-				dst := out[(by*info.BlocksPerRow+bx)*64:]
-				for i := 0; i < 64; i++ {
-					// ForwardInt output is scaled by 8.
-					d := int32(quant[i]) * 8
-					v := blk[i]
-					if v >= 0 {
-						dst[i] = (v + d/2) / d
-					} else {
-						dst[i] = -((-v + d/2) / d)
-					}
-				}
+				b := by*info.BlocksPerRow + bx
+				masks[b] = quantizeBlock(&blk, r, (*[64]int32)(out[b*64:]))
 			}
 		}
 	})
 }
 
-// scanEmitter abstracts the two encoder passes: statistics gathering and
-// actual bit emission.
-type scanEmitter interface {
-	emitDC(tab int, sym byte, bits uint32, n uint)
-	emitAC(tab int, sym byte, bits uint32, n uint)
-	restart(i int)
+// quantizeBlock quantises blk into dst by reciprocal multiplication and
+// returns the block's nonzero mask, bits in zigzag order.
+func quantizeBlock(blk *[64]int32, r *quantRecip, dst *[64]int32) uint64 {
+	var mask uint64
+	for i, v := range blk {
+		sign := v >> 31 // 0 or -1
+		q := (uint64((v^sign)-sign)*r.mul[i] + r.bias[i]) >> recipShift
+		dst[i] = (int32(q) ^ sign) - sign
+		mask |= (q | -q) >> 63 << uint(jfif.Natural[i])
+	}
+	return mask
 }
 
-type tableSet struct {
-	dc [2]*huffman.Table
-	ac [2]*huffman.Table
+// baselineScan is the block order of a baseline scan: MCUs in raster
+// order, within each MCU every component's blocks in raster order.
+type baselineScan struct {
+	comps                                []jfif.Component
+	coeffs                               [3][]int32
+	masks                                [3][]uint64
+	infos                                [3]PlaneInfo
+	mcusPerRow, mcuRows, restartInterval int
 }
 
-type bitEmitter struct {
-	w    *bitstream.Writer
-	tabs *tableSet
-}
-
-func (e *bitEmitter) emitDC(tab int, sym byte, bits uint32, n uint) {
-	_ = e.tabs.dc[tab].Encode(e.w, sym)
-	e.w.WriteBits(bits, n)
-}
-
-func (e *bitEmitter) emitAC(tab int, sym byte, bits uint32, n uint) {
-	_ = e.tabs.ac[tab].Encode(e.w, sym)
-	e.w.WriteBits(bits, n)
-}
-
-func (e *bitEmitter) restart(i int) {
-	e.w.WriteRestartMarker(i)
-}
-
-type freqCounter struct {
-	dc *[2][256]int64
-	ac *[2][256]int64
-}
-
-func (c *freqCounter) emitDC(tab int, sym byte, bits uint32, n uint) { c.dc[tab][sym]++ }
-func (c *freqCounter) emitAC(tab int, sym byte, bits uint32, n uint) { c.ac[tab][sym]++ }
-func (c *freqCounter) restart(i int)                                 {}
-
-// encodeScan walks MCUs in scan order, entropy-encoding every block.
-func encodeScan(em scanEmitter, comps []jfif.Component, coeffs [][]int32, infos [3]PlaneInfo, mcusPerRow, mcuRows, restartInterval int) error {
+// walk visits every block in scan order with its component's table
+// selector (0 for luma, 1 for chroma), its nonzero mask and the
+// difference of its DC from the component's predictor. restart, when
+// non-nil, runs at every restart boundary; the predictors start over
+// there either way.
+func (s *baselineScan) walk(restart func(i int), block func(tab int, blk *[64]int32, mask uint64, diff int32)) {
 	var dcPred [3]int32
-	mcuCount := 0
-	rstIdx := 0
-	for my := 0; my < mcuRows; my++ {
-		for mx := 0; mx < mcusPerRow; mx++ {
-			if restartInterval > 0 && mcuCount == restartInterval {
-				em.restart(rstIdx)
+	mcuCount, rstIdx := 0, 0
+	for my := 0; my < s.mcuRows; my++ {
+		for mx := 0; mx < s.mcusPerRow; mx++ {
+			if s.restartInterval > 0 && mcuCount == s.restartInterval {
+				if restart != nil {
+					restart(rstIdx)
+				}
 				rstIdx = (rstIdx + 1) & 7
 				mcuCount = 0
 				dcPred = [3]int32{}
 			}
-			for ci, comp := range comps {
-				tabDC := comp.DCSel
-				tabAC := comp.ACSel
-				info := infos[ci]
+			for ci := range s.infos {
+				comp, info, coeffs, masks := s.comps[ci], s.infos[ci], s.coeffs[ci], s.masks[ci]
 				for v := 0; v < comp.V; v++ {
 					for h := 0; h < comp.H; h++ {
-						bx := mx*comp.H + h
-						by := my*comp.V + v
-						blk := coeffs[ci][(by*info.BlocksPerRow+bx)*64:]
-						encodeBlock(em, blk[:64], tabDC, tabAC, &dcPred[ci])
+						b := (my*comp.V+v)*info.BlocksPerRow + mx*comp.H + h
+						blk := (*[64]int32)(coeffs[b*64:])
+						diff := blk[0] - dcPred[ci]
+						dcPred[ci] = blk[0]
+						block(comp.DCSel, blk, masks[b], diff)
 					}
 				}
 			}
 			mcuCount++
 		}
 	}
-	return nil
 }
 
-func encodeBlock(em scanEmitter, blk []int32, tabDC, tabAC int, pred *int32) {
-	diff := blk[0] - *pred
-	*pred = blk[0]
-	cat, bits := magnitude(diff)
-	em.emitDC(tabDC, byte(cat), bits, cat)
-
-	run := 0
-	for k := 1; k < 64; k++ {
-		v := blk[jfif.ZigZag[k]]
-		if v == 0 {
-			run++
-			continue
+// countBlock adds the symbols one block encodes to the DC and AC
+// frequency tables, walking only the block's nonzero coefficients.
+func countBlock(dc, ac *[256]int64, blk *[64]int32, mask uint64, diff int32) {
+	cat, _ := magnitude(diff)
+	dc[byte(cat)]++
+	last := 0
+	for m := mask &^ 1; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		run := k - last - 1
+		last = k
+		for ; run > 15; run -= 16 {
+			ac[0xF0]++ // ZRL
 		}
-		for run > 15 {
-			em.emitAC(tabAC, 0xF0, 0, 0) // ZRL
-			run -= 16
-		}
-		cat, bits := magnitude(v)
-		em.emitAC(tabAC, byte(run<<4)|byte(cat), bits, cat)
-		run = 0
+		cat, _ := magnitude(blk[jfif.ZigZag[k&63]&63])
+		ac[byte(run<<4)|byte(cat)]++
 	}
-	if run > 0 {
-		em.emitAC(tabAC, 0x00, 0, 0) // EOB
+	if last != 63 {
+		ac[0x00]++ // EOB
+	}
+}
+
+// emitBlock writes one block's symbols and magnitude bits, walking only
+// the block's nonzero coefficients. Each code goes out with its
+// magnitude bits in one write of at most 16+11 bits.
+func emitBlock(w *bitstream.Writer, dc, ac *huffman.Table, blk *[64]int32, mask uint64, diff int32) {
+	cat, extra := magnitude(diff)
+	code, size := dc.Code(byte(cat))
+	w.WriteBits(code<<cat|extra, uint(size)+cat)
+	last := 0
+	for m := mask &^ 1; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		run := k - last - 1
+		last = k
+		for ; run > 15; run -= 16 {
+			code, size := ac.Code(0xF0) // ZRL
+			w.WriteBits(code, uint(size))
+		}
+		cat, extra := magnitude(blk[jfif.ZigZag[k&63]&63])
+		code, size := ac.Code(byte(run<<4) | byte(cat))
+		w.WriteBits(code<<cat|extra, uint(size)+cat)
+	}
+	if last != 63 {
+		code, size := ac.Code(0x00) // EOB
+		w.WriteBits(code, uint(size))
 	}
 }
 
 // magnitude returns the category (bit length) and the encoded magnitude
-// bits for a coefficient value per T.81 F.1.2.1.
+// bits for a coefficient value per T.81 F.1.2.1: v itself when
+// positive, v-1 in the category's bits when negative.
 func magnitude(v int32) (uint, uint32) {
-	a := v
-	if a < 0 {
-		a = -a
-	}
-	cat := uint(0)
-	for a > 0 {
-		cat++
-		a >>= 1
-	}
-	if v < 0 {
-		return cat, uint32(v + (1 << cat) - 1)
-	}
-	return cat, uint32(v)
+	sign := v >> 31 // 0 or -1
+	cat := uint(bits.Len32(uint32((v ^ sign) - sign)))
+	return cat, uint32(v+sign) & (1<<cat - 1)
 }

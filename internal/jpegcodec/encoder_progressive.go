@@ -2,6 +2,7 @@ package jpegcodec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hetjpeg/internal/bitstream"
 	"hetjpeg/internal/huffman"
@@ -158,7 +159,8 @@ const maxCorrBits = 1000
 type progScanEnc struct {
 	spec                ScanSpec
 	comps               []jfif.Component
-	coeffs              [][]int32
+	coeffs              [3][]int32
+	masks               [3][]uint64 // per-block nonzero masks, zigzag bit order
 	infos               [3]PlaneInfo
 	mcusPerRow, mcuRows int
 	restartInterval     int
@@ -212,20 +214,21 @@ func (e *progScanEnc) run(em progEmitter) {
 	} else {
 		// Single-component scan over the component's own block grid.
 		ci := e.spec.Comps[0]
-		info := e.infos[ci]
+		info, masks := e.infos[ci], e.masks[ci]
 		wb := (info.CompW + 7) / 8
 		hb := (info.CompH + 7) / 8
 		for by := 0; by < hb; by++ {
 			for bx := 0; bx < wb; bx++ {
 				unit()
-				blk := e.coeffs[ci][(by*info.BlocksPerRow+bx)*64:]
+				b := by*info.BlocksPerRow + bx
+				blk := e.coeffs[ci][b*64:]
 				switch {
 				case e.spec.Ss == 0:
 					e.encodeDC(em, blk[:64], 0, ci)
 				case e.spec.Ah == 0:
-					e.encodeACFirst(em, blk[:64], ci)
+					e.encodeACFirst(em, blk[:64], masks[b], ci)
 				default:
-					e.encodeACRefine(em, blk[:64], ci)
+					e.encodeACRefine(em, blk[:64], masks[b], ci)
 				}
 			}
 		}
@@ -250,19 +253,23 @@ func (e *progScanEnc) encodeDC(em progEmitter, blk []int32, si, ci int) {
 	t := blk[0] >> uint(e.spec.Al)
 	diff := t - e.dcPred[si]
 	e.dcPred[si] = t
-	cat, bits := magnitude(diff)
+	cat, extra := magnitude(diff)
 	em.symbol(dcSlot(ci), byte(cat))
-	em.bits(bits, cat)
+	em.bits(extra, cat)
 }
 
 // encodeACFirst emits one block of an AC first scan, accumulating EOB
-// runs across blocks whose band is entirely zero at this bit depth.
-func (e *progScanEnc) encodeACFirst(em progEmitter, blk []int32, ci int) {
+// runs across blocks whose band is entirely zero at this bit depth. It
+// walks only the band's bits of the block's nonzero mask, so a block
+// with none of them joins the EOB run without a look at its
+// coefficients.
+func (e *progScanEnc) encodeACFirst(em progEmitter, blk []int32, mask uint64, ci int) {
 	slot := acSlot(ci)
 	al := uint(e.spec.Al)
-	r := 0
-	for k := e.spec.Ss; k <= e.spec.Se; k++ {
-		v := blk[jfif.ZigZag[k]]
+	last := e.spec.Ss - 1 // zigzag position of the last coefficient sent
+	for m := mask & e.band(); m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		v := blk[jfif.ZigZag[k&63]]
 		// Point transform is sign-magnitude for AC (T.81 G.1.2.2).
 		var t int32
 		if v >= 0 {
@@ -271,20 +278,20 @@ func (e *progScanEnc) encodeACFirst(em progEmitter, blk []int32, ci int) {
 			t = -((-v) >> al)
 		}
 		if t == 0 {
-			r++
 			continue
 		}
 		e.flushEOB(em)
+		r := k - last - 1
 		for r > 15 {
 			em.symbol(slot, 0xF0)
 			r -= 16
 		}
-		cat, bits := magnitude(t)
+		cat, extra := magnitude(t)
 		em.symbol(slot, byte(r<<4)|byte(cat))
-		em.bits(bits, cat)
-		r = 0
+		em.bits(extra, cat)
+		last = k
 	}
-	if r > 0 {
+	if last < e.spec.Se {
 		e.eobrun++
 		if e.eobrun == 0x7FFF {
 			e.flushEOB(em)
@@ -292,35 +299,47 @@ func (e *progScanEnc) encodeACFirst(em progEmitter, blk []int32, ci int) {
 	}
 }
 
+// band is the scan's spectral band as mask bits: Ss through Se.
+func (e *progScanEnc) band() uint64 {
+	return uint64(1)<<(e.spec.Se+1) - uint64(1)<<e.spec.Ss
+}
+
 // encodeACRefine emits one block of an AC refinement scan: correction
 // bits for coefficients that were already nonzero, ±1 insertions for
 // newly nonzero ones, with zero runs counting only zero-history
-// positions (the mirror of decodeACRefine).
-func (e *progScanEnc) encodeACRefine(em progEmitter, blk []int32, ci int) {
+// positions (the mirror of decodeACRefine). Like encodeACFirst it
+// visits only the band's bits of the block's nonzero mask; the zeros
+// between them enter the runs by position.
+func (e *progScanEnc) encodeACRefine(em progEmitter, blk []int32, mask uint64, ci int) {
 	slot := acSlot(ci)
 	al := uint(e.spec.Al)
+	band := mask & e.band()
 
 	var absv [64]int32
 	eob := e.spec.Ss - 1 // index of the last newly nonzero coefficient
-	for k := e.spec.Ss; k <= e.spec.Se; k++ {
-		a := blk[jfif.ZigZag[k]]
+	for m := band; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		a := blk[jfif.ZigZag[k&63]]
 		if a < 0 {
 			a = -a
 		}
 		a >>= al
-		absv[k] = a
+		absv[k&63] = a
 		if a == 1 {
 			eob = k
 		}
 	}
 
 	r := 0
-	for k := e.spec.Ss; k <= e.spec.Se; k++ {
-		t := absv[k]
+	prev := e.spec.Ss - 1 // the last position with a nonzero absv
+	for m := band; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		t := absv[k&63]
 		if t == 0 {
-			r++
 			continue
 		}
+		r += k - prev - 1
+		prev = k
 		for r > 15 && k <= eob {
 			e.flushEOB(em)
 			em.symbol(slot, 0xF0)
@@ -335,13 +354,14 @@ func (e *progScanEnc) encodeACRefine(em progEmitter, blk []int32, ci int) {
 		e.flushEOB(em)
 		em.symbol(slot, byte(r<<4)|1)
 		sign := uint32(1)
-		if blk[jfif.ZigZag[k]] < 0 {
+		if blk[jfif.ZigZag[k&63]] < 0 {
 			sign = 0
 		}
 		em.bits(sign, 1)
 		e.flushCur(em)
 		r = 0
 	}
+	r += e.spec.Se - prev
 	if r > 0 || len(e.curBits) > 0 {
 		e.eobrun++
 		e.pendBits = append(e.pendBits, e.curBits...)
@@ -385,7 +405,7 @@ func (e *progScanEnc) flushCur(em progEmitter) {
 // then per scan its optimal Huffman tables (DHT), scan header (SOS) and
 // entropy bits.
 func encodeProgressive(img *RGBImage, opts EncodeOptions, comps []jfif.Component,
-	coeffs [][]int32, infos [3]PlaneInfo, lumaQ, chromaQ *[64]uint16,
+	coeffs [3][]int32, masks [3][]uint64, infos [3]PlaneInfo, lumaQ, chromaQ *[64]uint16,
 	mcusPerRow, mcuRows int) ([]byte, error) {
 
 	script := opts.Script
@@ -417,6 +437,7 @@ func encodeProgressive(img *RGBImage, opts EncodeOptions, comps []jfif.Component
 			spec:            spec,
 			comps:           comps,
 			coeffs:          coeffs,
+			masks:           masks,
 			infos:           infos,
 			mcusPerRow:      mcusPerRow,
 			mcuRows:         mcuRows,

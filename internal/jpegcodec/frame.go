@@ -23,8 +23,9 @@ import (
 // conversion every output pixel. Only progressive coefficient slabs,
 // which scans accumulate into, are cleared up front (newFrame).
 var (
-	coeffPool pool.Slab[int32] // whole-image coefficient slabs
-	bytePool  pool.Slab[byte]  // sample planes and RGB pixels
+	coeffPool pool.Slab[int32]  // whole-image coefficient slabs
+	bytePool  pool.Slab[byte]   // sample planes and RGB pixels
+	maskPool  pool.Slab[uint64] // the encoder's per-block nonzero masks
 )
 
 //hetlint:transfer ownership moves to the Frame/RGBImage; Frame.Release / RGBImage.Release put it back
@@ -34,6 +35,10 @@ func putCoeffSlab(s []int32)     { coeffPool.Put(s) }
 //hetlint:transfer ownership moves to the Frame/RGBImage; Frame.Release / RGBImage.Release put it back
 func getByteSlab(n int) []byte { return bytePool.Get(n) }
 func putByteSlab(s []byte)     { bytePool.Put(s) }
+
+//hetlint:transfer ownership moves to Encode's per-component masks; Encode puts them back on return
+func getMaskSlab(n int) []uint64 { return maskPool.Get(n) }
+func putMaskSlab(s []uint64)     { maskPool.Put(s) }
 
 // PlaneInfo describes the padded sample geometry of one component.
 type PlaneInfo struct {

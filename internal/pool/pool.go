@@ -48,7 +48,7 @@ var poison bool
 
 // Slab is a size-class-bucketed pool of []T slabs. The zero value is
 // ready to use and safe for concurrent use.
-type Slab[T byte | int16 | int32] struct {
+type Slab[T byte | int16 | int32 | uint64] struct {
 	mu      sync.Mutex
 	classes [bits.UintSize][][]T // class c holds slabs with cap >= 1<<c, most recent last
 	parked  int                  // bytes of capacity across all classes
@@ -83,7 +83,7 @@ func (p *Slab[T]) Get(n int) []T {
 	}
 	s = s[:n]
 	if poison {
-		fill := int64(-0x5A5A5A5B) // 0xA5 in every byte of any T
+		fill := int64(-0x5A5A5A5A5A5A5A5B) // 0xA5 in every byte of any T
 		for i := range s {
 			s[i] = T(fill)
 		}

@@ -43,6 +43,26 @@ func TestGetPutReuse(t *testing.T) {
 	}
 }
 
+// TestPoisonEveryByte checks that a race build fills every byte of a
+// slab with 0xA5 whatever its element width, the 64-bit masks included.
+func TestPoisonEveryByte(t *testing.T) {
+	if !poison {
+		t.Skip("slabs are poisoned only in race builds")
+	}
+	var p8 Slab[byte]
+	var p16 Slab[int16]
+	var p64 Slab[uint64]
+	if v := p8.Get(3)[2]; v != 0xA5 {
+		t.Errorf("byte slab: %#x", v)
+	}
+	if v := p16.Get(3)[2]; uint16(v) != 0xA5A5 {
+		t.Errorf("int16 slab: %#x", uint16(v))
+	}
+	if v := p64.Get(3)[2]; v != 0xA5A5A5A5A5A5A5A5 {
+		t.Errorf("uint64 slab: %#x", v)
+	}
+}
+
 func TestNoUndersizedReuse(t *testing.T) {
 	var p Slab[byte]
 	small := p.Get(100)
