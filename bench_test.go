@@ -256,8 +256,9 @@ func BenchmarkFigure12_Balance(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Real (wall-clock) decodes: the simulated device actually computes
-// pixels, so these measure genuine host throughput per mode.
+// Real (wall-clock) decodes: every mode computes its pixels with the
+// one scalar back phase and adds only the building of its virtual
+// schedule, so these measure host throughput and that schedule's cost.
 
 func benchRealDecode(b *testing.B, mode core.Mode) {
 	ms := models(b)

@@ -5,7 +5,8 @@
 //
 // The library contains a complete baseline JPEG codec (encoder and
 // decoder, 4:4:4 / 4:2:2 / 4:2:0 / grayscale), a simulated
-// OpenCL-programmable GPU with the paper's kernels, an offline-profiled
+// OpenCL-programmable GPU whose cost model prices the paper's kernels in
+// virtual time, an offline-profiled
 // performance model (multivariate polynomial regression over image
 // width, height and entropy density), and the paper's dynamic
 // partitioning schemes (SPS and PPS) that split each image between a CPU
@@ -22,9 +23,10 @@
 //	})
 //	img := res.Image // interleaved RGB
 //
-// Every mode produces bit-identical pixels; modes differ only in
-// scheduling, which the returned virtual timeline records. See DESIGN.md
-// for the substitution of a simulated device for physical GPUs.
+// Every mode's pixels come from the one scalar back phase, so they are
+// bit-identical; modes differ only in scheduling, which the returned
+// virtual timeline records. No kernel executes on the simulated device:
+// kernels.CostPlan prices each launch from the frame's geometry.
 package hetjpeg
 
 import (

@@ -242,46 +242,6 @@ func BenchmarkYCbCrToRGBRow(b *testing.B) {
 	}
 }
 
-func TestPointwiseMatchesRowH2V1(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 100; trial++ {
-		cw := 1 + rng.Intn(40)
-		row := make([]byte, cw)
-		for i := range row {
-			row[i] = byte(rng.Intn(256))
-		}
-		want := make([]byte, 2*cw)
-		UpsampleRowH2V1Fancy(row, want)
-		for x := 0; x < 2*cw; x++ {
-			if got := UpsampleH2V1At(row, cw, x); got != want[x] {
-				t.Fatalf("trial %d cw=%d x=%d: pointwise %d row %d", trial, cw, x, got, want[x])
-			}
-		}
-	}
-}
-
-func TestPointwiseMatchesRowH2V2(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 60; trial++ {
-		cw := 1 + rng.Intn(24)
-		ch := 1 + rng.Intn(24)
-		plane := make([]byte, cw*ch)
-		for i := range plane {
-			plane[i] = byte(rng.Intn(256))
-		}
-		want := make([]byte, 4*cw*ch)
-		UpsampleH2V2Fancy(plane, cw, ch, want)
-		for y := 0; y < 2*ch; y++ {
-			for x := 0; x < 2*cw; x++ {
-				if got := UpsampleH2V2At(plane, cw, ch, x, y); got != want[y*2*cw+x] {
-					t.Fatalf("trial %d cw=%d ch=%d (%d,%d): pointwise %d plane %d",
-						trial, cw, ch, x, y, got, want[y*2*cw+x])
-				}
-			}
-		}
-	}
-}
-
 // TestRGBToYCbCrRowExhaustive holds the table conversion to
 // RGBToYCbCr, the per-pixel oracle, over all 2^24 RGB triples.
 func TestRGBToYCbCrRowExhaustive(t *testing.T) {

@@ -1,9 +1,11 @@
 // Package core implements the heterogeneous JPEG decoder of the paper:
 // six execution modes (sequential, SIMD, GPU, pipelined GPU, SPS, PPS)
-// over the re-engineered whole-image-buffer codec, the simulated OpenCL
-// device, the fitted performance model and the dynamic partitioning
-// schemes. Every mode produces bit-identical pixels; modes differ in how
-// work is scheduled, which the per-decode virtual timeline records.
+// over the re-engineered whole-image-buffer codec, the priced OpenCL
+// kernels of the simulated device, the fitted performance model and the
+// dynamic partitioning schemes. Every mode's pixels come from the one
+// scalar back phase, so they are identical by construction; modes differ
+// only in how the work is scheduled, which the per-decode virtual
+// timeline records.
 package core
 
 import (
@@ -90,10 +92,11 @@ type Options struct {
 	ChunkRows int
 	// SplitKernels disables the Section 4.4 kernel merging (ablation).
 	SplitKernels bool
-	// VirtualOnly skips the real pixel work. The timeline is the same
-	// as an executed decode's, since every mode prices its device work
-	// through kernels.CostPlan either way. The returned Image is zeroed.
-	// Large experiment sweeps use it to evaluate schedules cheaply.
+	// VirtualOnly skips the back phase. The timeline is the same as an
+	// executed decode's, since the mode runners only build timelines and
+	// price the device work through kernels.CostPlan. The returned Image
+	// is zeroed. Large experiment sweeps use it to evaluate schedules
+	// cheaply.
 	VirtualOnly bool
 	// Scale selects decode-to-scale (1/2, 1/4, 1/8): the back phase
 	// reconstructs directly at the reduced resolution through scaled
@@ -174,18 +177,25 @@ func Decode(data []byte, opts Options) (*Result, error) {
 		return nil, err
 	}
 	// Entropy decoding is strictly sequential (variable-length codes);
-	// every mode performs it on the CPU. Real decode happens up front;
-	// the virtual timeline places the per-row costs according to the
-	// mode's schedule.
+	// every mode performs it on the CPU. The mode's schedule only places
+	// the per-row costs on the virtual timeline; the pixels of every mode
+	// come from the one scalar back phase.
 	if err := p.EntropyDecode(nil); err != nil {
 		p.Release() // corrupt stream: hand the slabs back to the pools
 		return nil, err
 	}
-	res, err := p.finish(false)
+	res, err := p.FinishVirtual()
 	if err != nil {
 		p.Release()
 		return nil, err
 	}
+	f := p.Frame()
+	if !opts.VirtualOnly {
+		jpegcodec.ParallelPhaseScalar(f, 0, f.MCURows, res.Image)
+	}
+	// Nothing reads coefficients or sample planes again; the frame keeps
+	// its geometry.
+	f.Release()
 	return res, res.Salvage.Err()
 }
 
@@ -197,22 +207,9 @@ type decodeState struct {
 	out  *jpegcodec.RGBImage
 	d    float64 // entropy density
 
-	// skipReal suppresses the real pixel work of the mode runners (an
-	// external band scheduler owns it) while still building the mode's
-	// exact virtual timeline and stats. Costs come from the cost plans
-	// on every path, so the result is indistinguishable from an executed
-	// decode except that out is filled by the external scheduler rather
-	// than the runner.
-	skipReal bool
-
 	rowCost []float64 // virtual huffman ns per MCU row
 	res     Result
 }
-
-// virtual reports whether the mode runners should skip real pixel work:
-// either the caller asked for a virtual-only decode, or an external
-// scheduler executes the back phase.
-func (st *decodeState) virtual() bool { return st.opts.VirtualOnly || st.skipReal }
 
 // progressive reports whether the frame is multi-scan. Progressive
 // coefficients are final only after the last scan, so the virtual
@@ -303,20 +300,12 @@ func (st *decodeState) addGPUChunkTasks(tl *sim.Timeline, ck *gpuChunk) {
 	}
 }
 
-// gpuChunk is one unit of device work.
+// gpuChunk is one unit of device work: MCU rows [m0, m1), whose colour
+// conversion covers output rows [y0, y1), priced by recs.
 type gpuChunk struct {
 	m0, m1 int
 	y0, y1 int
 	recs   []kernels.CostRecord
-}
-
-// runChunksOnDevice executes the chunks in order on the simulated device.
-// It runs in a separate goroutine in the partitioned modes so host
-// wall-clock time also overlaps.
-func (st *decodeState) runChunksOnDevice(eng *kernels.Engine, chunks []*gpuChunk) {
-	for _, ck := range chunks {
-		eng.DecodeChunk(ck.m0, ck.m1, ck.y0, ck.y1, st.out)
-	}
 }
 
 // makeChunks slices GPU MCU rows [0, s) into pipeline chunks of size c,
@@ -342,7 +331,7 @@ func (st *decodeState) makeChunks(s, c int, yEnd int) []*gpuChunk {
 }
 
 // fillChunkPlans prices every chunk through kernels.CostPlan, the one
-// device cost model, whether or not the kernels then execute.
+// device cost model.
 func (st *decodeState) fillChunkPlans(chunks []*gpuChunk) {
 	for _, ck := range chunks {
 		ck.recs = kernels.CostPlan(st.opts.Spec, st.f, ck.m0, ck.m1, ck.y0, ck.y1, !st.opts.SplitKernels)

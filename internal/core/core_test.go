@@ -6,6 +6,7 @@ import (
 	stdjpeg "image/jpeg"
 	"testing"
 
+	"hetjpeg/internal/bitstream"
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/perfmodel"
@@ -65,6 +66,39 @@ func TestAllModesBitExact(t *testing.T) {
 	}
 }
 
+// dcOverflowStream is a 64×32 grayscale baseline stream whose 32 blocks
+// each carry a DC difference of +2047 under a unit quantiser, so the DC
+// predictor passes 32767 at block 17. Coefficients must keep their full
+// int32 range through the back phase: narrowing them to int16 wraps the
+// later blocks' DC negative and turns white into black.
+func dcOverflowStream() []byte {
+	seg := func(marker byte, body ...byte) []byte {
+		n := len(body) + 2
+		return append([]byte{0xFF, marker, byte(n >> 8), byte(n)}, body...)
+	}
+	// One-code Huffman table: category 11 (DC) or EOB (AC) coded as "0".
+	table := func(class, sym byte) []byte {
+		b := append([]byte{class << 4, 1}, make([]byte, 15)...)
+		return seg(0xC4, append(b, sym)...)
+	}
+	dqt := append([]byte{0}, bytes.Repeat([]byte{1}, 64)...)
+	w := bitstream.NewWriter()
+	for range 32 {
+		w.WriteBits(0, 1)     // DC category 11
+		w.WriteBits(2047, 11) // +2047
+		w.WriteBits(0, 1)     // EOB
+	}
+	var out []byte
+	out = append(out, 0xFF, 0xD8)
+	out = append(out, seg(0xDB, dqt...)...)
+	out = append(out, seg(0xC0, 8, 0, 32, 0, 64, 1, 1, 0x11, 0)...)
+	out = append(out, table(0, 11)...)
+	out = append(out, table(1, 0)...)
+	out = append(out, seg(0xDA, 1, 1, 0x00, 0, 63, 0)...)
+	out = append(out, w.Flush()...)
+	return append(out, 0xFF, 0xD9)
+}
+
 func TestAllModesBitExactGrayscale(t *testing.T) {
 	spec := platform.GTX680()
 	model := defaultModel(t, spec)
@@ -76,22 +110,35 @@ func TestAllModesBitExactGrayscale(t *testing.T) {
 	if err := stdjpeg.Encode(&buf, gray, &stdjpeg.Options{Quality: 88}); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	ref, err := Decode(data, Options{Mode: ModeSequential, Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range AllModes()[1:] {
-		res, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model})
+	for _, in := range []struct {
+		name string
+		data []byte
+	}{{"gray", buf.Bytes()}, {"dc-overflow", dcOverflowStream()}} {
+		ref, err := Decode(in.data, Options{Mode: ModeSequential, Spec: spec})
 		if err != nil {
-			t.Fatalf("gray %v: %v", mode, err)
+			t.Fatalf("%s: %v", in.name, err)
 		}
-		if !bytes.Equal(ref.Image.Pix, res.Image.Pix) {
-			t.Errorf("gray %v: pixels differ", mode)
+		for _, mode := range AllModes()[1:] {
+			res, err := Decode(in.data, Options{Mode: mode, Spec: spec, Model: model})
+			if err != nil {
+				t.Fatalf("%s %v: %v", in.name, mode, err)
+			}
+			if !bytes.Equal(ref.Image.Pix, res.Image.Pix) {
+				diff := 0
+				for i := range ref.Image.Pix {
+					if ref.Image.Pix[i] != res.Image.Pix[i] {
+						diff++
+					}
+				}
+				t.Errorf("%s %v: %d/%d bytes differ", in.name, mode, diff, len(ref.Image.Pix))
+			}
 		}
 	}
 }
 
+// TestSplitKernelsBitExact pins what Options.SplitKernels means: the
+// Section 4.4 ablation prices the split kernels, so the device work costs
+// more virtual time, and the pixels stay those of every other mode.
 func TestSplitKernelsBitExact(t *testing.T) {
 	spec := platform.GTX560()
 	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub422, jfif.Sub420} {
@@ -100,12 +147,19 @@ func TestSplitKernelsBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		merged, err := Decode(data, Options{Mode: ModeGPU, Spec: spec})
+		if err != nil {
+			t.Fatalf("%v merged: %v", sub, err)
+		}
 		res, err := Decode(data, Options{Mode: ModeGPU, Spec: spec, SplitKernels: true})
 		if err != nil {
 			t.Fatalf("%v split: %v", sub, err)
 		}
 		if !bytes.Equal(ref.Image.Pix, res.Image.Pix) {
 			t.Errorf("%v: split kernels change pixels", sub)
+		}
+		if res.TotalNs <= merged.TotalNs {
+			t.Errorf("%v: split kernels take %.0f ns, merged %.0f ns", sub, res.TotalNs, merged.TotalNs)
 		}
 	}
 }

@@ -186,6 +186,9 @@ func TestTinyImagesAllModes(t *testing.T) {
 	}
 }
 
+// TestSplitKernelsAllPartitionedModes extends TestSplitKernelsBitExact
+// to the chunked and partitioned schedules: the split kernels keep the
+// pixels and the partition, and only the device queue gets busier.
 func TestSplitKernelsAllPartitionedModes(t *testing.T) {
 	spec := platform.GTX560()
 	model := defaultModel(t, spec)
@@ -195,12 +198,23 @@ func TestSplitKernelsAllPartitionedModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{ModePipelinedGPU, ModeSPS, ModePPS} {
+		merged, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model})
+		if err != nil {
+			t.Fatalf("%v merged: %v", mode, err)
+		}
 		res, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model, SplitKernels: true})
 		if err != nil {
 			t.Fatalf("%v split: %v", mode, err)
 		}
 		if !bytes.Equal(ref.Image.Pix, res.Image.Pix) {
 			t.Errorf("%v split kernels: pixels differ", mode)
+		}
+		if res.Stats != merged.Stats {
+			t.Errorf("%v: split stats %+v, merged %+v", mode, res.Stats, merged.Stats)
+		}
+		split, base := res.Timeline.BusyTime(sim.ResGPU), merged.Timeline.BusyTime(sim.ResGPU)
+		if split <= base {
+			t.Errorf("%v: device busy %.0f ns split, %.0f ns merged", mode, split, base)
 		}
 	}
 }

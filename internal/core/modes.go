@@ -2,24 +2,17 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"hetjpeg/internal/gpusim"
 	"hetjpeg/internal/jfif"
-	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/kernels"
 	"hetjpeg/internal/partition"
 	"hetjpeg/internal/perfmodel"
 	"hetjpeg/internal/sim"
 )
 
-// runCPUOnly executes the sequential or SIMD decoder: Huffman then the
+// runCPUOnly schedules the sequential or SIMD decoder: Huffman then the
 // whole-image CPU parallel phase.
 func (st *decodeState) runCPUOnly(simd bool) error {
-	if !st.virtual() {
-		jpegcodec.ParallelPhaseScalar(st.f, 0, st.f.MCURows, st.out)
-	}
-
 	tl := sim.New()
 	st.addHuffTasks(tl, 0, st.f.MCURows)
 	st.newCPUTile(0).addTasks(tl, st.f, st.opts.Spec, simd)
@@ -28,7 +21,7 @@ func (st *decodeState) runCPUOnly(simd bool) error {
 	return nil
 }
 
-// runGPU executes the GPU-only modes: the whole parallel phase on the
+// runGPU schedules the GPU-only modes: the whole parallel phase on the
 // device, either after full Huffman decoding (Figure 5a) or pipelined
 // with it in chunks (Figure 5b).
 func (st *decodeState) runGPU(pipelined bool) error {
@@ -40,11 +33,6 @@ func (st *decodeState) runGPU(pipelined bool) error {
 		chunks = st.makeChunks(f.MCURows, f.MCURows, f.OutH)
 	}
 	st.fillChunkPlans(chunks)
-	if !st.virtual() {
-		eng := kernels.NewEngine(gpusim.New(st.opts.Spec), f, !st.opts.SplitKernels)
-		st.runChunksOnDevice(eng, chunks)
-		eng.Release()
-	}
 
 	tl := sim.New()
 	if st.progressive() {
@@ -85,7 +73,7 @@ func (st *decodeState) subModel() (*perfmodel.SubModel, error) {
 	return sm, nil
 }
 
-// runPartitioned executes SPS (pps=false) and PPS (pps=true).
+// runPartitioned schedules SPS (pps=false) and PPS (pps=true).
 func (st *decodeState) runPartitioned(pps bool) error {
 	f := st.f
 	sm, err := st.subModel()
@@ -145,19 +133,6 @@ func (st *decodeState) runPartitioned(pps bool) error {
 	tile := st.newCPUTile(s)
 
 	st.fillChunkPlans(chunks)
-	// Real execution: device chunks run concurrently with the CPU tile.
-	if !st.virtual() {
-		eng := kernels.NewEngine(gpusim.New(st.opts.Spec), f, !st.opts.SplitKernels)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.runChunksOnDevice(eng, chunks)
-		}()
-		tile.exec(f, st.out)
-		wg.Wait()
-		eng.Release()
-	}
 
 	// Virtual timeline: the CPU decodes entropy for the GPU chunks (and
 	// dispatches them) first, then its own region's entropy, then its

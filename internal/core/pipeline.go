@@ -21,7 +21,8 @@ import (
 //	bp := jpegcodec.PlanBands(p.Frame(), ...)
 //	... execute bands into p.Output() on any pool ...
 //
-// Decode itself is Prepare + EntropyDecode + an executing finish.
+// Decode itself is Prepare + EntropyDecode + FinishVirtual followed by
+// jpegcodec.ParallelPhaseScalar over the whole frame.
 type Prepared struct {
 	st          *decodeState
 	entropyDone bool
@@ -110,13 +111,12 @@ func (p *Prepared) EntropyDecode(ctx context.Context) error {
 }
 
 // FinishVirtual builds the resolved mode's virtual timeline, statistics
-// and result without executing the back phase: the caller owns the real
-// pixel work (band tasks into Output). Timeline, stats and virtual
-// times are identical to an executing Decode of the same mode: both
-// price the device work through kernels.CostPlan.
-func (p *Prepared) FinishVirtual() (*Result, error) { return p.finish(true) }
-
-func (p *Prepared) finish(skipReal bool) (*Result, error) {
+// and result. It executes nothing: the caller owns the back phase (band
+// tasks into Output, or Decode's one scalar pass) and the frame's
+// release. The mode runners price the device work through
+// kernels.CostPlan, so the result is the same whoever produces the
+// pixels.
+func (p *Prepared) FinishVirtual() (*Result, error) {
 	if !p.entropyDone {
 		return nil, errors.New("core: finish before EntropyDecode")
 	}
@@ -125,7 +125,6 @@ func (p *Prepared) finish(skipReal bool) (*Result, error) {
 	}
 	p.finished = true
 	st := p.st
-	st.skipReal = skipReal
 	var err error
 	switch st.opts.Mode {
 	case ModeSequential:
@@ -145,11 +144,6 @@ func (p *Prepared) finish(skipReal bool) (*Result, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if !skipReal {
-		// The back phase has run: nothing reads coefficients or sample
-		// planes again. The frame keeps its geometry.
-		st.f.Release()
 	}
 	st.res.Image = st.out
 	st.res.Frame = st.f

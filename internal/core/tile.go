@@ -22,6 +22,8 @@ func idctCostFactor(f *jpegcodec.Frame) float64 {
 // cpuTile describes the CPU share of a partitioned decode: MCU rows
 // [s, MCURows) plus the pixel rows it color-converts (which start one row
 // early for 4:2:0, taking over the boundary row the GPU cannot finish).
+// For 4:2:0 its IDCT charge includes the one block-row halo above s that
+// the boundary row's vertical filter reads.
 type cpuTile struct {
 	s      int // first CPU MCU row
 	yStart int // first pixel row the CPU converts
@@ -34,27 +36,6 @@ func (st *decodeState) newCPUTile(s int) cpuTile {
 
 // empty reports whether the CPU share is empty.
 func (t cpuTile) empty(f *jpegcodec.Frame) bool { return t.s >= f.MCURows }
-
-// exec runs the tile's real work: IDCT of its MCU rows (plus the one
-// block-row halo above that the 4:2:0 vertical filter needs), then
-// upsampling and color conversion of its pixel rows.
-func (t cpuTile) exec(f *jpegcodec.Frame, out *jpegcodec.RGBImage) {
-	if t.empty(f) {
-		return
-	}
-	for c := range f.Planes {
-		jpegcodec.IDCTRange(f, c, t.s, f.MCURows)
-	}
-	if f.Sub == jfif.Sub420 && t.s > 0 {
-		// Halo: the boundary pixel row 16s-1 reads luma block row 2s-1
-		// and chroma block rows s-1, all inside the GPU's MCU rows.
-		jpegcodec.IDCTBlockRows(f, 0, 2*t.s-1, 2*t.s)
-		for c := 1; c < len(f.Planes); c++ {
-			jpegcodec.IDCTBlockRows(f, c, t.s-1, t.s)
-		}
-	}
-	jpegcodec.ColorConvertRange(f, t.yStart, f.OutH, out)
-}
 
 // addTasks appends the tile's virtual stage costs to the CPU resource:
 // IDCT, upsampling and color conversion as separate tasks so breakdown

@@ -129,8 +129,8 @@ func ForwardInt(block *[BlockSize]int32) {
 // InverseInt computes the inverse DCT of dequantized coefficients coef
 // (row-major, natural order) and writes level-shifted, clamped samples
 // into out (values 0..255 stored as int32). This is the canonical
-// transform: every decoder mode (sequential, SIMD analog, GPU kernels)
-// must produce output identical to it.
+// transform: every back-phase path (the fused scalar pipeline, its bands
+// and the sparse kernels) must produce output identical to it.
 func InverseInt(coef *[BlockSize]int32, out *[BlockSize]int32) {
 	var ws [BlockSize]int32 // workspace after column pass
 	var col [8]int32

@@ -1,16 +1,16 @@
 package dct
 
-// The inverse transform exposed as separate column and row passes. The
-// paper's GPU IDCT kernel (Section 4.1) assigns one work-item per column
-// for the column pass, shares the intermediate through local memory, and
-// runs the row pass per row. Exposing the passes lets the simulated
-// kernels use the *same arithmetic* as the CPU paths, keeping every
-// decoder mode bit-exact.
+// The inverse transform exposed as separate column and row passes, the
+// split the paper's GPU IDCT kernel (Section 4.1) uses: one work-item per
+// column for the column pass, the intermediate shared through local
+// memory, then the row pass per row. The CPU paths (InverseInt and the
+// sparse kernels) compose the same passes, so every decoder mode runs
+// the *same arithmetic*.
 
 // InverseIntColumn performs the column pass for one column c (0..7).
 // col holds the 8 dequantized coefficients of that column, top to bottom;
 // the intermediate result is written to ws[c+8k] (the shared workspace,
-// local memory on the simulated device).
+// local memory in the paper's kernel).
 func InverseIntColumn(col *[8]int32, ws []int32, c int) {
 	// All-AC-zero shortcut, identical to libjpeg's.
 	if col[1] == 0 && col[2] == 0 && col[3] == 0 && col[4] == 0 &&

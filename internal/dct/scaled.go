@@ -15,9 +15,8 @@ package dct
 // (property-tested) — and the 4x4 kernel matches it to within its
 // fixed-point rounding. InverseScaledRef in reference.go is the float
 // oracle the integer kernels are property-tested against (within +-1 of
-// rounding); all execution paths (CPU bands, simulated GPU kernels)
-// call these same routines, so scaled output stays byte-identical
-// across every decoder mode.
+// rounding); every back-phase path calls these same routines, so scaled
+// output stays byte-identical across every decoder mode.
 
 // Fixed-point constants for the 4-point pass, scaled by 2^constBits.
 //

@@ -11,8 +11,9 @@ import (
 
 // This file implements the scalar (non-SIMD) CPU parallel phase: the
 // reference implementation of dequantization + IDCT, upsampling and color
-// conversion. Every other execution path (SIMD analog, simulated GPU
-// kernels) must produce byte-identical output.
+// conversion, and the one back phase: every decoder mode's pixels come
+// from it, and its banded and pipelined drivers must produce
+// byte-identical output.
 //
 // The hot path is a fused MCU-row-band pipeline: each band is
 // dequantized + inverse-transformed and then immediately upsampled and

@@ -236,8 +236,8 @@ func (f *Frame) DCOnly() bool { return f.coeffStride() == 1 }
 
 // CoeffPerBlock returns the int32 slots per block in Coeff (64, or 1
 // for DC-only frames), mapping the zero value to 64. Consumers outside
-// the package (device kernels, cost plans) use it so the defaulting
-// rule has one authoritative site.
+// the package (the device cost plans) use it so the defaulting rule has
+// one authoritative site.
 func (f *Frame) CoeffPerBlock() int { return f.coeffStride() }
 
 // BlockPixels returns the reconstructed samples per block edge (8 at
@@ -262,16 +262,6 @@ func (f *Frame) Block(c, bx, by int) []int32 {
 	cs := f.coeffStride()
 	idx := (by*p.BlocksPerRow + bx) * cs
 	return f.Coeff[c][idx : idx+cs : idx+cs]
-}
-
-// CoeffRows returns the coefficient slice covering MCU rows [m0, m1) of
-// component c — the unit the scheduler transfers to a device.
-func (f *Frame) CoeffRows(c, m0, m1 int) []int32 {
-	p := f.Planes[c]
-	cs := f.coeffStride()
-	b0 := m0 * p.V * p.BlocksPerRow * cs
-	b1 := m1 * p.V * p.BlocksPerRow * cs
-	return f.Coeff[c][b0:b1]
 }
 
 // CoeffBytes returns the byte size of the coefficient data for MCU rows

@@ -1,3 +1,12 @@
+// Package kernels prices the paper's OpenCL kernels (Section 4) on the
+// simulated device. Nothing here executes: every mode's pixels come from
+// the one scalar back phase (jpegcodec.ParallelPhaseScalar), and
+// CostPlan restates each kernel launch's geometry and work from the
+// frame alone, so virtual time is the same whether or not a decode
+// produces pixels. The launches it prices are the IDCT kernel, the
+// 4:2:2 upsampling kernel, the colour-conversion kernel and the merged
+// kernels of Section 4.4 (IDCT+colour for 4:4:4, upsampling+colour for
+// 4:2:2 and the 4:2:0 extension).
 package kernels
 
 import (
@@ -47,12 +56,20 @@ func TotalNs(recs []CostRecord) float64 {
 	return s
 }
 
-// CostPlan prices Engine.DecodeChunk for MCU rows [m0, m1) with
-// color-converted pixel rows [y0, y1) (pass -1 for the chunk's natural
-// rows): the host-to-device transfer, each kernel launch of the frame's
-// plan and the device-to-host readback, in order. It reads only the
-// frame's geometry, so executed and virtual-only decodes, the schedulers
-// and the performance model's offline profiler all see the same costs.
+// CostPlan prices the device's share of a decode for MCU rows [m0, m1)
+// with color-converted pixel rows [y0, y1) (pass -1 for the chunk's
+// natural rows): the host-to-device transfer of the chunk's coefficients
+// (the Y|Cb|Cr buffer layout of Section 4), each kernel launch of the
+// frame's plan and the device-to-host readback of the finished rows, in
+// order. merged selects the Section 4.4 merged kernels (the paper's
+// configuration); false prices the split kernels for ablation.
+//
+// Schedulers shift y0 and y1 at 4:2:0 chunk boundaries, where the
+// vertical triangle filter of an output row needs chroma samples from
+// the next chunk's first block row: the boundary row is charged to the
+// later chunk (or to the CPU partition). CostPlan reads only the frame's
+// geometry, so executed and virtual-only decodes, the schedulers and the
+// performance model's offline profiler all see the same costs.
 func CostPlan(spec *platform.Spec, f *jpegcodec.Frame, m0, m1, y0, y1 int, merged bool) []CostRecord {
 	dev := pricer{spec}
 	var recs []CostRecord
@@ -94,13 +111,22 @@ func CostPlan(spec *platform.Spec, f *jpegcodec.Frame, m0, m1, y0, y1 int, merge
 }
 
 // pricer restates each kernel's launch geometry and work and prices it
-// through the platform's kernel cost formula.
+// through the platform's kernel cost formula. Apart from the IDCT
+// kernels, whose groups hold WorkGroupBlocks blocks, every launch runs
+// work-groups of 128 items (the paper's merged-kernel work-group).
 type pricer struct{ spec *platform.Spec }
 
 func (d pricer) costOf(ops, bytes float64, groups, localInt32 int) float64 {
 	return d.spec.KernelCostNs(ops, bytes, groups, localInt32)
 }
 
+// idctCost prices the Section 4.1 IDCT kernel, one launch over every
+// block of every component in MCU rows [m0, m1) in Y|Cb|Cr order. At full
+// size each block gets 8 work-items: one per column for the column pass,
+// whose intermediate goes to local memory (64 int32 per block), then one
+// per row for the row pass, which stores clamped bytes. A scaled block is
+// too small to split eight ways, so at 1/2, 1/4 and 1/8 one work-item
+// reconstructs one whole block and needs no local memory.
 func (d pricer) idctCost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	nBlocks := 0
 	for _, p := range f.Planes {
@@ -119,6 +145,10 @@ func (d pricer) idctCost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	return CostRecord{sim.KindIDCT, fmt.Sprintf("idct[%d,%d)x%d", m0, m1, nBlocks), d.costOf(ops, bytes, groups, gb*64)}
 }
 
+// merged444Cost prices the Section 4.4 merged IDCT + colour kernel for
+// 4:4:4 frames: three column passes (Y, Cb, Cr) into local memory, then
+// a row pass that converts and stores interleaved RGB directly. Scaled,
+// one work-item reconstructs the three co-sited blocks and converts them.
 func (d pricer) merged444Cost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	p := f.Planes[0]
 	nBlocks := (m1 - m0) * p.V * p.BlocksPerRow
@@ -137,6 +167,11 @@ func (d pricer) merged444Cost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	return CostRecord{sim.KindMergedKernel, fmt.Sprintf("merged444[%d,%d)", m0, m1), d.costOf(ops, bytes, groups, gb*192)}
 }
 
+// upsampleColorCost prices the Section 4.4 merged upsampling + colour
+// kernel for 4:2:2 (and the 4:2:0 extension): each work-item upsamples
+// the chroma of one 8-pixel output segment in registers, loads the
+// matching luma, converts and stores RGB. The work-group shape keeps all
+// items of a block on one branch (no divergence, Section 4.2).
 func (d pricer) upsampleColorCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
@@ -156,6 +191,9 @@ func (d pricer) upsampleColorCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	return CostRecord{sim.KindMergedKernel, fmt.Sprintf("upsample_color[%d,%d)", r0, r1), d.costOf(ops, bytes, groups, 0)}
 }
 
+// color444Cost prices the standalone Section 4.3 colour-conversion
+// kernel of split 4:4:4 decodes: one work-item converts 4 pixels (the
+// vectorised store of Figure 4).
 func (d pricer) color444Cost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
@@ -169,6 +207,11 @@ func (d pricer) color444Cost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	return CostRecord{sim.KindColor, fmt.Sprintf("color444[%d,%d)", r0, r1), d.costOf(ops, float64(pixels)*6, groups, 0)}
 }
 
+// upsampleCost prices the standalone Section 4.2 upsampling kernel of
+// split decodes, which expands both chroma planes to full resolution:
+// two work-items per component, luma row and chroma block, each producing
+// an 8-sample half of the 16-sample output row (the odd/even split of
+// Algorithm 1).
 func (d pricer) upsampleCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
@@ -187,6 +230,9 @@ func (d pricer) upsampleCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	return CostRecord{sim.KindUpsample, fmt.Sprintf("upsample[%d,%d)", r0, r1), d.costOf(ops, float64(outSamples)*1.5, groups, 0)}
 }
 
+// colorUpsCost prices the colour conversion that ends a split 4:2:x
+// decode, reading the full-resolution chroma upsampleCost produced; one
+// work-item converts 4 pixels.
 func (d pricer) colorUpsCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {
@@ -200,6 +246,8 @@ func (d pricer) colorUpsCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	return CostRecord{sim.KindColor, fmt.Sprintf("color_ups[%d,%d)", r0, r1), d.costOf(ops, float64(pixels)*6, groups, 0)}
 }
 
+// grayCost prices the kernel that replicates a grayscale frame's luma
+// into RGB, 8 pixels per work-item.
 func (d pricer) grayCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	rows := r1 - r0
 	if rows <= 0 {

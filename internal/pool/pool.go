@@ -1,6 +1,6 @@
 // Package pool provides bucketed slab pools for the decoder's large
 // per-decode buffers (whole-image coefficients, sample planes, RGB
-// pixels, and the simulated device's resident buffers). A batch service
+// pixels and the encoder's nonzero masks). A batch service
 // decodes millions of images per process; recycling these slabs keeps
 // steady-state allocation flat instead of churning hundreds of MB/s
 // through the GC.
