@@ -79,19 +79,11 @@ func (g *gate) pendingByteCount() int64 {
 	return g.pendingBytes
 }
 
-// pastWatermark reports whether occupancy (requests or bytes) crossed
-// the degrade watermark fraction of its budget.
-func (g *gate) pastWatermark() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return float64(g.pending) >= g.watermarkFrac*float64(g.maxRequests) ||
-		float64(g.pendingBytes) >= g.watermarkFrac*float64(g.maxBytes)
-}
-
-// pastWatermarkExcluding is pastWatermark as seen by an admitted
-// request deciding whether to degrade itself: its own reservation (one
-// slot, n bytes) is excluded, so a lone request on an idle server never
-// counts itself as queue pressure.
+// pastWatermarkExcluding reports whether occupancy (requests or bytes)
+// crossed the degrade watermark fraction of its budget, as seen by an
+// admitted request deciding whether to degrade itself: its own
+// reservation (one slot, n bytes) is excluded, so a lone request on an
+// idle server never counts itself as queue pressure.
 func (g *gate) pastWatermarkExcluding(n int64) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()

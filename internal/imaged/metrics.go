@@ -39,7 +39,6 @@ func (s *Server) buildMetrics() {
 	encRate := reg.NewGaugeFuncVec("hetjpeg_encode_ns_per_mcu",
 		"Learned re-encode cost per output MCU by encode rate class.", "class")
 	for _, c := range perfmodel.EncodeClasses() {
-		c := c
 		s.mEncodeDur.With(c.String())
 		encRate.Bind(func() float64 { return s.encRates.Value(c) }, c.String())
 	}
@@ -95,7 +94,7 @@ func (s *Server) buildMetrics() {
 		"Requests that exceeded their decode deadline (503).",
 		func() uint64 { return s.timeouts.Load() })
 	reg.NewCounterFunc("hetjpeg_panics_total",
-		"Handler panics contained by the recovery middleware.",
+		"Panics contained by the recovery middleware or by a request part's decode.",
 		func() uint64 { return s.panics.Load() })
 	reg.NewGaugeFunc("hetjpeg_uptime_seconds",
 		"Seconds since the server started.",

@@ -1,8 +1,11 @@
 // Package imaged is the production image-decode edge service the
 // paper's gallery workload motivates (ROADMAP item 2): the
 // band-scheduler batch executor wrapped in the process-level robustness
-// an internet-facing decode tier needs. Beyond decoding each request
-// through Executor.Decode, imaged adds:
+// an internet-facing decode tier needs. /decode, /transcode and /batch
+// run one request pipeline (pipeline.go): begin checks the method, the
+// drain and the shared knobs, then decodeParts probes the cache, admits,
+// degrades and decodes each part through Executor.Decode under one
+// deadline. Along that pipeline imaged adds:
 //
 //   - admission control and backpressure: a bounded budget of pending
 //     requests AND pending body bytes; past it, requests are shed with
@@ -13,9 +16,10 @@
 //     cap) that reaches the entropy stage's MCU-row polling and every
 //     back-phase band, so a timed-out decode stops burning CPU and the
 //     client gets 503 with a typed timeout body;
-//   - graceful degradation: past a queue-depth watermark, requests that
-//     opted in (?degrade=allow) are served 1/8-scale DC-only thumbnails
-//     (X-Hetjpeg-Degraded: true) — reduced fidelity instead of shed;
+//   - graceful degradation: past a queue-depth watermark, /decode
+//     requests that opted in (?degrade=allow) are served 1/8-scale
+//     DC-only thumbnails (X-Hetjpeg-Degraded: true) — reduced fidelity
+//     instead of shed;
 //   - lifecycle: panic recovery (500 + logged stack, process survives),
 //     /healthz liveness, /readyz readiness (false while draining or
 //     under sustained overload), and graceful drain (StartDrain stops
@@ -23,8 +27,9 @@
 //   - a decoded-output cache: finished results keyed on (content hash,
 //     scale, salvage flag) in a byte-budgeted LRU with singleflight
 //     collapse of concurrent identical decodes (internal/rescache). A
-//     cache hit is served BEFORE admission — it burns no queue budget
-//     and cannot be shed — and every /decode response carries
+//     /decode or /batch hit is served BEFORE admission — it burns no
+//     queue budget and cannot be shed; a /transcode hit still owes its
+//     encode and is admitted. Every decoded part reports
 //     X-Hetjpeg-Cache: hit|miss|wait|bypass (?cache=bypass opts out);
 //   - observability: /statz stays the JSON snapshot; /metrics exposes
 //     the Prometheus text format (internal/metrics) — per-scale decode
@@ -34,10 +39,12 @@
 //
 // cmd/imaged is the binary. Its performance, hits and misses, is the
 // service_mixed workload of the benchmark (benchmark/README.md);
-// TestChaosOverload holds its overload invariants.
+// TestChaosOverload holds its overload invariants and TestStatusGolden
+// its status contract.
 package imaged
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -286,234 +293,9 @@ type decodeReply struct {
 	SalvageError  string `json:"salvageError,omitempty"`
 }
 
+// writeJSON sets the headers the reply's fields mirror, then writes
+// the JSON body.
 func writeJSON(w http.ResponseWriter, status int, reply decodeReply) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(reply)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, decodeReply{Error: msg})
-}
-
-// handleDecode is the robust single-image decode path. Status map:
-// 200 decoded (possibly degraded/salvaged, see headers), 400 bad
-// parameters, 405 bad method, 413 body over MaxBody, 415 not a JPEG or
-// unsupported coding feature, 422 corrupt stream, 429 shed (admission
-// queue full, Retry-After set), 503 deadline exceeded or draining.
-func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a JPEG body")
-		return
-	}
-	if s.refuseDraining(w) {
-		return
-	}
-	q := r.URL.Query()
-	scale, ok := hetjpeg.ParseScale(q.Get("scale"))
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown scale %q (want 1, 1/2, 1/4 or 1/8)", q.Get("scale")))
-		return
-	}
-	timeout, err := s.timeoutFromQuery(q.Get("timeout"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	degradeOK := q.Get("degrade") == "allow"
-	bypass, err := cacheModeFromQuery(q.Get("cache"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	data, status, msg := readJPEGBody(w, r, s.cfg.MaxBody)
-	if status != 0 {
-		writeError(w, status, msg)
-		return
-	}
-
-	// Cache probe BEFORE admission: a resident result burns no queue
-	// budget and cannot be shed — repeat traffic stays fast even while
-	// the gate is rejecting fresh decode work.
-	key := rescache.KeyFor(data, scale, s.cfg.Salvage)
-	if ent := s.probe(key, bypass); ent != nil {
-		defer ent.Release()
-		reply, code := s.replyFor(ent.Result(), ent.Err(), "hit", scale, false, timeout)
-		reply.WallMs = float64(time.Since(start).Microseconds()) / 1000
-		s.writeDecodeReply(w, code, reply)
-		return
-	}
-
-	// Admission: reserve queue + byte budget for the request's whole
-	// lifetime, or shed with an honest Retry-After.
-	n := int64(len(data))
-	if !s.gate.admit(n) {
-		writeJSON(w, http.StatusTooManyRequests, s.shed(w))
-		return
-	}
-	defer s.gate.release(n)
-
-	// Graceful degradation: past the watermark, an opted-in request
-	// trades resolution for latency via the DC-only 1/8 fast path. The
-	// cache key follows the scale that actually runs.
-	degraded := false
-	if degradeOK && scale != hetjpeg.Scale8 && s.gate.pastWatermarkExcluding(n) {
-		scale = hetjpeg.Scale8
-		degraded = true
-		s.gate.noteDegraded()
-		key = rescache.KeyFor(data, scale, s.cfg.Salvage)
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	res, outcome, release, decodeErr := s.decodeStep(ctx, data, scale, key, bypass)
-	defer release()
-
-	reply, code := s.replyFor(res, decodeErr, outcome, scale, degraded, timeout)
-	reply.WallMs = float64(time.Since(start).Microseconds()) / 1000
-	s.writeDecodeReply(w, code, reply)
-}
-
-// cacheModeFromQuery parses ?cache=: empty or "use" keeps the cache in
-// the path, "bypass" opts this request out of probe and insert both.
-func cacheModeFromQuery(v string) (bypass bool, err error) {
-	switch v {
-	case "", "use":
-		return false, nil
-	case "bypass":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown cache mode %q (want bypass)", v)
-}
-
-// refuseDraining answers 503 when the server is draining and reports
-// whether it did; every decode path calls it before reading the body.
-func (s *Server) refuseDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	s.writeDecodeReply(w, http.StatusServiceUnavailable, decodeReply{Error: "server is draining", Draining: true})
-	return true
-}
-
-// shed prices a refused admission from the calibrated rates, sets the
-// Retry-After header and returns the 429 body.
-func (s *Server) shed(w http.ResponseWriter) decodeReply {
-	sec := s.retryAfterSec()
-	w.Header().Set("Retry-After", strconv.Itoa(sec))
-	return decodeReply{Error: "admission queue full", Shed: true, RetryAfterSec: sec}
-}
-
-// probe is the pre-admission half of the decode step: the resident
-// entry for key, or nil when the request must decode. A bypassing
-// request (?cache=bypass, or caching disabled) is counted and never
-// probes.
-func (s *Server) probe(key rescache.Key, bypass bool) *rescache.Entry {
-	if bypass || s.cache == nil {
-		s.cache.NoteBypass()
-		return nil
-	}
-	return s.cache.Get(key)
-}
-
-// decodeStep is the admitted half of the decode step: a bypassing
-// request (as in probe) decodes directly, any other goes through the cache's
-// singleflight and leaves its result resident. It returns the result
-// (nil on failure), the X-Hetjpeg-Cache outcome, the release that
-// hands the buffers back once the caller is done with res, and the
-// decode error (set beside res when salvaged). Metadata leaves the
-// process; the pixel and coefficient slabs go back to the pool so
-// sustained load stays allocation-flat.
-func (s *Server) decodeStep(ctx context.Context, data []byte, scale hetjpeg.Scale, key rescache.Key, bypass bool) (*hetjpeg.Result, string, func(), error) {
-	if bypass || s.cache == nil {
-		res, err := s.decodeOnce(ctx, data, scale)
-		if res == nil {
-			return nil, "bypass", func() {}, err
-		}
-		return res, "bypass", res.Release, err
-	}
-	ent, st, err := s.cache.Do(ctx, key, func() (*hetjpeg.Result, error) {
-		return s.decodeOnce(ctx, data, scale)
-	})
-	if ent == nil {
-		return nil, st.String(), func() {}, err
-	}
-	return ent.Result(), st.String(), ent.Release, err
-}
-
-// decodeOnce runs one decode through the executor and, when pixels
-// came back, the per-scale latency histogram. The contract mirrors the
-// batch API: result and error may BOTH be set (salvage); a nil result
-// is a true failure classified by the error.
-func (s *Server) decodeOnce(ctx context.Context, data []byte, scale hetjpeg.Scale) (*hetjpeg.Result, error) {
-	t0 := time.Now()
-	ir, err := s.ex.Decode(ctx, data, scale)
-	if err != nil {
-		// Submission never happened: deadline hit while queued for
-		// admission into the scheduler, or the executor closed under us.
-		return nil, err
-	}
-	if ir.Res != nil {
-		s.mDecodeDur.With(scale.String()).Observe(time.Since(t0).Seconds())
-	}
-	return ir.Res, ir.Err
-}
-
-// replyFor converts one decode outcome — fresh, cached or failed — into
-// the shared reply shape and its HTTP status.
-func (s *Server) replyFor(res *hetjpeg.Result, decodeErr error, outcome string, scale hetjpeg.Scale, degraded bool, timeout time.Duration) (decodeReply, int) {
-	reply := decodeReply{
-		Mode:     s.cfg.Mode.Resolve(s.cfg.Model).String(),
-		Platform: s.cfg.Spec.Name,
-		Scale:    scale.String(),
-		Degraded: degraded,
-		Cache:    outcome,
-	}
-	if res == nil {
-		switch {
-		case errors.Is(decodeErr, context.DeadlineExceeded) || errors.Is(decodeErr, context.Canceled):
-			// The deadline fired while queued or mid-decode; the entropy
-			// stage or a band task aborted within its polling bound.
-			s.timeouts.Add(1)
-			return decodeReply{
-				Error:     fmt.Sprintf("decode exceeded the %v deadline", timeout),
-				Timeout:   true,
-				TimeoutMs: float64(timeout.Microseconds()) / 1000,
-			}, http.StatusServiceUnavailable
-		case errors.Is(decodeErr, hetjpeg.ErrBatchClosed):
-			return decodeReply{Error: "server is draining", Draining: true}, http.StatusServiceUnavailable
-		case errors.Is(decodeErr, hetjpeg.ErrUnsupported):
-			reply.Error = decodeErr.Error()
-			reply.Unsupported = true
-			return reply, http.StatusUnsupportedMediaType
-		default:
-			reply.Error = decodeErr.Error()
-			return reply, http.StatusUnprocessableEntity
-		}
-	}
-	if decodeErr != nil {
-		// Salvaged: usable (partially gray) pixels plus ErrPartialData.
-		// An image service serves that as a success, flagged for caches;
-		// a cached salvage replays the same report on every hit.
-		reply.Salvaged = true
-		reply.SalvageError = decodeErr.Error()
-		if rep := res.Salvage; rep != nil {
-			reply.RecoveredMCUs = rep.RecoveredMCUs
-			reply.TotalMCUs = rep.TotalMCUs
-		}
-	}
-	reply.Width, reply.Height = res.Image.W, res.Image.H
-	reply.VirtualMs = res.TotalNs / 1e6
-	reply.EntropyScans = res.Stats.EntropyScans
-	return reply, http.StatusOK
-}
-
-// writeDecodeReply sets the headers the reply's fields mirror, then
-// writes the JSON body.
-func (s *Server) writeDecodeReply(w http.ResponseWriter, status int, reply decodeReply) {
 	if reply.Cache != "" {
 		w.Header().Set("X-Hetjpeg-Cache", reply.Cache)
 	}
@@ -526,7 +308,101 @@ func (s *Server) writeDecodeReply(w http.ResponseWriter, status int, reply decod
 	if reply.Draining {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, reply)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(reply)
+}
+
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, decodeReply{Error: msg})
+}
+
+// handleDecode is the single-image decode path: the shared pipeline
+// over one part, plus ?degrade=allow. Status map: 200 decoded (possibly
+// degraded/salvaged, see headers), 400 bad parameters, 405 bad method,
+// 413 body over MaxBody, 415 not a JPEG or unsupported coding feature,
+// 422 corrupt stream, 429 shed (admission queue full, Retry-After set),
+// 500 the decode panicked, 503 deadline exceeded, client gone or
+// draining.
+func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
+	q, ok := s.begin(w, r, "POST a JPEG body")
+	if !ok {
+		return
+	}
+	data, status, msg := readJPEGBody(w, r, s.cfg.MaxBody)
+	if status != 0 {
+		writeError(w, status, msg)
+		return
+	}
+	p := &part{data: data}
+	done := s.decodeParts(r, &q, []*part{p}, false, q.query.Get("degrade") == "allow")
+	defer done()
+	reply, code := s.replyFor(w, p, &q)
+	if !p.shed {
+		reply.WallMs = float64(time.Since(q.start).Microseconds()) / 1000
+	}
+	writeJSON(w, code, reply)
+}
+
+// replyFor converts one part's outcome — shed, fresh, cached or
+// failed — into the shared reply shape and its HTTP status. A shed is
+// priced from the calibrated rates and sets the Retry-After header.
+func (s *Server) replyFor(w http.ResponseWriter, p *part, q *request) (decodeReply, int) {
+	if p.shed {
+		sec := s.retryAfterSec()
+		w.Header().Set("Retry-After", strconv.Itoa(sec))
+		return decodeReply{Error: "admission queue full", Shed: true, RetryAfterSec: sec}, http.StatusTooManyRequests
+	}
+	reply := decodeReply{
+		Mode:     s.cfg.Mode.Resolve(s.cfg.Model).String(),
+		Platform: s.cfg.Spec.Name,
+		Scale:    q.scale.String(),
+		Degraded: q.degraded,
+		Cache:    p.cache,
+	}
+	if p.res == nil {
+		switch {
+		case errors.Is(p.err, context.DeadlineExceeded):
+			// The deadline fired while queued or mid-decode; the entropy
+			// stage or a band task aborted within its polling bound.
+			s.timeouts.Add(1)
+			return decodeReply{
+				Error:     fmt.Sprintf("decode exceeded the %v deadline", q.timeout),
+				Timeout:   true,
+				TimeoutMs: float64(q.timeout.Microseconds()) / 1000,
+			}, http.StatusServiceUnavailable
+		case errors.Is(p.err, context.Canceled):
+			// The client hung up: nobody reads this reply, and it is not
+			// the deadline's doing.
+			return decodeReply{Error: "request cancelled by the client"}, http.StatusServiceUnavailable
+		case errors.Is(p.err, hetjpeg.ErrBatchClosed):
+			return decodeReply{Error: "server is draining", Draining: true}, http.StatusServiceUnavailable
+		case errors.Is(p.err, errPanicked):
+			return decodeReply{Error: p.err.Error()}, http.StatusInternalServerError
+		case errors.Is(p.err, hetjpeg.ErrUnsupported):
+			reply.Error = p.err.Error()
+			reply.Unsupported = true
+			return reply, http.StatusUnsupportedMediaType
+		default:
+			reply.Error = p.err.Error()
+			return reply, http.StatusUnprocessableEntity
+		}
+	}
+	if p.err != nil {
+		// Salvaged: usable (partially gray) pixels plus ErrPartialData.
+		// An image service serves that as a success, flagged for caches;
+		// a cached salvage replays the same report on every hit.
+		reply.Salvaged = true
+		reply.SalvageError = p.err.Error()
+		if rep := p.res.Salvage; rep != nil {
+			reply.RecoveredMCUs = rep.RecoveredMCUs
+			reply.TotalMCUs = rep.TotalMCUs
+		}
+	}
+	reply.Width, reply.Height = p.res.Image.W, p.res.Image.H
+	reply.VirtualMs = p.res.TotalNs / 1e6
+	reply.EntropyScans = p.res.Stats.EntropyScans
+	return reply, http.StatusOK
 }
 
 // timeoutFromQuery resolves the request's decode deadline: the server
@@ -552,25 +428,40 @@ func (s *Server) timeoutFromQuery(v string) (time.Duration, error) {
 // readJPEGBody reads the request body under the MaxBody cap, rejecting
 // non-JPEG uploads from their first two bytes (no point buffering 64
 // MiB of something that is not a JPEG) and mapping an overrun to 413.
-// status is 0 on success.
+// The body lands in one buffer with no final copy. It grows only as
+// bytes arrive, so a client cannot reserve memory it does not send, and
+// never past the declared Content-Length: a cached result pins its
+// input, and with it any slack. status is 0 on success.
 func readJPEGBody(w http.ResponseWriter, r *http.Request, maxBody int64) (data []byte, status int, msg string) {
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	magic := make([]byte, 2)
-	if _, err := io.ReadFull(body, magic); err != nil {
+	body := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, maxBody), 16)
+	magic, err := body.Peek(2)
+	if err != nil {
 		return nil, http.StatusUnsupportedMediaType, "not a JPEG (no SOI marker in the first bytes)"
 	}
 	if magic[0] != 0xFF || magic[1] != 0xD8 {
 		return nil, http.StatusUnsupportedMediaType, "not a JPEG (missing FF D8 SOI magic)"
 	}
-	rest, err := io.ReadAll(body)
-	if err != nil {
+	data = make([]byte, 0, 512)
+	for err == nil && int64(len(data)) != r.ContentLength {
+		if len(data) == cap(data) {
+			n := 2 * len(data)
+			if r.ContentLength > int64(len(data)) && r.ContentLength < int64(n) {
+				n = int(r.ContentLength)
+			}
+			data = append(make([]byte, 0, n), data...)
+		}
+		var n int
+		n, err = body.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+	}
+	if err != nil && err != io.EOF {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return nil, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", mbe.Limit)
 		}
 		return nil, http.StatusBadRequest, err.Error()
 	}
-	return append(magic, rest...), 0, ""
+	return data, 0, ""
 }
 
 func (s *Server) retryAfterSec() int {

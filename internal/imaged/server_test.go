@@ -9,6 +9,7 @@ package imaged
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -132,6 +133,32 @@ func TestOversizedBodyIs413JSON(t *testing.T) {
 	}
 }
 
+// TestReadJPEGBodyOneTightBuffer: a body of declared length is read
+// into one buffer no larger than that length needs (a cached result
+// pins its input, slack included), a body of unknown length reads in
+// full, and an overrun is a 413 either way.
+func TestReadJPEGBodyOneTightBuffer(t *testing.T) {
+	body := append([]byte{0xFF, 0xD8}, bytes.Repeat([]byte{7}, 100_000)...)
+	read := func(contentLength, maxBody int64) ([]byte, int) {
+		req := httptest.NewRequest(http.MethodPost, "/decode", bytes.NewReader(body))
+		req.ContentLength = contentLength
+		data, status, _ := readJPEGBody(httptest.NewRecorder(), req, maxBody)
+		return data, status
+	}
+	for _, cl := range []int64{int64(len(body)), -1} {
+		data, status := read(cl, 1<<20)
+		if status != 0 || !bytes.Equal(data, body) {
+			t.Fatalf("Content-Length %d: status %d, %d bytes read, want 0 and the %d-byte body", cl, status, len(data), len(body))
+		}
+		if slack := cap(data) - len(data); cl >= 0 && slack >= 8<<10 {
+			t.Errorf("declared-length body kept %d bytes of slack, want under one 8 KiB page", slack)
+		}
+		if _, status := read(cl, 50_000); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("Content-Length %d over MaxBody: status %d, want 413", cl, status)
+		}
+	}
+}
+
 func TestBadParamsAre400(t *testing.T) {
 	s := newTestServer(t, testConfig(t))
 	h := s.Handler()
@@ -240,15 +267,15 @@ func TestDegradedUnderPressure(t *testing.T) {
 	if rr.Code != http.StatusOK || reply.Degraded || reply.Width != 128 {
 		t.Fatalf("idle degrade=allow: status %d degraded=%v width=%d, want full-fidelity 200", rr.Code, reply.Degraded, reply.Width)
 	}
-	// Occupy half the gate directly: pastWatermark (default 0.5) flips.
+	// Occupy half the gate directly: the default 0.5 watermark is crossed.
 	for i := 0; i < 2; i++ {
 		if !s.gate.admit(1) {
 			t.Fatal("setup admit refused")
 		}
 		defer s.gate.release(1)
 	}
-	if !s.gate.pastWatermark() {
-		t.Fatal("gate not past watermark after setup")
+	if snap := s.gate.snapshot(); 2*snap.Pending < snap.MaxRequests {
+		t.Fatalf("gate not past its 0.5 watermark after setup: %+v", snap)
 	}
 
 	rr, reply = postDecode(t, h, "degrade=allow&cache=bypass", data)
@@ -293,6 +320,28 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 }
 
+// TestClientHangupIsNotATimeout: a request whose client is already gone
+// fails the decode with context.Canceled, which is not the deadline's
+// doing — no timeout flag, no timeout count.
+func TestClientHangupIsNotATimeout(t *testing.T) {
+	s := newTestServer(t, testConfig(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/decode", bytes.NewReader(encodeJPEG(t, 64, 48, false))).WithContext(ctx)
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, req)
+	var reply decodeReply
+	if err := json.Unmarshal(rr.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("bad JSON reply: %v\n%s", err, rr.Body.String())
+	}
+	if rr.Code != http.StatusServiceUnavailable || reply.Timeout || reply.Error == "" {
+		t.Errorf("hung-up request: status %d timeout %v error %q, want 503 false with an error", rr.Code, reply.Timeout, reply.Error)
+	}
+	if n := s.timeouts.Load(); n != 0 {
+		t.Errorf("hetjpeg_decode_timeouts_total = %d after a client hang-up, want 0", n)
+	}
+}
+
 // TestTimeoutOverrideCapped proves a client cannot outbid the server's
 // MaxTimeout: a huge ?timeout= is clamped and the decode still dies.
 func TestTimeoutOverrideCapped(t *testing.T) {
@@ -309,12 +358,11 @@ func TestTimeoutOverrideCapped(t *testing.T) {
 	}
 }
 
-func TestSalvagedDecode(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Salvage = true
-	s := newTestServer(t, cfg)
-	// Encode with restart markers so a mid-stream corruption is
-	// recoverable, then flip bits in the middle of the entropy data.
+// corruptRestartJPEG encodes with restart markers, so a mid-stream
+// corruption is recoverable, then zeroes bytes in the middle of the
+// entropy data.
+func corruptRestartJPEG(t *testing.T) []byte {
+	t.Helper()
 	img := hetjpeg.NewImage(64, 64)
 	for y := 0; y < 64; y++ {
 		for x := 0; x < 64; x++ {
@@ -329,12 +377,18 @@ func TestSalvagedDecode(t *testing.T) {
 	if i < 0 {
 		t.Fatal("no SOS marker")
 	}
-	corrupt := append([]byte(nil), data...)
 	mid := i + (len(data)-i)/2
-	for j := 0; j < 8; j++ {
-		corrupt[mid+j] = 0x00
+	for j := 0; j < 16; j++ {
+		data[mid+j] = 0x00
 	}
-	rr, reply := postDecode(t, s.Handler(), "", corrupt)
+	return data
+}
+
+func TestSalvagedDecode(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Salvage = true
+	s := newTestServer(t, cfg)
+	rr, reply := postDecode(t, s.Handler(), "", corruptRestartJPEG(t))
 	if rr.Code == http.StatusOK && rr.Header().Get("X-Hetjpeg-Salvaged") == "true" {
 		if reply.TotalMCUs == 0 || reply.RecoveredMCUs >= reply.TotalMCUs {
 			t.Errorf("salvage accounting %d/%d MCUs implausible", reply.RecoveredMCUs, reply.TotalMCUs)
