@@ -333,11 +333,7 @@ func DecodeScalarWorkers(data []byte, scale Scale, workers int) (out *RGBImage, 
 // frame goes back to the pools on every path; nothing reads it after
 // the last band.
 func decodeWhole(data []byte, scale Scale, workers int, salvage bool) (*RGBImage, bool, *SalvageReport, error) {
-	prepare := PrepareDecodeScaled
-	if salvage {
-		prepare = PrepareDecodeSalvageScaled
-	}
-	f, ed, err := prepare(data, scale)
+	f, ed, err := prepareDecode(data, scale, salvage)
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -454,12 +450,22 @@ func PrepareDecode(data []byte) (*Frame, *EntropyDecoder, error) {
 // PrepareDecodeScaled is PrepareDecode at a decode scale; an invalid
 // scale fails with ErrUnsupportedScale before the stream is parsed.
 func PrepareDecodeScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, error) {
+	return prepareDecode(data, scale, false)
+}
+
+// prepareDecode is PrepareDecodeScaled, or with salvage
+// PrepareDecodeSalvageScaled.
+func prepareDecode(data []byte, scale Scale, salvage bool) (*Frame, *EntropyDecoder, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, nil, err
 	}
-	im, err := jfif.Parse(data)
-	if err != nil {
-		return nil, nil, err
+	parse := jfif.Parse
+	if salvage {
+		parse = jfif.ParseSalvage
+	}
+	im, perr := parse(data)
+	if im == nil {
+		return nil, nil, perr
 	}
 	for _, c := range im.Components {
 		if im.Quant[c.QuantSel] == nil {
@@ -470,5 +476,13 @@ func PrepareDecodeScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, err
 	if err != nil {
 		return nil, nil, err
 	}
-	return f, NewEntropyDecoder(f), nil
+	ed := NewEntropyDecoder(f)
+	if salvage {
+		rep := NewSalvageReport(f.MCUsPerRow * f.MCURows)
+		if perr != nil {
+			rep.record(-1, perr)
+		}
+		ed.EnableSalvage(rep)
+	}
+	return f, ed, nil
 }

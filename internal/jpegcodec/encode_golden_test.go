@@ -124,20 +124,41 @@ func encodeGoldenLines(t *testing.T) []string {
 
 // TestEncodeGolden checks Encode's bytes against the committed digests.
 func TestEncodeGolden(t *testing.T) {
-	got := encodeGoldenLines(t)
+	checkGolden(t, encodeGoldenPath, "SHA-256 of jpegcodec.Encode output per case", "TestEncodeGolden", encodeGoldenLines(t))
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update. Lines starting with # are comments.
+func checkGolden(t *testing.T, path, what, test string, got []string) {
+	t.Helper()
+	path = filepath.FromSlash(path)
 	if *update {
 		var b bytes.Buffer
-		b.WriteString("# SHA-256 of jpegcodec.Encode output per case; regenerate with\n")
-		b.WriteString("# go test ./internal/jpegcodec -run TestEncodeGolden -update\n")
+		fmt.Fprintf(&b, "# %s; regenerate with\n# go test ./internal/jpegcodec -run %s -update\n", what, test)
 		for _, l := range got {
 			b.WriteString(l + "\n")
 		}
-		if err := os.WriteFile(filepath.FromSlash(encodeGoldenPath), b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want := readGolden(t)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("read golden: %v (regenerate with -update)", err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if l := sc.Text(); l != "" && !strings.HasPrefix(l, "#") {
+			want = append(want, l)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d cases, the matrix %d (regenerate with -update if intended)", len(want), len(got))
 	}
@@ -151,26 +172,6 @@ func TestEncodeGolden(t *testing.T) {
 		}
 	}
 	if bad > 0 {
-		t.Fatalf("%d of %d encodes changed bytes", bad, len(got))
+		t.Fatalf("%d of %d cases changed", bad, len(got))
 	}
-}
-
-func readGolden(t *testing.T) []string {
-	t.Helper()
-	f, err := os.Open(filepath.FromSlash(encodeGoldenPath))
-	if err != nil {
-		t.Fatalf("read golden: %v (regenerate with -update)", err)
-	}
-	defer f.Close()
-	var lines []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if l := sc.Text(); l != "" && !strings.HasPrefix(l, "#") {
-			lines = append(lines, l)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return lines
 }

@@ -9,6 +9,18 @@ import (
 	"hetjpeg/internal/jfif"
 )
 
+// The entropy stage is one walk over three decoders. The baseline
+// decoder (this file), the progressive scans (progressive.go) and a
+// restart segment decoded in parallel (entropy_parallel.go) each hold a
+// scanState: the reader, the DC predictors, the restart and salvage
+// bookkeeping. Rows of units go through walkRow, the one restart check
+// and exhaustion guard; the blocks of a unit are listed once, by
+// scanState.begin, and decodeMCU is the one per-MCU block walk; each
+// block goes through the shared probes and, for whatever they leave,
+// the one resumable general path (dcGeneral, acGeneral); a salvage-mode
+// error resyncs through scanState.resync, which finds restart markers
+// with the same scanner (nextMarker) that splits restart segments.
+
 // EntropyDecoder performs sequential Huffman decoding of a frame's
 // entropy-coded segment into the whole-image coefficient buffer. It is
 // chunk-oriented: callers decode a number of MCU rows at a time (the
@@ -24,29 +36,11 @@ import (
 // difference callers must respect: progressive coefficients are final
 // only when Done reports true — no back-phase work may start earlier.
 type EntropyDecoder struct {
-	f   *Frame
-	r   *bitstream.Reader
-	dc  []int32 // DC predictor per component
-	row int     // next MCU row to decode
-	col int     // next MCU within the current row (salvage resume cursor)
+	scanState
 
 	prog *progDecoder // non-nil for progressive frames
 
-	// Salvage mode: entropy errors resynchronize at the next restart
-	// marker (zeroing the lost MCUs) instead of aborting, accumulating
-	// into report. restartsSeen tracks consumed restart markers so a
-	// found marker's modulo-8 number resolves to an absolute position;
-	// byteBase is the offset of r's current data window within
-	// Img.EntropyData after a resync re-anchors the reader.
-	salvage      bool
-	report       *SalvageReport
-	restartsSeen int
-	byteBase     int
-
 	discard bool
-	// generalOnly keeps every symbol on the general path; the
-	// differential tests decode each stream both ways.
-	generalOnly bool
 	// dcOnly (baseline 1/8-scale frames) keeps only DC coefficients:
 	// AC symbols are still Huffman-decoded to advance the bitstream, but
 	// land in scratch, without NZ bookkeeping — the whole-image
@@ -55,12 +49,8 @@ type EntropyDecoder struct {
 	dcOnly  bool
 	scratch [64]int32 // the block of a discard decode; the unread ACs of a dcOnly one
 
-	mcusSinceRestart int
-
 	// BitsPerRow[i] is the number of entropy bits MCU row i consumed.
 	BitsPerRow []int64
-	// BlocksPerRow is the number of coefficient blocks per MCU row.
-	blocksPerMCURow int
 }
 
 // NewEntropyDecoder prepares chunked entropy decoding for f.
@@ -79,23 +69,29 @@ func NewEntropyDecoderDiscard(f *Frame) *EntropyDecoder {
 }
 
 func newEntropyDecoder(f *Frame, discard bool) *EntropyDecoder {
-	blocks := 0
-	for _, c := range f.Img.Components {
-		blocks += c.H * c.V
-	}
 	d := &EntropyDecoder{
-		f:               f,
-		r:               bitstream.NewReader(f.Img.EntropyData),
-		dc:              make([]int32, len(f.Img.Components)),
-		BitsPerRow:      make([]int64, 0, f.MCURows),
-		blocksPerMCURow: blocks * f.MCUsPerRow,
-		discard:         discard,
-		dcOnly:          f.DCOnly(),
+		scanState:  scanState{f: f, unit: "MCU"},
+		BitsPerRow: make([]int64, 0, f.MCURows),
+		discard:    discard,
+		dcOnly:     f.DCOnly(),
 	}
 	if f.Img.Progressive {
 		d.prog = newProgDecoder(f, discard)
+	} else {
+		d.begin(f.Img.EntropyData, f.Img.RestartInterval, baselineComps(f.Img), true)
 	}
 	return d
+}
+
+// baselineComps lists a baseline frame's components as the components
+// of its one interleaved scan, with the Huffman tables they select (nil
+// for an undefined table, which fails the first block that needs it).
+func baselineComps(im *jfif.Image) []jfif.ScanComponent {
+	comps := make([]jfif.ScanComponent, len(im.Components))
+	for ci, c := range im.Components {
+		comps[ci] = jfif.ScanComponent{CompIdx: ci, DC: im.DCTables[c.DCSel], AC: im.ACTables[c.ACSel]}
+	}
+	return comps
 }
 
 // EnableSalvage switches the decoder into salvage mode: entropy errors
@@ -104,11 +100,9 @@ func newEntropyDecoder(f *Frame, discard bool) *EntropyDecoder {
 // clean stream the decode path is bit-for-bit the strict one and rep
 // stays unimpaired.
 func (d *EntropyDecoder) EnableSalvage(rep *SalvageReport) {
-	d.salvage = true
-	d.report = rep
+	d.salvage, d.report = true, rep
 	if d.prog != nil {
-		d.prog.salvage = true
-		d.prog.report = rep
+		d.prog.salvage, d.prog.report = true, rep
 	}
 }
 
@@ -130,18 +124,11 @@ func (d *EntropyDecoder) Done() bool {
 	if d.prog != nil {
 		return d.prog.Done()
 	}
-	return d.row >= d.f.MCURows
+	return d.row >= d.rows
 }
 
 // TotalRows returns the number of MCU rows in the image.
 func (d *EntropyDecoder) TotalRows() int { return d.f.MCURows }
-
-// bitPos returns the reader's position in bits within the full entropy
-// segment, net of buffered bits (byteBase re-anchors after a salvage
-// resync so positions stay monotone across Reader resets).
-func (d *EntropyDecoder) bitPos() int64 {
-	return int64(d.byteBase+d.r.BytePos())*8 - int64(d.r.BitsBuffered())
-}
 
 // DecodeRows entropy-decodes n rows of work into the coefficient
 // buffer, returning the number of rows actually decoded. Baseline rows
@@ -160,19 +147,20 @@ func (d *EntropyDecoder) DecodeRows(n int) (int, error) {
 		return decoded, nil
 	}
 	decoded := 0
-	for ; n > 0 && d.row < d.f.MCURows; n-- {
+	for ; n > 0 && d.row < d.rows; n-- {
 		start := d.bitPos()
-		if err := d.decodeMCURow(d.row); err != nil {
-			if d.salvage {
-				d.salvageResync(err, start)
-				decoded++
-				continue
+		if err := d.walkRow(d.decodeMCU); err != nil {
+			err = fmt.Errorf("jpegcodec: entropy decode of MCU row %d: %w", d.row, err)
+			if !d.salvage {
+				return decoded, err
 			}
-			return decoded, fmt.Errorf("jpegcodec: entropy decode of MCU row %d: %w", d.row, err)
+			d.report.record(0, err)
+			d.salvageResync(start)
+			decoded++
+			continue
 		}
 		d.BitsPerRow = append(d.BitsPerRow, d.bitPos()-start)
 		d.row++
-		d.col = 0
 		decoded++
 	}
 	return decoded, nil
@@ -188,65 +176,218 @@ func (d *EntropyDecoder) DecodeAll() error {
 	return nil
 }
 
-func (d *EntropyDecoder) decodeMCURow(m int) error {
-	f := d.f
-	im := f.Img
-	ri := im.RestartInterval
-	// d.col is the resume cursor: 0 on the strict path (and after every
-	// completed row), the failing MCU's column after a salvage resync
-	// lands mid-row.
-	for ; d.col < f.MCUsPerRow; d.col++ {
-		mx := d.col
-		if ri > 0 && d.mcusSinceRestart == ri {
-			mk, err := d.r.SkipRestartMarker()
+// scanState is the entropy walk's position in one scan: the reader over
+// the scan's bytes, the DC predictors, the pending EOB run (progressive
+// first AC scans), the row and resume cursor in units (MCUs of an
+// interleaved scan, blocks of a single-component one), and the restart
+// and salvage bookkeeping. The baseline decoder holds one for the whole
+// image, the progressive decoder one per scan, a restart segment one of
+// its own.
+type scanState struct {
+	f      *Frame
+	r      *bitstream.Reader
+	data   []byte      // the scan's entropy-coded bytes, RSTn markers inline
+	blocks []unitBlock // the blocks of one unit, in decode order
+	dc     []int32     // DC predictor per scan component
+	eobrun int         // remaining blocks of the pending EOB run
+
+	row, col          int // next unit row; next unit within it (salvage resume cursor)
+	rows, unitsPerRow int
+	ri                int // restart interval in units (0: none)
+
+	// Salvage mode: entropy errors resynchronize at the next restart
+	// marker instead of aborting, accumulating into report. restartsSeen
+	// counts consumed restart markers so a found marker's modulo-8 number
+	// resolves to an absolute position; byteBase is the offset of r's
+	// window within data after a resync re-anchors the reader.
+	salvage          bool
+	report           *SalvageReport
+	restartsSeen     int
+	mcusSinceRestart int
+	byteBase         int
+	unit             string // what the exhaustion guard calls a unit
+
+	// generalOnly keeps every symbol on the general path; the
+	// differential tests decode each stream both ways.
+	generalOnly bool
+}
+
+// unitBlock is one block of a unit: component c (scan component si, its
+// DC predictor), at block offset (h, v) in a unit w×hgt blocks large, on
+// a plane stride blocks wide, decoded with Huffman tables dc and ac.
+type unitBlock struct {
+	c, si, h, v, w, hgt, stride int
+	dc, ac                      *huffman.Table
+}
+
+// index returns the block's raster index within its plane for the unit
+// at (ux, uy).
+func (b *unitBlock) index(ux, uy int) int {
+	return (uy*b.hgt+b.v)*b.stride + ux*b.w + b.h
+}
+
+// begin positions the state at the start of a scan over data. An
+// interleaved scan walks the frame's MCU grid, each unit every
+// component's H×V blocks in raster order (T.81 A.2.3); a
+// single-component scan walks the component's own block grid, one
+// block per unit (T.81 A.2.2).
+func (s *scanState) begin(data []byte, ri int, comps []jfif.ScanComponent, interleaved bool) {
+	f := s.f
+	s.blocks = s.blocks[:0]
+	s.unitsPerRow, s.rows = f.MCUsPerRow, f.MCURows
+	for si, sc := range comps {
+		c := f.Img.Components[sc.CompIdx]
+		p := &f.Planes[sc.CompIdx]
+		w, hgt := c.H, c.V
+		if !interleaved {
+			w, hgt = 1, 1
+			s.unitsPerRow, s.rows = (p.CompW+7)/8, (p.CompH+7)/8
+		}
+		for v := 0; v < hgt; v++ {
+			for h := 0; h < w; h++ {
+				s.blocks = append(s.blocks, unitBlock{sc.CompIdx, si, h, v, w, hgt, p.BlocksPerRow, sc.DC, sc.AC})
+			}
+		}
+	}
+	s.r = bitstream.NewReader(data)
+	s.data, s.ri = data, ri
+	s.dc = make([]int32, len(comps))
+	s.eobrun, s.row, s.col = 0, 0, 0
+	s.restartsSeen, s.mcusSinceRestart, s.byteBase = 0, 0, 0
+}
+
+// bitPos returns the reader's position in bits within the scan, net of
+// buffered bits (byteBase re-anchors after a salvage resync so positions
+// stay monotone across Reader resets).
+func (s *scanState) bitPos() int64 {
+	return int64(s.byteBase+s.r.BytePos())*8 - int64(s.r.BitsBuffered())
+}
+
+// walkRow decodes the units of row s.row from the resume cursor s.col
+// (0 on the strict path, the failing unit after a salvage resync lands
+// mid-row) through unit, consuming an RSTn marker when the restart
+// interval expires.
+func (s *scanState) walkRow(unit func(ux, uy int) error) error {
+	for ; s.col < s.unitsPerRow; s.col++ {
+		if s.ri > 0 && s.mcusSinceRestart == s.ri {
+			mk, err := s.r.SkipRestartMarker()
 			if err != nil {
 				return err
 			}
-			if d.salvage && int(mk-0xD0) != d.restartsSeen%8 {
+			if s.salvage && int(mk-0xD0) != s.restartsSeen%8 {
 				// Salvage-only check: an out-of-sequence restart number
 				// means markers were dropped or duplicated; resync rather
 				// than decode a misaligned interval. Strict mode keeps
 				// its historical behavior (any RSTn accepted).
-				return fmt.Errorf("restart marker %#02x out of sequence (want RST%d)", mk, d.restartsSeen%8)
+				return fmt.Errorf("restart marker %#02x out of sequence (want RST%d)", mk, s.restartsSeen%8)
 			}
-			d.restartsSeen++
-			for i := range d.dc {
-				d.dc[i] = 0
-			}
-			d.mcusSinceRestart = 0
+			s.restartsSeen++
+			s.resetPredictors()
 		}
-		if d.salvage && d.r.Marker() != 0 && d.r.BitsBuffered() == 0 {
+		if s.salvage && s.eobrun == 0 && s.r.Marker() != 0 && s.r.BitsBuffered() == 0 {
 			// Salvage-only check: real bits ran out at a pending marker
-			// with MCUs still owed before the next restart — everything
-			// further would decode synthetic zero padding.
-			return fmt.Errorf("entropy data exhausted at marker %#02x (MCU %d of restart interval)", d.r.Marker(), d.mcusSinceRestart)
+			// with units still owed before the next restart — everything
+			// further would decode synthetic zero padding. A pending EOB
+			// run exempts it: the blocks it covers consume no bits.
+			return fmt.Errorf("entropy data exhausted at marker %#02x (%s %d of restart interval)", s.r.Marker(), s.unit, s.mcusSinceRestart)
 		}
-		for ci, comp := range im.Components {
-			dcTab := im.DCTables[comp.DCSel]
-			acTab := im.ACTables[comp.ACSel]
-			if dcTab == nil || acTab == nil {
-				return errors.New("missing Huffman table")
-			}
-			for v := 0; v < comp.V; v++ {
-				for h := 0; h < comp.H; h++ {
-					var blk []int32
-					if d.discard {
-						blk = d.scratch[:]
-					} else {
-						blk = f.Block(ci, mx*comp.H+h, m*comp.V+v)
-					}
-					maxK, err := d.decodeBlock(blk, ci, dcTab, acTab)
-					if err != nil {
-						return err
-					}
-					if !d.discard && f.NZ[ci] != nil {
-						bi := (m*comp.V+v)*f.Planes[ci].BlocksPerRow + mx*comp.H + h
-						f.NZ[ci][bi] = uint8(maxK + 1)
-					}
-				}
-			}
+		if err := unit(s.col, s.row); err != nil {
+			return err
 		}
-		d.mcusSinceRestart++
+		s.mcusSinceRestart++
+	}
+	s.col = 0
+	return nil
+}
+
+// resetPredictors is a restart per T.81: DC predictors and any pending
+// EOB run start over.
+func (s *scanState) resetPredictors() {
+	clear(s.dc)
+	s.eobrun = 0
+	s.mcusSinceRestart = 0
+}
+
+// resync absorbs an error at unit errUnit of a scan of total units: it
+// scans the raw bytes ahead for a restart marker whose modulo-8 number
+// resolves (against restartsSeen) to a unit past the error, re-anchors
+// the reader after it with predictors reset, and returns that unit. It
+// returns total, the reader left where it stopped, when no usable marker
+// lies ahead: a non-restart marker, or one that claims a unit past the
+// scan, ends the search.
+func (s *scanState) resync(errUnit, total int) int {
+	if s.ri <= 0 {
+		return total
+	}
+	for i := s.byteBase + s.r.BytePos(); ; i += 2 {
+		var mk byte
+		if i, mk = nextMarker(s.data, i); i < 0 || !isRST(mk) {
+			return total
+		}
+		// dskip = how many whole restart intervals the marker number
+		// says were lost (0 = the very next expected marker).
+		dskip := (int(mk-0xD0) - s.restartsSeen%8 + 8) % 8
+		cand := (s.restartsSeen + dskip + 1) * s.ri
+		if dskip > maxResyncSkip || cand <= errUnit {
+			continue // stale, duplicated, or behind the error
+		}
+		if cand >= total {
+			return total
+		}
+		s.r.Reset(s.data[i+2:])
+		s.byteBase = i + 2
+		s.restartsSeen += dskip + 1
+		s.resetPredictors()
+		s.report.Resyncs++
+		return cand
+	}
+}
+
+// nextMarker returns the offset and code of the first marker at or
+// after offset i of entropy-coded data, or -1. Inside entropy data 0xFF
+// is followed by 0x00 (byte stuffing), by another 0xFF (fill; the
+// marker may start there) or by a marker code, so the scan is
+// unambiguous.
+func nextMarker(data []byte, i int) (int, byte) {
+	for ; i+1 < len(data); i++ {
+		if data[i] != 0xFF {
+			continue
+		}
+		switch mk := data[i+1]; mk {
+		case 0x00:
+			i++ // stuffed byte
+		case 0xFF:
+		default:
+			return i, mk
+		}
+	}
+	return -1, 0
+}
+
+// isRST reports whether mk is a restart marker code (RST0-RST7).
+func isRST(mk byte) bool { return mk >= 0xD0 && mk <= 0xD7 }
+
+// decodeMCU decodes the blocks of baseline MCU (mx, my), recording each
+// block's sparsity watermark.
+func (d *EntropyDecoder) decodeMCU(mx, my int) error {
+	f := d.f
+	for i := range d.blocks {
+		b := &d.blocks[i]
+		if b.dc == nil || b.ac == nil {
+			return errors.New("missing Huffman table")
+		}
+		bi := b.index(mx, my)
+		blk := d.scratch[:]
+		if !d.discard {
+			blk = f.blockAt(b.c, bi)
+		}
+		maxK, err := d.decodeBlock(blk, b.c, b.dc, b.ac)
+		if err != nil {
+			return err
+		}
+		if nz := f.NZ[b.c]; !d.discard && nz != nil {
+			nz[bi] = uint8(maxK + 1)
+		}
 	}
 	return nil
 }
@@ -262,8 +403,9 @@ func (d *EntropyDecoder) decodeMCURow(m int) error {
 // left to the general path before a single bit of the symbol has been
 // consumed: fewer than 32 bits left before a marker or the end of the
 // segment, zero padding past a marker, and every malformed symbol. The
-// general path (Table.Decode and Reader.ReadBits, resumable at any
-// zigzag position) is therefore the only place errors are made, and
+// general path (dcGeneral and acGeneral: Table.Decode and
+// Reader.ReadBits, resumable at any zigzag position) is therefore the
+// only place symbol errors are made, and
 // since the window refills when and as the reader itself would, both
 // paths agree on every coefficient, byte position and bit count.
 
@@ -404,190 +546,119 @@ func (d *EntropyDecoder) decodeBlock(blk []int32, comp int, dcTab, acTab *huffma
 		b = (*[64]int32)(blk)
 		*b = [64]int32{}
 	}
-	if d.generalOnly {
-		return d.decodeBlockGeneral(blk, comp, 0, 0, dcTab, acTab)
+	diff, ok := int32(0), false
+	if !d.generalOnly {
+		diff, ok = probeDC(d.r, dcTab)
 	}
-	diff, ok := probeDC(d.r, dcTab)
 	if !ok {
-		return d.decodeBlockGeneral(blk, comp, 0, 0, dcTab, acTab)
+		var err error
+		if diff, err = d.dcGeneral(dcTab); err != nil {
+			return 0, err
+		}
 	}
 	d.dc[comp] += diff
 	blk[0] = d.dc[comp]
-	k, maxK, _, general := probeACs(d.r, acTab, b, 1, 63, 0, 0, false)
+	k, maxK, general := 1, 0, true
+	if !d.generalOnly {
+		k, maxK, _, general = probeACs(d.r, acTab, b, 1, 63, 0, 0, false)
+	}
 	if general {
-		return d.decodeBlockGeneral(blk, comp, k, maxK, dcTab, acTab)
+		return d.acGeneral(acTab, b, k, 63, 0, maxK, false)
 	}
 	return maxK, nil
 }
 
-// decodeBlockGeneral finishes a block from zigzag position k (0: the DC
-// coefficient; maxK is the last position written so far) through
-// Table.Decode and Reader.ReadBits: the general path behind the probe
-// loops, and the only one that reports errors.
-func (d *EntropyDecoder) decodeBlockGeneral(blk []int32, comp, k, maxK int, dcTab, acTab *huffman.Table) (int, error) {
-	if k == 0 {
-		t, err := dcTab.Decode(d.r)
-		if err != nil {
-			return 0, err
-		}
-		if t > 15 {
-			return 0, fmt.Errorf("bad DC category %d", t)
-		}
-		diff := int32(0)
-		if t > 0 {
-			bits, err := d.r.ReadBits(uint(t))
-			if err != nil {
-				return 0, err
-			}
-			diff = huffman.Extend(bits, uint(t))
-		}
-		d.dc[comp] += diff
-		blk[0] = d.dc[comp]
-		k = 1
+// dcGeneral reads one DC difference through Table.Decode and
+// Reader.ReadBits: the general path behind probeDC.
+func (s *scanState) dcGeneral(tab *huffman.Table) (int32, error) {
+	t, err := tab.Decode(s.r)
+	if err != nil {
+		return 0, err
 	}
-	if d.dcOnly {
-		return 0, d.skipACs(k, acTab)
+	if t > 15 {
+		return 0, fmt.Errorf("bad DC category %d", t)
 	}
-	for k < 64 {
-		rs, err := acTab.Decode(d.r)
+	if t == 0 {
+		return 0, nil
+	}
+	bits, err := s.r.ReadBits(uint(t))
+	if err != nil {
+		return 0, err
+	}
+	return huffman.Extend(bits, uint(t)), nil
+}
+
+// acGeneral finishes the AC band [k, se] of block b through Table.Decode
+// and Reader.ReadBits, storing values shifted left by al: the general
+// path behind probeACs, resumable at any zigzag position. maxK is the
+// last position written so far; it returns the last position written,
+// also alongside an error, so the caller's watermark covers what a
+// failing block kept. With eobRuns (progressive first scans) a
+// zero-size symbol with run < 15 starts an EOB run of 2^run plus run
+// appended bits, this block the first of it; without (baseline) it is a
+// plain EOB.
+func (s *scanState) acGeneral(tab *huffman.Table, b *[64]int32, k, se int, al uint, maxK int, eobRuns bool) (int, error) {
+	for k <= se {
+		rs, err := tab.Decode(s.r)
 		if err != nil {
 			return maxK, err
 		}
 		r := int(rs >> 4)
-		s := uint(rs & 0xF)
-		if s == 0 {
+		n := uint(rs & 0xF)
+		if n == 0 {
 			if r == 15 { // ZRL: sixteen zeros
 				k += 16
 				continue
 			}
-			break // EOB
+			if eobRuns {
+				s.eobrun = 1 << uint(r)
+				if r > 0 {
+					bits, err := s.r.ReadBits(uint(r))
+					if err != nil {
+						return maxK, err
+					}
+					s.eobrun += int(bits)
+				}
+				s.eobrun-- // this block is the first of the run
+			}
+			return maxK, nil
 		}
 		k += r
-		if k > 63 {
+		if k > se {
+			if eobRuns {
+				return maxK, fmt.Errorf("AC run overflows band (k=%d, Se=%d)", k, se)
+			}
 			return maxK, fmt.Errorf("AC run overflows block (k=%d)", k)
 		}
-		bits, err := d.r.ReadBits(s)
+		bits, err := s.r.ReadBits(n)
 		if err != nil {
 			return maxK, err
 		}
-		blk[jfif.ZigZag[k]] = huffman.Extend(bits, s)
+		b[jfif.ZigZag[k]] = huffman.Extend(bits, n) << al
 		maxK = k
 		k++
 	}
 	return maxK, nil
 }
 
-// skipACs walks a DC-only block's AC symbols from zigzag position k on
-// the general path without materializing the coefficients: Huffman
-// symbols are decoded and value bits consumed (the bitstream position
-// must advance exactly as in the storing path) but EXTEND and the
-// coefficient stores are skipped. Run/length errors are still reported
-// so corrupt streams fail identically at any scale.
-func (d *EntropyDecoder) skipACs(k int, acTab *huffman.Table) error {
-	for k < 64 {
-		rs, err := acTab.Decode(d.r)
-		if err != nil {
-			return err
-		}
-		r := int(rs >> 4)
-		s := uint(rs & 0xF)
-		if s == 0 {
-			if r == 15 { // ZRL: sixteen zeros
-				k += 16
-				continue
-			}
-			return nil // EOB
-		}
-		k += r
-		if k > 63 {
-			return fmt.Errorf("AC run overflows block (k=%d)", k)
-		}
-		if _, err := d.r.ReadBits(s); err != nil {
-			return err
-		}
-		k++
+// salvageResync absorbs a baseline entropy error (the caller has
+// recorded it): resync at the next usable restart marker, zeroing the
+// MCUs in between, or zero every remaining MCU as a tail loss. rowStart
+// is the bit position where the failed row began: a landing past the
+// row keeps len(BitsPerRow) == row, the failed row absorbing the bits
+// consumed and skipped and the fully-lost rows in between costing zero;
+// a landing within the row appends nothing (its entry lands when the row
+// completes).
+func (d *EntropyDecoder) salvageResync(rowStart int64) {
+	errMCU := d.row*d.unitsPerRow + d.col
+	land := d.resync(errMCU, d.rows*d.unitsPerRow)
+	d.zeroMCUs(errMCU, land-errMCU)
+	if newRow := land / d.unitsPerRow; newRow > d.row {
+		d.BitsPerRow = append(d.BitsPerRow, d.bitPos()-rowStart)
+		d.BitsPerRow = append(d.BitsPerRow, make([]int64, newRow-d.row-1)...)
+		d.row = newRow
 	}
-	return nil
-}
-
-// salvageResync absorbs a baseline entropy error: record it, then scan
-// the raw entropy bytes ahead for a restart marker whose modulo-8
-// number resolves (against restartsSeen) to an MCU position past the
-// error, zero the MCUs in between, and re-anchor the reader after the
-// marker with DC predictors reset per T.81. Without a usable marker the
-// remaining MCUs are zeroed and the decode completes as a tail loss.
-// rowStart is the bit position where the failed row began (bit
-// accounting for the cost model).
-func (d *EntropyDecoder) salvageResync(err error, rowStart int64) {
-	f := d.f
-	total := f.MCUsPerRow * f.MCURows
-	errMCU := d.row*f.MCUsPerRow + d.col
-	d.report.record(0, fmt.Errorf("jpegcodec: entropy decode of MCU row %d: %w", d.row, err))
-	if ri := f.Img.RestartInterval; ri > 0 {
-		data := f.Img.EntropyData
-		for i := d.byteBase + d.r.BytePos(); i+1 < len(data); {
-			if data[i] != 0xFF {
-				i++
-				continue
-			}
-			mk := data[i+1]
-			if mk == 0x00 { // byte stuffing: entropy data
-				i += 2
-				continue
-			}
-			if mk == 0xFF { // fill byte; the marker may start here
-				i++
-				continue
-			}
-			if mk < 0xD0 || mk > 0xD7 {
-				break // a non-restart marker ends the scan: tail loss
-			}
-			// dskip = how many whole restart intervals the marker number
-			// says were lost (0 = the very next expected marker).
-			dskip := (int(mk-0xD0) - d.restartsSeen%8 + 8) % 8
-			cand := (d.restartsSeen + dskip + 1) * ri
-			if dskip > maxResyncSkip || cand <= errMCU {
-				i += 2 // stale, duplicated, or behind the error: keep scanning
-				continue
-			}
-			if cand >= total {
-				break // claims a position past the image: tail loss
-			}
-			d.zeroMCUs(errMCU, cand-errMCU)
-			d.r.Reset(data[i+2:])
-			d.byteBase = i + 2
-			for j := range d.dc {
-				d.dc[j] = 0
-			}
-			d.mcusSinceRestart = 0
-			d.restartsSeen += dskip + 1
-			d.report.Resyncs++
-			newRow := cand / f.MCUsPerRow
-			d.fillRowBits(newRow, rowStart)
-			d.row = newRow
-			d.col = cand % f.MCUsPerRow
-			return
-		}
-	}
-	d.zeroMCUs(errMCU, total-errMCU)
-	d.fillRowBits(f.MCURows, rowStart)
-	d.row = f.MCURows
-	d.col = 0
-}
-
-// fillRowBits keeps the len(BitsPerRow) == row invariant across a
-// resync that jumps rows: the failed row absorbs the bits consumed and
-// skipped during the jump, the fully-lost rows in between cost zero.
-// A resync landing within the current row appends nothing (the row's
-// entry lands when it eventually completes).
-func (d *EntropyDecoder) fillRowBits(newRow int, rowStart int64) {
-	if newRow <= d.row {
-		return
-	}
-	d.BitsPerRow = append(d.BitsPerRow, d.bitPos()-rowStart)
-	for r := d.row + 1; r < newRow; r++ {
-		d.BitsPerRow = append(d.BitsPerRow, 0)
-	}
+	d.col = land % d.unitsPerRow
 }
 
 // zeroMCUs clears the coefficients and sparsity watermarks of MCUs
@@ -603,20 +674,12 @@ func (d *EntropyDecoder) zeroMCUs(first, n int) {
 	}
 	f := d.f
 	for u := first; u < first+n; u++ {
-		m := u / f.MCUsPerRow
-		mx := u % f.MCUsPerRow
-		for ci, comp := range f.Img.Components {
-			for v := 0; v < comp.V; v++ {
-				for h := 0; h < comp.H; h++ {
-					blk := f.Block(ci, mx*comp.H+h, m*comp.V+v)
-					for j := range blk {
-						blk[j] = 0
-					}
-					if f.NZ[ci] != nil {
-						bi := (m*comp.V+v)*f.Planes[ci].BlocksPerRow + mx*comp.H + h
-						f.NZ[ci][bi] = 1
-					}
-				}
+		for i := range d.blocks {
+			b := &d.blocks[i]
+			bi := b.index(u%d.unitsPerRow, u/d.unitsPerRow)
+			clear(f.blockAt(b.c, bi))
+			if nz := f.NZ[b.c]; nz != nil {
+				nz[bi] = 1
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package jpegcodec
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -43,11 +44,7 @@ func describeReport(rep *SalvageReport) string {
 // entropyDecode runs the entropy stage alone. ok is false when the
 // stream fails before it (parse errors do not depend on the path).
 func entropyDecode(data []byte, scale Scale, salvage, generalOnly bool) (out entropyOutcome, ok bool) {
-	prepare := PrepareDecodeScaled
-	if salvage {
-		prepare = PrepareDecodeSalvageScaled
-	}
-	f, ed, err := prepare(data, scale)
+	f, ed, err := prepareDecode(data, scale, salvage)
 	if err != nil {
 		return entropyOutcome{}, false
 	}
@@ -180,8 +177,25 @@ func TestEntropyPathsAgreeClean(t *testing.T) {
 // the conformance gate to the restart and no-restart fixtures, baseline
 // and progressive.
 func TestEntropyPathsAgreeFaults(t *testing.T) {
+	// Every byte is TestEntropyTruncationSweep's job; this family
+	// samples the second half of the stream.
+	stride := 7
+	if testing.Short() {
+		stride = 29
+	}
+	for _, s := range faultStreams(t, stride) {
+		checkPathsAgree(t, s.name, s.data)
+	}
+}
+
+// faultStreams builds the fault-injection families over the restart and
+// no-restart fixtures, baseline and progressive, cutting the second half
+// of each stream at every stride'th byte.
+func faultStreams(t testing.TB, stride int) []diffStream {
+	t.Helper()
 	img := makeNoisyImage(96, 80, 5)
 	defer img.Release()
+	var out []diffStream
 	for _, c := range []struct {
 		name        string
 		sub         jfif.Subsampling
@@ -197,12 +211,6 @@ func TestEntropyPathsAgreeFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every byte is TestEntropyTruncationSweep's job; this family
-		// samples the second half of the stream.
-		stride := 7
-		if testing.Short() {
-			stride = 29
-		}
 		faults := faultgen.Truncations(data, len(data)/2, stride)
 		for _, span := range faultgen.EntropySpans(data) {
 			faults = append(faults, faultgen.BitFlips(data, span, 24, 4242)...)
@@ -211,9 +219,10 @@ func TestEntropyPathsAgreeFaults(t *testing.T) {
 		faults = append(faults, faultgen.LengthCorruptions(data)...)
 		faults = append(faults, badDCCategories(data)...)
 		for _, ft := range faults {
-			checkPathsAgree(t, c.name+"/"+ft.Name, ft.Data)
+			out = append(out, diffStream{c.name + "/" + ft.Name, ft.Data})
 		}
 	}
+	return out
 }
 
 // badDCCategories rewrites, one at a time, each symbol of the stream's
@@ -244,6 +253,16 @@ func badDCCategories(data []byte) []faultgen.Fault {
 // meets the end of data, a pending marker and marker padding at every
 // alignment.
 func TestEntropyTruncationSweep(t *testing.T) {
+	for _, s := range truncationStreams(t) {
+		checkPathsAgree(t, s.name, s.data)
+	}
+}
+
+// truncationStreams builds TestEntropyTruncationSweep's cuts, in
+// ascending order, each also with the stream's own EOI appended: the
+// entropy data then ends at a marker instead of at the end of input.
+func truncationStreams(t testing.TB) []diffStream {
+	t.Helper()
 	img := makeNoisyImage(64, 48, 21)
 	defer img.Release()
 	data, err := Encode(img, EncodeOptions{Quality: 95, Subsampling: jfif.Sub444, RestartInterval: 3})
@@ -268,10 +287,11 @@ func TestEntropyTruncationSweep(t *testing.T) {
 	for n := rst - 24; n <= rst+24; n++ {
 		cuts[n] = true
 	}
-	for n := range cuts {
-		checkPathsAgree(t, fmt.Sprintf("cut-%d", n), data[:n])
-		// The same prefix with the stream's own EOI appended: the entropy
-		// data ends at a marker instead of at the end of input.
-		checkPathsAgree(t, fmt.Sprintf("cut-%d+EOI", n), append(append([]byte(nil), data[:n]...), 0xFF, 0xD9))
+	var out []diffStream
+	for _, n := range slices.Sorted(maps.Keys(cuts)) {
+		out = append(out,
+			diffStream{fmt.Sprintf("cut-%d", n), data[:n]},
+			diffStream{fmt.Sprintf("cut-%d+EOI", n), append(append([]byte(nil), data[:n]...), 0xFF, 0xD9)})
 	}
+	return out
 }

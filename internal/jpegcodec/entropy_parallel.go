@@ -3,9 +3,9 @@ package jpegcodec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"hetjpeg/internal/bitstream"
-	"hetjpeg/internal/huffman"
+	"hetjpeg/internal/jfif"
 )
 
 // Parallel entropy decoding across restart intervals. The paper treats
@@ -17,6 +17,10 @@ import (
 // JPEG standard does not *mandate* such markers). This is an extension
 // beyond the paper: it lifts the Amdahl ceiling that its Figure 11
 // measures against, at the cost of requiring cooperative encoders.
+// Segments are cut with the marker scanner salvage resyncs with, and
+// each is decoded by the baseline decoder's own per-MCU block walk
+// (decodeMCU); a corrupt segment fails the decode with the same error
+// at any worker count.
 
 // restartSegment is one independently decodable run of MCUs.
 type restartSegment struct {
@@ -25,9 +29,7 @@ type restartSegment struct {
 	numMCU   int
 }
 
-// splitRestartSegments scans the entropy-coded data for RSTn markers.
-// Inside entropy data, 0xFF is always followed by 0x00 (stuffing) or a
-// marker byte, so the scan is unambiguous.
+// splitRestartSegments cuts the entropy-coded data at its RSTn markers.
 func splitRestartSegments(f *Frame) ([]restartSegment, error) {
 	if f.Img.Progressive {
 		return nil, fmt.Errorf("jpegcodec: parallel restart decoding applies to baseline scans only")
@@ -41,24 +43,15 @@ func splitRestartSegments(f *Frame) ([]restartSegment, error) {
 	var segs []restartSegment
 	start := 0
 	firstMCU := 0
-	for i := 0; i+1 < len(data); i++ {
-		if data[i] != 0xFF {
-			continue
+	for i := 0; ; i += 2 {
+		var mk byte
+		if i, mk = nextMarker(data, i); i < 0 {
+			break
 		}
-		nxt := data[i+1]
-		if nxt == 0x00 {
-			i++ // stuffed byte
-			continue
-		}
-		if nxt >= 0xD0 && nxt <= 0xD7 {
-			segs = append(segs, restartSegment{
-				data:     data[start:i],
-				firstMCU: firstMCU,
-				numMCU:   ri,
-			})
+		if isRST(mk) {
+			segs = append(segs, restartSegment{data: data[start:i], firstMCU: firstMCU, numMCU: ri})
 			firstMCU += ri
 			start = i + 2
-			i++
 		}
 	}
 	if firstMCU >= totalMCU {
@@ -77,34 +70,43 @@ func splitRestartSegments(f *Frame) ([]restartSegment, error) {
 // whole-image coefficient buffer and the same per-MCU-row bit accounting
 // as the sequential decoder (bits of rows spanning segment boundaries
 // are summed across segments). The result is bit-identical to
-// EntropyDecoder.DecodeAll.
+// EntropyDecoder.DecodeAll. Workers claim segments in index order and
+// stop claiming after the first failure, so every segment below a
+// failing one is decoded and the error returned is the lowest-index
+// failing segment's, whatever the worker count.
 func DecodeAllParallelRestart(f *Frame, workers int) ([]int64, error) {
 	segs, err := splitRestartSegments(f)
 	if err != nil {
 		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
+	comps := baselineComps(f.Img)
+	for ci, c := range comps {
+		if c.DC == nil || c.AC == nil {
+			return nil, fmt.Errorf("jpegcodec: missing Huffman table for component %d", ci)
+		}
 	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
+	workers = min(max(workers, 1), len(segs))
 
 	bitsPerRow := make([]int64, f.MCURows)
-	var mu sync.Mutex // guards bitsPerRow merging
-
-	type job struct{ seg restartSegment }
-	jobs := make(chan job)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
+	errs := make([]error, len(segs))
+	var (
+		next   atomic.Int64 // the next segment to claim
+		failed atomic.Bool
+		mu     sync.Mutex // guards bitsPerRow merging
+		wg     sync.WaitGroup
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			local := make([]int64, f.MCURows)
-			for j := range jobs {
-				if err := decodeSegment(f, j.seg, local); err != nil {
-					errs <- err
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(segs) {
+					break
+				}
+				if errs[i] = decodeSegment(f, comps, segs[i], local); errs[i] != nil {
+					failed.Store(true)
 					return
 				}
 			}
@@ -115,15 +117,11 @@ func DecodeAllParallelRestart(f *Frame, workers int) ([]int64, error) {
 			mu.Unlock()
 		}()
 	}
-	for _, s := range segs {
-		jobs <- job{s}
-	}
-	close(jobs)
 	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return bitsPerRow, nil
 }
@@ -131,46 +129,16 @@ func DecodeAllParallelRestart(f *Frame, workers int) ([]int64, error) {
 // decodeSegment decodes one restart segment's MCUs into the shared
 // coefficient buffer (disjoint block ranges, so no synchronization is
 // needed) and accumulates per-row bit counts into rowBits.
-func decodeSegment(f *Frame, seg restartSegment, rowBits []int64) error {
-	im := f.Img
-	r := bitstream.NewReader(seg.data)
-	dc := make([]int32, len(im.Components))
-	tabs := make([]struct{ dc, ac *huffman.Table }, len(im.Components))
-	for ci, comp := range im.Components {
-		tabs[ci].dc = im.DCTables[comp.DCSel]
-		tabs[ci].ac = im.ACTables[comp.ACSel]
-		if tabs[ci].dc == nil || tabs[ci].ac == nil {
-			return fmt.Errorf("jpegcodec: missing Huffman table for component %d", ci)
-		}
-	}
-	d := &EntropyDecoder{f: f, r: r, dc: dc, dcOnly: f.DCOnly()}
-	bitPos := func() int64 { return int64(r.BytePos())*8 - int64(r.BitsBuffered()) }
-
-	for k := 0; k < seg.numMCU; k++ {
-		mcu := seg.firstMCU + k
+func decodeSegment(f *Frame, comps []jfif.ScanComponent, seg restartSegment, rowBits []int64) error {
+	d := &EntropyDecoder{scanState: scanState{f: f}, dcOnly: f.DCOnly()}
+	d.begin(seg.data, 0, comps, true)
+	for mcu := seg.firstMCU; mcu < seg.firstMCU+seg.numMCU; mcu++ {
 		my := mcu / f.MCUsPerRow
-		mx := mcu % f.MCUsPerRow
-		if my >= f.MCURows {
-			return fmt.Errorf("jpegcodec: restart segment overruns image (MCU %d)", mcu)
+		start := d.bitPos()
+		if err := d.decodeMCU(mcu%f.MCUsPerRow, my); err != nil {
+			return fmt.Errorf("jpegcodec: segment MCU %d: %w", mcu, err)
 		}
-		start := bitPos()
-		for ci, comp := range im.Components {
-			for v := 0; v < comp.V; v++ {
-				for h := 0; h < comp.H; h++ {
-					blk := f.Block(ci, mx*comp.H+h, my*comp.V+v)
-					maxK, err := d.decodeBlock(blk, ci, tabs[ci].dc, tabs[ci].ac)
-					if err != nil {
-						return fmt.Errorf("jpegcodec: segment MCU %d: %w", mcu, err)
-					}
-					if f.NZ[ci] != nil {
-						// Disjoint block indices per segment: no races.
-						bi := (my*comp.V+v)*f.Planes[ci].BlocksPerRow + mx*comp.H + h
-						f.NZ[ci][bi] = uint8(maxK + 1)
-					}
-				}
-			}
-		}
-		rowBits[my] += bitPos() - start
+		rowBits[my] += d.bitPos() - start
 	}
 	return nil
 }

@@ -1,8 +1,14 @@
 package jpegcodec
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"hetjpeg/internal/faultgen"
 	"hetjpeg/internal/jfif"
 )
 
@@ -104,6 +110,78 @@ func TestParallelRestartSingleWorker(t *testing.T) {
 	for i := range ref.Pix {
 		if ref.Pix[i] != out.Pix[i] {
 			t.Fatal("single-worker parallel decode differs from scalar")
+		}
+	}
+}
+
+// TestParallelRestartFailingSegments overwrites whole restart segments
+// with stuffed 0xFF bytes, which no Huffman code can start. Every worker
+// fails while segments remain, so the decode must still return, leave
+// no goroutine behind, and report the lowest-index failing segment's
+// error at every worker count.
+func TestParallelRestartFailingSegments(t *testing.T) {
+	data := restartFixture(t, 96, 96, 4, jfif.Sub422)
+	span := faultgen.EntropySpans(data)[0]
+	var rst []int // offsets of the restart markers
+	for i := span.Start; i+1 < span.End; i++ {
+		if data[i] == 0xFF && data[i+1] >= 0xD0 && data[i+1] <= 0xD7 {
+			rst = append(rst, i)
+		}
+	}
+	if len(rst) < 8 {
+		t.Fatalf("fixture has %d restart markers", len(rst))
+	}
+	// wreck overwrites segment k (bytes between markers k-1 and k).
+	wreck := func(d []byte, k int) {
+		from := span.Start
+		if k > 0 {
+			from = rst[k-1] + 2
+		}
+		for i := from; i+1 < rst[k]; i += 2 {
+			d[i], d[i+1] = 0xFF, 0x00
+		}
+	}
+	for _, bad := range [][]int{{0}, {0, 1, 2, 3, 4, 5, 6, 7}, {5, 2}} {
+		d := append([]byte(nil), data...)
+		for _, k := range bad {
+			wreck(d, k)
+		}
+		want := ""
+		for _, w := range []int{1, 2, 4, 8} {
+			before := runtime.NumGoroutine()
+			f, _, err := PrepareDecode(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := DecodeAllParallelRestart(f, w)
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("segments %v, %d workers: no return after 5 s", bad, w)
+			}
+			f.Release()
+			if err == nil {
+				t.Fatalf("segments %v, %d workers: corrupt stream accepted", bad, w)
+			}
+			if want == "" {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("segments %v, %d workers: error %q, want %q", bad, w, err, want)
+			}
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 100 {
+					t.Fatalf("segments %v, %d workers: %d goroutines, %d before", bad, w, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
+		lowest := slices.Min(bad) * 4 // the first MCU of the lowest bad segment
+		if !strings.Contains(want, fmt.Sprintf("segment MCU %d:", lowest)) {
+			t.Fatalf("segments %v: error %q is not segment %d's", bad, want, slices.Min(bad))
 		}
 	}
 }

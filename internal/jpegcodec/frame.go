@@ -258,10 +258,14 @@ func (f *Frame) OutDims() (w, h int) { return f.outW(), f.outH() }
 // 64 natural-order coefficients normally, a single DC slot for DC-only
 // frames.
 func (f *Frame) Block(c, bx, by int) []int32 {
-	p := f.Planes[c]
+	return f.blockAt(c, by*f.Planes[c].BlocksPerRow+bx)
+}
+
+// blockAt returns the coefficient slice of block bi (raster order) of
+// component c.
+func (f *Frame) blockAt(c, bi int) []int32 {
 	cs := f.coeffStride()
-	idx := (by*p.BlocksPerRow + bx) * cs
-	return f.Coeff[c][idx : idx+cs : idx+cs]
+	return f.Coeff[c][bi*cs : bi*cs+cs : bi*cs+cs]
 }
 
 // CoeffBytes returns the byte size of the coefficient data for MCU rows

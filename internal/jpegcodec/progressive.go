@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hetjpeg/internal/bitstream"
-	"hetjpeg/internal/huffman"
 	"hetjpeg/internal/jfif"
 )
 
@@ -18,6 +16,12 @@ import (
 // a progressive Frame is indistinguishable from a baseline one, so every
 // execution mode and the batch scheduler run progressive images
 // through the very same BandPlan machinery and produce identical pixels.
+// The entropy side is shared too: each scan is a scanState walked by
+// the same walkRow, probes, general path and resync as a baseline image
+// (see entropy.go), in units of MCUs for an interleaved scan and of
+// blocks for a single-component one; only the refinement passes
+// (decodeACRefine, refineNonZeroes and the DC refinement bit) are
+// progressive's own.
 //
 // Sparsity bookkeeping rides along: Frame.NZ starts at 1 (DC-only) and
 // grows monotonically as scans append coefficients — refinement never
@@ -30,42 +34,26 @@ import (
 // single-component scans) so the pipelined callers keep their
 // cancellation-poll granularity, and it attributes the entropy bits of
 // every row to the covering luma MCU row so the virtual cost model and
-// the PPS equations see the same per-row distribution as baseline.
+// the PPS equations see the same per-row distribution as baseline. Its
+// scanState is the current scan's: in salvage mode a scan error resyncs
+// at the next restart marker within the scan, or abandons the scan —
+// prior-scan coefficients stay, so only lost first-DC coverage is
+// damage.
 type progDecoder struct {
-	f       *Frame
+	scanState
 	coeff   [][]int32 // f.Coeff, or private slabs in discard mode
 	rowBits []int64   // entropy bits per luma MCU row, summed over scans
 
-	scanIdx int
-
-	// Current scan state.
-	sc               *jfif.Scan
-	r                *bitstream.Reader
-	dc               []int32 // DC predictors, one per scan component
-	eobrun           int     // remaining blocks of the pending EOB run
-	row              int     // next row of the current scan
-	rows             int     // total rows of the current scan
-	col              int     // next unit within the current row (salvage resume cursor)
-	wb, hb           int     // single-component scans: the component's own block grid
-	mcusSinceRestart int
-	prevBits         int64 // bit position after the previous row
-
-	// Salvage mode (see EntropyDecoder): scan errors resync at the next
-	// restart marker within the scan, or abandon the scan — prior-scan
-	// coefficients stay, so only lost first-DC coverage is damage.
-	salvage      bool
-	report       *SalvageReport
-	restartsSeen int
-	byteBase     int // offset of r's window within sc.Data after a resync
-
-	generalOnly bool // see EntropyDecoder.generalOnly
+	scanIdx  int
+	sc       *jfif.Scan // the current scan; nil between scans
+	prevBits int64      // bit position after the previous row
 }
 
 func newProgDecoder(f *Frame, discard bool) *progDecoder {
 	d := &progDecoder{
-		f:       f,
-		coeff:   f.Coeff,
-		rowBits: make([]int64, f.MCURows),
+		scanState: scanState{f: f, unit: "unit"},
+		coeff:     f.Coeff,
+		rowBits:   make([]int64, f.MCURows),
 	}
 	if discard {
 		// Geometry-only frames (profiling) have no pooled buffers, but
@@ -91,23 +79,10 @@ func newProgDecoder(f *Frame, discard bool) *progDecoder {
 // Done reports whether every scan has been decoded.
 func (d *progDecoder) Done() bool { return d.scanIdx >= len(d.f.Img.Scans) }
 
-// block returns the 64-coefficient natural-order slice of block (bx, by)
-// of component c.
-func (d *progDecoder) block(c, bx, by int) []int32 {
-	p := d.f.Planes[c]
-	idx := (by*p.BlocksPerRow + bx) * 64
-	return d.coeff[c][idx : idx+64 : idx+64]
-}
-
-// setNZ raises the sparsity watermark of block (bx, by) of component c
-// to zigzag index k.
-func (d *progDecoder) setNZ(c, bx, by, k int) {
-	nz := d.f.NZ[c]
-	if nz == nil {
-		return
-	}
-	bi := by*d.f.Planes[c].BlocksPerRow + bx
-	if int(nz[bi]) < k+1 {
+// setNZ raises the sparsity watermark of block bi of component c to
+// zigzag index k.
+func (d *progDecoder) setNZ(c, bi, k int) {
+	if nz := d.f.NZ[c]; nz != nil && int(nz[bi]) < k+1 {
 		nz[bi] = uint8(k + 1)
 	}
 }
@@ -116,35 +91,12 @@ func (d *progDecoder) setNZ(c, bx, by, k int) {
 func (d *progDecoder) beginScan() error {
 	sc := &d.f.Img.Scans[d.scanIdx]
 	d.sc = sc
-	d.r = bitstream.NewReader(sc.Data)
-	d.dc = make([]int32, len(sc.Comps))
-	d.eobrun = 0
-	d.row = 0
-	d.col = 0
-	d.mcusSinceRestart = 0
 	d.prevBits = 0
-	d.restartsSeen = 0
-	d.byteBase = 0
-	if sc.Interleaved() {
-		d.rows = d.f.MCURows
-	} else {
-		// A single-component scan walks the component's own block grid
-		// (T.81 A.2.2), not the MCU-padded one.
-		p := d.f.Planes[sc.Comps[0].CompIdx]
-		d.wb = (p.CompW + 7) / 8
-		d.hb = (p.CompH + 7) / 8
-		d.rows = d.hb
-	}
+	d.begin(sc.Data, sc.RestartInterval, sc.Comps, sc.Interleaved())
 	if d.rows == 0 {
 		return errors.New("jpegcodec: empty scan geometry")
 	}
 	return nil
-}
-
-// bitPos returns the current scan reader's consumed-bit count within
-// the whole scan (byteBase re-anchors after a salvage resync).
-func (d *progDecoder) bitPos() int64 {
-	return int64(d.byteBase+d.r.BytePos())*8 - int64(d.r.BitsBuffered())
 }
 
 // skipsScan reports whether scan i's entropy data can go unread: a
@@ -171,24 +123,27 @@ func (d *progDecoder) DecodeRows(n int) (int, error) {
 				break
 			}
 			if err := d.beginScan(); err != nil {
-				if d.salvage {
-					// The scan is structurally unusable; skip it. Later
-					// scans still decode on their own readers.
-					d.report.record(d.scanIdx, fmt.Errorf("jpegcodec: scan %d: %w", d.scanIdx, err))
-					d.scanIdx++
-					d.sc = nil
-					continue
+				err = fmt.Errorf("jpegcodec: scan %d: %w", d.scanIdx, err)
+				if !d.salvage {
+					return decoded, err
 				}
-				return decoded, fmt.Errorf("jpegcodec: scan %d: %w", d.scanIdx, err)
-			}
-		}
-		if err := d.decodeScanRow(); err != nil {
-			if d.salvage {
-				d.salvageScanError(err)
-				decoded++
+				// The scan is structurally unusable; skip it. Later
+				// scans still decode on their own readers.
+				d.report.record(d.scanIdx, err)
+				d.scanIdx++
+				d.sc = nil
 				continue
 			}
-			return decoded, fmt.Errorf("jpegcodec: scan %d row %d: %w", d.scanIdx, d.row, err)
+		}
+		if err := d.walkRow(d.decodeUnit); err != nil {
+			err = fmt.Errorf("jpegcodec: scan %d row %d: %w", d.scanIdx, d.row, err)
+			if !d.salvage {
+				return decoded, err
+			}
+			d.report.record(d.scanIdx, err)
+			d.salvageScanError()
+			decoded++
+			continue
 		}
 		// Attribute the row's bits to its covering luma MCU row.
 		m := d.row
@@ -211,169 +166,48 @@ func (d *progDecoder) DecodeRows(n int) (int, error) {
 	return decoded, nil
 }
 
-// restartIfDue consumes an RSTn marker when the scan's restart interval
-// expires, resetting DC predictors and any pending EOB run.
-func (d *progDecoder) restartIfDue() error {
-	ri := d.sc.RestartInterval
-	if ri <= 0 || d.mcusSinceRestart != ri {
-		return nil
-	}
-	mk, err := d.r.SkipRestartMarker()
-	if err != nil {
-		return err
-	}
-	if d.salvage && int(mk-0xD0) != d.restartsSeen%8 {
-		// Salvage-only check (see the baseline decoder): out-of-sequence
-		// restart numbers mean dropped/duplicated markers; resync.
-		return fmt.Errorf("restart marker %#02x out of sequence (want RST%d)", mk, d.restartsSeen%8)
-	}
-	d.restartsSeen++
-	for i := range d.dc {
-		d.dc[i] = 0
-	}
-	d.eobrun = 0
-	d.mcusSinceRestart = 0
-	return nil
-}
-
-// decodeScanRow decodes row d.row of the current scan.
-func (d *progDecoder) decodeScanRow() error {
+// decodeUnit decodes the blocks of unit (ux, uy) of the current scan.
+func (d *progDecoder) decodeUnit(ux, uy int) error {
 	sc := d.sc
-	f := d.f
-	if sc.Interleaved() {
-		// Interleaved scans exist only for DC bands (parse enforces
-		// single-component AC scans); walk the padded MCU grid. d.col is
-		// the salvage resume cursor (0 on the strict path).
-		m := d.row
-		for ; d.col < f.MCUsPerRow; d.col++ {
-			mx := d.col
-			if err := d.restartIfDue(); err != nil {
-				return err
-			}
-			if err := d.checkExhausted(); err != nil {
-				return err
-			}
-			for si, scc := range sc.Comps {
-				comp := f.Img.Components[scc.CompIdx]
-				for v := 0; v < comp.V; v++ {
-					for h := 0; h < comp.H; h++ {
-						blk := d.block(scc.CompIdx, mx*comp.H+h, m*comp.V+v)
-						if err := d.decodeDC(blk, si); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			d.mcusSinceRestart++
-		}
-		d.col = 0
-		return nil
-	}
-	ci := sc.Comps[0].CompIdx
-	by := d.row
-	for ; d.col < d.wb; d.col++ {
-		bx := d.col
-		if err := d.restartIfDue(); err != nil {
-			return err
-		}
-		if err := d.checkExhausted(); err != nil {
-			return err
-		}
-		blk := d.block(ci, bx, by)
+	for i := range d.blocks {
+		b := &d.blocks[i]
+		bi := b.index(ux, uy)
+		blk := d.coeff[b.c][bi*64 : bi*64+64 : bi*64+64]
 		var err error
-		if sc.Ss == 0 {
-			err = d.decodeDC(blk, 0)
-		} else if sc.Ah == 0 {
-			err = d.decodeACFirst(blk, bx, by)
-		} else {
-			err = d.decodeACRefine(blk, bx, by)
+		switch {
+		case sc.Ss == 0:
+			err = d.decodeDC(blk, b)
+		case sc.Ah == 0:
+			err = d.decodeACFirst((*[64]int32)(blk), b, bi)
+		default:
+			err = d.decodeACRefine(blk, b.c, bi)
 		}
 		if err != nil {
 			return err
 		}
-		d.mcusSinceRestart++
-	}
-	d.col = 0
-	return nil
-}
-
-// checkExhausted is the salvage-only padding guard (see the baseline
-// decoder): real bits ran out at a pending marker with units still owed
-// before the next restart. A pending EOB run exempts the check — the
-// covered blocks legitimately consume no bits, so a scan's last data
-// byte can run dry well before its restart marker is due.
-func (d *progDecoder) checkExhausted() error {
-	if d.salvage && d.eobrun == 0 && d.r.Marker() != 0 && d.r.BitsBuffered() == 0 {
-		return fmt.Errorf("entropy data exhausted at marker %#02x (unit %d of restart interval)", d.r.Marker(), d.mcusSinceRestart)
 	}
 	return nil
 }
 
-// salvageScanError absorbs an entropy error in the current scan: record
-// it, then try an intra-scan resync at the next restart marker (same
-// marker-number arithmetic as the baseline decoder, in scan units —
-// MCUs for interleaved scans, blocks for single-component ones). When
-// no usable marker exists the rest of the scan is abandoned; later
-// scans still decode. Coefficients are never zeroed — prior-scan values
-// are the best available — so only lost first-DC coverage counts as
-// damage.
-func (d *progDecoder) salvageScanError(err error) {
-	sc := d.sc
-	d.report.record(d.scanIdx, fmt.Errorf("jpegcodec: scan %d row %d: %w", d.scanIdx, d.row, err))
-	unitsPerRow := d.f.MCUsPerRow
-	if !sc.Interleaved() {
-		unitsPerRow = d.wb
+// salvageScanError absorbs an entropy error in the current scan (the
+// caller has recorded it): resync within the scan at the next usable
+// restart marker, in scan units. When no usable marker exists the rest
+// of the scan is abandoned; later scans still decode. Coefficients are
+// never zeroed — prior-scan values are the best available — so only
+// lost first-DC coverage counts as damage.
+func (d *progDecoder) salvageScanError() {
+	total := d.unitsPerRow * d.rows
+	errUnit := d.row*d.unitsPerRow + d.col
+	land := d.resync(errUnit, total)
+	d.addDCDamage(errUnit, land, total)
+	if land == total {
+		d.scanIdx++
+		d.sc = nil
+		d.col = 0
+		return
 	}
-	totalUnits := unitsPerRow * d.rows
-	errUnit := d.row*unitsPerRow + d.col
-	if ri := sc.RestartInterval; ri > 0 {
-		data := sc.Data
-		for i := d.byteBase + d.r.BytePos(); i+1 < len(data); {
-			if data[i] != 0xFF {
-				i++
-				continue
-			}
-			mk := data[i+1]
-			if mk == 0x00 { // byte stuffing
-				i += 2
-				continue
-			}
-			if mk == 0xFF { // fill byte
-				i++
-				continue
-			}
-			if mk < 0xD0 || mk > 0xD7 {
-				break // non-restart marker: nothing further in this scan
-			}
-			dskip := (int(mk-0xD0) - d.restartsSeen%8 + 8) % 8
-			cand := (d.restartsSeen + dskip + 1) * ri
-			if dskip > maxResyncSkip || cand <= errUnit {
-				i += 2
-				continue
-			}
-			if cand >= totalUnits {
-				break
-			}
-			d.addDCDamage(errUnit, cand, totalUnits)
-			d.r.Reset(data[i+2:])
-			d.byteBase = i + 2
-			for j := range d.dc {
-				d.dc[j] = 0
-			}
-			d.eobrun = 0
-			d.mcusSinceRestart = 0
-			d.restartsSeen += dskip + 1
-			d.report.Resyncs++
-			d.row = cand / unitsPerRow
-			d.col = cand % unitsPerRow
-			d.prevBits = d.bitPos()
-			return
-		}
-	}
-	d.addDCDamage(errUnit, totalUnits, totalUnits)
-	d.scanIdx++
-	d.sc = nil
-	d.col = 0
+	d.row, d.col = land/d.unitsPerRow, land%d.unitsPerRow
+	d.prevBits = d.bitPos()
 }
 
 // addDCDamage records scan units [fromUnit, toUnit) as damaged when the
@@ -400,11 +234,11 @@ func (d *progDecoder) addDCDamage(fromUnit, toUnit, totalUnits int) {
 	d.report.addDamage(first, end-first)
 }
 
-// decodeDC handles both DC passes of scan component si: the first scan
-// decodes a Huffman-coded difference and stores it shifted left by Al
-// (through the probe of entropy.go); refinement scans append one raw
-// bit at bit position Al.
-func (d *progDecoder) decodeDC(blk []int32, si int) error {
+// decodeDC handles both DC passes: the first scan decodes a
+// Huffman-coded difference (through the probe of entropy.go) and stores
+// the predictor shifted left by Al; refinement scans append one raw bit
+// at bit position Al.
+func (d *progDecoder) decodeDC(blk []int32, b *unitBlock) error {
 	sc := d.sc
 	if sc.Ah != 0 {
 		bit, err := d.r.ReadBit()
@@ -416,38 +250,18 @@ func (d *progDecoder) decodeDC(blk []int32, si int) error {
 		}
 		return nil
 	}
-	if d.generalOnly {
-		return d.decodeDCGeneral(blk, si)
+	diff, ok := int32(0), false
+	if !d.generalOnly {
+		diff, ok = probeDC(d.r, b.dc)
 	}
-	diff, ok := probeDC(d.r, sc.Comps[si].DC)
 	if !ok {
-		return d.decodeDCGeneral(blk, si)
-	}
-	d.dc[si] += diff
-	blk[0] = d.dc[si] << uint(sc.Al)
-	return nil
-}
-
-// decodeDCGeneral is the first DC pass on the general path.
-func (d *progDecoder) decodeDCGeneral(blk []int32, si int) error {
-	sc := d.sc
-	t, err := sc.Comps[si].DC.Decode(d.r)
-	if err != nil {
-		return err
-	}
-	if t > 15 {
-		return fmt.Errorf("bad DC category %d", t)
-	}
-	diff := int32(0)
-	if t > 0 {
-		bits, err := d.r.ReadBits(uint(t))
-		if err != nil {
+		var err error
+		if diff, err = d.dcGeneral(b.dc); err != nil {
 			return err
 		}
-		diff = huffman.Extend(bits, uint(t))
 	}
-	d.dc[si] += diff
-	blk[0] = d.dc[si] << uint(sc.Al)
+	d.dc[b.si] += diff
+	blk[0] = d.dc[b.si] << uint(sc.Al)
 	return nil
 }
 
@@ -456,68 +270,24 @@ func (d *progDecoder) decodeDCGeneral(blk []int32, si int) error {
 // with r < 15 starts an EOB run of 2^r plus r appended bits, covering
 // this block and the next eobrun-1 blocks of the scan. The probe of
 // entropy.go reads the band; the general path finishes what it leaves.
-func (d *progDecoder) decodeACFirst(blk []int32, bx, by int) error {
+func (d *progDecoder) decodeACFirst(blk *[64]int32, b *unitBlock, bi int) error {
 	if d.eobrun > 0 {
 		d.eobrun--
 		return nil
 	}
 	sc := d.sc
-	if d.generalOnly {
-		return d.decodeACFirstGeneral(blk, bx, by, sc.Ss)
+	k, maxK, general := sc.Ss, -1, true
+	if !d.generalOnly {
+		k, maxK, d.eobrun, general = probeACs(d.r, b.ac, blk, sc.Ss, sc.Se, uint(sc.Al), -1, true)
 	}
-	k, maxK, eobrun, general := probeACs(d.r, sc.Comps[0].AC, (*[64]int32)(blk), sc.Ss, sc.Se, uint(sc.Al), -1, true)
-	d.eobrun = eobrun
-	if maxK >= 0 {
-		d.setNZ(sc.Comps[0].CompIdx, bx, by, maxK)
-	}
+	var err error
 	if general {
-		return d.decodeACFirstGeneral(blk, bx, by, k)
+		maxK, err = d.acGeneral(b.ac, blk, k, sc.Se, uint(sc.Al), maxK, true)
 	}
-	return nil
-}
-
-// decodeACFirstGeneral finishes an AC first-scan block from zigzag
-// position k on the general path.
-func (d *progDecoder) decodeACFirstGeneral(blk []int32, bx, by, k int) error {
-	sc := d.sc
-	ac := sc.Comps[0].AC
-	ci := sc.Comps[0].CompIdx
-	for k <= sc.Se {
-		rs, err := ac.Decode(d.r)
-		if err != nil {
-			return err
-		}
-		r := int(rs >> 4)
-		s := uint(rs & 0xF)
-		if s == 0 {
-			if r == 15 { // ZRL: sixteen zeros
-				k += 16
-				continue
-			}
-			d.eobrun = 1 << uint(r)
-			if r > 0 {
-				bits, err := d.r.ReadBits(uint(r))
-				if err != nil {
-					return err
-				}
-				d.eobrun += int(bits)
-			}
-			d.eobrun-- // this block is the first of the run
-			return nil
-		}
-		k += r
-		if k > sc.Se {
-			return fmt.Errorf("AC run overflows band (k=%d, Se=%d)", k, sc.Se)
-		}
-		bits, err := d.r.ReadBits(s)
-		if err != nil {
-			return err
-		}
-		blk[jfif.ZigZag[k]] = huffman.Extend(bits, s) << uint(sc.Al)
-		d.setNZ(ci, bx, by, k)
-		k++
+	if maxK >= 0 {
+		d.setNZ(b.c, bi, maxK)
 	}
-	return nil
+	return err
 }
 
 // decodeACRefine decodes one block of an AC refinement scan (Ah = Al+1):
@@ -525,10 +295,9 @@ func (d *progDecoder) decodeACFirstGeneral(blk []int32, bx, by, k int) error {
 // newly nonzero coefficients arrive as ±1 at bit position Al, with zero
 // runs counting only zero-history positions. An EOB run still refines
 // the nonzero coefficients of the blocks it covers.
-func (d *progDecoder) decodeACRefine(blk []int32, bx, by int) error {
+func (d *progDecoder) decodeACRefine(blk []int32, ci, bi int) error {
 	sc := d.sc
 	ac := sc.Comps[0].AC
-	ci := sc.Comps[0].CompIdx
 	delta := int32(1) << uint(sc.Al)
 	k := sc.Ss
 	if d.eobrun == 0 {
@@ -577,7 +346,7 @@ func (d *progDecoder) decodeACRefine(blk []int32, bx, by int) error {
 			}
 			if newval != 0 {
 				blk[jfif.ZigZag[k]] = newval
-				d.setNZ(ci, bx, by, k)
+				d.setNZ(ci, bi, k)
 			}
 		}
 	}

@@ -3,8 +3,6 @@ package jpegcodec
 import (
 	"errors"
 	"fmt"
-
-	"hetjpeg/internal/jfif"
 )
 
 // Error-resilient decoding: the salvage layer. In strict mode (the
@@ -161,29 +159,7 @@ func (r *SalvageReport) DamagedMCUs() int {
 // decoder over the salvageable prefix with the parse error pre-recorded
 // in its report.
 func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, nil, err
-	}
-	im, perr := jfif.ParseSalvage(data)
-	if im == nil {
-		return nil, nil, perr
-	}
-	for _, c := range im.Components {
-		if im.Quant[c.QuantSel] == nil {
-			return nil, nil, fmt.Errorf("jpegcodec: missing quant table %d", c.QuantSel)
-		}
-	}
-	f, err := NewFrameScaled(im, scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	ed := NewEntropyDecoder(f)
-	rep := NewSalvageReport(f.MCUsPerRow * f.MCURows)
-	if perr != nil {
-		rep.record(-1, perr)
-	}
-	ed.EnableSalvage(rep)
-	return f, ed, nil
+	return prepareDecode(data, scale, true)
 }
 
 // DecodeScalarSalvage is the scalar reference decoder in salvage mode —
