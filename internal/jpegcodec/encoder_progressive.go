@@ -300,9 +300,7 @@ func (e *progScanEnc) encodeACFirst(em progEmitter, blk []int32, mask uint64, ci
 }
 
 // band is the scan's spectral band as mask bits: Ss through Se.
-func (e *progScanEnc) band() uint64 {
-	return uint64(1)<<(e.spec.Se+1) - uint64(1)<<e.spec.Ss
-}
+func (e *progScanEnc) band() uint64 { return bandBits(e.spec.Ss, e.spec.Se) }
 
 // encodeACRefine emits one block of an AC refinement scan: correction
 // bits for coefficients that were already nonzero, ±1 insertions for

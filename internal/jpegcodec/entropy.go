@@ -230,7 +230,9 @@ func (b *unitBlock) index(ux, uy int) int {
 // interleaved scan walks the frame's MCU grid, each unit every
 // component's H×V blocks in raster order (T.81 A.2.3); a
 // single-component scan walks the component's own block grid, one
-// block per unit (T.81 A.2.2).
+// block per unit (T.81 A.2.2). The reader, the block list and the DC
+// predictors of an earlier scan are reused, so re-aiming a state at the
+// next scan or restart segment allocates nothing.
 func (s *scanState) begin(data []byte, ri int, comps []jfif.ScanComponent, interleaved bool) {
 	f := s.f
 	s.blocks = s.blocks[:0]
@@ -249,9 +251,17 @@ func (s *scanState) begin(data []byte, ri int, comps []jfif.ScanComponent, inter
 			}
 		}
 	}
-	s.r = bitstream.NewReader(data)
+	if s.r == nil {
+		s.r = bitstream.NewReader(data)
+	} else {
+		s.r.Reset(data)
+	}
 	s.data, s.ri = data, ri
-	s.dc = make([]int32, len(comps))
+	if cap(s.dc) < len(comps) {
+		s.dc = make([]int32, len(comps))
+	}
+	s.dc = s.dc[:len(comps)]
+	clear(s.dc)
 	s.eobrun, s.row, s.col = 0, 0, 0
 	s.restartsSeen, s.mcusSinceRestart, s.byteBase = 0, 0, 0
 }

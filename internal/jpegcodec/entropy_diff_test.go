@@ -167,8 +167,30 @@ func diffStreams(t testing.TB) []diffStream {
 	return out
 }
 
+// wideRefineStreams builds q100 noise under the deep successive
+// approximation script: dense blocks whose refinement scans owe more
+// than 32 correction bits, which the mask walk reads in several
+// window reads. They stay out of diffStreams, so the entropy golden
+// pins the corpus it always has.
+func wideRefineStreams(t testing.TB) []diffStream {
+	t.Helper()
+	var out []diffStream
+	img := makeNoisyImage(48, 40, 17)
+	defer img.Release()
+	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub420} {
+		for _, ri := range []int{0, 3} {
+			data, err := Encode(img, EncodeOptions{Quality: 100, Subsampling: sub, Progressive: true, Script: ScriptDeepSA(), RestartInterval: ri})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, diffStream{fmt.Sprintf("deepsa-q100-%v-rst%d", sub, ri), data})
+		}
+	}
+	return out
+}
+
 func TestEntropyPathsAgreeClean(t *testing.T) {
-	for _, s := range diffStreams(t) {
+	for _, s := range append(diffStreams(t), wideRefineStreams(t)...) {
 		checkPathsAgree(t, s.name, s.data)
 	}
 }

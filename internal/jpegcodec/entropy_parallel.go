@@ -19,8 +19,9 @@ import (
 // measures against, at the cost of requiring cooperative encoders.
 // Segments are cut with the marker scanner salvage resyncs with, and
 // each is decoded by the baseline decoder's own per-MCU block walk
-// (decodeMCU); a corrupt segment fails the decode with the same error
-// at any worker count.
+// (decodeMCU), one decoder per worker re-aimed at each segment; a
+// corrupt segment fails the decode with the same error at any worker
+// count.
 
 // restartSegment is one independently decodable run of MCUs.
 type restartSegment struct {
@@ -40,7 +41,9 @@ func splitRestartSegments(f *Frame) ([]restartSegment, error) {
 	}
 	data := f.Img.EntropyData
 	totalMCU := f.MCUsPerRow * f.MCURows
-	var segs []restartSegment
+	// One segment per restart interval, and no more than the markers
+	// the data can hold: the capacity never trusts the header alone.
+	segs := make([]restartSegment, 0, min((totalMCU+ri-1)/ri, len(data)/2+1))
 	start := 0
 	firstMCU := 0
 	for i := 0; ; i += 2 {
@@ -100,12 +103,13 @@ func DecodeAllParallelRestart(f *Frame, workers int) ([]int64, error) {
 		go func() {
 			defer wg.Done()
 			local := make([]int64, f.MCURows)
+			d := &EntropyDecoder{scanState: scanState{f: f}, dcOnly: f.DCOnly()}
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= len(segs) {
 					break
 				}
-				if errs[i] = decodeSegment(f, comps, segs[i], local); errs[i] != nil {
+				if errs[i] = d.decodeSegment(comps, segs[i], local); errs[i] != nil {
 					failed.Store(true)
 					return
 				}
@@ -128,9 +132,10 @@ func DecodeAllParallelRestart(f *Frame, workers int) ([]int64, error) {
 
 // decodeSegment decodes one restart segment's MCUs into the shared
 // coefficient buffer (disjoint block ranges, so no synchronization is
-// needed) and accumulates per-row bit counts into rowBits.
-func decodeSegment(f *Frame, comps []jfif.ScanComponent, seg restartSegment, rowBits []int64) error {
-	d := &EntropyDecoder{scanState: scanState{f: f}, dcOnly: f.DCOnly()}
+// needed) and accumulates per-row bit counts into rowBits. Each worker
+// keeps one decoder and re-aims it at every segment it claims.
+func (d *EntropyDecoder) decodeSegment(comps []jfif.ScanComponent, seg restartSegment, rowBits []int64) error {
+	f := d.f
 	d.begin(seg.data, 0, comps, true)
 	for mcu := seg.firstMCU; mcu < seg.firstMCU+seg.numMCU; mcu++ {
 		my := mcu / f.MCUsPerRow

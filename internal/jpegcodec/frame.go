@@ -25,7 +25,7 @@ import (
 var (
 	coeffPool pool.Slab[int32]  // whole-image coefficient slabs
 	bytePool  pool.Slab[byte]   // sample planes and RGB pixels
-	maskPool  pool.Slab[uint64] // the encoder's per-block nonzero masks
+	maskPool  pool.Slab[uint64] // per-block nonzero masks: the encoder's, and progressive refinement's
 )
 
 //hetlint:transfer ownership moves to the Frame/RGBImage; Frame.Release / RGBImage.Release put it back
@@ -36,7 +36,7 @@ func putCoeffSlab(s []int32)     { coeffPool.Put(s) }
 func getByteSlab(n int) []byte { return bytePool.Get(n) }
 func putByteSlab(s []byte)     { bytePool.Put(s) }
 
-//hetlint:transfer ownership moves to Encode's per-component masks; Encode puts them back on return
+//hetlint:transfer ownership moves to Encode's per-component masks or a progressive decoder; Encode puts them back on return, the decoder when its scans end
 func getMaskSlab(n int) []uint64 { return maskPool.Get(n) }
 func putMaskSlab(s []uint64)     { maskPool.Put(s) }
 

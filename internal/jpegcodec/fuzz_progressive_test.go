@@ -10,7 +10,8 @@ import (
 // EOBRUN/successive-approximation decode paths end to end: any input
 // must either decode or fail with an error — panics and runaway
 // allocations are bugs. Seeds are generated progressive fixtures (every
-// script shape, subsampled and not, with and without restart markers)
+// script shape, subsampled and not, with and without restart markers,
+// and q100 noise whose refinement blocks owe over 32 correction bits)
 // plus truncations, so mutation starts from deep inside the scan
 // machinery rather than from random bytes that die in the marker loop.
 func FuzzProgressiveDecode(f *testing.F) {
@@ -30,6 +31,18 @@ func FuzzProgressiveDecode(f *testing.F) {
 			}
 		}
 	}
+	// Dense q100 noise under deep successive approximation: refinement
+	// blocks owing more than 32 correction bits.
+	noisy := makeNoisyImage(32, 24, 9)
+	for _, ri := range []int{0, 2} {
+		data, err := Encode(noisy, EncodeOptions{Quality: 100, Subsampling: jfif.Sub444, Progressive: true, Script: ScriptDeepSA(), RestartInterval: ri})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)*2/3])
+	}
+	noisy.Release()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, err := jfif.Parse(data)
 		if err != nil {

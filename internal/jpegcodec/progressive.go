@@ -3,7 +3,10 @@ package jpegcodec
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
+	"hetjpeg/internal/bitstream"
+	"hetjpeg/internal/huffman"
 	"hetjpeg/internal/jfif"
 )
 
@@ -19,15 +22,31 @@ import (
 // The entropy side is shared too: each scan is a scanState walked by
 // the same walkRow, probes, general path and resync as a baseline image
 // (see entropy.go), in units of MCUs for an interleaved scan and of
-// blocks for a single-component one; only the refinement passes
-// (decodeACRefine, refineNonZeroes and the DC refinement bit) are
-// progressive's own.
+// blocks for a single-component one.
+//
+// Refinement scans read a persistent nonzero mask beside the
+// coefficients: one uint64 per block, bit k set when the coefficient at
+// zigzag position k is nonzero. AC first scans set it, in cache, from
+// the band of the block they just wrote; AC refinement decodes each
+// symbol through the probe LUT and finds a run's landing slot, the
+// (r+1)th clear bit of the band, with popcounts. The correction bits
+// of the nonzeros a run passes are read as one window-wide value and
+// applied by walking its set bits, so a block whose corrections are all
+// zero is not touched. The per-bit walk (refineGeneral,
+// refineNonZeroes) stays the general path, and the only place an error
+// is made: it takes every symbol the probe cannot settle before a bit
+// of it is consumed, and finishes the correction bits of a symbol the
+// window runs short in, so both paths agree on every coefficient, bit
+// position and salvage report. The mask is a slab of maskPool owned by
+// the progressive decoder, not a Frame field, so baseline decodes pay
+// nothing; a 1/8-scale decode, which skips the AC scans, takes none.
 //
 // Sparsity bookkeeping rides along: Frame.NZ starts at 1 (DC-only) and
 // grows monotonically as scans append coefficients — refinement never
 // zeroes a coefficient, so the per-block maximum zigzag index only ever
 // increases and the sparse IDCT fast paths keep firing on smooth blocks
-// even for progressive input.
+// even for progressive input. The mask only gains bits for the same
+// reason, and a refinement block's watermark is its mask's length.
 
 // progDecoder walks the scans of a progressive image. It is driven
 // row-at-a-time (MCU rows for interleaved scans, block rows for
@@ -43,6 +62,13 @@ type progDecoder struct {
 	scanState
 	coeff   [][]int32 // f.Coeff, or private slabs in discard mode
 	rowBits []int64   // entropy bits per luma MCU row, summed over scans
+
+	// The nonzero masks, one per block, per component windows of one
+	// pooled slab; nil when no scan refines ACs or the decode skips
+	// them (1/8 scale), and from the moment the scans end.
+	maskSlab []uint64
+	masks    [3][]uint64 // by component (a frame has one or three)
+	scanMask []uint64    // the current AC scan's component's masks
 
 	scanIdx  int
 	sc       *jfif.Scan // the current scan; nil between scans
@@ -73,7 +99,42 @@ func newProgDecoder(f *Frame, discard bool) *progDecoder {
 			f.NZ[c][i] = 1 // DC-only until an AC scan says otherwise
 		}
 	}
+	if d.refinesACs() {
+		n := 0
+		for c := range f.Planes {
+			n += f.Planes[c].Blocks()
+		}
+		d.maskSlab = getMaskSlab(n)
+		clear(d.maskSlab)
+		n = 0
+		for c := range f.Planes {
+			b := f.Planes[c].Blocks()
+			d.masks[c] = d.maskSlab[n : n+b : n+b]
+			n += b
+		}
+	}
 	return d
+}
+
+// refinesACs reports whether a scan the decode reads refines AC
+// coefficients, the one reader of the nonzero masks.
+func (d *progDecoder) refinesACs() bool {
+	for i, sc := range d.f.Img.Scans {
+		if sc.Ss > 0 && sc.Ah > 0 && !d.skipsScan(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// releaseMask returns the nonzero masks to their pool once the scans
+// end, whether the last one completed, the tail was skipped or
+// abandoned, or a strict decode failed.
+func (d *progDecoder) releaseMask() {
+	if d.maskSlab != nil {
+		putMaskSlab(d.maskSlab)
+		d.maskSlab, d.masks, d.scanMask = nil, [3][]uint64{}, nil
+	}
 }
 
 // Done reports whether every scan has been decoded.
@@ -93,6 +154,10 @@ func (d *progDecoder) beginScan() error {
 	d.sc = sc
 	d.prevBits = 0
 	d.begin(sc.Data, sc.RestartInterval, sc.Comps, sc.Interleaved())
+	d.scanMask = nil
+	if sc.Ss > 0 {
+		d.scanMask = d.masks[sc.Comps[0].CompIdx]
+	}
 	if d.rows == 0 {
 		return errors.New("jpegcodec: empty scan geometry")
 	}
@@ -113,6 +178,14 @@ func (d *progDecoder) skipsScan(i int) bool {
 // DecodeRows decodes up to n rows of scan work, crossing scan
 // boundaries as needed, and returns the number of rows decoded.
 func (d *progDecoder) DecodeRows(n int) (int, error) {
+	decoded, err := d.decodeRows(n)
+	if err != nil || d.Done() {
+		d.releaseMask()
+	}
+	return decoded, err
+}
+
+func (d *progDecoder) decodeRows(n int) (int, error) {
 	decoded := 0
 	for ; n > 0 && !d.Done(); n-- {
 		if d.sc == nil {
@@ -167,22 +240,42 @@ func (d *progDecoder) DecodeRows(n int) (int, error) {
 }
 
 // decodeUnit decodes the blocks of unit (ux, uy) of the current scan.
+// An AC scan has one component and one block per unit; a block inside
+// an EOB run that owes no correction bit costs nothing more than the
+// count.
 func (d *progDecoder) decodeUnit(ux, uy int) error {
 	sc := d.sc
+	if sc.Ss > 0 {
+		b := &d.blocks[0]
+		bi := b.index(ux, uy)
+		if d.eobrun > 0 && (sc.Ah == 0 || d.scanMask != nil && d.scanMask[bi]&bandBits(sc.Ss, sc.Se) == 0) {
+			d.eobrun--
+			return nil
+		}
+		blk := (*[64]int32)(d.coeff[b.c][bi*64 : bi*64+64])
+		if sc.Ah == 0 {
+			return d.decodeACFirst(blk, b, bi)
+		}
+		return d.decodeACRefine(blk, b.c, bi)
+	}
+	if sc.Ah != 0 && !d.generalOnly {
+		// DC refinement: one bit per block, from the window when it
+		// holds the unit's bits (ReadBit refills only once it is empty).
+		if acc, nb, ok := d.r.Window(); ok && nb >= uint(len(d.blocks)) {
+			al := uint(sc.Al) & 15
+			for i := range d.blocks {
+				b := &d.blocks[i]
+				d.coeff[b.c][b.index(ux, uy)*64] |= int32(acc>>63) << al
+				acc <<= 1
+			}
+			d.r.SetWindow(acc, nb-uint(len(d.blocks)))
+			return nil
+		}
+	}
 	for i := range d.blocks {
 		b := &d.blocks[i]
 		bi := b.index(ux, uy)
-		blk := d.coeff[b.c][bi*64 : bi*64+64 : bi*64+64]
-		var err error
-		switch {
-		case sc.Ss == 0:
-			err = d.decodeDC(blk, b)
-		case sc.Ah == 0:
-			err = d.decodeACFirst((*[64]int32)(blk), b, bi)
-		default:
-			err = d.decodeACRefine(blk, b.c, bi)
-		}
-		if err != nil {
+		if err := d.decodeDC((*[64]int32)(d.coeff[b.c][bi*64:bi*64+64]), b); err != nil {
 			return err
 		}
 	}
@@ -238,16 +331,14 @@ func (d *progDecoder) addDCDamage(fromUnit, toUnit, totalUnits int) {
 // Huffman-coded difference (through the probe of entropy.go) and stores
 // the predictor shifted left by Al; refinement scans append one raw bit
 // at bit position Al.
-func (d *progDecoder) decodeDC(blk []int32, b *unitBlock) error {
+func (d *progDecoder) decodeDC(blk *[64]int32, b *unitBlock) error {
 	sc := d.sc
 	if sc.Ah != 0 {
 		bit, err := d.r.ReadBit()
 		if err != nil {
 			return err
 		}
-		if bit != 0 {
-			blk[0] |= 1 << uint(sc.Al)
-		}
+		blk[0] |= int32(bit) << uint(sc.Al)
 		return nil
 	}
 	diff, ok := int32(0), false
@@ -270,11 +361,9 @@ func (d *progDecoder) decodeDC(blk []int32, b *unitBlock) error {
 // with r < 15 starts an EOB run of 2^r plus r appended bits, covering
 // this block and the next eobrun-1 blocks of the scan. The probe of
 // entropy.go reads the band; the general path finishes what it leaves.
+// The block's nonzero mask gains the positions written, read back from
+// the block in cache: [Ss, maxK], or the whole band after an error.
 func (d *progDecoder) decodeACFirst(blk *[64]int32, b *unitBlock, bi int) error {
-	if d.eobrun > 0 {
-		d.eobrun--
-		return nil
-	}
 	sc := d.sc
 	k, maxK, general := sc.Ss, -1, true
 	if !d.generalOnly {
@@ -287,6 +376,18 @@ func (d *progDecoder) decodeACFirst(blk *[64]int32, b *unitBlock, bi int) error 
 	if maxK >= 0 {
 		d.setNZ(b.c, bi, maxK)
 	}
+	if d.scanMask != nil {
+		hi := maxK
+		if err != nil {
+			hi = sc.Se
+		}
+		m := d.scanMask[bi]
+		for k := sc.Ss; k <= hi; k++ {
+			v := blk[jfif.ZigZag[k&63]&63]
+			m |= uint64(uint32(v|-v)>>31) << uint(k&63) // bit k if v != 0
+		}
+		d.scanMask[bi] = m
+	}
 	return err
 }
 
@@ -294,12 +395,232 @@ func (d *progDecoder) decodeACFirst(blk *[64]int32, b *unitBlock, bi int) error 
 // every coefficient that is already nonzero receives a correction bit;
 // newly nonzero coefficients arrive as ±1 at bit position Al, with zero
 // runs counting only zero-history positions. An EOB run still refines
-// the nonzero coefficients of the blocks it covers.
-func (d *progDecoder) decodeACRefine(blk []int32, ci, bi int) error {
+// the nonzero coefficients of the blocks it covers. The mask walk
+// (refineProbe) goes as far as it can; the per-bit walk finishes from
+// the symbol it stopped before.
+func (d *progDecoder) decodeACRefine(blk *[64]int32, ci, bi int) error {
+	sc := d.sc
+	k := sc.Ss
+	if d.scanMask != nil && !d.generalOnly {
+		m := &d.scanMask[bi]
+		if d.eobrun == 0 {
+			before := *m
+			var err error
+			k, err = d.refineProbe(blk, m)
+			if *m != before {
+				// Only new nonzeros move the watermark: it is the mask's length.
+				d.setNZ(ci, bi, bits.Len64(*m)-1)
+			}
+			if err != nil || k > sc.Se {
+				return err
+			}
+		} else if acc, nb, ok := d.r.Window(); ok {
+			// A block inside an EOB run owes only the correction bits of
+			// its history in the band.
+			d.eobrun--
+			return d.refineCorrections(blk, *m&bandBits(k, sc.Se), int32(1)<<uint(sc.Al), acc, nb)
+		}
+	}
+	return d.refineGeneral(blk, ci, bi, k)
+}
+
+// bandBits is the zigzag band [lo, hi] as mask bits.
+func bandBits(lo, hi int) uint64 {
+	return uint64(1)<<uint(hi+1) - uint64(1)<<uint(lo)
+}
+
+// refineProbe is the mask walk of an AC refinement block. It decodes
+// each symbol through the probe LUT of the scan's table on the reader's
+// bit window, refilled to 32 bits before a symbol exactly as
+// Table.Decode would, and stops before any symbol it cannot settle: a
+// long code past the LUT that starts no code, a magnitude other than 1,
+// a run past the band, or fewer than 32 bits left before a marker or
+// the end of the data. It returns the position the general path takes
+// over at, or Se+1 when the block is done; an error can only come from
+// refineNonZeroes, finishing the correction bits of a symbol the data
+// ran short in. It keeps the block's mask m current.
+func (d *progDecoder) refineProbe(blk *[64]int32, m *uint64) (int, error) {
+	sc := d.sc
+	k, se := sc.Ss, sc.Se
+	acc, nb, ok := d.r.Window()
+	if !ok {
+		return k, nil
+	}
+	al := uint(sc.Al) & 15
+	delta := int32(1) << al
+	mask := *m
+	tab := sc.Comps[0].AC
+	lut := tab.Probes()
+	top := bandBits(0, se)
+	for k <= se {
+		if nb < 32 {
+			if acc, nb = d.r.Refill(acc, nb); nb < 32 {
+				if acc, nb = d.r.RefillSlow(acc, nb); nb < 32 {
+					break
+				}
+			}
+		}
+		e := lut[acc>>(64-huffman.ProbeBits)]
+		if e == 0 {
+			if e = tab.ProbeLong(acc); e == 0 {
+				break
+			}
+		}
+		n, r := e.Len(), e.Run()
+		newval := int32(0)
+		if e.ZeroSize() {
+			if r != 15 {
+				// An EOB run of 2^r plus r appended bits, this block the
+				// first: the rest of the band takes correction bits only.
+				acc <<= n
+				nb -= n
+				eobrun := 1 << uint(r)
+				if r > 0 {
+					eobrun += int(acc >> (64 - uint(r)))
+					acc <<= uint(r)
+					nb -= uint(r)
+				}
+				d.eobrun = eobrun - 1
+				*m = mask
+				return se + 1, d.refineCorrections(blk, mask&bandBits(k, se), delta, acc, nb)
+			}
+			// ZRL: the sixteenth zero-history position is passed, not set.
+		} else if x, v := e.Extra(), e.Value(); x == 0 && uint32(v+1) <= 2 {
+			newval = v << al // a magnitude of 1, its sign inside the LUT index
+		} else if x == 1 {
+			newval = (int32(acc<<n>>63)*2 - 1) << al
+			n++
+		} else {
+			break // a magnitude other than 1: the general path's error
+		}
+		// The landing slot is the (r+1)th zero-history position of
+		// [k, Se]; the nonzeros before it owe a correction bit each.
+		// Where no history lies in the way it is simply k+r.
+		p := k + r
+		owed := uint64(0)
+		if run := (uint64(2)<<uint(r) - 1) << uint(k&63); mask&run != 0 || p > se {
+			from := ^uint64(0) << uint(k&63)
+			zeros := ^mask & top & from
+			for i := r; i > 0; i-- {
+				zeros &= zeros - 1
+			}
+			if zeros == 0 {
+				break // the run overflows the band: the general path's error
+			}
+			p = bits.TrailingZeros64(zeros) & 63
+			owed = mask & from & (uint64(1)<<uint(p) - 1)
+		}
+		acc <<= n
+		nb -= n
+		stop := false
+		if c := uint(bits.OnesCount64(owed)); c != 0 && c <= min(nb, 32) {
+			// One read holds the correction bits of the run.
+			correct(blk, owed, uint32(acc>>32)&^(^uint32(0)>>c), delta)
+			acc <<= c
+			nb -= c
+		} else if c != 0 {
+			var short uint64
+			if acc, nb, short = applyCorrections(d.r, blk, owed, delta, acc, nb); short != 0 {
+				// The data ran short: the per-bit walk reads the rest of
+				// the run, and the window is checked out again after it.
+				d.r.SetWindow(acc, nb)
+				from := bits.TrailingZeros64(short)
+				left := r - bits.OnesCount64(^mask&bandBits(k, from-1))
+				if _, err := d.refineNonZeroes(blk[:], from, se, left, delta); err != nil {
+					*m = mask
+					return k, err
+				}
+				acc, nb, ok = d.r.Window()
+				stop = !ok
+			}
+		}
+		if newval != 0 {
+			blk[jfif.ZigZag[p&63]&63] = newval
+			mask |= 1 << uint(p&63)
+		}
+		k = p + 1
+		if stop {
+			// Zero padding past a marker: the reader's methods only.
+			*m = mask
+			return k, nil
+		}
+	}
+	d.r.SetWindow(acc, nb)
+	*m = mask
+	return k, nil
+}
+
+// refineCorrections applies the correction bits of the nonzero-history
+// positions owed up to the end of the band, from the window (acc, nb)
+// checked out of the reader, and hands the window back; when the data
+// runs short the per-bit walk finishes from the first position still
+// owed.
+func (d *progDecoder) refineCorrections(blk *[64]int32, owed uint64, delta int32, acc uint64, nb uint) error {
+	if c := uint(bits.OnesCount64(owed)); c <= min(nb, 32) {
+		// One read holds them all.
+		correct(blk, owed, uint32(acc>>32)&^(^uint32(0)>>c), delta)
+		d.r.SetWindow(acc<<c, nb-c)
+		return nil
+	}
+	acc, nb, short := applyCorrections(d.r, blk, owed, delta, acc, nb)
+	d.r.SetWindow(acc, nb)
+	if short != 0 {
+		_, err := d.refineNonZeroes(blk[:], bits.TrailingZeros64(short), d.sc.Se, -1, delta)
+		return err
+	}
+	return nil
+}
+
+// applyCorrections reads one correction bit for each position in owed,
+// in zigzag order, in reads of at most 32 bits, and applies them. It
+// refills the window only once it is empty, when ReadBit would, and
+// returns the positions whose bits the data could not supply; for those
+// the reader pads past a marker or fails, which is the per-bit walk's
+// to do.
+func applyCorrections(r *bitstream.Reader, blk *[64]int32, owed uint64, delta int32, acc uint64, nb uint) (uint64, uint, uint64) {
+	for c := uint(bits.OnesCount64(owed)); c > 0; {
+		if nb == 0 {
+			if acc, nb = r.Refill(acc, nb); nb == 0 {
+				if acc, nb = r.RefillSlow(acc, nb); nb == 0 {
+					break
+				}
+			}
+		}
+		n := min(c, nb, 32)
+		correct(blk, owed, uint32(acc>>32)&^(^uint32(0)>>n), delta)
+		acc <<= n
+		nb -= n
+		if c -= n; c == 0 {
+			return acc, nb, 0
+		}
+		for ; n > 0; n-- {
+			owed &= owed - 1
+		}
+	}
+	return acc, nb, owed
+}
+
+// correct applies correction bits v, left-aligned, to the positions of
+// owed in zigzag order, stopping at the last set bit: a set bit moves
+// its coefficient one delta further from zero (the sign is settled, so
+// a correction only grows the magnitude).
+func correct(blk *[64]int32, owed uint64, v uint32, delta int32) {
+	for ; v != 0; v <<= 1 {
+		u := jfif.ZigZag[bits.TrailingZeros64(owed)&63] & 63
+		owed &= owed - 1
+		x := blk[u]
+		s := x >> 31
+		blk[u] = x + (delta^s-s)&-int32(v>>31)
+	}
+}
+
+// refineGeneral is the per-bit walk of an AC refinement block from
+// zigzag position k, a symbol boundary: the general path behind
+// refineProbe, and the only place a refinement error is made.
+func (d *progDecoder) refineGeneral(blk *[64]int32, ci, bi, k int) error {
 	sc := d.sc
 	ac := sc.Comps[0].AC
 	delta := int32(1) << uint(sc.Al)
-	k := sc.Ss
 	if d.eobrun == 0 {
 	scan:
 		for ; k <= sc.Se; k++ {
@@ -337,7 +658,7 @@ func (d *progDecoder) decodeACRefine(blk []int32, ci, bi int) error {
 			default:
 				return fmt.Errorf("bad refinement magnitude %d", s)
 			}
-			k, err = d.refineNonZeroes(blk, k, sc.Se, r, delta)
+			k, err = d.refineNonZeroes(blk[:], k, sc.Se, r, delta)
 			if err != nil {
 				return err
 			}
@@ -347,12 +668,15 @@ func (d *progDecoder) decodeACRefine(blk []int32, ci, bi int) error {
 			if newval != 0 {
 				blk[jfif.ZigZag[k]] = newval
 				d.setNZ(ci, bi, k)
+				if d.scanMask != nil {
+					d.scanMask[bi] |= 1 << uint(k)
+				}
 			}
 		}
 	}
 	if d.eobrun > 0 {
 		d.eobrun--
-		if _, err := d.refineNonZeroes(blk, k, sc.Se, -1, delta); err != nil {
+		if _, err := d.refineNonZeroes(blk[:], k, sc.Se, -1, delta); err != nil {
 			return err
 		}
 	}

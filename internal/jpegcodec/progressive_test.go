@@ -234,3 +234,27 @@ func TestProgressiveScriptValidation(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEntropyProgressive entropy-decodes a 1024x1024 4:2:0
+// progressive stream (default script): the refinement scans' mask walk
+// and the first scans' probes.
+func BenchmarkEntropyProgressive(b *testing.B) {
+	img := makeTestImage(1024, 1024, 19)
+	data, err := Encode(img, EncodeOptions{Quality: 85, Subsampling: jfif.Sub420, Progressive: true})
+	img.Release()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, ed, err := PrepareDecode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ed.DecodeAll(); err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
+	}
+}

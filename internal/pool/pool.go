@@ -1,6 +1,7 @@
 // Package pool provides bucketed slab pools for the decoder's large
 // per-decode buffers (whole-image coefficients, sample planes, RGB
-// pixels and the encoder's nonzero masks). A batch service
+// pixels and the per-block nonzero masks of the encoder and of
+// progressive refinement). A batch service
 // decodes millions of images per process; recycling these slabs keeps
 // steady-state allocation flat instead of churning hundreds of MB/s
 // through the GC.
