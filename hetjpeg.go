@@ -174,9 +174,10 @@ func Decode(data []byte, opts Options) (*Result, error) { return core.Decode(dat
 
 // DecodeRGB is the convenience path: a wall-clock decode with no
 // platform simulation, on up to GOMAXPROCS cores. A baseline stream
-// pipelines inside the image: one core entropy-decodes MCU rows while
-// another runs the back phase (IDCT, upsampling, colour) on the rows
-// already decoded. Pixels are those of the sequential reference.
+// pipelines inside the image: the caller entropy-decodes MCU rows while
+// the other cores run the back phase (IDCT, upsampling, colour) on each
+// band of rows already decoded, the handoff the batch executor's band
+// scheduler also runs. Pixels are those of the sequential reference.
 func DecodeRGB(data []byte) (*Image, error) { return DecodeRGBScaled(data, Scale1) }
 
 // DecodeRGBScaled is DecodeRGB at a decode scale; pixels are those of
@@ -283,7 +284,10 @@ type BatchImageResult = batch.ImageResult
 
 // BatchExecutor is a long-lived concurrent decode service over the
 // band scheduler. Decode waits for one image (the call a request
-// handler makes); Submit/Results stream many in completion order.
+// handler makes); Submit/Results stream many in completion order. Each
+// image's back-phase bands start as soon as its entropy stage has
+// decoded their rows, so a lone image on several workers costs about
+// the larger of its two stages, not their sum.
 // Beside them it offers the service-robustness surface cmd/imaged is
 // built on: QueueStats (occupancy + calibrated rates for Retry-After
 // arithmetic) and Stop (abandonment-safe shutdown that never leaks
@@ -307,7 +311,8 @@ func NewBatchExecutor(opts BatchOptions) (*BatchExecutor, error) {
 // DecodeBatch decodes a stream of images with the pipelined band
 // scheduler (wall-clock concurrency: entropy decoding of in-flight
 // images overlapped with work-stolen back-phase bands from all of
-// them) while preserving the paper's virtual-time story: the
+// them, each band handed over as soon as its rows are decoded) while
+// preserving the paper's virtual-time story: the
 // merged timeline overlaps each image's CPU-side entropy decoding with
 // the previous image's device work — the gallery/browser workload the
 // paper's introduction motivates. Per-image scheduling uses PPS when a

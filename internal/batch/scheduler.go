@@ -15,25 +15,25 @@ import (
 // This file implements the wall-clock band scheduler: the paper's
 // pipelined execution and dynamic partitioning ideas applied to real
 // host time across a whole batch. Decoding splits at the pipeline
-// boundary into two stages:
+// boundary into two stages, handed over through a jpegcodec.BandPlan:
 //
 //   - Stage 1 (entropy): strictly sequential Huffman decoding, one
-//     stream per image, but several images in flight at once.
+//     stream per image, several images in flight. Each band whose MCU
+//     rows are decoded goes onto the owner's deque at once (a
+//     progressive image's all after its last scan).
 //   - Stage 2 (back phase): the fused dequant+IDCT / upsample / color
-//     pipeline, decomposed into MCU-row-band tasks.
+//     pipeline of one MCU-row band.
 //
 // One pool of workers runs both stages. Band tasks from *all* in-flight
 // images share per-worker work-stealing deques (owner pops newest —
 // cache-hot after its entropy pass — thieves steal oldest from the
-// longest deque), so a multi-megapixel straggler's back phase is
-// shredded across every idle worker instead of pinning one, and a
-// worker with no bands left pulls the next image's entropy stream —
-// entropy work naturally overlaps back-phase work across images. Real
-// pixels come from the fused scalar band pipeline (byte-identical to
-// every other execution path); each image's virtual timeline and stats
-// are built by core.Prepared.FinishVirtual exactly as core.Decode
-// builds them, so the paper's virtual-time story (per-image PPS,
-// deterministic merge) is unchanged.
+// longest deque), so idle workers run an image's bands while its owner
+// still decodes the stream, a multi-megapixel straggler's back phase
+// is shredded across every idle worker, and a worker with no bands left
+// pulls the next image's entropy stream. Pixels are byte-identical to
+// every other execution path; each image's virtual timeline and stats
+// come from core.Prepared.FinishVirtual once its entropy stage ends, as
+// in core.Decode, so the paper's virtual-time story is unchanged.
 //
 // Two knobs adapt online instead of being tuned offline:
 //
@@ -201,15 +201,40 @@ func (c *calibrator) inflightTarget(workers, maxInflight int) int {
 
 // flightImage is one image between entropy start and result delivery.
 type flightImage struct {
-	ctx   context.Context
-	index int
-	reply chan ImageResult // Decode's own channel (job.reply), or nil
-	prep  *core.Prepared
-	plan  *jpegcodec.BandPlan
-	res   *core.Result
-	// remaining and err are guarded by bandScheduler.mu.
+	ctx       context.Context
+	index     int
+	reply     chan ImageResult // Decode's own channel (job.reply), or nil
+	prep      *core.Prepared
+	plan      *jpegcodec.BandPlan
+	res       *core.Result
+	published int // bands stage 1 pushed; the owner's alone
+	// The rest is guarded by bandScheduler.mu. The image completes once
+	// stage 1 ended and every pushed band finished. No band starts after
+	// err is set. backNs sums the wall time of the bands that ran.
+	decoding  bool
 	remaining int
 	err       error
+	backNs    float64
+}
+
+// hookEvent names a point of the entropy→band handoff that testHook
+// observes.
+type hookEvent int
+
+const (
+	evStep    hookEvent = iota // stage 1 pushed img.published bands and decodes on; mu not held
+	evBand                     // a band of img starts; mu held
+	evFail                     // img.err was just set; mu held
+	evRelease                  // the failed img's buffers went back; mu not held
+)
+
+// testHook, set only by tests, observes the handoff.
+var testHook func(ev hookEvent, img *flightImage)
+
+func hook(ev hookEvent, img *flightImage) {
+	if testHook != nil {
+		testHook(ev, img)
+	}
 }
 
 // bandTask is one schedulable unit of stage 2.
@@ -301,6 +326,7 @@ func (s *bandScheduler) worker(id int, wg *sync.WaitGroup) {
 		}
 		if len(s.entropyQ) > 0 {
 			j := s.entropyQ[0]
+			s.entropyQ[0] = job{} // the queue's array must not pin the input
 			s.entropyQ = s.entropyQ[1:]
 			s.runEntropy(id, j)
 			continue
@@ -314,11 +340,13 @@ func (s *bandScheduler) worker(id int, wg *sync.WaitGroup) {
 }
 
 // take pops a band task: newest from the worker's own deque (cache-hot
-// LIFO), else the oldest from the longest other deque (steal FIFO).
-// Caller holds mu.
+// LIFO), else the oldest from the longest other deque (steal FIFO). The
+// slot it leaves is cleared, so a deque's array does not pin a finished
+// image. Caller holds mu.
 func (s *bandScheduler) take(id int) (bandTask, bool) {
 	if d := s.deques[id]; len(d) > 0 {
 		t := d[len(d)-1]
+		d[len(d)-1] = bandTask{}
 		s.deques[id] = d[:len(d)-1]
 		return t, true
 	}
@@ -333,125 +361,138 @@ func (s *bandScheduler) take(id int) (bandTask, bool) {
 	}
 	d := s.deques[victim]
 	t := d[0]
+	d[0] = bandTask{}
 	s.deques[victim] = d[1:]
 	return t, true
 }
 
-// runEntropy executes stage 1 for one image and, on success, plans its
-// bands onto the worker's own deque. Called and returns with mu held.
+// runEntropy executes stage 1 for one image: it plans the image's
+// bands, then entropy-decodes it a band at a time, pushing each band
+// onto the worker's own deque as soon as its rows are decoded. Called
+// and returns with mu held.
 func (s *bandScheduler) runEntropy(id int, j job) {
 	s.mu.Unlock()
-	img, entNs, ir := s.entropyStage(j)
+	err := j.ctx.Err()
+	var prep *core.Prepared
+	if err == nil {
+		prep, err = core.Prepare(j.data, core.Options{
+			Mode:    s.opts.Mode,
+			Spec:    s.opts.Spec,
+			Model:   s.opts.Model,
+			Scale:   j.scale,
+			Salvage: s.opts.Salvage,
+		})
+	}
 	s.mu.Lock()
-	if img == nil {
-		s.deliver(ir, j.reply)
+	if err != nil {
+		s.deliver(ImageResult{Index: j.index, Err: s.wrap(j, err)}, j.reply)
 		return
 	}
-	f := img.prep.Frame()
-	mcus := f.MCURows * f.MCUsPerRow
+	f := prep.Frame()
 	s.cal.seedFromModel(s.opts.Model, f, f.Img.EntropyDensity())
-	if img.res.Salvage == nil {
+	img := &flightImage{
+		ctx: j.ctx, index: j.index, reply: j.reply, prep: prep,
+		plan:     jpegcodec.PlanBands(f, 0, f.MCURows, s.cal.bandRows(f, s.workers)),
+		decoding: true,
+	}
+	var entNs float64
+	for img.err == nil && !prep.EntropyDone() {
+		s.mu.Unlock()
+		hook(evStep, img)
+		t0 := time.Now()
+		from, to, err := prep.EntropyStep(j.ctx, img.plan)
+		entNs += float64(time.Since(t0))
+		if err == nil && prep.EntropyDone() {
+			img.res, err = prep.FinishVirtual()
+		}
+		s.mu.Lock()
+		if err != nil {
+			s.fail(img, s.wrap(j, err))
+			break
+		}
+		for i := from; i < to; i++ {
+			s.deques[id] = append(s.deques[id], bandTask{img: img, band: i})
+		}
+		img.published = to
+		img.remaining += to - from
+		s.cond.Broadcast()
+	}
+	img.decoding = false
+	if img.err == nil && img.res.Salvage == nil {
 		// A salvaged stream lost entropy bytes: its measured rate would
 		// drag the EWMA below the cost of intact traffic.
-		s.cal.entropyRate(f.Img.Progressive, f.DCOnly()).Observe(entNs / float64(mcus))
-		s.cal.bytesPerMCU.Observe(float64(len(j.data)) / float64(mcus))
+		mcus := float64(f.MCURows * f.MCUsPerRow)
+		s.cal.entropyRate(f.Img.Progressive, f.DCOnly()).Observe(entNs / mcus)
+		s.cal.bytesPerMCU.Observe(float64(len(j.data)) / mcus)
 	}
 	s.target = s.cal.inflightTarget(s.workers, s.maxInflight)
-	img.plan = jpegcodec.PlanBands(f, 0, f.MCURows, s.cal.bandRows(f, s.workers))
-	img.remaining = img.plan.Bands()
-	// Push in reverse so the owner's LIFO pop executes band 0 first.
-	for i := img.plan.Bands() - 1; i >= 0; i-- {
-		s.deques[id] = append(s.deques[id], bandTask{img: img, band: i})
+	if img.remaining == 0 {
+		s.complete(img)
 	}
-	s.cond.Broadcast()
 }
 
-// entropyStage parses and entropy-decodes one image (no lock held) and
-// builds its virtual-time result. On failure the returned flightImage
-// is nil and the ImageResult carries the error.
-func (s *bandScheduler) entropyStage(j job) (*flightImage, float64, ImageResult) {
-	fail := func(err error) (*flightImage, float64, ImageResult) {
-		if j.ctx.Err() == nil {
-			err = fmt.Errorf("batch: image %d: %w", j.index, err)
-		}
-		return nil, 0, ImageResult{Index: j.index, Err: err}
+// wrap names the image in a decode error; a cancelled request reports
+// its context's error as it is.
+func (s *bandScheduler) wrap(j job, err error) error {
+	if j.ctx.Err() != nil {
+		return err
 	}
-	if err := j.ctx.Err(); err != nil {
-		return fail(err)
-	}
-	prep, err := core.Prepare(j.data, core.Options{
-		Mode:    s.opts.Mode,
-		Spec:    s.opts.Spec,
-		Model:   s.opts.Model,
-		Scale:   j.scale,
-		Salvage: s.opts.Salvage,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	t0 := time.Now()
-	if err := prep.EntropyDecode(j.ctx); err != nil {
-		prep.Release()
-		return fail(err)
-	}
-	entNs := float64(time.Since(t0))
-	res, err := prep.FinishVirtual()
-	if err != nil {
-		prep.Release()
-		return fail(err)
-	}
-	return &flightImage{ctx: j.ctx, index: j.index, reply: j.reply, prep: prep, res: res}, entNs, ImageResult{}
+	return fmt.Errorf("batch: image %d: %w", j.index, err)
 }
 
-// runBand executes one band task and accounts for the image's
-// completion. Called and returns with mu held.
+// fail records img's first failure. Caller holds mu.
+func (s *bandScheduler) fail(img *flightImage, err error) {
+	if img.err == nil {
+		img.err = err
+		hook(evFail, img)
+	}
+}
+
+// runBand executes one band task, unless its image failed or its
+// request was cancelled, and completes the image after its last band.
+// Called and returns with mu held.
 func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 	img := t.img
-	skip := img.err != nil
+	if err := img.ctx.Err(); err != nil {
+		s.fail(img, err)
+	}
+	run := img.err == nil
+	if run {
+		hook(evBand, img)
+	}
 	s.mu.Unlock()
-	var bandNs float64
-	var bandErr error
-	if !skip {
-		if err := img.ctx.Err(); err != nil {
-			bandErr = err
-		} else {
-			t0 := time.Now()
-			img.plan.ExecBand(t.band, img.prep.Output(), scratch)
-			bandNs = float64(time.Since(t0))
-		}
+	var ns float64
+	if run {
+		t0 := time.Now()
+		img.plan.ExecBand(t.band, img.prep.Output(), scratch)
+		ns = float64(time.Since(t0))
 	}
 	s.mu.Lock()
-	if bandErr != nil && img.err == nil {
-		img.err = bandErr
-	}
-	if bandNs > 0 && img.res.Salvage == nil {
-		// Salvaged bands render zeroed MCUs through the DC-flat fast
-		// path — cheaper per MCU than intact pixel work, so they would
-		// skew the back-phase EWMA downward.
-		f := img.prep.Frame()
-		mcus := img.plan.BandMCURows(t.band) * f.MCUsPerRow
-		s.cal.backPerMCU.At(f.Scale).Observe(bandNs / float64(mcus))
-	}
+	img.backNs += ns
 	img.remaining--
-	if img.remaining == 0 {
-		s.complete(img, scratch)
+	if img.remaining == 0 && !img.decoding {
+		s.complete(img)
 	}
 }
 
-// complete finishes an image whose last band ran: seam rows, then
-// delivery (or buffer release on failure). A salvaged image delivers
-// with BOTH Res and Err set, matching core.Decode's contract. Called
-// and returns with mu held.
-func (s *bandScheduler) complete(img *flightImage, scratch *jpegcodec.ConvertScratch) {
+// complete finishes an image whose entropy stage and bands all ended:
+// delivery, or buffer release on failure. A salvaged image delivers
+// with BOTH Res and Err set, matching core.Decode's contract; its bands
+// render zeroed MCUs through the DC-flat fast path, so they stay out of
+// the back-phase EWMA. Called and returns with mu held.
+func (s *bandScheduler) complete(img *flightImage) {
 	err := img.err
+	if f := img.prep.Frame(); err == nil && img.res.Salvage == nil {
+		s.cal.backPerMCU.At(f.Scale).Observe(img.backNs / float64(f.MCURows*f.MCUsPerRow))
+	}
 	s.mu.Unlock()
 	ir := ImageResult{Index: img.index}
 	if err != nil {
 		img.prep.Release()
+		hook(evRelease, img)
 		ir.Err = err
 	} else {
-		img.plan.FinishSeams(img.prep.Output(), scratch)
-		// Coefficients and planes are dead once the seams are in; they
+		// Coefficients and planes are dead once the last band ran; they
 		// go back now, not when the consumer is done with the pixels.
 		img.prep.Frame().Release()
 		ir.Res = img.res

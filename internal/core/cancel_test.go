@@ -56,7 +56,7 @@ func TestEntropyDecodeCancelsWithinPollBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Release()
-	total := p.st.ed.TotalRows()
+	total := p.Frame().MCURows
 	if total < 8*entropyPollRows {
 		t.Fatalf("fixture too small for the bound: %d MCU rows", total)
 	}

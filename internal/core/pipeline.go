@@ -10,23 +10,23 @@ import (
 
 // Prepared is a decode split open at the paper's pipeline boundary: the
 // strictly sequential entropy stage on one side and the data-parallel
-// back phase on the other. The batch band scheduler drives the two
-// stages itself — entropy decoding several images in flight while a
-// shared worker pool executes back-phase bands from all of them — so it
-// needs the pieces of Decode as separate steps:
+// back phase on the other, handed over band by band. The batch band
+// scheduler drives the two stages itself, so it needs the pieces of
+// Decode as separate steps:
 //
-//	p, _ := core.Prepare(data, opts)       // parse + allocate the frame
-//	_ = p.EntropyDecode(ctx)               // stage 1: serial Huffman, then the output
-//	res, _ := p.FinishVirtual()            // the mode's virtual schedule
-//	bp := jpegcodec.PlanBands(p.Frame(), ...)
-//	... execute bands into p.Output() on any pool ...
+//	p, _ := core.Prepare(data, opts)              // parse + allocate the frame
+//	bp := jpegcodec.PlanBands(p.Frame(), 0, p.Frame().MCURows, rows)
+//	for !p.EntropyDone() {
+//		from, to, _ := p.EntropyStep(ctx, bp) // stage 1, a band at a time
+//		... run bands [from, to) into p.Output() on any pool ...
+//	}
+//	res, _ := p.FinishVirtual()                   // the mode's virtual schedule
 //
-// Decode itself is Prepare + EntropyDecode + FinishVirtual followed by
-// jpegcodec.ParallelPhaseScalar over the whole frame.
+// Decode itself is Prepare + EntropyDecode (the steps over one band) +
+// FinishVirtual, then jpegcodec.ParallelPhaseScalar over the frame.
 type Prepared struct {
-	st          *decodeState
-	entropyDone bool
-	finished    bool
+	st       *decodeState
+	finished bool
 }
 
 // Prepare parses the stream, allocates the frame's whole-image buffers
@@ -63,50 +63,66 @@ func Prepare(data []byte, opts Options) (*Prepared, error) {
 func (p *Prepared) Frame() *jpegcodec.Frame { return p.st.f }
 
 // Output exposes the whole-image RGB buffer external band executors
-// write into (nil until EntropyDecode has succeeded); it becomes
+// write into (nil until EntropyStep readied the first band); it becomes
 // Result.Image after FinishVirtual.
 func (p *Prepared) Output() *jpegcodec.RGBImage { return p.st.out }
 
-// Mode returns the resolved execution mode.
-func (p *Prepared) Mode() Mode { return p.st.opts.Mode }
+// EntropyDone reports whether stage 1 has decoded the whole image.
+func (p *Prepared) EntropyDone() bool { return p.st.ed == nil }
 
-// EntropyDecode runs stage 1: sequential Huffman decoding of the whole
-// image into the coefficient buffer, recording per-row bit counts and
-// their virtual costs. ctx (may be nil) is polled every few MCU rows so
-// a cancelled batch abandons a large image mid-stream. On success it
-// allocates the RGB output, so an image holds its largest byte buffer
-// only from the moment there is something to put in it; the back phase
-// overwrites every pixel, and a VirtualOnly decode, which runs no back
-// phase, gets the zeroed image it promises.
-func (p *Prepared) EntropyDecode(ctx context.Context) error {
-	if p.entropyDone {
-		return nil
-	}
+// pollRows bounds the entropy work between two polls of the context: 32
+// MCU rows are a few hundred microseconds.
+const pollRows = 32
+
+// EntropyStep runs stage 1, sequential Huffman decoding, until the next
+// band of bp (which covers the frame) is ready or pollRows rows of work
+// are done, and returns the bands [from, to) that became ready. It polls
+// ctx (may be nil) first, so a cancelled request abandons a large image
+// mid-stream. The RGB output is allocated with the first ready band: an
+// image holds its largest byte buffer only once there is something to
+// put in it (a VirtualOnly decode gets it zeroed). After the last row
+// the step prices the rows for the virtual schedules and drops the
+// entropy decoder, which reads the input.
+func (p *Prepared) EntropyStep(ctx context.Context, bp *jpegcodec.BandPlan) (from, to int, err error) {
 	st := p.st
-	// 32 MCU rows ≈ a few hundred microseconds of entropy work between
-	// cancellation checks.
-	const pollRows = 32
-	for !st.ed.Done() {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
 		}
-		if _, err := st.ed.DecodeRows(pollRows); err != nil {
+	}
+	if from, to, err = bp.Step(st.ed, pollRows); err != nil {
+		return from, to, err
+	}
+	if to > 0 && st.out == nil {
+		st.out = jpegcodec.NewRGBImage(st.f.OutW, st.f.OutH)
+		if st.opts.VirtualOnly {
+			clear(st.out.Pix)
+		}
+	}
+	if st.ed.Done() {
+		st.rowCost = make([]float64, st.f.MCURows)
+		blocksPerRow := blocksPerMCURow(st.f)
+		//hetlint:nopoll one polynomial evaluation per MCU row, microseconds for the whole image
+		for i, bits := range st.ed.BitsPerRow {
+			st.rowCost[i] = st.opts.Spec.HuffmanNs(bits, blocksPerRow)
+		}
+		if rep := st.ed.SalvageReport(); rep.Impaired() {
+			st.res.Salvage = rep
+		}
+		st.ed = nil
+	}
+	return from, to, nil
+}
+
+// EntropyDecode runs stage 1 to its end: EntropyStep over a plan of
+// one band.
+func (p *Prepared) EntropyDecode(ctx context.Context) error {
+	bp := jpegcodec.PlanBands(p.st.f, 0, p.st.f.MCURows, p.st.f.MCURows)
+	for !p.EntropyDone() {
+		if _, _, err := p.EntropyStep(ctx, bp); err != nil {
 			return err
 		}
 	}
-	st.rowCost = make([]float64, st.f.MCURows)
-	blocksPerRow := blocksPerMCURow(st.f)
-	//hetlint:nopoll one polynomial evaluation per MCU row, microseconds for the whole image
-	for i, bits := range st.ed.BitsPerRow {
-		st.rowCost[i] = st.opts.Spec.HuffmanNs(bits, blocksPerRow)
-	}
-	st.out = jpegcodec.NewRGBImage(st.f.OutW, st.f.OutH)
-	if st.opts.VirtualOnly {
-		clear(st.out.Pix)
-	}
-	p.entropyDone = true
 	return nil
 }
 
@@ -117,7 +133,7 @@ func (p *Prepared) EntropyDecode(ctx context.Context) error {
 // kernels.CostPlan, so the result is the same whoever produces the
 // pixels.
 func (p *Prepared) FinishVirtual() (*Result, error) {
-	if !p.entropyDone {
+	if !p.EntropyDone() {
 		return nil, errors.New("core: finish before EntropyDecode")
 	}
 	if p.finished {
@@ -155,10 +171,10 @@ func (p *Prepared) FinishVirtual() (*Result, error) {
 	}
 	st.res.HuffNs = st.huffTotal()
 	st.res.TotalNs = st.res.Timeline.Makespan()
-	if rep := st.ed.SalvageReport(); rep.Impaired() {
-		st.res.Salvage = rep
-	}
-	return &st.res, nil
+	// A copy, so that the result, which a cache may keep, does not keep
+	// the decode state alive.
+	res := st.res
+	return &res, nil
 }
 
 // Release returns the prepared decode's buffers (coefficients, sample

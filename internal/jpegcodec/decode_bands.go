@@ -1,28 +1,31 @@
 package jpegcodec
 
-import "hetjpeg/internal/jfif"
+import (
+	"sync"
+	"sync/atomic"
 
-// This file exposes the fused back phase (dequant+IDCT, upsample, color
-// conversion) at MCU-row-band granularity for external schedulers: the
-// batch band scheduler pulls bands from many in-flight images through one
-// shared worker pool, so a large image's tail is spread across idle
-// workers instead of pinning one. ParallelPhaseScalarWorkers is the
-// single-image specialization (one band per worker).
+	"hetjpeg/internal/jfif"
+)
+
+// This file is the one entropy→band handoff (§4.5/§5.2 on the wall
+// clock): the fused back phase cut into MCU-row bands, each ready once
+// the sequential entropy stage (BandPlan.Step) has decoded its rows. The
+// batch band scheduler pushes ready bands of many images onto its
+// work-stealing deques; a single decode hands them to a crew.
 //
-// A band executes independently of every other band of the same plan:
-// it transforms its own MCU rows and color-converts only the pixel rows
-// whose inputs are fully inside the band. For 4:2:0 the two pixel rows
-// at each interior band boundary read chroma from both sides of the
-// seam; they are deferred to FinishSeams, which runs once after every
-// band of the image completed. Output is byte-identical to the
-// sequential fused pipeline for any band decomposition.
+// A band transforms its own MCU rows and color-converts only the pixel
+// rows whose inputs lie inside it. For 4:2:0 the two pixel rows at each
+// interior band boundary read chroma from both sides; whichever of the
+// two bands finishes second converts them. Output is byte-identical to
+// the sequential fused pipeline for any decomposition and any order.
 
 // ConvertScratch is a reusable per-goroutine scratch for the chroma
 // upsampling rows of the fused pipeline. A worker keeps one across
 // bands of any number of frames; it grows to the widest frame seen and
 // allocates nothing once warm. The zero value is ready to use.
 type ConvertScratch struct {
-	cs convertScratch
+	cbUp, crUp []byte
+	blend      []int // the vertical-blend row, 4:2:0 only
 }
 
 // ensure grows the scratch to frame f's chroma row width.
@@ -31,21 +34,31 @@ func (s *ConvertScratch) ensure(f *Frame) {
 		return
 	}
 	cpw := f.Planes[1].PlaneW()
-	if len(s.cs.cbUp) < 2*cpw {
-		s.cs.cbUp = make([]byte, 2*cpw)
-		s.cs.crUp = make([]byte, 2*cpw)
+	if len(s.cbUp) < 2*cpw {
+		s.cbUp = make([]byte, 2*cpw)
+		s.crUp = make([]byte, 2*cpw)
 	}
-	if f.Sub == jfif.Sub420 && len(s.cs.blend) < cpw {
-		s.cs.blend = make([]int, cpw)
+	if f.Sub == jfif.Sub420 && len(s.blend) < cpw {
+		s.blend = make([]int, cpw)
 	}
 }
 
 // BandPlan is a decomposition of the back phase of MCU rows [m0, m1)
-// into contiguous MCU-row bands, each an independently executable task.
+// into contiguous MCU-row bands, each an independently executable task,
+// and the entropy stage's progress through them. Each band of a plan
+// runs once.
 type BandPlan struct {
 	f      *Frame
-	starts []int // band boundaries: band i covers MCU rows [starts[i], starts[i+1])
-	r0, r1 int   // pixel rows covered by the plan
+	edges  []bandEdge // edge i starts band i; the last edge ends the plan
+	r0, r1 int        // pixel rows covered by the plan
+	ready  int        // bands [0, ready) hold final coefficients (Step)
+}
+
+// bandEdge is a band boundary: its MCU row and, in a 4:2:0 plan, how
+// many of the two bands beside it have finished.
+type bandEdge struct {
+	m        int
+	finished atomic.Int32
 }
 
 // PlanBands slices MCU rows [m0, m1) of f into bands of bandRows MCU
@@ -57,82 +70,136 @@ func PlanBands(f *Frame, m0, m1, bandRows int) *BandPlan {
 	bp := &BandPlan{f: f}
 	bp.r0, bp.r1 = f.PixelRows(m0, m1)
 	for m := m0; m < m1; m += bandRows {
-		bp.starts = append(bp.starts, m)
+		bp.edges = append(bp.edges, bandEdge{m: m})
 	}
-	bp.starts = append(bp.starts, m1)
-	return bp
-}
-
-// planBandsN slices MCU rows [m0, m1) into a head band [m0, head), none
-// when head == m0, and n equal-share bands over [head, m1): the
-// ParallelPhaseScalarWorkers decomposition, and the pipelined decode's
-// follower band and tail. n must be in [1, m1-head].
-func planBandsN(f *Frame, m0, head, m1, n int) *BandPlan {
-	bp := &BandPlan{f: f, starts: make([]int, 0, n+2)}
-	bp.r0, bp.r1 = f.PixelRows(m0, m1)
-	if head > m0 {
-		bp.starts = append(bp.starts, m0)
-	}
-	for i := 0; i <= n; i++ {
-		bp.starts = append(bp.starts, head+(m1-head)*i/n)
-	}
+	bp.edges = append(bp.edges, bandEdge{m: m1})
 	return bp
 }
 
 // Bands returns the number of bands in the plan.
-func (bp *BandPlan) Bands() int { return len(bp.starts) - 1 }
+func (bp *BandPlan) Bands() int { return len(bp.edges) - 1 }
 
-// BandMCURows returns the number of MCU rows band i covers (the unit the
-// batch scheduler's online calibration normalizes measured times by).
-func (bp *BandPlan) BandMCURows(i int) int { return bp.starts[i+1] - bp.starts[i] }
+// Step entropy-decodes through ed, a decoder of the plan's frame, until
+// the next band is ready or rows rows of work are done, and returns the
+// bands [from, to) that became ready. A band is ready once every one of
+// its MCU rows lies below ed.Row(): a baseline stream readies bands as
+// its rows land, a progressive one readies them all after its last scan.
+// The plan must cover the whole frame.
+func (bp *BandPlan) Step(ed *EntropyDecoder, rows int) (from, to int, err error) {
+	from, edges := bp.ready, bp.edges
+	if !bp.f.Img.Progressive && from+1 < len(edges) {
+		rows = min(rows, edges[from+1].m-ed.Row())
+	}
+	if _, err = ed.DecodeRows(rows); err != nil {
+		return from, from, err
+	}
+	for to = from; to+1 < len(edges) && edges[to+1].m <= ed.Row(); to++ {
+	}
+	bp.ready = to
+	return from, to, nil
+}
 
 // ExecBand runs band i's share of the fused pipeline into out: IDCT of
 // its MCU rows, then upsampling + color conversion of the pixel rows
 // whose inputs lie entirely within rows reconstructed by this band (the
 // per-row deferral of the fused pipeline, plus the 4:2:0 seam deferral
-// at band boundaries). Bands of one plan may run concurrently: each
-// writes disjoint plane and pixel regions.
+// at band boundaries), then the seams whose other band already
+// finished. Bands of one plan may run concurrently: each writes disjoint
+// plane and pixel regions.
 func (bp *BandPlan) ExecBand(i int, out *RGBImage, s *ConvertScratch) {
 	f := bp.f
-	a, b := bp.starts[i], bp.starts[i+1]
+	top, bottom := &bp.edges[i], &bp.edges[i+1]
 	s.ensure(f)
-	lo, _ := f.PixelRows(a, b)
-	if f.Sub == jfif.Sub420 && i > 0 {
+	lo, _ := f.PixelRows(top.m, bottom.m)
+	seams := f.Sub == jfif.Sub420
+	if seams && i > 0 {
 		// The boundary row below the seam (owned here by the bound
 		// shift) and the one above both read the previous band's chroma:
 		// both become seam rows. Units are output rows, so the same rule
 		// holds at every decode scale.
-		lo = a*f.mcuOutH() + 1
+		lo = top.m*f.mcuOutH() + 1
 	}
 	hi := bp.r1
 	if i < bp.Bands()-1 {
-		hi = bandBound(f, b)
+		hi = bandBound(f, bottom.m)
 	}
-	parallelPhaseBands(f, a, b, lo, hi, out, &s.cs, nil)
+	parallelPhaseBands(f, top.m, bottom.m, lo, hi, out, s)
+	if seams {
+		if i > 0 {
+			bp.seam(top, out, s)
+		}
+		if i < bp.Bands()-1 {
+			bp.seam(bottom, out, s)
+		}
+	}
 }
 
-// FinishSeams converts the deferred 4:2:0 seam rows (two pixel rows per
-// interior band boundary, whose vertical chroma filter reads both
-// sides). It must run after every band of the plan completed; for other
-// subsamplings it is a no-op.
-func (bp *BandPlan) FinishSeams(out *RGBImage, s *ConvertScratch) {
-	f := bp.f
-	if f.Sub != jfif.Sub420 {
+// seam converts the two pixel rows at boundary e if the band on its
+// other side has finished too: the atomic count orders both bands'
+// plane writes before the conversion that reads them.
+func (bp *BandPlan) seam(e *bandEdge, out *RGBImage, s *ConvertScratch) {
+	if e.finished.Add(1) < 2 {
 		return
 	}
-	s.ensure(f)
-	for i := 1; i < bp.Bands(); i++ {
-		a := bp.starts[i]
-		lo := a*f.mcuOutH() - 1
-		hi := a*f.mcuOutH() + 1
-		if lo < bp.r0 {
-			lo = bp.r0
-		}
-		if hi > bp.r1 {
-			hi = bp.r1
-		}
-		if lo < hi {
-			colorConvertRange(f, lo, hi, out, &s.cs)
+	y := e.m * bp.f.mcuOutH()
+	if lo, hi := max(y-1, bp.r0), min(y+1, bp.r1); lo < hi {
+		colorConvertRange(bp.f, lo, hi, out, s)
+	}
+}
+
+// crew runs the bands of a single-image plan as they are published:
+// one band of the whole range on one worker (the fused sequential
+// pass), otherwise one band per MCU row, claimed in order by workers-1
+// helper goroutines and, once it joins in end, the caller.
+type crew struct {
+	bp    *BandPlan
+	out   *RGBImage
+	bands chan int // published bands not yet claimed
+	stop  atomic.Bool
+	wg    sync.WaitGroup
+}
+
+// newCrew plans MCU rows [m0, m1) of f into out and starts the helpers.
+func newCrew(f *Frame, m0, m1 int, out *RGBImage, workers int) *crew {
+	bandRows := 1
+	if workers <= 1 {
+		bandRows = m1 - m0
+	}
+	bp := PlanBands(f, m0, m1, bandRows)
+	c := &crew{bp: bp, out: out, bands: make(chan int, bp.Bands())}
+	for range min(workers, bp.Bands()) - 1 {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.work()
+		}()
+	}
+	return c
+}
+
+// publish makes bands [from, to) claimable.
+func (c *crew) publish(from, to int) {
+	for i := from; i < to; i++ {
+		c.bands <- i
+	}
+}
+
+// work runs claimed bands until the plan is closed and drained.
+func (c *crew) work() {
+	s := &ConvertScratch{}
+	for i := range c.bands {
+		if !c.stop.Load() {
+			c.bp.ExecBand(i, c.out, s)
 		}
 	}
+}
+
+// end closes the plan to publication. With ok the caller joins the
+// helpers until every band has run; without, no band starts any more.
+// It returns once no band is running and every helper is gone.
+func (c *crew) end(ok bool) {
+	c.stop.Store(!ok)
+	close(c.bands)
+	c.work()
+	c.wg.Wait()
 }

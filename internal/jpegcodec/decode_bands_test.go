@@ -27,8 +27,8 @@ func bandFixture(t *testing.T, w, h int, sub jfif.Subsampling, seed int64) *Fram
 }
 
 // BandPlan's contract: any band decomposition, executed in any order,
-// followed by FinishSeams, is byte-identical to the sequential fused
-// pipeline. The batch scheduler relies on this for every decode.
+// is byte-identical to the sequential fused pipeline, 4:2:0 seams
+// included. The batch scheduler relies on this for every decode.
 func TestBandPlanIdentity(t *testing.T) {
 	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub422, jfif.Sub420} {
 		for _, wh := range [][2]int{{129, 97}, {320, 243}} {
@@ -45,7 +45,6 @@ func TestBandPlanIdentity(t *testing.T) {
 					for i := bp.Bands() - 1; i >= 0; i-- {
 						bp.ExecBand(i, got, scratch)
 					}
-					bp.FinishSeams(got, scratch)
 					if !bytes.Equal(got.Pix, want.Pix) {
 						t.Fatalf("band decomposition differs from sequential pipeline")
 					}
@@ -70,11 +69,49 @@ func TestConvertScratchReuseAcrossFrames(t *testing.T) {
 		for i := 0; i < bp.Bands(); i++ {
 			bp.ExecBand(i, got, scratch)
 		}
-		bp.FinishSeams(got, scratch)
 		if !bytes.Equal(got.Pix, want.Pix) {
 			t.Fatalf("%dx%d: shared scratch corrupted output", wh[0], wh[1])
 		}
 		got.Release()
 		want.Release()
+	}
+}
+
+// Step hands over a baseline stream's bands one at a time, each as its
+// last row lands, and a progressive stream's all at once after its
+// last scan.
+func TestBandPlanStep(t *testing.T) {
+	for _, progressive := range []bool{false, true} {
+		data, err := Encode(makeTestImage(96, 80, 3), EncodeOptions{Quality: 85, Subsampling: jfif.Sub420, Progressive: progressive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, ed, err := PrepareDecode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp := PlanBands(f, 0, f.MCURows, 2)
+		ready, steps := 0, 0
+		for !ed.Done() {
+			from, to, err := bp.Step(ed, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps++
+			if from != ready {
+				t.Fatalf("progressive %v step %d: from %d, want %d", progressive, steps, from, ready)
+			}
+			ready = to
+			switch {
+			case progressive && !ed.Done() && to != 0:
+				t.Fatalf("step %d: %d bands ready before the last scan", steps, to)
+			case !progressive && (to != from+1 || ed.Row() != min(2*to, f.MCURows)):
+				t.Fatalf("step %d: bands [%d, %d) ready at row %d", steps, from, to, ed.Row())
+			}
+		}
+		if ready != bp.Bands() {
+			t.Errorf("progressive %v: %d of %d bands ready at the end", progressive, ready, bp.Bands())
+		}
+		f.Release()
 	}
 }

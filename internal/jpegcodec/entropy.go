@@ -110,11 +110,15 @@ func (d *EntropyDecoder) EnableSalvage(rep *SalvageReport) {
 // strict mode).
 func (d *EntropyDecoder) SalvageReport() *SalvageReport { return d.report }
 
-// Row returns the next MCU row index to be decoded (baseline only; a
-// progressive decode reports the current scan's row).
+// Row returns how many leading MCU rows hold final coefficients: the
+// next row to decode of a baseline stream; none of a progressive stream
+// until its last scan ended, then all.
 func (d *EntropyDecoder) Row() int {
 	if d.prog != nil {
-		return d.prog.row
+		if d.prog.Done() {
+			return d.f.MCURows
+		}
+		return 0
 	}
 	return d.row
 }
@@ -126,9 +130,6 @@ func (d *EntropyDecoder) Done() bool {
 	}
 	return d.row >= d.rows
 }
-
-// TotalRows returns the number of MCU rows in the image.
-func (d *EntropyDecoder) TotalRows() int { return d.f.MCURows }
 
 // DecodeRows entropy-decodes n rows of work into the coefficient
 // buffer, returning the number of rows actually decoded. Baseline rows

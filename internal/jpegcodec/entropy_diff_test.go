@@ -200,20 +200,25 @@ func TestEntropyPathsAgreeClean(t *testing.T) {
 // and progressive.
 func TestEntropyPathsAgreeFaults(t *testing.T) {
 	// Every byte is TestEntropyTruncationSweep's job; this family
-	// samples the second half of the stream.
-	stride := 7
+	// samples the second half of the stream. -short thins every family,
+	// keeping at least one fault of each per fixture and entropy span;
+	// the full corpus runs without it.
+	stride, sample := 7, 1
 	if testing.Short() {
-		stride = 29
+		stride, sample = 29, 4
 	}
-	for _, s := range faultStreams(t, stride) {
+	for _, s := range faultStreams(t, stride, sample) {
 		checkPathsAgree(t, s.name, s.data)
 	}
 }
 
 // faultStreams builds the fault-injection families over the restart and
 // no-restart fixtures, baseline and progressive, cutting the second half
-// of each stream at every stride'th byte.
-func faultStreams(t testing.TB, stride int) []diffStream {
+// of each stream at every stride'th byte. The bit-flip, restart-marker
+// and length families keep every sample'th fault of each fixture and
+// entropy span, starting with the first; sample 4 walks the three
+// restart-marker variants and the two length variants in turn.
+func faultStreams(t testing.TB, stride, sample int) []diffStream {
 	t.Helper()
 	img := makeNoisyImage(96, 80, 5)
 	defer img.Release()
@@ -233,12 +238,19 @@ func faultStreams(t testing.TB, stride int) []diffStream {
 		if err != nil {
 			t.Fatal(err)
 		}
+		keep := func(fs []faultgen.Fault) []faultgen.Fault {
+			var out []faultgen.Fault
+			for i := 0; i < len(fs); i += sample {
+				out = append(out, fs[i])
+			}
+			return out
+		}
 		faults := faultgen.Truncations(data, len(data)/2, stride)
 		for _, span := range faultgen.EntropySpans(data) {
-			faults = append(faults, faultgen.BitFlips(data, span, 24, 4242)...)
-			faults = append(faults, faultgen.RSTMutations(data, span)...)
+			faults = append(faults, keep(faultgen.BitFlips(data, span, 24, 4242))...)
+			faults = append(faults, keep(faultgen.RSTMutations(data, span))...)
 		}
-		faults = append(faults, faultgen.LengthCorruptions(data)...)
+		faults = append(faults, keep(faultgen.LengthCorruptions(data))...)
 		faults = append(faults, badDCCategories(data)...)
 		for _, ft := range faults {
 			out = append(out, diffStream{c.name + "/" + ft.Name, ft.Data})

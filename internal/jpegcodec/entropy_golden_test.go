@@ -88,7 +88,7 @@ func restartParallelGolden(data []byte, scale Scale, w int) (line string, ok boo
 func entropyGoldenLines(t *testing.T) []string {
 	t.Helper()
 	streams := diffStreams(t)
-	for i, s := range faultStreams(t, 29) {
+	for i, s := range faultStreams(t, 29, 1) {
 		if i%6 == 0 {
 			streams = append(streams, s)
 		}

@@ -332,11 +332,17 @@ func (f *Frame) TotalBlocks() int {
 }
 
 // Release returns the frame's coefficient and sample slabs to the
-// decoder's buffer pools. The frame's geometry stays valid, but Coeff
-// and Samples become nil: call it only once the pixels (or coefficients)
-// are no longer needed. Releasing is optional — an unreleased frame is
-// simply garbage-collected.
+// decoder's buffer pools and drops its slices of the input stream, so a
+// kept result does not pin the input. The frame's geometry stays valid,
+// but Coeff, Samples and the scan data become nil: call it only once
+// the pixels (or coefficients) are no longer needed. Releasing is
+// optional — an unreleased frame is simply garbage-collected.
 func (f *Frame) Release() {
+	f.Img.EntropyData = nil
+	scans := f.Img.Scans
+	for i := range scans {
+		scans[i].Data = nil
+	}
 	for i := range f.Coeff {
 		if f.Coeff[i] != nil {
 			putCoeffSlab(f.Coeff[i])

@@ -13,11 +13,11 @@ import (
 	"hetjpeg/internal/jfif"
 )
 
-// TestPipelinedDecodeIdentity: a baseline decode at workers >= 2 overlaps
-// the entropy stage with the back phase, and must give the sequential
-// decode's pixels byte for byte at every subsampling, scale and worker
-// count, down to one- and two-MCU-row images, odd sizes and restart
-// intervals. Under -race the pool poisons every slab it hands out, so a
+// TestPipelinedDecodeIdentity: a baseline decode at workers >= 2 runs each
+// band as soon as the entropy stage has decoded its rows, and must give
+// the sequential decode's pixels byte for byte at every subsampling,
+// scale and worker count, down to one- and two-MCU-row images, odd sizes
+// and restart intervals. Under -race the pool poisons every slab it hands out, so a
 // row the back phase read before the entropy stage wrote it shows here.
 func TestPipelinedDecodeIdentity(t *testing.T) {
 	sizes := [][2]int{{8, 8}, {17, 9}, {16, 32}, {33, 31}, {113, 97}, {200, 152}}
@@ -62,8 +62,8 @@ func TestPipelinedDecodeIdentity(t *testing.T) {
 }
 
 // TestPipelinedDecodeStrictErrors: a truncated or corrupt stream fails the
-// pipelined decode with the sequential decode's error, and the follower
-// is gone when the call returns; a fault the sequential decode survives
+// pipelined decode with the sequential decode's error, and its crew is
+// gone when the call returns; a fault the sequential decode survives
 // gives its pixels.
 func TestPipelinedDecodeStrictErrors(t *testing.T) {
 	data := encodeFixture(t, 96, 80, jfif.Sub420, 5)
@@ -103,7 +103,7 @@ func TestPipelinedDecodeStrictErrors(t *testing.T) {
 			t.Errorf("no %s stream failed the strict decode", kind)
 		}
 	}
-	// A follower signals done as it returns; give it that instant to exit.
+	// A helper signals done as it returns; give it that instant to exit.
 	deadline := time.Now().Add(time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

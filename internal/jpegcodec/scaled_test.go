@@ -299,7 +299,6 @@ func TestScaledWorkerIdentity(t *testing.T) {
 				for i := 0; i < bp.Bands(); i++ {
 					bp.ExecBand(i, got, &cs)
 				}
-				bp.FinishSeams(got, &cs)
 				if !bytes.Equal(got.Pix, ref.Pix) {
 					t.Fatalf("%v scale %v bandRows %d: band plan differs from sequential", sub, s, bandRows)
 				}

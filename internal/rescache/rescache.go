@@ -19,9 +19,9 @@
 //     the freshly inserted entry. N requests cost one decode.
 //
 // The cache stores only the image and its decode metadata: a Result's
-// Frame gave its slabs (coefficients, sample planes) back when its back
-// phase finished, so a resident entry costs its RGB pixels, not 3-4x
-// that.
+// Frame gave its slabs (coefficients, sample planes) and its references
+// to the input stream up when its back phase finished, so a resident
+// entry costs its RGB pixels, not 3-4x that, and not its request body.
 package rescache
 
 import (
