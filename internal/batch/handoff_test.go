@@ -25,11 +25,11 @@ import (
 // handoffRun decodes data on a fresh two-worker executor with hook
 // installed as testHook and returns the result; the executor's
 // goroutines are gone when it returns.
-func handoffRun(t *testing.T, ctx context.Context, data []byte, hook func(s *bandScheduler, ev hookEvent, img *flightImage)) ImageResult {
+func handoffRun(t *testing.T, ctx context.Context, data []byte, hook func(s *bandScheduler, ev hookEvent, img *flightImage, pushed int)) ImageResult {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	var ex *Executor
-	testHook = func(ev hookEvent, img *flightImage) { hook(ex.bands, ev, img) }
+	testHook = func(ev hookEvent, img *flightImage, pushed int) { hook(ex.bands, ev, img, pushed) }
 	ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +79,10 @@ func TestHandoffBandBeforeEntropyEnds(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	var held, overlapped bool
-	ir := handoffRun(t, context.Background(), data, func(_ *bandScheduler, ev hookEvent, img *flightImage) {
+	ir := handoffRun(t, context.Background(), data, func(_ *bandScheduler, ev hookEvent, img *flightImage, pushed int) {
 		switch ev {
 		case evStep:
-			if img.published > 0 && !held {
+			if pushed > 0 && !held {
 				held = true
 				awaitBand(t, started)
 			}
@@ -114,12 +114,12 @@ func TestHandoffBandBeforeEntropyEnds(t *testing.T) {
 func TestHandoffProgressiveWaitsForLastScan(t *testing.T) {
 	data := handoffFixture(t, true)
 	steps := 0
-	ir := handoffRun(t, context.Background(), data, func(_ *bandScheduler, ev hookEvent, img *flightImage) {
+	ir := handoffRun(t, context.Background(), data, func(_ *bandScheduler, ev hookEvent, img *flightImage, pushed int) {
 		switch ev {
 		case evStep:
 			steps++
-			if img.published != 0 {
-				t.Errorf("step %d: %d bands published before the last scan", steps, img.published)
+			if pushed != 0 {
+				t.Errorf("step %d: %d bands published before the last scan", steps-1, pushed)
 			}
 		case evBand:
 			if img.decoding {
@@ -159,10 +159,10 @@ type failureHook struct {
 	released int
 }
 
-func (h *failureHook) observe(s *bandScheduler, ev hookEvent, img *flightImage) {
+func (h *failureHook) observe(s *bandScheduler, ev hookEvent, img *flightImage, pushed int) {
 	switch ev {
 	case evStep:
-		if img.published > 0 && !h.held {
+		if pushed > 0 && !h.held {
 			h.held = true
 			awaitBand(h.t, h.started)
 			if h.fire != nil {

@@ -201,20 +201,20 @@ func (c *calibrator) inflightTarget(workers, maxInflight int) int {
 
 // flightImage is one image between entropy start and result delivery.
 type flightImage struct {
-	ctx       context.Context
-	index     int
-	reply     chan ImageResult // Decode's own channel (job.reply), or nil
-	prep      *core.Prepared
-	plan      *jpegcodec.BandPlan
-	res       *core.Result
-	published int // bands stage 1 pushed; the owner's alone
-	// The rest is guarded by bandScheduler.mu. The image completes once
-	// stage 1 ended and every pushed band finished. No band starts after
-	// err is set. backNs sums the wall time of the bands that ran.
+	ctx   context.Context
+	index int
+	reply chan ImageResult // Decode's own channel (job.reply), or nil
+	prep  *core.Prepared
+	plan  *jpegcodec.BandPlan
+	res   *core.Result
+	// The rest is guarded by bandScheduler.mu, but band i's runner alone
+	// writes bandNs[i], its wall time. The image completes once stage 1
+	// ended and every pushed band finished. No band starts after err is
+	// set.
 	decoding  bool
 	remaining int
 	err       error
-	backNs    float64
+	bandNs    []float64
 }
 
 // hookEvent names a point of the entropy→band handoff that testHook
@@ -222,18 +222,19 @@ type flightImage struct {
 type hookEvent int
 
 const (
-	evStep    hookEvent = iota // stage 1 pushed img.published bands and decodes on; mu not held
+	evStep    hookEvent = iota // stage 1 pushed the previous step's bands and decodes on; mu not held
 	evBand                     // a band of img starts; mu held
 	evFail                     // img.err was just set; mu held
 	evRelease                  // the failed img's buffers went back; mu not held
 )
 
-// testHook, set only by tests, observes the handoff.
-var testHook func(ev hookEvent, img *flightImage)
+// testHook, set only by tests, observes the handoff; pushed is the
+// number of bands the previous entropy step pushed (evStep only).
+var testHook func(ev hookEvent, img *flightImage, pushed int)
 
-func hook(ev hookEvent, img *flightImage) {
+func hook(ev hookEvent, img *flightImage, pushed int) {
 	if testHook != nil {
-		testHook(ev, img)
+		testHook(ev, img, pushed)
 	}
 }
 
@@ -390,17 +391,19 @@ func (s *bandScheduler) runEntropy(id int, j job) {
 	}
 	f := prep.Frame()
 	s.cal.seedFromModel(s.opts.Model, f, f.Img.EntropyDensity())
+	plan := jpegcodec.PlanBands(f, 0, f.MCURows, s.cal.bandRows(f, s.workers))
 	img := &flightImage{
-		ctx: j.ctx, index: j.index, reply: j.reply, prep: prep,
-		plan:     jpegcodec.PlanBands(f, 0, f.MCURows, s.cal.bandRows(f, s.workers)),
+		ctx: j.ctx, index: j.index, reply: j.reply, prep: prep, plan: plan,
 		decoding: true,
+		bandNs:   make([]float64, plan.Bands()),
 	}
 	var entNs float64
+	var from, to int
 	for img.err == nil && !prep.EntropyDone() {
 		s.mu.Unlock()
-		hook(evStep, img)
+		hook(evStep, img, to-from)
 		t0 := time.Now()
-		from, to, err := prep.EntropyStep(j.ctx, img.plan)
+		from, to, err = prep.EntropyStep(j.ctx, plan)
 		entNs += float64(time.Since(t0))
 		if err == nil && prep.EntropyDone() {
 			img.res, err = prep.FinishVirtual()
@@ -413,7 +416,6 @@ func (s *bandScheduler) runEntropy(id int, j job) {
 		for i := from; i < to; i++ {
 			s.deques[id] = append(s.deques[id], bandTask{img: img, band: i})
 		}
-		img.published = to
 		img.remaining += to - from
 		s.cond.Broadcast()
 	}
@@ -444,7 +446,7 @@ func (s *bandScheduler) wrap(j job, err error) error {
 func (s *bandScheduler) fail(img *flightImage, err error) {
 	if img.err == nil {
 		img.err = err
-		hook(evFail, img)
+		hook(evFail, img, 0)
 	}
 }
 
@@ -458,17 +460,15 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 	}
 	run := img.err == nil
 	if run {
-		hook(evBand, img)
+		hook(evBand, img, 0)
 	}
 	s.mu.Unlock()
-	var ns float64
 	if run {
 		t0 := time.Now()
 		img.plan.ExecBand(t.band, img.prep.Output(), scratch)
-		ns = float64(time.Since(t0))
+		img.bandNs[t.band] = float64(time.Since(t0))
 	}
 	s.mu.Lock()
-	img.backNs += ns
 	img.remaining--
 	if img.remaining == 0 && !img.decoding {
 		s.complete(img)
@@ -478,18 +478,22 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 // complete finishes an image whose entropy stage and bands all ended:
 // delivery, or buffer release on failure. A salvaged image delivers
 // with BOTH Res and Err set, matching core.Decode's contract; its bands
-// render zeroed MCUs through the DC-flat fast path, so they stay out of
-// the back-phase EWMA. Called and returns with mu held.
+// render zeroed MCUs through the DC-flat fast path, so only an intact
+// image's bands are observations of the back-phase EWMA, one each.
+// Called and returns with mu held.
 func (s *bandScheduler) complete(img *flightImage) {
 	err := img.err
 	if f := img.prep.Frame(); err == nil && img.res.Salvage == nil {
-		s.cal.backPerMCU.At(f.Scale).Observe(img.backNs / float64(f.MCURows*f.MCUsPerRow))
+		rate := s.cal.backPerMCU.At(f.Scale)
+		for i, ns := range img.bandNs {
+			rate.Observe(ns / float64(img.plan.BandMCURows(i)*f.MCUsPerRow))
+		}
 	}
 	s.mu.Unlock()
 	ir := ImageResult{Index: img.index}
 	if err != nil {
 		img.prep.Release()
-		hook(evRelease, img)
+		hook(evRelease, img, 0)
 		ir.Err = err
 	} else {
 		// Coefficients and planes are dead once the last band ran; they

@@ -64,9 +64,7 @@ type bandEdge struct {
 // PlanBands slices MCU rows [m0, m1) of f into bands of bandRows MCU
 // rows (the last band may be short). bandRows < 1 is treated as 1.
 func PlanBands(f *Frame, m0, m1, bandRows int) *BandPlan {
-	if bandRows < 1 {
-		bandRows = 1
-	}
+	bandRows = max(bandRows, 1)
 	bp := &BandPlan{f: f}
 	bp.r0, bp.r1 = f.PixelRows(m0, m1)
 	for m := m0; m < m1; m += bandRows {
@@ -78,6 +76,10 @@ func PlanBands(f *Frame, m0, m1, bandRows int) *BandPlan {
 
 // Bands returns the number of bands in the plan.
 func (bp *BandPlan) Bands() int { return len(bp.edges) - 1 }
+
+// BandMCURows returns the number of MCU rows band i covers (the unit the
+// batch scheduler's online calibration normalizes measured times by).
+func (bp *BandPlan) BandMCURows(i int) int { return bp.edges[i+1].m - bp.edges[i].m }
 
 // Step entropy-decodes through ed, a decoder of the plan's frame, until
 // the next band is ready or rows rows of work are done, and returns the
@@ -108,49 +110,43 @@ func (bp *BandPlan) Step(ed *EntropyDecoder, rows int) (from, to int, err error)
 // plane and pixel regions.
 func (bp *BandPlan) ExecBand(i int, out *RGBImage, s *ConvertScratch) {
 	f := bp.f
-	top, bottom := &bp.edges[i], &bp.edges[i+1]
-	s.ensure(f)
-	lo, _ := f.PixelRows(top.m, bottom.m)
+	top, bottom := bp.edges[i].m, bp.edges[i+1].m
+	lo, _ := f.PixelRows(top, bottom)
 	seams := f.Sub == jfif.Sub420
 	if seams && i > 0 {
 		// The boundary row below the seam (owned here by the bound
 		// shift) and the one above both read the previous band's chroma:
 		// both become seam rows. Units are output rows, so the same rule
 		// holds at every decode scale.
-		lo = top.m*f.mcuOutH() + 1
+		lo = top*f.mcuOutH() + 1
 	}
 	hi := bp.r1
 	if i < bp.Bands()-1 {
-		hi = bandBound(f, bottom.m)
+		hi = bandBound(f, bottom)
 	}
-	parallelPhaseBands(f, top.m, bottom.m, lo, hi, out, s)
+	parallelPhaseBands(f, top, bottom, lo, hi, out, s)
 	if seams {
-		if i > 0 {
-			bp.seam(top, out, s)
-		}
-		if i < bp.Bands()-1 {
-			bp.seam(bottom, out, s)
-		}
+		bp.seam(i, out, s)
+		bp.seam(i+1, out, s)
 	}
 }
 
-// seam converts the two pixel rows at boundary e if the band on its
-// other side has finished too: the atomic count orders both bands'
+// seam converts the two pixel rows at interior edge k if the band on
+// its other side has finished too: the atomic count orders both bands'
 // plane writes before the conversion that reads them.
-func (bp *BandPlan) seam(e *bandEdge, out *RGBImage, s *ConvertScratch) {
-	if e.finished.Add(1) < 2 {
+func (bp *BandPlan) seam(k int, out *RGBImage, s *ConvertScratch) {
+	if k == 0 || k == bp.Bands() || bp.edges[k].finished.Add(1) < 2 {
 		return
 	}
-	y := e.m * bp.f.mcuOutH()
+	y := bp.edges[k].m * bp.f.mcuOutH()
 	if lo, hi := max(y-1, bp.r0), min(y+1, bp.r1); lo < hi {
 		colorConvertRange(bp.f, lo, hi, out, s)
 	}
 }
 
-// crew runs the bands of a single-image plan as they are published:
-// one band of the whole range on one worker (the fused sequential
-// pass), otherwise one band per MCU row, claimed in order by workers-1
-// helper goroutines and, once it joins in end, the caller.
+// crew runs the bands of a single-image plan as they are published, on
+// workers-1 helper goroutines that claim them in order and, once it
+// joins in end, the caller.
 type crew struct {
 	bp    *BandPlan
 	out   *RGBImage
@@ -159,13 +155,9 @@ type crew struct {
 	wg    sync.WaitGroup
 }
 
-// newCrew plans MCU rows [m0, m1) of f into out and starts the helpers.
-func newCrew(f *Frame, m0, m1 int, out *RGBImage, workers int) *crew {
-	bandRows := 1
-	if workers <= 1 {
-		bandRows = m1 - m0
-	}
-	bp := PlanBands(f, m0, m1, bandRows)
+// newCrew runs plan bp into out on up to workers goroutines and starts
+// the helpers.
+func newCrew(bp *BandPlan, out *RGBImage, workers int) *crew {
 	c := &crew{bp: bp, out: out, bands: make(chan int, bp.Bands())}
 	for range min(workers, bp.Bands()) - 1 {
 		c.wg.Add(1)

@@ -104,12 +104,11 @@ func IDCTBlockRows(f *Frame, c, b0, b1 int) {
 // rows [r0, r1) into the interleaved RGB output buffer. Sample planes for
 // the covered region must already be reconstructed.
 func ColorConvertRange(f *Frame, r0, r1 int, out *RGBImage) {
-	var s ConvertScratch
-	s.ensure(f)
-	colorConvertRange(f, r0, r1, out, &s)
+	colorConvertRange(f, r0, r1, out, &ConvertScratch{})
 }
 
 func colorConvertRange(f *Frame, r0, r1 int, out *RGBImage, cs *ConvertScratch) {
+	cs.ensure(f)
 	w := f.outW()
 	switch f.Sub {
 	case jfif.SubGray:
@@ -215,10 +214,8 @@ func bandBound(f *Frame, m int) int {
 // pipeline: each MCU row band is transformed and then immediately
 // upsampled and color-converted while hot in cache.
 func ParallelPhaseScalar(f *Frame, m0, m1 int, out *RGBImage) {
-	var s ConvertScratch
-	s.ensure(f)
 	r0, r1 := f.PixelRows(m0, m1)
-	parallelPhaseBands(f, m0, m1, r0, r1, out, &s)
+	parallelPhaseBands(f, m0, m1, r0, r1, out, &ConvertScratch{})
 }
 
 // parallelPhaseBands is the fused pipeline over MCU rows [m0, m1): each
@@ -242,9 +239,11 @@ func parallelPhaseBands(f *Frame, m0, m1, lo, hi int, out *RGBImage, cs *Convert
 
 // ParallelPhaseScalarWorkers runs the fused parallel phase on up to
 // workers goroutines: decodeWhole's crew with every band ready from the
-// start. Output is byte-identical to the sequential pipeline.
+// start, one contiguous band per worker. Output is byte-identical to
+// the sequential pipeline.
 func ParallelPhaseScalarWorkers(f *Frame, m0, m1 int, out *RGBImage, workers int) {
-	c := newCrew(f, m0, m1, out, workers)
+	workers = max(workers, 1)
+	c := newCrew(PlanBands(f, m0, m1, (m1-m0+workers-1)/workers), out, workers)
 	c.publish(0, c.bp.Bands())
 	c.end(true)
 }
@@ -287,7 +286,13 @@ func decodeWhole(data []byte, scale Scale, workers int, salvage bool) (*RGBImage
 	}
 	defer f.Release()
 	out := NewRGBImage(f.OutW, f.OutH)
-	c := newCrew(f, 0, f.MCURows, out, workers)
+	// One worker runs the fused sequential pass as one band; a crew's
+	// bands are one MCU row, so its helpers trail entropy by a row.
+	bandRows := 1
+	if workers <= 1 {
+		bandRows = f.MCURows
+	}
+	c := newCrew(PlanBands(f, 0, f.MCURows, bandRows), out, workers)
 	for !ed.Done() {
 		from, to, err := c.bp.Step(ed, f.MCURows)
 		if err != nil {
