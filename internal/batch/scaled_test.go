@@ -133,7 +133,7 @@ func TestDeliveredFrameIsGeometryOnly(t *testing.T) {
 				t.Errorf("image %d: component %d still holds slabs after delivery", ir.Index, c)
 			}
 		}
-		if w, h := f.OutDims(); ir.Res.Image.W != w || ir.Res.Image.H != h {
+		if w, h := f.OutW, f.OutH; ir.Res.Image.W != w || ir.Res.Image.H != h {
 			t.Errorf("image %d: image %dx%d, frame says %dx%d", ir.Index, ir.Res.Image.W, ir.Res.Image.H, w, h)
 		}
 		ir.Res.Release()

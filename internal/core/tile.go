@@ -12,11 +12,10 @@ import (
 // the scaled transforms do a fraction of the full kernel's arithmetic
 // (the same ratio the device cost model uses).
 func idctCostFactor(f *jpegcodec.Frame) float64 {
-	bp := f.BlockPixels()
-	if bp == 8 {
+	if f.BlockPix == 8 {
 		return 1
 	}
-	return dct.ScaledOpsPerBlock(bp) / dct.ScaledOpsPerBlock(8)
+	return dct.ScaledOpsPerBlock(f.BlockPix) / dct.ScaledOpsPerBlock(8)
 }
 
 // cpuTile describes the CPU share of a partitioned decode: MCU rows

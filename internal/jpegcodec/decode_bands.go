@@ -118,7 +118,7 @@ func (bp *BandPlan) ExecBand(i int, out *RGBImage, s *ConvertScratch) {
 		// shift) and the one above both read the previous band's chroma:
 		// both become seam rows. Units are output rows, so the same rule
 		// holds at every decode scale.
-		lo = top*f.mcuOutH() + 1
+		lo = top*f.MCUOutH + 1
 	}
 	hi := bp.r1
 	if i < bp.Bands()-1 {
@@ -138,7 +138,7 @@ func (bp *BandPlan) seam(k int, out *RGBImage, s *ConvertScratch) {
 	if k == 0 || k == bp.Bands() || bp.edges[k].finished.Add(1) < 2 {
 		return
 	}
-	y := bp.edges[k].m * bp.f.mcuOutH()
+	y := bp.edges[k].m * bp.f.MCUOutH
 	if lo, hi := max(y-1, bp.r0), min(y+1, bp.r1); lo < hi {
 		colorConvertRange(bp.f, lo, hi, out, s)
 	}

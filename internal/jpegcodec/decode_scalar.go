@@ -27,53 +27,40 @@ import (
 // f.Samples[c].
 func IDCTRange(f *Frame, c, m0, m1 int) {
 	p := f.Planes[c]
-	IDCTBlockRows(f, c, m0*p.V, m1*p.V)
+	idctBlockRows(f, c, m0*p.V, m1*p.V)
 }
 
-// IDCTBlockRows transforms block rows [b0, b1) of component c. The
-// heterogeneous decoder uses it for the one-block-row halo the 4:2:0
-// vertical filter needs above a CPU partition. Under decode-to-scale it
-// dispatches the scaled kernels instead, writing BlockPix x BlockPix
-// samples per block; the NZ sparsity watermark keeps driving the
-// DC-flat fast path at every scale.
-func IDCTBlockRows(f *Frame, c, b0, b1 int) {
+// idctBlockRows transforms block rows [b0, b1) of component c, the
+// work of IDCTRange. Under decode-to-scale it dispatches the scaled
+// kernels instead, writing BlockPix x BlockPix samples per block; the
+// NZ sparsity watermark keeps driving the DC-flat fast path at every
+// scale. A 1/8-scale block reads only its DC term, whether the frame
+// stores that one slot (baseline) or all 64 (progressive).
+func idctBlockRows(f *Frame, c, b0, b1 int) {
 	p := f.Planes[c]
 	q := f.QuantInt(c)
 	pw := p.PlaneW()
 	plane := f.Samples[c]
 	coeff := f.Coeff[c]
-	if f.DCOnly() {
-		// Baseline 1/8 scale: one stored DC per block, one sample out.
-		for by := b0; by < b1; by++ {
-			rowBase := by * pw
-			blkBase := by * p.BlocksPerRow
-			for bx := 0; bx < p.BlocksPerRow; bx++ {
-				dct.InverseIntScaled1x1Bytes(coeff[blkBase+bx]*q[0],
-					plane[rowBase+bx:rowBase+bx+1:rowBase+bx+1])
-			}
-		}
-		return
-	}
-	bp := f.BlockPix
-	if bp == 0 {
-		bp = 8
-	}
-	nz := f.NZ[c] // nil when the frame skipped entropy bookkeeping
+	bp, cs := f.BlockPix, f.CoeffStride
+	nz := f.NZ[c] // nil for a DC-only frame
 	for by := b0; by < b1; by++ {
 		rowBase := by * bp * pw
 		blkBase := by * p.BlocksPerRow
 		for bx := 0; bx < p.BlocksPerRow; bx++ {
-			blk := coeff[(blkBase+bx)*64 : (blkBase+bx)*64+64 : (blkBase+bx)*64+64]
+			bi := blkBase + bx
+			blk := coeff[bi*cs : bi*cs+cs : bi*cs+cs]
+			dc := blk[0] * q[0]
 			dst := plane[rowBase+bx*bp:]
 			var n uint8
 			if nz != nil {
-				n = nz[blkBase+bx]
+				n = nz[bi]
 			}
 			switch bp {
 			case 8:
 				switch {
 				case n == 1:
-					dct.InverseIntDCBytes(blk[0]*q[0], dst, pw)
+					dct.InverseIntDCBytes(dc, dst, pw)
 				case n != 0 && n <= dct.SparseCutoff4x4+1:
 					dct.InverseInt4x4DequantBytes(blk, q, dst, pw)
 				default:
@@ -81,20 +68,18 @@ func IDCTBlockRows(f *Frame, c, b0, b1 int) {
 				}
 			case 4:
 				if n == 1 {
-					dct.InverseIntScaledDCBytes(blk[0]*q[0], 4, dst, pw)
+					dct.InverseIntScaledDCBytes(dc, 4, dst, pw)
 				} else {
 					dct.InverseIntScaled4x4DequantBytes(blk, q, dst, pw)
 				}
 			case 2:
 				if n == 1 {
-					dct.InverseIntScaledDCBytes(blk[0]*q[0], 2, dst, pw)
+					dct.InverseIntScaledDCBytes(dc, 2, dst, pw)
 				} else {
 					dct.InverseIntScaled2x2DequantBytes(blk, q, dst, pw)
 				}
 			case 1:
-				// Progressive 1/8 scale keeps full coefficient storage;
-				// reconstruction still reads only the DC term.
-				dct.InverseIntScaled1x1Bytes(blk[0]*q[0], dst[:1:1])
+				dct.InverseIntScaled1x1Bytes(dc, dst[:1:1])
 			}
 		}
 	}
@@ -109,7 +94,7 @@ func ColorConvertRange(f *Frame, r0, r1 int, out *RGBImage) {
 
 func colorConvertRange(f *Frame, r0, r1 int, out *RGBImage, cs *ConvertScratch) {
 	cs.ensure(f)
-	w := f.outW()
+	w := f.OutW
 	switch f.Sub {
 	case jfif.SubGray:
 		yPlane := f.Samples[0]
@@ -199,14 +184,11 @@ func upsample420Row(plane []byte, cpw, ch, y int, out []byte, blend []int) {
 // vertical triangle filter, so interior bounds shift up one row (the
 // same deferral rule the GPU chunk scheduler applies, gpuRowBound).
 func bandBound(f *Frame, m int) int {
-	y := m * f.mcuOutH()
+	y := m * f.MCUOutH
 	if f.Sub == jfif.Sub420 && m < f.MCURows {
 		y--
 	}
-	if y > f.outH() {
-		y = f.outH()
-	}
-	return y
+	return min(y, f.OutH)
 }
 
 // ParallelPhaseScalar runs the full scalar parallel phase (dequant+IDCT,
@@ -337,11 +319,11 @@ func prepareDecode(data []byte, scale Scale, salvage bool) (*Frame, *EntropyDeco
 			return nil, nil, fmt.Errorf("jpegcodec: missing quant table %d", c.QuantSel)
 		}
 	}
-	f, err := NewFrameScaled(im, scale)
+	f, err := newFrame(im, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	ed := NewEntropyDecoder(f)
+	ed := newEntropyDecoder(f)
 	if salvage {
 		rep := NewSalvageReport(f.MCUsPerRow * f.MCURows)
 		if perr != nil {

@@ -212,10 +212,10 @@ func buildEncodePlanes(img *RGBImage, sub jfif.Subsampling, workers int) ([3][]b
 	mcuRows := (h + mcuH - 1) / mcuH
 
 	var infos [3]PlaneInfo
-	infos[0] = PlaneInfo{CompW: w, CompH: h, BlocksPerRow: mcusPerRow * hs, BlockRows: mcuRows * vs, H: hs, V: vs}
+	infos[0] = PlaneInfo{CompW: w, CompH: h, BlocksPerRow: mcusPerRow * hs, BlockRows: mcuRows * vs, H: hs, V: vs, BlockPix: 8}
 	cw := (w + hs - 1) / hs
 	ch := (h + vs - 1) / vs
-	infos[1] = PlaneInfo{CompW: cw, CompH: ch, BlocksPerRow: mcusPerRow, BlockRows: mcuRows, H: 1, V: 1}
+	infos[1] = PlaneInfo{CompW: cw, CompH: ch, BlocksPerRow: mcusPerRow, BlockRows: mcuRows, H: 1, V: 1, BlockPix: 8}
 	infos[2] = infos[1]
 
 	var planes [3][]byte

@@ -130,9 +130,9 @@ func refBuildPlanes(img *RGBImage, sub jfif.Subsampling) ([3][]byte, [3]PlaneInf
 	mcusPerRow := (w + mcuW - 1) / mcuW
 	mcuRows := (h + mcuH - 1) / mcuH
 	var infos [3]PlaneInfo
-	infos[0] = PlaneInfo{CompW: w, CompH: h, BlocksPerRow: mcusPerRow * hs, BlockRows: mcuRows * vs, H: hs, V: vs}
+	infos[0] = PlaneInfo{CompW: w, CompH: h, BlocksPerRow: mcusPerRow * hs, BlockRows: mcuRows * vs, H: hs, V: vs, BlockPix: 8}
 	cw, ch := (w+hs-1)/hs, (h+vs-1)/vs
-	infos[1] = PlaneInfo{CompW: cw, CompH: ch, BlocksPerRow: mcusPerRow, BlockRows: mcuRows, H: 1, V: 1}
+	infos[1] = PlaneInfo{CompW: cw, CompH: ch, BlocksPerRow: mcusPerRow, BlockRows: mcuRows, H: 1, V: 1, BlockPix: 8}
 	infos[2] = infos[1]
 
 	cb2, cr2 := cbP, crP

@@ -40,43 +40,24 @@ type EntropyDecoder struct {
 
 	prog *progDecoder // non-nil for progressive frames
 
-	discard bool
-	// dcOnly (baseline 1/8-scale frames) keeps only DC coefficients:
-	// AC symbols are still Huffman-decoded to advance the bitstream, but
-	// land in scratch, without NZ bookkeeping — the whole-image
-	// coefficient buffer collapses to one int32 per block and entropy
-	// decoding sheds its store traffic to memory.
-	dcOnly  bool
-	scratch [64]int32 // the block of a discard decode; the unread ACs of a dcOnly one
+	// scratch takes the AC symbols of a DC-only frame (baseline 1/8
+	// scale), whose blocks have one slot: they are still Huffman-decoded
+	// to advance the bitstream, but land here, without NZ bookkeeping,
+	// so entropy decoding sheds its store traffic to memory.
+	scratch [64]int32
 
 	// BitsPerRow[i] is the number of entropy bits MCU row i consumed.
 	BitsPerRow []int64
 }
 
-// NewEntropyDecoder prepares chunked entropy decoding for f.
-func NewEntropyDecoder(f *Frame) *EntropyDecoder {
-	return newEntropyDecoder(f, false)
-}
-
-// NewEntropyDecoderDiscard prepares a decode pass that discards the
-// coefficients, recording only per-row bit counts. f may come from
-// NewFrameGeometry (no buffers). Profiling uses this to measure entropy
-// density distribution without whole-image allocations (progressive
-// refinement needs read-back, so progressive discard decodes still
-// allocate plain coefficient buffers internally).
-func NewEntropyDecoderDiscard(f *Frame) *EntropyDecoder {
-	return newEntropyDecoder(f, true)
-}
-
-func newEntropyDecoder(f *Frame, discard bool) *EntropyDecoder {
+// newEntropyDecoder prepares chunked entropy decoding for f.
+func newEntropyDecoder(f *Frame) *EntropyDecoder {
 	d := &EntropyDecoder{
 		scanState:  scanState{f: f, unit: "MCU"},
 		BitsPerRow: make([]int64, 0, f.MCURows),
-		discard:    discard,
-		dcOnly:     f.DCOnly(),
 	}
 	if f.Img.Progressive {
-		d.prog = newProgDecoder(f, discard)
+		d.prog = newProgDecoder(f)
 	} else {
 		d.begin(f.Img.EntropyData, f.Img.RestartInterval, baselineComps(f.Img), true)
 	}
@@ -388,15 +369,11 @@ func (d *EntropyDecoder) decodeMCU(mx, my int) error {
 			return errors.New("missing Huffman table")
 		}
 		bi := b.index(mx, my)
-		blk := d.scratch[:]
-		if !d.discard {
-			blk = f.blockAt(b.c, bi)
-		}
-		maxK, err := d.decodeBlock(blk, b.c, b.dc, b.ac)
+		maxK, err := d.decodeBlock(f.blockAt(b.c, bi), b.c, b.dc, b.ac)
 		if err != nil {
 			return err
 		}
-		if nz := f.NZ[b.c]; !d.discard && nz != nil {
+		if nz := f.NZ[b.c]; nz != nil {
 			nz[bi] = uint8(maxK + 1)
 		}
 	}
@@ -548,12 +525,12 @@ band:
 // zigzag index of the last coefficient it wrote (0 for a DC-only block),
 // the sparsity summary the IDCT dispatcher keys on. The block is cleared
 // here, in cache, immediately before it is filled: coefficient slabs
-// arrive with unspecified contents. A DC-only frame (baseline 1/8 scale)
-// has one slot per block; its AC symbols are decoded all the same, to
-// advance the bitstream exactly as at full size, and land in scratch.
+// arrive with unspecified contents. A block of one slot (a DC-only
+// frame) has its AC symbols decoded all the same, to advance the
+// bitstream exactly as at full size, and they land in scratch.
 func (d *EntropyDecoder) decodeBlock(blk []int32, comp int, dcTab, acTab *huffman.Table) (int, error) {
 	b := &d.scratch
-	if !d.dcOnly {
+	if len(blk) == 64 {
 		b = (*[64]int32)(blk)
 		*b = [64]int32{}
 	}
@@ -680,9 +657,6 @@ func (d *EntropyDecoder) salvageResync(rowStart int64) {
 // path renders damaged blocks as mid-gray.
 func (d *EntropyDecoder) zeroMCUs(first, n int) {
 	d.report.addDamage(first, n)
-	if d.discard {
-		return
-	}
 	f := d.f
 	for u := first; u < first+n; u++ {
 		for i := range d.blocks {

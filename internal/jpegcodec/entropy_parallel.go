@@ -103,7 +103,7 @@ func DecodeAllParallelRestart(f *Frame, workers int) ([]int64, error) {
 		go func() {
 			defer wg.Done()
 			local := make([]int64, f.MCURows)
-			d := &EntropyDecoder{scanState: scanState{f: f}, dcOnly: f.DCOnly()}
+			d := &EntropyDecoder{scanState: scanState{f: f}}
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= len(segs) {

@@ -204,7 +204,7 @@ func BenchmarkEntropySequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		zeroCoeff(f)
-		ed := NewEntropyDecoder(f)
+		ed := newEntropyDecoder(f)
 		if err := ed.DecodeAll(); err != nil {
 			b.Fatal(err)
 		}

@@ -52,24 +52,15 @@ type PlaneInfo struct {
 	// H, V are the component's sampling factors.
 	H, V int
 	// BlockPix is the reconstructed samples per block edge: 8 for a
-	// full-size decode, 4/2/1 under decode-to-scale. The zero value
-	// means 8, so hand-built PlaneInfo literals keep working.
+	// full-size decode and for the encoder, 4/2/1 under decode-to-scale.
 	BlockPix int
 }
 
-// blockPix maps the zero value to the full-size block edge.
-func (p PlaneInfo) blockPix() int {
-	if p.BlockPix == 0 {
-		return 8
-	}
-	return p.BlockPix
-}
-
 // PlaneW returns the padded plane width in reconstructed samples.
-func (p PlaneInfo) PlaneW() int { return p.BlocksPerRow * p.blockPix() }
+func (p PlaneInfo) PlaneW() int { return p.BlocksPerRow * p.BlockPix }
 
 // PlaneH returns the padded plane height in reconstructed samples.
-func (p PlaneInfo) PlaneH() int { return p.BlockRows * p.blockPix() }
+func (p PlaneInfo) PlaneH() int { return p.BlockRows * p.BlockPix }
 
 // Blocks returns the total number of 8x8 blocks in the plane.
 func (p PlaneInfo) Blocks() int { return p.BlocksPerRow * p.BlockRows }
@@ -99,15 +90,18 @@ type Frame struct {
 	MCUOutH int
 	// CoeffStride is the int32 slots per block in Coeff: 64 normally, 1
 	// for DC-only frames (baseline Scale8 decodes store and read only
-	// the DC coefficient, collapsing the buffer 64x).
+	// the DC coefficient, collapsing the buffer 64x). newFrame sets it,
+	// and it is the one statement of the layout: blockAt and dcAt turn
+	// a block into its slots, and every decoder stage reads the stride
+	// through them or from here.
 	CoeffStride int
 
 	Planes []PlaneInfo
 
 	// Coeff holds quantized DCT coefficients per component, blocks in
-	// raster order, 64 int32 per block in natural (row-major) order.
-	// This is the paper's whole-image input buffer: large contiguous
-	// transfers to an accelerator need no re-layout.
+	// raster order, CoeffStride int32 per block in natural (row-major)
+	// order. This is the paper's whole-image input buffer: large
+	// contiguous transfers to an accelerator need no re-layout.
 	Coeff [][]int32
 
 	// Samples holds the reconstructed (post-IDCT) planes, padded
@@ -126,23 +120,11 @@ type Frame struct {
 	quantInt [][dct.BlockSize]int32
 }
 
-// NewFrameGeometry builds only the geometric view of a parsed image,
-// without allocating the whole-image coefficient and sample buffers.
-// Profiling uses it to summarize large corpora cheaply.
-func NewFrameGeometry(im *jfif.Image) (*Frame, error) {
-	f, err := newFrame(im, false, Scale1)
-	return f, err
-}
-
-// NewFrameScaled builds the decode state for a parsed image at the
-// given decode scale: sample planes and the output geometry shrink by
-// the scale denominator, and baseline Scale8 frames collapse the
-// coefficient buffer to DC-only storage.
-func NewFrameScaled(im *jfif.Image, scale Scale) (*Frame, error) {
-	return newFrame(im, true, scale)
-}
-
-func newFrame(im *jfif.Image, alloc bool, scale Scale) (*Frame, error) {
+// newFrame builds the decode state for a parsed image at the given
+// decode scale, with its whole-image buffers: sample planes and the
+// output geometry shrink by the scale denominator, and baseline Scale8
+// frames collapse the coefficient buffer to DC-only storage.
+func newFrame(im *jfif.Image, scale Scale) (*Frame, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
@@ -201,18 +183,16 @@ func newFrame(im *jfif.Image, alloc bool, scale Scale) (*Frame, error) {
 				f.quantInt[i][k] = int32(v)
 			}
 		}
-		if alloc {
-			coeff := getCoeffSlab(p.Blocks() * f.CoeffStride)
-			if im.Progressive {
-				clear(coeff) // scans accumulate into it
-			}
-			f.Coeff[i] = coeff
-			f.Samples[i] = getByteSlab(p.PlaneW() * p.PlaneH())
-			if f.CoeffStride == 64 {
-				// DC-only frames skip the sparsity watermark: every block
-				// is DC-only by construction.
-				f.NZ[i] = getByteSlab(p.Blocks())
-			}
+		coeff := getCoeffSlab(p.Blocks() * f.CoeffStride)
+		if im.Progressive {
+			clear(coeff) // scans accumulate into it
+		}
+		f.Coeff[i] = coeff
+		f.Samples[i] = getByteSlab(p.PlaneW() * p.PlaneH())
+		if !f.DCOnly() {
+			// DC-only frames skip the sparsity watermark: every block
+			// is DC-only by construction.
+			f.NZ[i] = getByteSlab(p.Blocks())
 		}
 	}
 	return f, nil
@@ -221,52 +201,21 @@ func newFrame(im *jfif.Image, alloc bool, scale Scale) (*Frame, error) {
 // QuantInt returns component c's quantization table widened to int32.
 func (f *Frame) QuantInt(c int) *[dct.BlockSize]int32 { return &f.quantInt[c] }
 
-// coeffStride maps a zero value (hand-built frames in tests) to the
-// full 64-coefficient layout.
-func (f *Frame) coeffStride() int {
-	if f.CoeffStride == 0 {
-		return 64
-	}
-	return f.CoeffStride
-}
-
 // DCOnly reports whether the frame stores only DC coefficients
 // (baseline 1/8-scale decodes).
-func (f *Frame) DCOnly() bool { return f.coeffStride() == 1 }
+func (f *Frame) DCOnly() bool { return f.CoeffStride == 1 }
 
-// CoeffPerBlock returns the int32 slots per block in Coeff (64, or 1
-// for DC-only frames), mapping the zero value to 64. Consumers outside
-// the package (the device cost plans) use it so the defaulting rule has
-// one authoritative site.
-func (f *Frame) CoeffPerBlock() int { return f.coeffStride() }
-
-// BlockPixels returns the reconstructed samples per block edge (8 at
-// full size; 4, 2 or 1 under decode-to-scale), mapping the zero value
-// to 8.
-func (f *Frame) BlockPixels() int {
-	if f.BlockPix == 0 {
-		return 8
-	}
-	return f.BlockPix
-}
-
-// OutDims returns the reconstructed output dimensions, mapping the
-// zero value to the coded size.
-func (f *Frame) OutDims() (w, h int) { return f.outW(), f.outH() }
-
-// Block returns the coefficient slice of block (bx, by) of component c:
-// 64 natural-order coefficients normally, a single DC slot for DC-only
-// frames.
-func (f *Frame) Block(c, bx, by int) []int32 {
-	return f.blockAt(c, by*f.Planes[c].BlocksPerRow+bx)
-}
-
-// blockAt returns the coefficient slice of block bi (raster order) of
-// component c.
+// blockAt returns the coefficient slots of block bi (raster order) of
+// component c: 64 natural-order coefficients, or the single DC slot of
+// a DC-only frame.
 func (f *Frame) blockAt(c, bi int) []int32 {
-	cs := f.coeffStride()
+	cs := f.CoeffStride
 	return f.Coeff[c][bi*cs : bi*cs+cs : bi*cs+cs]
 }
+
+// dcAt returns the DC slot of block bi of component c, the first of its
+// CoeffStride slots.
+func (f *Frame) dcAt(c, bi int) *int32 { return &f.Coeff[c][bi*f.CoeffStride] }
 
 // CoeffBytes returns the byte size of the coefficient data for MCU rows
 // [m0, m1) across all components (what a host→device transfer moves; the
@@ -274,52 +223,18 @@ func (f *Frame) blockAt(c, bi int) []int32 {
 // DC-only frames move a single int16 per block).
 func (f *Frame) CoeffBytes(m0, m1 int) int {
 	n := 0
-	cs := f.coeffStride()
 	for c := range f.Planes {
 		p := f.Planes[c]
-		n += (m1 - m0) * p.V * p.BlocksPerRow * cs * 2
+		n += (m1 - m0) * p.V * p.BlocksPerRow * f.CoeffStride * 2
 	}
 	return n
-}
-
-// outH maps the zero value (hand-built frames) to the coded height.
-func (f *Frame) outH() int {
-	if f.OutH == 0 {
-		return f.Img.Height
-	}
-	return f.OutH
-}
-
-// outW maps the zero value to the coded width.
-func (f *Frame) outW() int {
-	if f.OutW == 0 {
-		return f.Img.Width
-	}
-	return f.OutW
-}
-
-// mcuOutH maps the zero value to the coded MCU height.
-func (f *Frame) mcuOutH() int {
-	if f.MCUOutH == 0 {
-		return f.MCUHeight
-	}
-	return f.MCUOutH
 }
 
 // PixelRows maps MCU row range [m0, m1) to output pixel rows, clamped
 // to the output height. At full size these are coded luma rows; under
 // decode-to-scale they are scaled rows (MCUOutH per MCU row).
 func (f *Frame) PixelRows(m0, m1 int) (int, int) {
-	mh, oh := f.mcuOutH(), f.outH()
-	r0 := m0 * mh
-	r1 := m1 * mh
-	if r1 > oh {
-		r1 = oh
-	}
-	if r0 > oh {
-		r0 = oh
-	}
-	return r0, r1
+	return min(m0*f.MCUOutH, f.OutH), min(m1*f.MCUOutH, f.OutH)
 }
 
 // TotalBlocks returns the number of 8x8 blocks across all components.

@@ -60,8 +60,7 @@ import (
 // damage.
 type progDecoder struct {
 	scanState
-	coeff   [][]int32 // f.Coeff, or private slabs in discard mode
-	rowBits []int64   // entropy bits per luma MCU row, summed over scans
+	rowBits []int64 // entropy bits per luma MCU row, summed over scans
 
 	// The nonzero masks, one per block, per component windows of one
 	// pooled slab; nil when no scan refines ACs or the decode skips
@@ -75,26 +74,12 @@ type progDecoder struct {
 	prevBits int64      // bit position after the previous row
 }
 
-func newProgDecoder(f *Frame, discard bool) *progDecoder {
+func newProgDecoder(f *Frame) *progDecoder {
 	d := &progDecoder{
 		scanState: scanState{f: f, unit: "unit"},
-		coeff:     f.Coeff,
 		rowBits:   make([]int64, f.MCURows),
 	}
-	if discard {
-		// Geometry-only frames (profiling) have no pooled buffers, but
-		// refinement scans must read back what earlier scans wrote, so a
-		// discard-mode progressive decode still needs whole-image
-		// coefficients; plain allocations keep the pools out of it.
-		d.coeff = make([][]int32, len(f.Planes))
-		for c := range f.Planes {
-			d.coeff[c] = make([]int32, f.Planes[c].Blocks()*64)
-		}
-	}
 	for c := range f.NZ {
-		if f.NZ[c] == nil {
-			continue
-		}
 		for i := range f.NZ[c] {
 			f.NZ[c][i] = 1 // DC-only until an AC scan says otherwise
 		}
@@ -172,7 +157,7 @@ func (d *progDecoder) beginScan() error {
 // refinement) still run. Skipped scans contribute no bits to the cost
 // model, matching the work actually done.
 func (d *progDecoder) skipsScan(i int) bool {
-	return d.f.BlockPixels() == 1 && d.f.Img.Scans[i].Ss > 0
+	return d.f.BlockPix == 1 && d.f.Img.Scans[i].Ss > 0
 }
 
 // DecodeRows decodes up to n rows of scan work, crossing scan
@@ -244,15 +229,15 @@ func (d *progDecoder) decodeRows(n int) (int, error) {
 // an EOB run that owes no correction bit costs nothing more than the
 // count.
 func (d *progDecoder) decodeUnit(ux, uy int) error {
-	sc := d.sc
+	sc, blocks := d.sc, d.blocks
 	if sc.Ss > 0 {
-		b := &d.blocks[0]
+		b := &blocks[0]
 		bi := b.index(ux, uy)
 		if d.eobrun > 0 && (sc.Ah == 0 || d.scanMask != nil && d.scanMask[bi]&bandBits(sc.Ss, sc.Se) == 0) {
 			d.eobrun--
 			return nil
 		}
-		blk := (*[64]int32)(d.coeff[b.c][bi*64 : bi*64+64])
+		blk := (*[64]int32)(d.f.blockAt(b.c, bi))
 		if sc.Ah == 0 {
 			return d.decodeACFirst(blk, b, bi)
 		}
@@ -261,21 +246,20 @@ func (d *progDecoder) decodeUnit(ux, uy int) error {
 	if sc.Ah != 0 && !d.generalOnly {
 		// DC refinement: one bit per block, from the window when it
 		// holds the unit's bits (ReadBit refills only once it is empty).
-		if acc, nb, ok := d.r.Window(); ok && nb >= uint(len(d.blocks)) {
+		if acc, nb, ok := d.r.Window(); ok && nb >= uint(len(blocks)) {
 			al := uint(sc.Al) & 15
-			for i := range d.blocks {
-				b := &d.blocks[i]
-				d.coeff[b.c][b.index(ux, uy)*64] |= int32(acc>>63) << al
+			for i := range blocks {
+				b := &blocks[i]
+				*d.f.dcAt(b.c, b.index(ux, uy)) |= int32(acc>>63) << al
 				acc <<= 1
 			}
-			d.r.SetWindow(acc, nb-uint(len(d.blocks)))
+			d.r.SetWindow(acc, nb-uint(len(blocks)))
 			return nil
 		}
 	}
-	for i := range d.blocks {
-		b := &d.blocks[i]
-		bi := b.index(ux, uy)
-		if err := d.decodeDC((*[64]int32)(d.coeff[b.c][bi*64:bi*64+64]), b); err != nil {
+	for i := range blocks {
+		b := &blocks[i]
+		if err := d.decodeDC(d.f.dcAt(b.c, b.index(ux, uy)), b); err != nil {
 			return err
 		}
 	}
@@ -327,18 +311,18 @@ func (d *progDecoder) addDCDamage(fromUnit, toUnit, totalUnits int) {
 	d.report.addDamage(first, end-first)
 }
 
-// decodeDC handles both DC passes: the first scan decodes a
-// Huffman-coded difference (through the probe of entropy.go) and stores
-// the predictor shifted left by Al; refinement scans append one raw bit
-// at bit position Al.
-func (d *progDecoder) decodeDC(blk *[64]int32, b *unitBlock) error {
+// decodeDC handles both DC passes into a block's DC slot: the first
+// scan decodes a Huffman-coded difference (through the probe of
+// entropy.go) and stores the predictor shifted left by Al; refinement
+// scans append one raw bit at bit position Al.
+func (d *progDecoder) decodeDC(dc *int32, b *unitBlock) error {
 	sc := d.sc
 	if sc.Ah != 0 {
 		bit, err := d.r.ReadBit()
 		if err != nil {
 			return err
 		}
-		blk[0] |= int32(bit) << uint(sc.Al)
+		*dc |= int32(bit) << uint(sc.Al)
 		return nil
 	}
 	diff, ok := int32(0), false
@@ -352,7 +336,7 @@ func (d *progDecoder) decodeDC(blk *[64]int32, b *unitBlock) error {
 		}
 	}
 	d.dc[b.si] += diff
-	blk[0] = d.dc[b.si] << uint(sc.Al)
+	*dc = d.dc[b.si] << uint(sc.Al)
 	return nil
 }
 

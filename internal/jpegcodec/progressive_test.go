@@ -180,40 +180,6 @@ func TestProgressiveTruncatedInputsError(t *testing.T) {
 	}
 }
 
-// TestProgressiveDiscardDecode exercises the profiling path: a
-// geometry-only frame entropy-decodes a progressive stream, discarding
-// coefficients but reporting per-row bits.
-func TestProgressiveDiscardDecode(t *testing.T) {
-	img := testImage(80, 64, 11)
-	data, err := Encode(img, EncodeOptions{Quality: 85, Subsampling: jfif.Sub422, Progressive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := parseFor(t, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFrameGeometry(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ed := NewEntropyDecoderDiscard(f)
-	if err := ed.DecodeAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ed.BitsPerRow) != f.MCURows {
-		t.Fatalf("BitsPerRow has %d entries, want %d", len(ed.BitsPerRow), f.MCURows)
-	}
-	if ed.EntropyBitsTotal() <= 0 {
-		t.Fatal("no bits recorded")
-	}
-}
-
-func parseFor(t *testing.T, data []byte) (*jfif.Image, error) {
-	t.Helper()
-	return jfif.Parse(data)
-}
-
 // TestProgressiveScriptValidation rejects malformed scan scripts at
 // encode time.
 func TestProgressiveScriptValidation(t *testing.T) {

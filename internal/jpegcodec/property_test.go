@@ -197,8 +197,8 @@ func TestIDCTBlockRowsPartialEqualsFull(t *testing.T) {
 	for c := range fA.Planes {
 		IDCTRange(fA, c, 0, fA.MCURows)
 		n := fB.Planes[c].BlockRows
-		IDCTBlockRows(fB, c, 0, n/2)
-		IDCTBlockRows(fB, c, n/2, n)
+		idctBlockRows(fB, c, 0, n/2)
+		idctBlockRows(fB, c, n/2, n)
 	}
 	for c := range fA.Samples {
 		if !bytes.Equal(fA.Samples[c], fB.Samples[c]) {

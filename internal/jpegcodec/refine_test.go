@@ -33,7 +33,7 @@ func coeffStream(t *testing.T, w, h, ri int, script []ScanSpec, fill func(ci, bi
 	var coeffs [3][]int32
 	var masks [3][]uint64
 	for ci := range comps {
-		infos[ci] = PlaneInfo{CompW: w, CompH: h, BlocksPerRow: bw, BlockRows: bh, H: 1, V: 1}
+		infos[ci] = PlaneInfo{CompW: w, CompH: h, BlocksPerRow: bw, BlockRows: bh, H: 1, V: 1, BlockPix: 8}
 		coeffs[ci] = make([]int32, bw*bh*64)
 		masks[ci] = make([]uint64, bw*bh)
 		for bi := range masks[ci] {
@@ -370,8 +370,8 @@ func TestRefineCorpusHasWideCorrections(t *testing.T) {
 
 // TestProgressiveMaskReleased checks that the nonzero masks go back to
 // their pool on every way the scans end: the last scan, a strict error,
-// a salvage decode that abandons scans, a discard-mode decode, and a
-// 1/8-scale decode, which skips the AC scans and takes none.
+// a salvage decode that abandons scans, and a 1/8-scale decode, which
+// skips the AC scans and takes none.
 func TestProgressiveMaskReleased(t *testing.T) {
 	img := makeTestImage(64, 48, 5)
 	data, err := Encode(img, EncodeOptions{Quality: 85, Subsampling: jfif.Sub420, Progressive: true})
@@ -401,21 +401,16 @@ func TestProgressiveMaskReleased(t *testing.T) {
 		name            string
 		data            []byte
 		scale           Scale
-		salvage         bool
-		discard, failed bool
+		salvage, failed bool
 	}{
 		{name: "complete", data: data, scale: Scale1},
 		{name: "strict error", data: bad, scale: Scale1, failed: true},
 		{name: "salvage", data: bad, scale: Scale1, salvage: true},
-		{name: "discard", data: data, scale: Scale1, discard: true},
 		{name: "1/8", data: data, scale: Scale8},
 	} {
 		f, ed, err := prepareDecode(c.data, c.scale, c.salvage)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
-		}
-		if c.discard {
-			ed = NewEntropyDecoderDiscard(f)
 		}
 		if took := ed.prog.maskSlab != nil; took != (c.scale == Scale1) {
 			t.Errorf("%s: decoder holds masks %v before decoding", c.name, took)

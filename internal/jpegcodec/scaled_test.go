@@ -118,7 +118,7 @@ func TestScale8EqualsDCMean(t *testing.T) {
 				pw := p.PlaneW()
 				for by := 0; by < p.BlockRows; by++ {
 					for bx := 0; bx < p.BlocksPerRow; bx++ {
-						dc := full.Block(c, bx, by)[0] * q[0]
+						dc := full.blockAt(c, by*p.BlocksPerRow+bx)[0] * q[0]
 						want := (dc + 4) >> 3
 						want += 128
 						if want < 0 {

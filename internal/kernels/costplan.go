@@ -101,8 +101,7 @@ func CostPlan(spec *platform.Spec, f *jpegcodec.Frame, m0, m1, y0, y1 int, merge
 		recs = append(recs, dev.colorUpsCost(f, y0, y1))
 	}
 
-	ow, _ := f.OutDims()
-	n := (y1 - y0) * ow * 3
+	n := (y1 - y0) * f.OutW * 3
 	if n < 0 {
 		n = 0
 	}
@@ -134,10 +133,9 @@ func (d pricer) idctCost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	}
 	gb := d.spec.WorkGroupBlocks
 	groups := (nBlocks + gb - 1) / gb
-	if bp := f.BlockPixels(); bp < 8 {
-		stride := f.CoeffPerBlock()
+	if bp := f.BlockPix; bp < 8 {
 		ops := float64(nBlocks)*opsIDCTScaledPerBlock(bp) + float64(groups*gb)*opsAddressPerItem
-		bytes := float64(nBlocks) * float64(stride*2+bp*bp)
+		bytes := float64(nBlocks) * float64(f.CoeffStride*2+bp*bp)
 		return CostRecord{sim.KindIDCT, fmt.Sprintf("idct/%d[%d,%d)x%d", 8/bp, m0, m1, nBlocks), d.costOf(ops, bytes, groups, 0)}
 	}
 	ops := float64(nBlocks)*opsIDCTPerBlock + float64(groups*gb*8)*opsAddressPerItem
@@ -154,11 +152,10 @@ func (d pricer) merged444Cost(f *jpegcodec.Frame, m0, m1 int) CostRecord {
 	nBlocks := (m1 - m0) * p.V * p.BlocksPerRow
 	gb := d.spec.WorkGroupBlocks
 	groups := (nBlocks + gb - 1) / gb
-	if bp := f.BlockPixels(); bp < 8 {
-		stride := f.CoeffPerBlock()
+	if bp := f.BlockPix; bp < 8 {
 		pixels := (m1 - m0) * p.V * bp * p.PlaneW()
 		ops := float64(nBlocks)*3*opsIDCTScaledPerBlock(bp) + float64(pixels)*opsColorPerPix + float64(groups*gb)*opsAddressPerItem
-		bytes := float64(nBlocks)*3*float64(stride*2) + float64(pixels)*3
+		bytes := float64(nBlocks)*3*float64(f.CoeffStride*2) + float64(pixels)*3
 		return CostRecord{sim.KindMergedKernel, fmt.Sprintf("merged444/%d[%d,%d)", 8/bp, m0, m1), d.costOf(ops, bytes, groups, 0)}
 	}
 	pixels := (m1 - m0) * p.V * 8 * p.PlaneW()
@@ -177,7 +174,7 @@ func (d pricer) upsampleColorCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	if rows <= 0 {
 		return CostRecord{sim.KindMergedKernel, "upsample_color(empty)", d.spec.GPU.LaunchNs}
 	}
-	w, _ := f.OutDims()
+	w := f.OutW
 	segsPerRow := (w + 7) / 8
 	items := rows * segsPerRow
 	groups := (items + 127) / 128
@@ -199,7 +196,7 @@ func (d pricer) color444Cost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	if rows <= 0 {
 		return CostRecord{sim.KindColor, "color(empty)", d.spec.GPU.LaunchNs}
 	}
-	w, _ := f.OutDims()
+	w := f.OutW
 	items := rows * ((w + 3) / 4)
 	groups := (items + 127) / 128
 	pixels := rows * w
@@ -238,7 +235,7 @@ func (d pricer) colorUpsCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	if rows <= 0 {
 		return CostRecord{sim.KindColor, "color(empty)", d.spec.GPU.LaunchNs}
 	}
-	w, _ := f.OutDims()
+	w := f.OutW
 	items := rows * ((w + 3) / 4)
 	groups := (items + 127) / 128
 	pixels := rows * w
@@ -253,7 +250,7 @@ func (d pricer) grayCost(f *jpegcodec.Frame, r0, r1 int) CostRecord {
 	if rows <= 0 {
 		return CostRecord{sim.KindColor, "gray(empty)", d.spec.GPU.LaunchNs}
 	}
-	w, _ := f.OutDims()
+	w := f.OutW
 	items := rows * ((w + 7) / 8)
 	groups := (items + 127) / 128
 	pixels := rows * w

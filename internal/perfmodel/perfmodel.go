@@ -64,29 +64,30 @@ type ItemProfile struct {
 	BitsPerRow []int64
 	Blocks     int // total coefficient blocks
 	MCURows    int
-	Frame      *jpegcodec.Frame // geometry only
+	// Frame is the released frame of the profiling decode: its
+	// geometry (the MCU grid, planes and output size the cost plan
+	// prices) stays valid, its coefficient and sample buffers are gone.
+	Frame *jpegcodec.Frame
 }
 
-// SummarizeItem parses and entropy-decodes one corpus item (discarding
-// coefficients), collecting everything platform-specific profiling needs.
+// SummarizeItem decodes one corpus item's entropy stage through the
+// product decoder, so the profiled bits are the decoded ones, and
+// collects everything platform-specific profiling needs. The frame's
+// buffers go back to the decoder's pools before it returns.
 func SummarizeItem(it imagegen.Item) (*ItemProfile, error) {
-	im, err := jfif.Parse(it.Data)
+	f, ed, err := jpegcodec.PrepareDecode(it.Data)
 	if err != nil {
 		return nil, err
 	}
-	f, err := jpegcodec.NewFrameGeometry(im)
-	if err != nil {
-		return nil, err
-	}
-	ed := jpegcodec.NewEntropyDecoderDiscard(f)
+	defer f.Release()
 	if err := ed.DecodeAll(); err != nil {
 		return nil, err
 	}
 	return &ItemProfile{
-		W:          im.Width,
-		H:          im.Height,
+		W:          f.Img.Width,
+		H:          f.Img.Height,
 		Sub:        f.Sub,
-		Density:    im.EntropyDensity(),
+		Density:    f.Img.EntropyDensity(),
 		BitsPerRow: ed.BitsPerRow,
 		Blocks:     f.TotalBlocks(),
 		MCURows:    f.MCURows,

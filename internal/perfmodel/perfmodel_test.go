@@ -4,10 +4,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
+	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/kernels"
 	"hetjpeg/internal/platform"
 )
@@ -53,6 +56,73 @@ func TestSummarizeItem(t *testing.T) {
 		estBits := p.Density * float64(p.W*p.H) * 8
 		if float64(total) < 0.5*estBits || float64(total) > 1.05*estBits {
 			t.Fatalf("decoded bits %d vs file-size estimate %.0f", total, estBits)
+		}
+	}
+}
+
+// TestSummarizeItemCountsDecoderBits pins that profiling counts the
+// product decoder's bits: SummarizeItem's BitsPerRow equals what
+// PrepareDecode + DecodeAll record on the same bytes, for each chroma
+// layout, a restart interval and a progressive stream. The profile
+// hands back its frame released, and profiling the same bytes again
+// takes its buffers from the pools: a profile that kept its slabs
+// would allocate the coefficient buffer anew on every call.
+func TestSummarizeItemCountsDecoderBits(t *testing.T) {
+	img := imagegen.Generate(imagegen.Scene{Seed: 38, Detail: 0.6}, 512, 384)
+	defer img.Release()
+	for _, c := range []struct {
+		name string
+		opts jpegcodec.EncodeOptions
+	}{
+		{"444", jpegcodec.EncodeOptions{Subsampling: jfif.Sub444}},
+		{"422", jpegcodec.EncodeOptions{Subsampling: jfif.Sub422}},
+		{"420", jpegcodec.EncodeOptions{Subsampling: jfif.Sub420}},
+		{"420 restart", jpegcodec.EncodeOptions{Subsampling: jfif.Sub420, RestartInterval: 5}},
+		{"420 progressive", jpegcodec.EncodeOptions{Subsampling: jfif.Sub420, Progressive: true}},
+	} {
+		c.opts.Quality = 85
+		data, err := jpegcodec.Encode(img, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		it := imagegen.Item{Name: c.name, Data: data}
+		p, err := SummarizeItem(it)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+
+		f, ed, err := jpegcodec.PrepareDecode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := ed.DecodeAll(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		coeffBytes := 0
+		for _, s := range f.Coeff {
+			coeffBytes += 4 * len(s)
+		}
+		f.Release()
+		if !slices.Equal(p.BitsPerRow, ed.BitsPerRow) {
+			t.Errorf("%s: profiled bits per row %v, decoded %v", c.name, p.BitsPerRow, ed.BitsPerRow)
+		}
+
+		for ci := range p.Frame.Planes {
+			if p.Frame.Coeff[ci] != nil || p.Frame.Samples[ci] != nil || p.Frame.NZ[ci] != nil {
+				t.Errorf("%s: component %d keeps its buffers after profiling", c.name, ci)
+			}
+		}
+		const repeats = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < repeats; i++ {
+			if _, err := SummarizeItem(it); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := (after.TotalAlloc - before.TotalAlloc) / repeats; perCall >= uint64(coeffBytes/4) {
+			t.Errorf("%s: a repeat profile allocates %d B, the coefficient buffer is %d B: slabs stay checked out", c.name, perCall, coeffBytes)
 		}
 	}
 }
