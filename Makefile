@@ -34,6 +34,7 @@ fuzz-smoke:
 	go test ./internal/bitstream/ -fuzz=FuzzReaderMatchesReference -fuzztime=10s
 	go test ./internal/bitstream/ -fuzz=FuzzWriterReaderRoundTrip -fuzztime=10s
 	go test ./internal/bitstream/ -fuzz=FuzzWriterMatchesReference -fuzztime=10s
+	go test ./internal/color/ -run='^$$' -fuzz=FuzzColorKernels -fuzztime=10s
 	go test ./internal/huffman/ -fuzz=FuzzDecodeArbitraryBits -fuzztime=10s
 	go test ./internal/huffman/ -fuzz=FuzzEncodeDecodeRoundTrip -fuzztime=10s
 	go test ./internal/jpegcodec/ -run='^$$' -fuzz=FuzzProgressiveDecode -fuzztime=10s

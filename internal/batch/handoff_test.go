@@ -42,9 +42,11 @@ func handoffRun(t *testing.T, ctx context.Context, data []byte, hook func(s *ban
 	for range ex.Results() {
 	}
 	testHook = nil
-	// Results closes as the executor's last goroutine returns.
-	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
+	// Results closes as the executor's last goroutine returns, so that
+	// goroutine may still be exiting: wait for it, as a leaked one never
+	// exits.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after the decode, %d before", n, before)

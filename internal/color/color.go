@@ -2,6 +2,19 @@
 // paper, in libjpeg's fixed-point arithmetic so all execution paths are
 // bit-exact), chroma downsampling for the encoder, and the "fancy"
 // triangle-filter upsampling of Algorithm 1 for the decoder.
+//
+// The decoder's three per-row stages, ConvertRow, UpsampleRowH2V1Fancy
+// and UpsampleRowH2V2Fancy, run SSE2 kernels on amd64 (kernels_amd64.s;
+// SSE2 is the amd64 baseline, so nothing detects or selects them) over
+// whole 16-sample chunks and finish the row with the scalar kernels.
+// The scalar kernels are plain Go in files without a build tag: the
+// whole row on other architectures, the row tail on amd64, and the
+// oracle the tests hold the vector kernels to, byte for byte.
+//
+// A row kernel loads nothing past the end of its input rows and stores
+// nothing outside its output row (dst[:3w], out[:2n]). Bands of one
+// image convert adjacent rows of one RGB buffer concurrently, so a store
+// past the row would be a data race.
 package color
 
 const (
@@ -117,28 +130,72 @@ func UpsampleRowH2V1Fancy(in []byte, out []byte) {
 	if len(out) < 2*n {
 		panic("color: output row too short")
 	}
-	if n == 1 {
-		out[0], out[1] = in[0], in[0]
-		return
-	}
-	// All operands are sums of bytes (non-negative), so /4 is >>2.
-	out[0] = in[0]
-	out[1] = byte((int(in[0])*3 + int(in[1]) + 2) >> 2)
-	for i := 1; i < n-1; i++ {
-		c := int(in[i]) * 3
-		out[2*i] = byte((c + int(in[i-1]) + 1) >> 2)
-		out[2*i+1] = byte((c + int(in[i+1]) + 2) >> 2)
-	}
-	out[2*n-2] = byte((int(in[n-1])*3 + int(in[n-2]) + 1) >> 2)
-	out[2*n-1] = in[n-1]
+	out = out[:2*n]
+	upsampleH2V1Generic(in, out, 0, 1)
+	upsampleH2V1Generic(in, out, 1+upsampleH2V1Vec(in, out), n)
 }
 
-// UpsampleRowH2V1Simple doubles a row by pixel replication (libjpeg's
-// non-fancy mode); used as an ablation baseline.
-func UpsampleRowH2V1Simple(in []byte, out []byte) {
-	for i, v := range in {
-		out[2*i] = v
-		out[2*i+1] = v
+// upsampleH2V1Generic is the scalar UpsampleRowH2V1Fancy for samples
+// [lo, hi) of in. The row's end samples stand in for their missing
+// neighbours, which makes out[0] = in[0] and out[2n-1] = in[n-1]. All
+// operands are sums of bytes (non-negative), so /4 is >>2.
+func upsampleH2V1Generic(in, out []byte, lo, hi int) {
+	n := len(in)
+	for i := lo; i < hi; i++ {
+		c := 3 * int(in[i])
+		out[2*i] = byte((c + int(in[max(i-1, 0)]) + 1) >> 2)
+		out[2*i+1] = byte((c + int(in[min(i+1, n-1)]) + 2) >> 2)
+	}
+}
+
+// ChromaRowsH2V2 returns the two chroma rows that output row y of an
+// h2v2 upsampling of an h-row plane blends: near, the row y lies in, and
+// far, its neighbour on y's side (the row above for even y, below for
+// odd), which is near itself at the plane's top and bottom edges.
+func ChromaRowsH2V2(y, h int) (near, far int) {
+	near = y / 2
+	far = near - 1 + 2*(y&1)
+	return near, min(max(far, 0), h-1)
+}
+
+// UpsampleRowH2V2Fancy produces one full-resolution row of libjpeg's
+// h2v2 fancy upsampling from the chroma rows near and far
+// (ChromaRowsH2V2): a 3:1 vertical blend v = 3·near + far, then the
+// horizontal triangle filter on v. near has n samples, far at least n
+// and out at least 2n; it writes out[:2n].
+func UpsampleRowH2V2Fancy(near, far, out []byte) {
+	n := len(near)
+	if n == 0 {
+		return
+	}
+	far, out = far[:n], out[:2*n]
+	upsampleH2V2Generic(near, far, out, 0, 1)
+	upsampleH2V2Generic(near, far, out, 1+upsampleH2V2Vec(near, far, out), n)
+}
+
+// upsampleH2V2Generic is the scalar UpsampleRowH2V2Fancy for samples
+// [lo, hi):
+//
+//	out[2i]   = (3v[i] + v[i-1] + 8) >> 4
+//	out[2i+1] = (3v[i] + v[i+1] + 7) >> 4
+//
+// with v[-1] = v[0], and out[2n-1] = (4v[n-1] + 8) >> 4 at the right
+// edge.
+func upsampleH2V2Generic(near, far, out []byte, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	n := len(near)
+	v := func(i int) int { return 3*int(near[i]) + int(far[i]) }
+	l, c := v(max(lo-1, 0)), v(lo)
+	for i := lo; i < hi; i++ {
+		r, bias := c, 8
+		if i+1 < n {
+			r, bias = v(i+1), 7
+		}
+		out[2*i] = byte((3*c + l + 8) >> 4)
+		out[2*i+1] = byte((3*c + r + bias) >> 4)
+		l, c = c, r
 	}
 }
 
@@ -169,50 +226,15 @@ func DownsampleH2V2(in []byte, w, h int, out []byte) {
 }
 
 // UpsampleH2V2Fancy doubles both dimensions of the in plane (w×h) into out
-// (2w×2h) with the libjpeg fancy (triangle) filter.
+// (2w×2h) with the libjpeg fancy (triangle) filter, one
+// UpsampleRowH2V2Fancy per output row.
 func UpsampleH2V2Fancy(in []byte, w, h int, out []byte) {
 	if w == 0 || h == 0 {
 		return
 	}
 	ow := 2 * w
-	// Vertical interpolation weights are 3:1 between the two nearest
-	// input rows; horizontal 3:1 between nearest columns, matching
-	// libjpeg's h2v2 fancy upsampler.
 	for oy := 0; oy < 2*h; oy++ {
-		near := oy / 2
-		var far int
-		if oy%2 == 0 {
-			far = near - 1
-		} else {
-			far = near + 1
-		}
-		if far < 0 {
-			far = 0
-		}
-		if far >= h {
-			far = h - 1
-		}
-		rn := in[near*w : near*w+w]
-		rf := in[far*w : far*w+w]
-		o := out[oy*ow : oy*ow+ow]
-		// First column.
-		v0 := 3*int(rn[0]) + int(rf[0])
-		o[0] = byte((4*v0 + 8) / 16)
-		if w == 1 {
-			o[1] = o[0]
-			continue
-		}
-		o[1] = byte((3*v0 + (3*int(rn[1]) + int(rf[1])) + 7) / 16)
-		for x := 1; x < w-1; x++ {
-			c := 3*int(rn[x]) + int(rf[x])
-			l := 3*int(rn[x-1]) + int(rf[x-1])
-			r := 3*int(rn[x+1]) + int(rf[x+1])
-			o[2*x] = byte((3*c + l + 8) / 16)
-			o[2*x+1] = byte((3*c + r + 7) / 16)
-		}
-		c := 3*int(rn[w-1]) + int(rf[w-1])
-		l := 3*int(rn[w-2]) + int(rf[w-2])
-		o[ow-2] = byte((3*c + l + 8) / 16)
-		o[ow-1] = byte((4*c + 8) / 16)
+		near, far := ChromaRowsH2V2(oy, h)
+		UpsampleRowH2V2Fancy(in[near*w:near*w+w], in[far*w:far*w+w], out[oy*ow:oy*ow+ow])
 	}
 }

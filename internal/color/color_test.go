@@ -145,18 +145,6 @@ func TestUpsampleBoundsPreserved(t *testing.T) {
 	}
 }
 
-func TestUpsampleSimple(t *testing.T) {
-	in := []byte{1, 2, 3}
-	out := make([]byte, 6)
-	UpsampleRowH2V1Simple(in, out)
-	want := []byte{1, 1, 2, 2, 3, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("sample %d: got %d want %d", i, out[i], want[i])
-		}
-	}
-}
-
 func TestDownsampleH2V1(t *testing.T) {
 	in := []byte{10, 20, 30, 31}
 	out := make([]byte, 2)

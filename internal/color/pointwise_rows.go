@@ -34,8 +34,17 @@ func init() {
 }
 
 // ConvertRow converts w pixels of full-resolution Y/Cb/Cr rows into
-// interleaved RGB, bit-identical to per-pixel YCbCrToRGB.
+// interleaved RGB, bit-identical to per-pixel YCbCrToRGB. It reads the
+// first w bytes of each input row and writes dst[:3w] and nothing else.
 func ConvertRow(yr, cbr, crr []byte, dst []byte, w int) {
+	yr, cbr, crr, dst = yr[:w:w], cbr[:w:w], crr[:w:w], dst[:3*w:3*w]
+	n := convertRowVec(yr, cbr, crr, dst, w)
+	convertRowGeneric(yr[n:], cbr[n:], crr[n:], dst[3*n:], w-n)
+}
+
+// convertRowGeneric is the scalar ConvertRow: the whole row where there
+// is no vector kernel, the row tail after one, and the tests' oracle.
+func convertRowGeneric(yr, cbr, crr []byte, dst []byte, w int) {
 	yr = yr[:w:w]
 	cbr = cbr[:w:w]
 	crr = crr[:w:w]

@@ -25,7 +25,6 @@ import (
 // allocates nothing once warm. The zero value is ready to use.
 type ConvertScratch struct {
 	cbUp, crUp []byte
-	blend      []int // the vertical-blend row, 4:2:0 only
 }
 
 // ensure grows the scratch to frame f's chroma row width.
@@ -37,9 +36,6 @@ func (s *ConvertScratch) ensure(f *Frame) {
 	if len(s.cbUp) < 2*cpw {
 		s.cbUp = make([]byte, 2*cpw)
 		s.crUp = make([]byte, 2*cpw)
-	}
-	if f.Sub == jfif.Sub420 && len(s.blend) < cpw {
-		s.blend = make([]int, cpw)
 	}
 }
 

@@ -128,54 +128,12 @@ func colorConvertRange(f *Frame, r0, r1 int, out *RGBImage, cs *ConvertScratch) 
 		yP, cbP, crP := f.Samples[0], f.Samples[1], f.Samples[2]
 		ch := f.Planes[1].PlaneH()
 		for y := r0; y < r1; y++ {
-			upsample420Row(cbP, cpw, ch, y, cs.cbUp, cs.blend)
-			upsample420Row(crP, cpw, ch, y, cs.crUp, cs.blend)
+			near, far := color.ChromaRowsH2V2(y, ch)
+			color.UpsampleRowH2V2Fancy(cbP[near*cpw:near*cpw+cpw], cbP[far*cpw:far*cpw+cpw], cs.cbUp)
+			color.UpsampleRowH2V2Fancy(crP[near*cpw:near*cpw+cpw], crP[far*cpw:far*cpw+cpw], cs.crUp)
 			color.ConvertRow(yP[y*ypw:], cs.cbUp, cs.crUp, out.Pix[y*w*3:], w)
 		}
 	}
-}
-
-// upsample420Row produces one full-resolution chroma row (output luma row
-// index y) from an h2v2 plane using the fancy triangle filter: a 3:1
-// vertical blend of the two nearest chroma rows followed by the
-// horizontal Algorithm 1 filter. blend is caller-provided scratch of
-// length >= cpw.
-func upsample420Row(plane []byte, cpw, ch, y int, out []byte, blend []int) {
-	near := y / 2
-	var far int
-	if y%2 == 0 {
-		far = near - 1
-	} else {
-		far = near + 1
-	}
-	if far < 0 {
-		far = 0
-	}
-	if far >= ch {
-		far = ch - 1
-	}
-	rn := plane[near*cpw : near*cpw+cpw]
-	rf := plane[far*cpw : far*cpw+cpw]
-	// Vertical 3:1 blend into 10-bit intermediate, then the horizontal
-	// triangle filter on the blended row (libjpeg h2v2 fancy upsampling).
-	blend = blend[:cpw]
-	for i := range blend {
-		blend[i] = 3*int(rn[i]) + int(rf[i])
-	}
-	n := cpw
-	out[0] = byte((4*blend[0] + 8) >> 4)
-	if n == 1 {
-		out[1] = out[0]
-		return
-	}
-	out[1] = byte((3*blend[0] + blend[1] + 7) >> 4)
-	for i := 1; i < n-1; i++ {
-		c := 3 * blend[i]
-		out[2*i] = byte((c + blend[i-1] + 8) >> 4)
-		out[2*i+1] = byte((c + blend[i+1] + 7) >> 4)
-	}
-	out[2*n-2] = byte((3*blend[n-1] + blend[n-2] + 8) >> 4)
-	out[2*n-1] = byte((4*blend[n-1] + 8) >> 4)
 }
 
 // bandBound returns the exclusive pixel row up to which color conversion
