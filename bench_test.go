@@ -1,10 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section 6). Each benchmark runs the experiment's core
-// computation under testing.B and reports the headline quantity of the
-// corresponding table/figure as a custom metric (speedups, percent of
-// the Amdahl bound, load imbalance, fit quality), so `go test -bench=.`
-// reproduces the paper's result shapes. cmd/experiments renders the same
-// experiments as full text reports.
+// Benchmarks of the decoder's design choices and wall-clock paths: the
+// ablations the paper calls out (merged kernels, chunk and work-group
+// size, pipelining crossover), the extensions (the Embedded machine,
+// batch pipelining, restart-parallel entropy), real decodes and batch
+// throughput. Each reports its headline quantity as a custom metric.
+// The paper's tables and figures are rendered by `repro figures` and
+// their shapes pinned by internal/harness's tests.
 package hetjpeg_test
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"hetjpeg"
 	"hetjpeg/internal/core"
-	"hetjpeg/internal/harness"
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/perfmodel"
@@ -34,225 +33,6 @@ func models(b testing.TB) map[string]*perfmodel.Model {
 		ms[spec.Name] = m
 	}
 	return ms
-}
-
-var (
-	corpusOnce sync.Once
-	corpusData map[string][]imagegen.Item
-	corpusErr  error
-)
-
-// benchCorpus returns a compact test corpus (disjoint seeds from
-// training) per subsampling.
-func benchCorpus(b testing.TB, sub jfif.Subsampling) []imagegen.Item {
-	corpusOnce.Do(func() {
-		corpusData = map[string][]imagegen.Item{}
-		for _, s := range []jfif.Subsampling{jfif.Sub422, jfif.Sub444} {
-			opts := imagegen.CorpusOptions{
-				Widths:   []int{320, 768, 1280},
-				Heights:  []int{240, 576, 960},
-				Details:  []float64{0.15, 0.55, 0.95},
-				Sub:      s,
-				Quality:  85,
-				SeedBase: 77000,
-			}
-			items, err := imagegen.Build(opts)
-			if err != nil {
-				corpusErr = err
-				return
-			}
-			corpusData[s.String()] = items
-		}
-	})
-	if corpusErr != nil {
-		b.Fatal(corpusErr)
-	}
-	return corpusData[sub.String()]
-}
-
-var sweepSizes = [][2]int{
-	{512, 384}, {800, 600}, {1024, 768}, {1600, 1200}, {2048, 1536}, {2560, 1920},
-}
-
-// ---------------------------------------------------------------------
-// Table 1
-
-func BenchmarkTable1_Specs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if harness.Table1Text() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 6: linear scaling of the parallel phase.
-
-func BenchmarkFigure6_ParallelPhaseScaling(b *testing.B) {
-	var r *harness.Fig6Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = harness.Figure6(platform.GTX560(), sweepSizes)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.R2SIMD, "R2-simd")
-	b.ReportMetric(r.R2GPU, "R2-gpu")
-}
-
-// ---------------------------------------------------------------------
-// Figure 7: Huffman rate vs entropy density.
-
-func BenchmarkFigure7_HuffmanRateVsDensity(b *testing.B) {
-	var r *harness.Fig7Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = harness.Figure7(platform.GTX560(), jfif.Sub422)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.R2, "R2")
-	b.ReportMetric(r.Slope, "ns/px-per-B/px")
-}
-
-// ---------------------------------------------------------------------
-// Figure 9: breakdown on a 2048x2048 image.
-
-func BenchmarkFigure9_Breakdown(b *testing.B) {
-	var cols []harness.Fig9Column
-	var err error
-	for i := 0; i < b.N; i++ {
-		cols, err = harness.Figure9(2048)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, c := range cols {
-		if c.Mode == core.ModeGPU {
-			b.ReportMetric(c.VsSIMDNorm, "gpuVsSimd-"+sanitize(c.Machine))
-		}
-	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		if r == ' ' {
-			continue
-		}
-		out = append(out, r)
-	}
-	return string(out)
-}
-
-// ---------------------------------------------------------------------
-// Tables 2 and 3: mean speedups over SIMD.
-
-func benchSpeedupTable(b *testing.B, sub jfif.Subsampling) {
-	ms := models(b)
-	corpus := benchCorpus(b, sub)
-	var cells []harness.SpeedupCell
-	var err error
-	for i := 0; i < b.N; i++ {
-		cells, err = harness.SpeedupTable(sub, corpus, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, c := range cells {
-		b.ReportMetric(c.Mean, fmt.Sprintf("x-%s-%s", c.Mode, sanitize(c.Machine)))
-	}
-}
-
-func BenchmarkTable2_Speedups422(b *testing.B) { benchSpeedupTable(b, jfif.Sub422) }
-func BenchmarkTable3_Speedups444(b *testing.B) { benchSpeedupTable(b, jfif.Sub444) }
-
-// ---------------------------------------------------------------------
-// Figure 10: speedup vs image size.
-
-func BenchmarkFigure10_SpeedupVsSize(b *testing.B) {
-	ms := models(b)
-	var pts []harness.Fig10Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = harness.Figure10(jfif.Sub444, sweepSizes, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Report the largest-size PPS speedup per machine (the curve's tail).
-	best := map[string]float64{}
-	maxPix := 0
-	for _, p := range pts {
-		if p.Pixels > maxPix {
-			maxPix = p.Pixels
-		}
-	}
-	for _, p := range pts {
-		if p.Pixels == maxPix && p.Mode == core.ModePPS {
-			best[p.Machine] = p.Speedup
-		}
-	}
-	for m, v := range best {
-		b.ReportMetric(v, "ppsTail-"+sanitize(m))
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 11: percent of the Amdahl bound.
-
-func BenchmarkFigure11_AmdahlShare(b *testing.B) {
-	ms := models(b)
-	var pts []harness.Fig11Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = harness.Figure11(platform.GTX680(), jfif.Sub444, sweepSizes, ms["GTX 680"])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var mean float64
-	for _, p := range pts {
-		mean += p.Percent
-	}
-	b.ReportMetric(mean/float64(len(pts)), "pct-of-bound")
-}
-
-// ---------------------------------------------------------------------
-// Figure 12: CPU/GPU balance.
-
-func BenchmarkFigure12_Balance(b *testing.B) {
-	ms := models(b)
-	var pts []harness.Fig12Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = harness.Figure12(jfif.Sub444, sweepSizes[:4], ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var sum float64
-	n := 0
-	for _, p := range pts {
-		if p.CPUNs == 0 || p.GPUNs == 0 {
-			continue // one-sided schedules have no balance to measure
-		}
-		m := p.CPUNs
-		if p.GPUNs > m {
-			m = p.GPUNs
-		}
-		d := p.CPUNs - p.GPUNs
-		if d < 0 {
-			d = -d
-		}
-		sum += d / m
-		n++
-	}
-	if n > 0 {
-		b.ReportMetric(100*sum/float64(n), "mean-imbalance-pct")
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -285,7 +65,7 @@ func BenchmarkRealDecode_SPS(b *testing.B)          { benchRealDecode(b, core.Mo
 func BenchmarkRealDecode_PPS(b *testing.B)          { benchRealDecode(b, core.ModePPS) }
 
 // ---------------------------------------------------------------------
-// Ablations (DESIGN.md Section 6): design choices the paper calls out.
+// Ablations: design choices the paper calls out.
 
 // Merged vs split kernels (Section 4.4).
 func BenchmarkAblation_MergedVsSplitKernels(b *testing.B) {
@@ -407,12 +187,12 @@ func BenchmarkAblation_PipelineCrossover(b *testing.B) {
 
 // What-if: the embedded (integrated GPU, zero-copy) machine from the
 // paper's conclusion. The weak GPU loses on raw kernels, but cheap
-// transfers keep heterogeneous decoding ahead of SIMD. The machine has
-// no committed model, so this benchmark runs the full Section 5.1 fit
-// first (about a minute and a half).
+// transfers keep heterogeneous decoding ahead of SIMD. PPS runs on the
+// machine's committed fit, which `repro fit` writes beside the Table 1
+// machines'.
 func BenchmarkExtension_EmbeddedPlatform(b *testing.B) {
 	spec := platform.Embedded()
-	model, err := perfmodel.Train(spec)
+	model, err := perfmodel.Default(spec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -91,11 +91,12 @@ func PlatformByName(name string) *Platform { return platform.ByName(name) }
 // Model is a fitted per-platform performance model.
 type Model = perfmodel.Model
 
-// DefaultModel returns the committed performance model of one of the
-// three Table 1 machines: the offline profiling step (corpus profiling,
-// regression fit, chunk-size selection) was run once by cmd/profile and
-// its result is embedded in the library. Every caller shares the
-// returned model. Other platforms have no committed model.
+// DefaultModel returns the committed performance model of a Table 1
+// machine or of the Embedded what-if machine: the offline profiling
+// step (corpus profiling, regression fit, chunk-size selection) was run
+// once by `repro fit` for all four and its result is embedded in the
+// library. Every caller shares the returned model. Other platforms have
+// no committed model.
 func DefaultModel(spec *Platform) (*Model, error) { return perfmodel.Default(spec) }
 
 // Options configures a decode. Spec is required; Model is required for

@@ -1,8 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (Section 6) from the reproduction: breakdowns, speedup
 // sweeps, Amdahl-bound comparisons and load-balance measurements. Each
-// experiment returns structured rows and can render itself as text, so
-// cmd/experiments and the benchmark suite share one implementation.
+// experiment returns structured rows and can render itself as text:
+// `repro figures` writes the text reports, and this package's tests pin
+// the shape of each.
 package harness
 
 import (

@@ -132,7 +132,7 @@ type CorpusOptions struct {
 }
 
 // DefaultTraining returns a compact training corpus covering the model's
-// input ranges; cmd/profile can request denser grids.
+// input ranges; callers can request denser grids.
 func DefaultTraining(sub jfif.Subsampling) CorpusOptions {
 	return CorpusOptions{
 		Widths:   []int{64, 256, 512, 1024, 1600, 2304},

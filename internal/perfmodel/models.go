@@ -4,20 +4,20 @@ import (
 	"embed"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 
 	"hetjpeg/internal/platform"
 )
 
-// The Section 5.1 fit of each Table 1 machine, profiled once offline by
-// cmd/profile and committed as Model.Save wrote it. The fit reads no
-// clock and no random source, so a refit reproduces these bytes; rerun
-// the generator after changing the cost model, the training corpus or
-// the regression, and commit the diff.
+// The Section 5.1 fit of each machine in Fitted, profiled once offline
+// by `repro fit` and committed as Model.Save wrote it. One build of the
+// training corpus serves every machine. The fit reads no clock and no
+// random source, so a refit reproduces these bytes; rerun the generator
+// after changing the cost model, the training corpus or the regression,
+// and commit the diff.
 //
-//go:generate go run hetjpeg/cmd/profile -platform "GT 430" -out models/gt430.json
-//go:generate go run hetjpeg/cmd/profile -platform "GTX 560" -out models/gtx560.json
-//go:generate go run hetjpeg/cmd/profile -platform "GTX 680" -out models/gtx680.json
+//go:generate go run hetjpeg/cmd/repro fit -outdir models
 
 //go:embed models/*.json
 var modelFiles embed.FS
@@ -53,9 +53,22 @@ func parse(data []byte) (*Model, error) {
 	return &m, nil
 }
 
+// Fitted lists the machines with a committed fit, in the order
+// `repro fit` writes them: the three Table 1 machines, then Embedded.
+func Fitted() []*platform.Spec {
+	return append(platform.All(), platform.Embedded())
+}
+
+// FileName is the name of spec's committed fit under models/: the
+// platform name lower-cased without spaces ("GTX 560" is gtx560.json).
+func FileName(spec *platform.Spec) string {
+	return strings.ToLower(strings.ReplaceAll(spec.Name, " ", "")) + ".json"
+}
+
 // Default returns the committed fit for spec's machine. Every caller
-// shares the returned model, which must not be modified. A platform
-// outside Table 1 has no committed fit; fit one with Train.
+// shares the returned model, which must not be modified. A machine
+// outside Fitted has no committed fit; add it to Fitted and rerun
+// `go generate ./internal/perfmodel`.
 func Default(spec *platform.Spec) (*Model, error) {
 	ms, err := committed()
 	if err != nil {
@@ -63,7 +76,7 @@ func Default(spec *platform.Spec) (*Model, error) {
 	}
 	m, ok := ms[spec.Name]
 	if !ok {
-		return nil, fmt.Errorf("perfmodel: no committed fit for platform %q (fit one with Train)", spec.Name)
+		return nil, fmt.Errorf("perfmodel: no committed fit for platform %q (add it to perfmodel.Fitted and refit)", spec.Name)
 	}
 	return m, nil
 }

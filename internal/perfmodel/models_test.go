@@ -4,22 +4,30 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
-
-	"hetjpeg/internal/platform"
 )
 
 // TestCommittedModelsRoundTrip pins the committed fits to Save's
 // encoding: each file parses and re-saves to identical bytes, so a
-// `go generate` refit diffs only where the fit itself changed. Default
-// serves every Table 1 machine from them.
+// `go generate` refit diffs only where the fit itself changed. The
+// embedded files are exactly the ones `repro fit` writes, one per
+// machine in Fitted, and Default serves each of those machines.
 func TestCommittedModelsRoundTrip(t *testing.T) {
 	entries, err := modelFiles.ReadDir("models")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(platform.All()) {
-		t.Fatalf("%d committed fits, want one per Table 1 machine", len(entries))
+	var files, fitted []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	for _, spec := range Fitted() {
+		fitted = append(fitted, FileName(spec))
+	}
+	slices.Sort(fitted)
+	if !slices.Equal(files, fitted) {
+		t.Fatalf("committed fits %v, want %v (the files repro fit writes)", files, fitted)
 	}
 	for _, e := range entries {
 		want, err := modelFiles.ReadFile("models/" + e.Name())
@@ -30,19 +38,11 @@ func TestCommittedModelsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		path := filepath.Join(t.TempDir(), e.Name())
-		if err := m.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(saved(t, m), want) {
 			t.Errorf("%s: parse + Save does not reproduce the committed bytes", e.Name())
 		}
 	}
-	for _, spec := range platform.All() {
+	for _, spec := range Fitted() {
 		m, err := Default(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -50,9 +50,6 @@ func TestCommittedModelsRoundTrip(t *testing.T) {
 		if m.Platform != spec.Name || m.ChunkRows <= 0 || len(m.Subs) != 3 {
 			t.Errorf("%s: committed fit is %q, chunk %d rows, %d sub-models", spec.Name, m.Platform, m.ChunkRows, len(m.Subs))
 		}
-	}
-	if _, err := Default(platform.Embedded()); err == nil {
-		t.Error("a platform outside Table 1 got a committed fit")
 	}
 }
 

@@ -10,8 +10,8 @@
 //	PGPU(w, h)         - GPU parallel-phase time incl. transfers
 //	TDisp(w, h)        - CPU-side dispatch overhead
 //
-// The fit of each Table 1 machine is committed as data (Default);
-// Train refits it.
+// The fit of each machine in Fitted is committed as data (Default);
+// Train refits them.
 package perfmodel
 
 import (
@@ -285,11 +285,12 @@ func (m *Model) Save(path string) error {
 }
 
 // Train is the refit behind the committed models (see Default): it
-// builds the default training corpora (all three subsamplings),
-// profiles them, fits the model for spec and selects the chunk size.
-// Building and profiling the 432-image corpus takes about a minute and
-// a half on one core.
-func Train(spec *platform.Spec) (*Model, error) {
+// builds the default training corpora (all three subsamplings) and
+// profiles them once, then fits each spec's model and selects its chunk
+// size from the shared profiles, in the order given. Building the
+// 432-image corpus takes about a minute on one core; each machine's fit
+// adds about 0.1 s.
+func Train(specs ...*platform.Spec) ([]*Model, error) {
 	var profiles []*ItemProfile
 	for _, sub := range []jfif.Subsampling{jfif.Sub422, jfif.Sub444, jfif.Sub420} {
 		items, err := imagegen.Build(imagegen.DefaultTraining(sub))
@@ -302,19 +303,28 @@ func Train(spec *platform.Spec) (*Model, error) {
 		}
 		profiles = append(profiles, ps...)
 	}
-	m, err := Fit(spec, profiles)
-	if err != nil {
-		return nil, err
-	}
-	// Chunk-size profiling on the largest training images.
+	return fitAll(specs, profiles)
+}
+
+// fitAll fits every spec from one set of profiles, which it only reads,
+// and selects each chunk size on the largest of them.
+func fitAll(specs []*platform.Spec, profiles []*ItemProfile) ([]*Model, error) {
 	var large []*ItemProfile
 	for _, p := range profiles {
 		if p.W*p.H >= 512*512 {
 			large = append(large, p)
 		}
 	}
-	m.ChunkRows = SelectChunkRows(spec, large, nil)
-	return m, nil
+	models := make([]*Model, len(specs))
+	for i, spec := range specs {
+		m, err := Fit(spec, profiles)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", spec.Name, err)
+		}
+		m.ChunkRows = SelectChunkRows(spec, large, nil)
+		models[i] = m
+	}
+	return models, nil
 }
 
 // ParallelMeasurement exposes the profiled virtual timings of one image
@@ -338,33 +348,4 @@ func MeasureParallel(spec *platform.Spec, p *ItemProfile) ParallelMeasurement {
 		PGPU:       me.pGPU,
 		TDisp:      me.tDisp,
 	}
-}
-
-// SelectWorkGroupBlocks implements the Section 5.1 work-group sweep:
-// while profiling GPU execution, work-group sizes are alternated from 4
-// MCUs to 32 MCUs and the size minimizing total kernel cost over the
-// profiled images is kept for the platform.
-func SelectWorkGroupBlocks(spec *platform.Spec, profiles []*ItemProfile, candidates []int) int {
-	if len(candidates) == 0 {
-		candidates = []int{4, 8, 16, 32, 64}
-	}
-	best, bestNs := spec.WorkGroupBlocks, 0.0
-	first := true
-	for _, gb := range candidates {
-		if gb <= 0 {
-			continue
-		}
-		trial := *spec
-		trial.WorkGroupBlocks = gb
-		var total float64
-		for _, p := range profiles {
-			for _, r := range kernels.CostPlan(&trial, p.Frame, 0, p.MCURows, -1, -1, true) {
-				total += r.Ns
-			}
-		}
-		if first || total < bestNs {
-			best, bestNs, first = gb, total, false
-		}
-	}
-	return best
 }

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
-	"hetjpeg/internal/kernels"
 	"hetjpeg/internal/platform"
 )
 
@@ -267,34 +267,63 @@ func TestHuffmanFitIsMonotoneInDensity(t *testing.T) {
 	}
 }
 
-func TestSelectWorkGroupBlocks(t *testing.T) {
-	spec := platform.GTX560()
-	items, err := imagegen.SizeSweep(jfif.Sub422, 0.5, [][2]int{{512, 512}}, 6)
+// TestSharedProfileFit pins that one set of profiles serves every
+// machine: fitting all of Fitted from one shared profile slice, in
+// either order, gives each machine the Save bytes of fitting it alone
+// from a fresh Summarize. A Fit or SelectChunkRows that wrote to a
+// profile would change the machines fitted after it.
+func TestSharedProfileFit(t *testing.T) {
+	sizes := [][2]int{{64, 64}, {256, 128}, {128, 256}, {320, 240}, {512, 512}}
+	var items []imagegen.Item
+	for _, sub := range []jfif.Subsampling{jfif.Sub422, jfif.Sub444, jfif.Sub420} {
+		its, err := imagegen.SizeSweep(sub, 0.5, sizes, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, its...)
+	}
+	summarize := func() []*ItemProfile {
+		ps, err := Summarize(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	fit := func(specs []*platform.Spec, ps []*ItemProfile) map[string][]byte {
+		ms, err := fitAll(specs, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, m := range ms {
+			out[m.Platform] = saved(t, m)
+		}
+		return out
+	}
+
+	specs := Fitted()
+	shared := summarize()
+	forward := fit(specs, shared)
+	slices.Reverse(specs)
+	backward := fit(specs, shared)
+	for _, spec := range specs {
+		alone := fit([]*platform.Spec{spec}, summarize())[spec.Name]
+		if !bytes.Equal(forward[spec.Name], alone) || !bytes.Equal(backward[spec.Name], alone) {
+			t.Errorf("%s: the fit from shared profiles differs from its fit alone", spec.Name)
+		}
+	}
+}
+
+// saved returns the bytes Save writes for m.
+func saved(t *testing.T, m *Model) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := Summarize(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb := SelectWorkGroupBlocks(spec, ps, nil)
-	if gb < 4 || gb > 64 {
-		t.Fatalf("selected work-group size %d outside sweep range", gb)
-	}
-	// The sweep must be a real optimization: the chosen size's cost is
-	// minimal among candidates.
-	costFor := func(n int) float64 {
-		trial := *spec
-		trial.WorkGroupBlocks = n
-		var total float64
-		for _, r := range kernels.CostPlan(&trial, ps[0].Frame, 0, ps[0].MCURows, -1, -1, true) {
-			total += r.Ns
-		}
-		return total
-	}
-	for _, c := range []int{4, 8, 16, 32, 64} {
-		if costFor(c) < costFor(gb)-1e-9 {
-			t.Fatalf("candidate %d beats selected %d", c, gb)
-		}
-	}
+	return data
 }

@@ -7,8 +7,10 @@ package platform
 // controller with a weaker CPU, so host-device "transfers" are cheap
 // cache-coherent handoffs rather than PCIe DMA — which moves the
 // CPU-vs-GPU crossover substantially toward the GPU even though the GPU
-// itself is small. It is exercised by the ablation benchmarks, not by
-// the paper-reproduction experiments.
+// itself is small. Its Section 5.1 fit is committed beside the Table 1
+// machines' (`repro fit` writes all four), and
+// BenchmarkExtension_EmbeddedPlatform runs it; the paper-reproduction
+// experiments do not.
 func Embedded() *Spec {
 	// A ~2012 big.LITTLE-class CPU: slower clocks and narrower SIMD than
 	// the desktop i7s.
