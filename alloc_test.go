@@ -53,8 +53,12 @@ func TestDecodeSteadyStateAllocation(t *testing.T) {
 			}
 			img.Release()
 		}},
-		{"DecodeScalarSalvage", func() {
-			img, _, err := jpegcodec.DecodeScalarSalvage(data)
+		{"Open(Salvage) + Run(1)", func() {
+			d, err := jpegcodec.Open(data, jpegcodec.Options{Salvage: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := d.Run(1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -184,8 +184,11 @@ func DecodeRGB(data []byte) (*Image, error) { return DecodeRGBScaled(data, Scale
 // DecodeRGBScaled is DecodeRGB at a decode scale; pixels are those of
 // the scalar scaled reference.
 func DecodeRGBScaled(data []byte, scale Scale) (*Image, error) {
-	img, _, err := jpegcodec.DecodeScalarWorkers(data, scale, runtime.GOMAXPROCS(0))
-	return img, err
+	d, err := jpegcodec.Open(data, jpegcodec.Options{Scale: scale})
+	if err != nil {
+		return nil, err
+	}
+	return d.Run(runtime.GOMAXPROCS(0))
 }
 
 // Subsampling selects the encoder's chroma layout.

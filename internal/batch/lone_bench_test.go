@@ -13,7 +13,7 @@ import (
 // BenchmarkExecutorLoneImage times one 1024x1024 4:2:0 baseline image
 // (about 250 KB) on two workers through the two entry points of the
 // entropy→band handoff: Executor.Decode, the service's path, and
-// jpegcodec.DecodeScalarWorkers, DecodeRGB's. With the back phase
+// jpegcodec's Open and Run, DecodeRGB's. With the back phase
 // trailing the entropy stage band by band, both should cost about
 // max(entropy, back phase) rather than their sum.
 func BenchmarkExecutorLoneImage(b *testing.B) {
@@ -41,10 +41,14 @@ func BenchmarkExecutorLoneImage(b *testing.B) {
 			ir.Res.Release()
 		}
 	})
-	b.Run("DecodeScalarWorkers", func(b *testing.B) {
+	b.Run("Run", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for b.Loop() {
-			out, _, err := jpegcodec.DecodeScalarWorkers(data, jpegcodec.Scale1, workers)
+			d, err := jpegcodec.Open(data, jpegcodec.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, err := d.Run(workers)
 			if err != nil {
 				b.Fatal(err)
 			}

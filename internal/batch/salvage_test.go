@@ -44,7 +44,12 @@ func salvageCorpusImage(t testing.TB, seed int64, ri int) (clean, hurt []byte) {
 func TestBatchSalvageDelivery(t *testing.T) {
 	spec := platform.GTX560()
 	clean, hurt := salvageCorpusImage(t, 61, 4)
-	ref, refRep, refErr := jpegcodec.DecodeScalarSalvage(hurt)
+	d, err := jpegcodec.Open(hurt, jpegcodec.Options{Salvage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, refErr := d.Run(1)
+	refRep := d.SalvageReport()
 	if refErr == nil || !errors.Is(refErr, jpegcodec.ErrPartialData) {
 		t.Fatalf("reference salvage: err = %v, want ErrPartialData", refErr)
 	}

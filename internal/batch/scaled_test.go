@@ -46,7 +46,11 @@ func TestMixedScaleExecutor(t *testing.T) {
 		for i, it := range items {
 			sc := scales[(round*len(items)+i)%len(scales)]
 			subs = append(subs, submission{it.Data, sc})
-			ref, err := jpegcodec.DecodeScalarScaled(it.Data, sc)
+			d, err := jpegcodec.Open(it.Data, jpegcodec.Options{Scale: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := d.Run(1)
 			if err != nil {
 				t.Fatal(err)
 			}

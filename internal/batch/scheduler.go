@@ -399,13 +399,13 @@ func (s *bandScheduler) runEntropy(id int, j job) {
 	}
 	var entNs float64
 	var from, to int
-	for img.err == nil && !prep.EntropyDone() {
+	for img.err == nil && !prep.Done() {
 		s.mu.Unlock()
 		hook(evStep, img, to-from)
 		t0 := time.Now()
-		from, to, err = prep.EntropyStep(j.ctx, plan)
+		from, to, err = prep.Step(j.ctx, plan)
 		entNs += float64(time.Since(t0))
-		if err == nil && prep.EntropyDone() {
+		if err == nil && prep.Done() {
 			img.res, err = prep.FinishVirtual()
 		}
 		s.mu.Lock()

@@ -220,12 +220,16 @@ func TestConformanceModesIdentical(t *testing.T) {
 }
 
 // checkScalarWorkers asserts that the banded scalar back phase the
-// transcoder runs (jpegcodec.DecodeScalarWorkers) matches ref at one and
-// at several workers.
+// transcoder runs (jpegcodec.Open and Run) matches ref at one and at
+// several workers.
 func checkScalarWorkers(t *testing.T, it imagegen.Item, scale jpegcodec.Scale, ref *jpegcodec.RGBImage) {
 	t.Helper()
 	for _, w := range []int{1, 3} {
-		img, _, err := jpegcodec.DecodeScalarWorkers(it.Data, scale, w)
+		d, err := jpegcodec.Open(it.Data, jpegcodec.Options{Scale: scale})
+		if err != nil {
+			t.Fatalf("scale %v workers %d: %v", scale, w, err)
+		}
+		img, err := d.Run(w)
 		if err != nil {
 			t.Fatalf("scale %v workers %d: %v", scale, w, err)
 		}

@@ -123,6 +123,21 @@ func checkReport(t *testing.T, name string, rep *jpegcodec.SalvageReport) {
 	}
 }
 
+// salvageRef is the scalar salvage reference, Open with Salvage and
+// Run(1): the image (nil if nothing was salvageable), the report when
+// the stream was impaired (nil for a clean one) and the error.
+func salvageRef(data []byte) (*jpegcodec.RGBImage, *jpegcodec.SalvageReport, error) {
+	d, err := jpegcodec.Open(data, jpegcodec.Options{Salvage: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	img, err := d.Run(1)
+	if rep := d.SalvageReport(); img != nil && rep.Impaired() {
+		return img, rep, err
+	}
+	return img, nil, err
+}
+
 // salvageOutcome decodes one corrupted variant in both modes and
 // asserts the cross-mode invariant. It returns the salvage image (nil
 // if nothing was salvageable) and report; the caller releases the
@@ -130,7 +145,7 @@ func checkReport(t *testing.T, name string, rep *jpegcodec.SalvageReport) {
 func salvageOutcome(t *testing.T, name string, data []byte) (*jpegcodec.RGBImage, *jpegcodec.SalvageReport) {
 	t.Helper()
 	strictImg, strictErr := jpegcodec.DecodeScalar(data)
-	img, rep, err := jpegcodec.DecodeScalarSalvage(data)
+	img, rep, err := salvageRef(data)
 	checkReport(t, name, rep)
 	if img != nil && rep == nil {
 		// Salvage saw a clean stream: strict must agree, byte for byte.
@@ -309,7 +324,7 @@ func TestFaultModeIdentity(t *testing.T) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			for _, f := range modeIdentityFaults(fx) {
-				ref, refRep, refErr := jpegcodec.DecodeScalarSalvage(f.Data)
+				ref, refRep, refErr := salvageRef(f.Data)
 				if ref == nil {
 					continue // nothing salvageable: nothing to compare
 				}

@@ -12,7 +12,7 @@ import (
 )
 
 // Scaled conformance: decode-to-scale output must be byte-identical to
-// the scalar scaled reference (DecodeScalarScaled) across every
+// the scalar scaled reference (Open and Run(1)) across every
 // execution mode, the batch scheduler and all worker counts, for the
 // full baseline + progressive corpus. Scale 1 rides along to pin the
 // scaled plumbing's identity with the original full-size path.
@@ -20,10 +20,14 @@ import (
 var conformScales = []jpegcodec.Scale{jpegcodec.Scale1, jpegcodec.Scale2, jpegcodec.Scale4, jpegcodec.Scale8}
 
 // scaledRef decodes one corpus item with the single-threaded scalar
-// scaled reference.
+// scaled reference, Open and Run(1).
 func scaledRef(t *testing.T, it imagegen.Item, scale jpegcodec.Scale) *jpegcodec.RGBImage {
 	t.Helper()
-	img, err := jpegcodec.DecodeScalarScaled(it.Data, scale)
+	d, err := jpegcodec.Open(it.Data, jpegcodec.Options{Scale: scale})
+	if err != nil {
+		t.Fatalf("%s scale %v: scalar reference: %v", it.Name, scale, err)
+	}
+	img, err := d.Run(1)
 	if err != nil {
 		t.Fatalf("%s scale %v: scalar reference: %v", it.Name, scale, err)
 	}

@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 
-	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/kernels"
 	"hetjpeg/internal/perfmodel"
@@ -166,11 +165,11 @@ func (r *Result) Release() {
 	}
 }
 
-// Decode decompresses a baseline JPEG stream under the given mode.
-// With Options.Salvage set, an impaired-but-decodable stream returns
-// BOTH a usable *Result and an error wrapping jpegcodec.ErrPartialData
-// (Result.Salvage holds the report); callers must check the Result
-// before treating the error as fatal.
+// Decode decompresses a baseline or progressive JPEG stream under the
+// given mode. With Options.Salvage set, an impaired-but-decodable
+// stream returns BOTH a usable *Result and an error wrapping
+// jpegcodec.ErrPartialData (Result.Salvage holds the report); callers
+// must check the Result before treating the error as fatal.
 func Decode(data []byte, opts Options) (*Result, error) {
 	p, err := Prepare(data, opts)
 	if err != nil {
@@ -203,8 +202,6 @@ func Decode(data []byte, opts Options) (*Result, error) {
 type decodeState struct {
 	opts Options
 	f    *jpegcodec.Frame
-	ed   *jpegcodec.EntropyDecoder
-	out  *jpegcodec.RGBImage
 	d    float64 // entropy density
 
 	rowCost []float64 // virtual huffman ns per MCU row
@@ -255,29 +252,6 @@ func regionBlocks(f *jpegcodec.Frame, m0, m1 int) int {
 	return n
 }
 
-// gpuRowBound maps a GPU-side chunk boundary at MCU row m to the output
-// pixel row where its color conversion stops. Interior 4:2:0 boundaries
-// shift up one row: that output row's vertical filter needs the next
-// chunk's chroma samples, so it is deferred to the consumer of the
-// boundary (the next chunk or the CPU tile). Units are output rows
-// (MCUOutH per MCU row), so the rule holds at every decode scale.
-func gpuRowBound(f *jpegcodec.Frame, m int) int {
-	if m <= 0 {
-		return 0
-	}
-	if m >= f.MCURows {
-		return f.OutH
-	}
-	y := m * f.MCUOutH
-	if f.Sub == jfif.Sub420 {
-		y--
-	}
-	if y > f.OutH {
-		y = f.OutH
-	}
-	return y
-}
-
 // addHuffTasks appends per-MCU-row Huffman tasks for rows [m0, m1) on the
 // CPU resource and returns the last task (or nil).
 func (st *decodeState) addHuffTasks(tl *sim.Timeline, m0, m1 int) *sim.Task {
@@ -318,12 +292,12 @@ func (st *decodeState) makeChunks(s, c int, yEnd int) []*gpuChunk {
 		if m1 > s {
 			m1 = s
 		}
-		y0 := gpuRowBound(st.f, m0)
+		y0 := st.f.RowBound(m0)
 		var y1 int
 		if m1 == s {
 			y1 = yEnd
 		} else {
-			y1 = gpuRowBound(st.f, m1)
+			y1 = st.f.RowBound(m1)
 		}
 		chunks = append(chunks, &gpuChunk{m0: m0, m1: m1, y0: y0, y1: y1})
 	}

@@ -121,13 +121,13 @@ func (st *decodeState) runPartitioned(pps bool) error {
 	// first dispatch, so there is nothing mid-flight to correct.
 	var chunks []*gpuChunk
 	if pps {
-		chunks = st.makeChunks(s, st.chunkRows(), gpuRowBound(f, s))
+		chunks = st.makeChunks(s, st.chunkRows(), f.RowBound(s))
 		if len(chunks) >= 2 && !st.progressive() {
 			s = st.repartition(in, sm, chunks, s)
-			chunks = st.makeChunks(s, st.chunkRows(), gpuRowBound(f, s))
+			chunks = st.makeChunks(s, st.chunkRows(), f.RowBound(s))
 		}
 	} else {
-		chunks = st.makeChunks(s, s, gpuRowBound(f, s))
+		chunks = st.makeChunks(s, s, f.RowBound(s))
 	}
 
 	tile := st.newCPUTile(s)

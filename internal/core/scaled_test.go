@@ -30,7 +30,11 @@ func TestScaledModesIdenticalQuick(t *testing.T) {
 		}
 		data := items[0].Data
 		for _, scale := range []jpegcodec.Scale{jpegcodec.Scale1, jpegcodec.Scale2, jpegcodec.Scale4, jpegcodec.Scale8} {
-			ref, err := jpegcodec.DecodeScalarScaled(data, scale)
+			d, err := jpegcodec.Open(data, jpegcodec.Options{Scale: scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := d.Run(1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,7 @@ type cpuTile struct {
 
 // newCPUTile computes the tile for a split at MCU row s.
 func (st *decodeState) newCPUTile(s int) cpuTile {
-	return cpuTile{s: s, yStart: gpuRowBound(st.f, s)}
+	return cpuTile{s: s, yStart: st.f.RowBound(s)}
 }
 
 // empty reports whether the CPU share is empty.

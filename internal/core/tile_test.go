@@ -37,7 +37,7 @@ func TestChunksAndTileCoverOutputRows(t *testing.T) {
 				for _, c := range []int{1, 2, 3, f.MCURows} {
 					where := fmt.Sprintf("%s scale %v s=%d c=%d", name, scale, s, c)
 					y := 0
-					for _, ck := range st.makeChunks(s, c, gpuRowBound(f, s)) {
+					for _, ck := range st.makeChunks(s, c, f.RowBound(s)) {
 						if ck.y0 != y || ck.y1 < ck.y0 {
 							t.Fatalf("%s: chunk [%d,%d) rows [%d,%d) after row %d", where, ck.m0, ck.m1, ck.y0, ck.y1, y)
 						}

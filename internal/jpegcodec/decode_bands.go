@@ -9,7 +9,7 @@ import (
 
 // This file is the one entropy→band handoff (§4.5/§5.2 on the wall
 // clock): the fused back phase cut into MCU-row bands, each ready once
-// the sequential entropy stage (BandPlan.Step) has decoded its rows. The
+// the sequential entropy stage (Decode.Step) has decoded its rows. The
 // batch band scheduler pushes ready bands of many images onto its
 // work-stealing deques; a single decode hands them to a crew.
 //
@@ -47,7 +47,7 @@ type BandPlan struct {
 	f      *Frame
 	edges  []bandEdge // edge i starts band i; the last edge ends the plan
 	r0, r1 int        // pixel rows covered by the plan
-	ready  int        // bands [0, ready) hold final coefficients (Step)
+	ready  int        // bands [0, ready) hold final coefficients (step)
 }
 
 // bandEdge is a band boundary: its MCU row and, in a 4:2:0 plan, how
@@ -77,13 +77,13 @@ func (bp *BandPlan) Bands() int { return len(bp.edges) - 1 }
 // batch scheduler's online calibration normalizes measured times by).
 func (bp *BandPlan) BandMCURows(i int) int { return bp.edges[i+1].m - bp.edges[i].m }
 
-// Step entropy-decodes through ed, a decoder of the plan's frame, until
+// step entropy-decodes through ed, a decoder of the plan's frame, until
 // the next band is ready or rows rows of work are done, and returns the
-// bands [from, to) that became ready. A band is ready once every one of
-// its MCU rows lies below ed.Row(): a baseline stream readies bands as
-// its rows land, a progressive one readies them all after its last scan.
-// The plan must cover the whole frame.
-func (bp *BandPlan) Step(ed *EntropyDecoder, rows int) (from, to int, err error) {
+// bands [from, to) that became ready: Decode.Step's work. A band is
+// ready once every one of its MCU rows lies below ed.Row(): a baseline
+// stream readies bands as its rows land, a progressive one readies them
+// all after its last scan. The plan must cover the whole frame.
+func (bp *BandPlan) step(ed *EntropyDecoder, rows int) (from, to int, err error) {
 	from, edges := bp.ready, bp.edges
 	if !bp.f.Img.Progressive && from+1 < len(edges) {
 		rows = min(rows, edges[from+1].m-ed.Row())
@@ -118,7 +118,7 @@ func (bp *BandPlan) ExecBand(i int, out *RGBImage, s *ConvertScratch) {
 	}
 	hi := bp.r1
 	if i < bp.Bands()-1 {
-		hi = bandBound(f, bottom)
+		hi = f.RowBound(bottom)
 	}
 	parallelPhaseBands(f, top, bottom, lo, hi, out, s)
 	if seams {

@@ -76,42 +76,3 @@ func TestConvertScratchReuseAcrossFrames(t *testing.T) {
 		want.Release()
 	}
 }
-
-// Step hands over a baseline stream's bands one at a time, each as its
-// last row lands, and a progressive stream's all at once after its
-// last scan.
-func TestBandPlanStep(t *testing.T) {
-	for _, progressive := range []bool{false, true} {
-		data, err := Encode(makeTestImage(96, 80, 3), EncodeOptions{Quality: 85, Subsampling: jfif.Sub420, Progressive: progressive})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, ed, err := PrepareDecode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bp := PlanBands(f, 0, f.MCURows, 2)
-		ready, steps := 0, 0
-		for !ed.Done() {
-			from, to, err := bp.Step(ed, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			steps++
-			if from != ready {
-				t.Fatalf("progressive %v step %d: from %d, want %d", progressive, steps, from, ready)
-			}
-			ready = to
-			switch {
-			case progressive && !ed.Done() && to != 0:
-				t.Fatalf("step %d: %d bands ready before the last scan", steps, to)
-			case !progressive && (to != from+1 || ed.Row() != min(2*to, f.MCURows)):
-				t.Fatalf("step %d: bands [%d, %d) ready at row %d", steps, from, to, ed.Row())
-			}
-		}
-		if ready != bp.Bands() {
-			t.Errorf("progressive %v: %d of %d bands ready at the end", progressive, ready, bp.Bands())
-		}
-		f.Release()
-	}
-}

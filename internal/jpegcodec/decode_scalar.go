@@ -1,18 +1,17 @@
 package jpegcodec
 
 import (
-	"fmt"
-
 	"hetjpeg/internal/color"
 	"hetjpeg/internal/dct"
 	"hetjpeg/internal/jfif"
 )
 
-// This file implements the scalar (non-SIMD) CPU parallel phase: the
-// reference implementation of dequantization + IDCT, upsampling and color
-// conversion, and the one back phase: every decoder mode's pixels come
-// from it, and its banded and pipelined drivers must produce
-// byte-identical output.
+// This file is the one back phase, the scalar (non-SIMD) CPU parallel
+// phase: dequantization + IDCT, upsampling and color conversion. Every
+// decoder mode's pixels come from it, whoever drives it (a decode
+// starts at Open, decode.go; its bands run in Run's crew, the batch
+// band scheduler or one sequential pass), and every driver must
+// produce byte-identical output.
 //
 // The hot path is a fused MCU-row-band pipeline: each band is
 // dequantized + inverse-transformed and then immediately upsampled and
@@ -136,19 +135,6 @@ func colorConvertRange(f *Frame, r0, r1 int, out *RGBImage, cs *ConvertScratch) 
 	}
 }
 
-// bandBound returns the exclusive pixel row up to which color conversion
-// is safe once MCU rows [.., m) are reconstructed. For 4:2:0 the last
-// pixel row of band m-1 reads the first chroma row of band m through the
-// vertical triangle filter, so interior bounds shift up one row (the
-// same deferral rule the GPU chunk scheduler applies, gpuRowBound).
-func bandBound(f *Frame, m int) int {
-	y := m * f.MCUOutH
-	if f.Sub == jfif.Sub420 && m < f.MCURows {
-		y--
-	}
-	return min(y, f.OutH)
-}
-
 // ParallelPhaseScalar runs the full scalar parallel phase (dequant+IDCT,
 // upsample, color conversion) for MCU rows [m0, m1) as a fused band
 // pipeline: each MCU row band is transformed and then immediately
@@ -160,7 +146,7 @@ func ParallelPhaseScalar(f *Frame, m0, m1 int, out *RGBImage) {
 
 // parallelPhaseBands is the fused pipeline over MCU rows [m0, m1): each
 // row is inverse-transformed, then the pixel rows within [lo, hi) that
-// it completes (bandBound's deferral) are converted.
+// it completes (Frame.RowBound's deferral) are converted.
 func parallelPhaseBands(f *Frame, m0, m1, lo, hi int, out *RGBImage, cs *ConvertScratch) {
 	y := lo
 	for m := m0; m < m1; m++ {
@@ -169,7 +155,7 @@ func parallelPhaseBands(f *Frame, m0, m1, lo, hi int, out *RGBImage, cs *Convert
 		}
 		yEnd := hi
 		if m+1 < m1 {
-			yEnd = min(yEnd, bandBound(f, m+1))
+			yEnd = min(yEnd, f.RowBound(m+1))
 		}
 		yEnd = max(yEnd, y)
 		colorConvertRange(f, y, yEnd, out, cs)
@@ -178,7 +164,7 @@ func parallelPhaseBands(f *Frame, m0, m1, lo, hi int, out *RGBImage, cs *Convert
 }
 
 // ParallelPhaseScalarWorkers runs the fused parallel phase on up to
-// workers goroutines: decodeWhole's crew with every band ready from the
+// workers goroutines: Run's crew with every band ready from the
 // start, one contiguous band per worker. Output is byte-identical to
 // the sequential pipeline.
 func ParallelPhaseScalarWorkers(f *Frame, m0, m1 int, out *RGBImage, workers int) {
@@ -186,108 +172,4 @@ func ParallelPhaseScalarWorkers(f *Frame, m0, m1 int, out *RGBImage, workers int
 	c := newCrew(PlanBands(f, m0, m1, (m1-m0+workers-1)/workers), out, workers)
 	c.publish(0, c.bp.Bands())
 	c.end(true)
-}
-
-// DecodeScalar is the sequential reference decoder (the libjpeg analog):
-// entropy decode then the scalar parallel phase, whole image.
-func DecodeScalar(data []byte) (*RGBImage, error) {
-	return DecodeScalarScaled(data, Scale1)
-}
-
-// DecodeScalarScaled is the sequential reference decoder at a decode
-// scale — the scalar scaled reference every other execution path's
-// scaled output must match byte for byte.
-func DecodeScalarScaled(data []byte, scale Scale) (*RGBImage, error) {
-	out, _, err := DecodeScalarWorkers(data, scale, 1)
-	return out, err
-}
-
-// DecodeScalarWorkers is DecodeScalarScaled on up to workers goroutines,
-// with byte-identical output and the same errors: the back phase of a
-// baseline stream overlaps its entropy stage, a progressive one's starts
-// after the last scan. dcOnly reports that the coefficient-domain
-// DC-only path ran (baseline input at 1/8 scale).
-func DecodeScalarWorkers(data []byte, scale Scale, workers int) (out *RGBImage, dcOnly bool, err error) {
-	out, dcOnly, _, err = decodeWhole(data, scale, workers, false)
-	return out, dcOnly, err
-}
-
-// decodeWhole is the one whole-image sequence behind the scalar entry
-// points, the paper's pipeline inside one image (§4.5/§5.2) on the wall
-// clock: the caller entropy-decodes, and each band whose rows are
-// decoded goes to a crew of workers-1 goroutines, which the caller
-// joins when entropy ends. On a strict error no band starts any more,
-// and the output goes back once none runs. The frame goes back to the
-// pools on every path; nothing reads it after the last band.
-func decodeWhole(data []byte, scale Scale, workers int, salvage bool) (*RGBImage, bool, *SalvageReport, error) {
-	f, ed, err := prepareDecode(data, scale, salvage)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	defer f.Release()
-	out := NewRGBImage(f.OutW, f.OutH)
-	// One worker runs the fused sequential pass as one band; a crew's
-	// bands are one MCU row, so its helpers trail entropy by a row.
-	bandRows := 1
-	if workers <= 1 {
-		bandRows = f.MCURows
-	}
-	c := newCrew(PlanBands(f, 0, f.MCURows, bandRows), out, workers)
-	for !ed.Done() {
-		from, to, err := c.bp.Step(ed, f.MCURows)
-		if err != nil {
-			c.end(false)
-			out.Release()
-			return nil, false, nil, err
-		}
-		c.publish(from, to)
-	}
-	c.end(true)
-	return out, f.DCOnly(), ed.SalvageReport(), nil
-}
-
-// PrepareDecode parses the stream and allocates whole-image buffers,
-// returning the frame and a chunked entropy decoder positioned at row 0.
-func PrepareDecode(data []byte) (*Frame, *EntropyDecoder, error) {
-	return PrepareDecodeScaled(data, Scale1)
-}
-
-// PrepareDecodeScaled is PrepareDecode at a decode scale; an invalid
-// scale fails with ErrUnsupportedScale before the stream is parsed.
-func PrepareDecodeScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, error) {
-	return prepareDecode(data, scale, false)
-}
-
-// prepareDecode is PrepareDecodeScaled, or with salvage
-// PrepareDecodeSalvageScaled.
-func prepareDecode(data []byte, scale Scale, salvage bool) (*Frame, *EntropyDecoder, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, nil, err
-	}
-	parse := jfif.Parse
-	if salvage {
-		parse = jfif.ParseSalvage
-	}
-	im, perr := parse(data)
-	if im == nil {
-		return nil, nil, perr
-	}
-	for _, c := range im.Components {
-		if im.Quant[c.QuantSel] == nil {
-			return nil, nil, fmt.Errorf("jpegcodec: missing quant table %d", c.QuantSel)
-		}
-	}
-	f, err := newFrame(im, scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	ed := newEntropyDecoder(f)
-	if salvage {
-		rep := NewSalvageReport(f.MCUsPerRow * f.MCURows)
-		if perr != nil {
-			rep.record(-1, perr)
-		}
-		ed.EnableSalvage(rep)
-	}
-	return f, ed, nil
 }

@@ -50,9 +50,9 @@ type EntropyDecoder struct {
 	BitsPerRow []int64
 }
 
-// newEntropyDecoder prepares chunked entropy decoding for f.
-func newEntropyDecoder(f *Frame) *EntropyDecoder {
-	d := &EntropyDecoder{
+// init prepares d for chunked entropy decoding of f.
+func (d *EntropyDecoder) init(f *Frame) {
+	*d = EntropyDecoder{
 		scanState:  scanState{f: f, unit: "MCU"},
 		BitsPerRow: make([]int64, 0, f.MCURows),
 	}
@@ -61,7 +61,6 @@ func newEntropyDecoder(f *Frame) *EntropyDecoder {
 	} else {
 		d.begin(f.Img.EntropyData, f.Img.RestartInterval, baselineComps(f.Img), true)
 	}
-	return d
 }
 
 // baselineComps lists a baseline frame's components as the components
@@ -75,21 +74,17 @@ func baselineComps(im *jfif.Image) []jfif.ScanComponent {
 	return comps
 }
 
-// EnableSalvage switches the decoder into salvage mode: entropy errors
+// enableSalvage switches the decoder into salvage mode: entropy errors
 // resynchronize at the next restart marker and accumulate into rep
 // instead of aborting. Must be called before the first DecodeRows. On a
 // clean stream the decode path is bit-for-bit the strict one and rep
 // stays unimpaired.
-func (d *EntropyDecoder) EnableSalvage(rep *SalvageReport) {
+func (d *EntropyDecoder) enableSalvage(rep *SalvageReport) {
 	d.salvage, d.report = true, rep
 	if d.prog != nil {
 		d.prog.salvage, d.prog.report = true, rep
 	}
 }
-
-// SalvageReport returns the report EnableSalvage installed (nil in
-// strict mode).
-func (d *EntropyDecoder) SalvageReport() *SalvageReport { return d.report }
 
 // Row returns how many leading MCU rows hold final coefficients: the
 // next row to decode of a baseline stream; none of a progressive stream

@@ -44,10 +44,11 @@ func describeReport(rep *SalvageReport) string {
 // entropyDecode runs the entropy stage alone. ok is false when the
 // stream fails before it (parse errors do not depend on the path).
 func entropyDecode(data []byte, scale Scale, salvage, generalOnly bool) (out entropyOutcome, ok bool) {
-	f, ed, err := prepareDecode(data, scale, salvage)
+	d, err := Open(data, Options{Scale: scale, Salvage: salvage})
 	if err != nil {
 		return entropyOutcome{}, false
 	}
+	f, ed := d.f, d.ed
 	defer f.Release()
 	if !f.Img.Progressive {
 		// The stage owns its zeroing: hand it dirty buffers, whatever the
@@ -73,7 +74,7 @@ func entropyDecode(data []byte, scale Scale, salvage, generalOnly bool) (out ent
 		out.nz = append(out.nz, append([]uint8(nil), f.NZ[c]...))
 	}
 	out.bitsPerRow = append([]int64(nil), ed.BitsPerRow...)
-	out.report = describeReport(ed.SalvageReport())
+	out.report = describeReport(d.SalvageReport())
 	return out, true
 }
 

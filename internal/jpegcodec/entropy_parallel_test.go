@@ -204,7 +204,8 @@ func BenchmarkEntropySequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		zeroCoeff(f)
-		ed := newEntropyDecoder(f)
+		var ed EntropyDecoder
+		ed.init(f)
 		if err := ed.DecodeAll(); err != nil {
 			b.Fatal(err)
 		}

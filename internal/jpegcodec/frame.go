@@ -237,6 +237,24 @@ func (f *Frame) PixelRows(m0, m1 int) (int, int) {
 	return min(m0*f.MCUOutH, f.OutH), min(m1*f.MCUOutH, f.OutH)
 }
 
+// RowBound is the one 4:2:0 deferral rule: the exclusive output row up
+// to which color conversion is safe once MCU rows [0, m) are
+// reconstructed, 0 for m <= 0. An interior 4:2:0 boundary shifts up one
+// row: that row's vertical filter reads the first chroma row below the
+// boundary, so it goes to whoever reconstructs the rows beyond it (the
+// next band, chunk or CPU tile). Units are output rows, so the rule
+// holds at every decode scale.
+func (f *Frame) RowBound(m int) int {
+	if m <= 0 {
+		return 0
+	}
+	y := m * f.MCUOutH
+	if f.Sub == jfif.Sub420 && m < f.MCURows {
+		y--
+	}
+	return min(y, f.OutH)
+}
+
 // TotalBlocks returns the number of 8x8 blocks across all components.
 func (f *Frame) TotalBlocks() int {
 	n := 0

@@ -54,7 +54,7 @@ func FuzzSalvageDecode(f *testing.F) {
 			return
 		}
 		checkPathsAgree(t, "fuzz", data)
-		out, rep, err := DecodeScalarSalvage(data)
+		out, rep, err := decodeSalvage(data)
 		if out == nil {
 			return
 		}
@@ -80,7 +80,7 @@ func FuzzSalvageDecode(f *testing.F) {
 			t.Fatalf("recovered %d + damaged %d != total %d", rep.RecoveredMCUs, covered, rep.TotalMCUs)
 		}
 		if !rep.Impaired() {
-			t.Fatal("non-nil report from DecodeScalarSalvage must be impaired")
+			t.Fatal("non-nil report from decodeSalvage must be impaired")
 		}
 		if !errors.Is(err, ErrPartialData) {
 			t.Fatalf("impaired decode error %v does not wrap ErrPartialData", err)

@@ -58,8 +58,8 @@ func FuzzScaledDecode(f *testing.F) {
 		checkPathsAgree(t, "fuzz", data)
 		// The pipelined decode (workers 2) must fail exactly when the
 		// sequential one does, with its error, and otherwise match it.
-		seq, seqErr := DecodeScalarScaled(data, scale)
-		pip, _, pipErr := DecodeScalarWorkers(data, scale, 2)
+		seq, seqErr := decodeRun(data, Options{Scale: scale}, 1)
+		pip, pipErr := decodeRun(data, Options{Scale: scale}, 2)
 		if (seqErr == nil) != (pipErr == nil) || seqErr != nil && seqErr.Error() != pipErr.Error() {
 			t.Fatalf("scale %d: sequential error %v, pipelined error %v", scaleByte, seqErr, pipErr)
 		}

@@ -42,12 +42,12 @@ func TestPipelinedDecodeIdentity(t *testing.T) {
 	}
 	for _, st := range streams {
 		for _, s := range allScales {
-			ref, err := DecodeScalarScaled(st.data, s)
+			ref, err := decodeRun(st.data, Options{Scale: s}, 1)
 			if err != nil {
 				t.Fatalf("%s scale %v: %v", st.name, s, err)
 			}
 			for workers := 2; workers <= 4; workers++ {
-				got, _, err := DecodeScalarWorkers(st.data, s, workers)
+				got, err := decodeRun(st.data, Options{Scale: s}, workers)
 				if err != nil {
 					t.Fatalf("%s scale %v workers %d: %v", st.name, s, workers, err)
 				}
@@ -78,7 +78,7 @@ func TestPipelinedDecodeStrictErrors(t *testing.T) {
 		for _, ft := range fs {
 			ref, refErr := DecodeScalar(ft.Data)
 			for workers := 2; workers <= 4; workers++ {
-				got, _, err := DecodeScalarWorkers(ft.Data, Scale1, workers)
+				got, err := decodeRun(ft.Data, Options{Scale: Scale1}, workers)
 				if refErr != nil {
 					if err == nil || err.Error() != refErr.Error() {
 						t.Fatalf("%s workers %d: error %v, want %v", ft.Name, workers, err, refErr)

@@ -408,10 +408,11 @@ func TestProgressiveMaskReleased(t *testing.T) {
 		{name: "salvage", data: bad, scale: Scale1, salvage: true},
 		{name: "1/8", data: data, scale: Scale8},
 	} {
-		f, ed, err := prepareDecode(c.data, c.scale, c.salvage)
+		d, err := Open(c.data, Options{Scale: c.scale, Salvage: c.salvage})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		f, ed := d.f, d.ed
 		if took := ed.prog.maskSlab != nil; took != (c.scale == Scale1) {
 			t.Errorf("%s: decoder holds masks %v before decoding", c.name, took)
 		}

@@ -72,8 +72,8 @@ type SalvageReport struct {
 	firstErr error
 }
 
-// NewSalvageReport returns a clean report for an image of totalMCUs.
-func NewSalvageReport(totalMCUs int) *SalvageReport {
+// newSalvageReport returns a clean report for an image of totalMCUs.
+func newSalvageReport(totalMCUs int) *SalvageReport {
 	return &SalvageReport{TotalMCUs: totalMCUs, RecoveredMCUs: totalMCUs}
 }
 
@@ -147,37 +147,4 @@ func (r *SalvageReport) DamagedMCUs() int {
 		s += d.NumMCU
 	}
 	return s
-}
-
-// PrepareDecodeSalvageScaled is PrepareDecodeScaled with salvage
-// enabled: the returned EntropyDecoder absorbs entropy errors by
-// restart-marker resynchronization instead of failing, and its
-// SalvageReport() describes what was lost. Errors that leave nothing
-// decodable (no frame header, missing tables, unsupported features)
-// still fail. A structurally damaged container (truncated mid-scan,
-// corrupt segment length after the first decodable scan) yields a
-// decoder over the salvageable prefix with the parse error pre-recorded
-// in its report.
-func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, error) {
-	return prepareDecode(data, scale, true)
-}
-
-// DecodeScalarSalvage is the scalar reference decoder in salvage mode —
-// the ground truth the fault-injection harness compares every mode and
-// scheduler against. It returns the decoded image plus a non-nil report
-// and an ErrPartialData error when the stream was impaired; a clean
-// stream returns (image, nil, nil) with pixels identical to
-// DecodeScalar. A stream with nothing salvageable returns a plain
-// error.
-func DecodeScalarSalvage(data []byte) (*RGBImage, *SalvageReport, error) {
-	// Salvage-mode entropy decoding absorbs entropy errors; anything
-	// decodeWhole reports is fatal.
-	out, _, rep, err := decodeWhole(data, Scale1, 1, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !rep.Impaired() {
-		return out, nil, nil
-	}
-	return out, rep, rep.Err()
 }

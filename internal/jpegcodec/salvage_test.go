@@ -49,7 +49,7 @@ func checkReportInvariants(t *testing.T, rep *SalvageReport) {
 }
 
 func TestAddDamageMerge(t *testing.T) {
-	rep := NewSalvageReport(100)
+	rep := newSalvageReport(100)
 	rep.addDamage(50, 10) // [50,60)
 	rep.addDamage(10, 5)  // out-of-order earlier region
 	rep.addDamage(58, 7)  // overlaps [50,60) -> [50,65)
@@ -84,7 +84,7 @@ func TestSalvageCleanStreamIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, rep, serr := DecodeScalarSalvage(data)
+				got, rep, serr := decodeSalvage(data)
 				if serr != nil || rep != nil {
 					t.Fatalf("%v/ri%d/prog=%v: clean stream salvage: rep=%v err=%v", sub, ri, prog, rep, serr)
 				}
@@ -120,7 +120,7 @@ func TestSalvageTruncatedBaselineMonotonic(t *testing.T) {
 		if _, err := DecodeScalar(trunc); err == nil {
 			t.Fatalf("cut %d: strict decode of truncated stream succeeded", cut)
 		}
-		got, rep, serr := DecodeScalarSalvage(trunc)
+		got, rep, serr := decodeSalvage(trunc)
 		if got == nil {
 			t.Fatalf("cut %d: salvage returned no image: %v", cut, serr)
 		}
@@ -147,7 +147,7 @@ func TestSalvageTruncatedNoRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := data[:len(data)/2]
-	got, rep, serr := DecodeScalarSalvage(trunc)
+	got, rep, serr := decodeSalvage(trunc)
 	if got == nil || rep == nil || !errors.Is(serr, ErrPartialData) {
 		t.Fatalf("salvage of half stream: img=%v rep=%v err=%v", got != nil, rep, serr)
 	}
@@ -207,7 +207,7 @@ func TestSalvageDroppedRestartMarker(t *testing.T) {
 	mut := mutateRestartMarker(t, data, 3, func(d []byte, i int) []byte {
 		return append(d[:i:i], d[i+2:]...)
 	})
-	got, rep, serr := DecodeScalarSalvage(mut)
+	got, rep, serr := decodeSalvage(mut)
 	if got == nil || rep == nil || !errors.Is(serr, ErrPartialData) {
 		t.Fatalf("dropped-RST salvage: img=%v rep=%v err=%v", got != nil, rep, serr)
 	}
@@ -232,7 +232,7 @@ func TestSalvageDuplicatedRestartMarker(t *testing.T) {
 		dup := []byte{d[i], d[i+1]}
 		return append(d[:i+2:i+2], append(dup, d[i+2:]...)...)
 	})
-	got, rep, serr := DecodeScalarSalvage(mut)
+	got, rep, serr := decodeSalvage(mut)
 	if got == nil {
 		t.Fatalf("duplicated-RST salvage returned no image: %v", serr)
 	}
@@ -266,7 +266,7 @@ func TestSalvageProgressiveTruncation(t *testing.T) {
 			t.Fatalf("ri%d: cannot locate middle scan", ri)
 		}
 		trunc := data[:off+len(mid.Data)/2]
-		got, rep, serr := DecodeScalarSalvage(trunc)
+		got, rep, serr := decodeSalvage(trunc)
 		if got == nil || rep == nil || !errors.Is(serr, ErrPartialData) {
 			t.Fatalf("ri%d: progressive salvage: img=%v rep=%v err=%v", ri, got != nil, rep, serr)
 		}
@@ -301,7 +301,7 @@ func TestSalvageUnsupportedStillFatal(t *testing.T) {
 		t.Fatal("no SOF0")
 	}
 	data[i+4] = 12 // 12-bit precision
-	_, rep, serr := DecodeScalarSalvage(data)
+	_, rep, serr := decodeSalvage(data)
 	if rep != nil || !errors.Is(serr, jfif.ErrUnsupported) {
 		t.Fatalf("salvage of unsupported stream: rep=%v err=%v, want fatal ErrUnsupported", rep, serr)
 	}

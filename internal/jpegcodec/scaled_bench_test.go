@@ -17,7 +17,7 @@ import (
 
 func benchDecodeScaled(b *testing.B, w, h int, sub jfif.Subsampling, scale Scale) {
 	data := scalarFixture(b, w, h, sub, 0)
-	out, err := DecodeScalarScaled(data, scale)
+	out, err := decodeRun(data, Options{Scale: scale}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func benchDecodeScaled(b *testing.B, w, h int, sub jfif.Subsampling, scale Scale
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img, err := DecodeScalarScaled(data, scale)
+		img, err := decodeRun(data, Options{Scale: scale}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

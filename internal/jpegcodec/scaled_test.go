@@ -33,7 +33,7 @@ func TestScaledGeometry(t *testing.T) {
 		Scale1: {97, 75}, Scale2: {49, 38}, Scale4: {25, 19}, Scale8: {13, 10},
 	}
 	for _, s := range allScales {
-		img, err := DecodeScalarScaled(data, s)
+		img, err := decodeRun(data, Options{Scale: s}, 1)
 		if err != nil {
 			t.Fatalf("scale %v: %v", s, err)
 		}
@@ -53,8 +53,8 @@ func TestScaleValidation(t *testing.T) {
 		if _, _, err := PrepareDecodeScaled(data, bad); !errors.Is(err, ErrUnsupportedScale) {
 			t.Errorf("scale %d: err = %v, want ErrUnsupportedScale", bad, err)
 		}
-		if _, err := DecodeScalarScaled(data, bad); !errors.Is(err, ErrUnsupportedScale) {
-			t.Errorf("DecodeScalarScaled(%d): err = %v, want ErrUnsupportedScale", bad, err)
+		if _, err := Open(data, Options{Scale: bad}); !errors.Is(err, ErrUnsupportedScale) {
+			t.Errorf("Open at scale %d: err = %v, want ErrUnsupportedScale", bad, err)
 		}
 	}
 	parses := map[string]struct {
@@ -398,7 +398,7 @@ func TestTruncatedStreamsAtEveryScale(t *testing.T) {
 							t.Fatalf("prog=%v scale %v: panic at truncation %d: %v", progressive, s, cut, r)
 						}
 					}()
-					img, err := DecodeScalarScaled(data[:cut], s)
+					img, err := decodeRun(data[:cut], Options{Scale: s}, 1)
 					if err == nil {
 						img.Release()
 					}

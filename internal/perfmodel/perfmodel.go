@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
 
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
@@ -285,21 +286,33 @@ func (m *Model) Save(path string) error {
 }
 
 // Train is the refit behind the committed models (see Default): it
-// builds the default training corpora (all three subsamplings) and
-// profiles them once, then fits each spec's model and selects its chunk
-// size from the shared profiles, in the order given. Building the
-// 432-image corpus takes about a minute on one core; each machine's fit
-// adds about 0.1 s.
+// builds and profiles the default training corpora (all three
+// subsamplings, one goroutine each; every scene is seeded from its grid
+// position, so a corpus does not depend on when it is built), then fits
+// each spec's model and selects its chunk size from the shared
+// profiles, in the order given. Building the 432-image corpus takes
+// about a minute of CPU; each machine's fit adds about 0.1 s.
 func Train(specs ...*platform.Spec) ([]*Model, error) {
+	subs := []jfif.Subsampling{jfif.Sub422, jfif.Sub444, jfif.Sub420}
+	corpora := make([][]*ItemProfile, len(subs))
+	errs := make([]error, len(subs))
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			items, err := imagegen.Build(imagegen.DefaultTraining(sub))
+			if err == nil {
+				corpora[i], err = Summarize(items)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
 	var profiles []*ItemProfile
-	for _, sub := range []jfif.Subsampling{jfif.Sub422, jfif.Sub444, jfif.Sub420} {
-		items, err := imagegen.Build(imagegen.DefaultTraining(sub))
-		if err != nil {
-			return nil, err
-		}
-		ps, err := Summarize(items)
-		if err != nil {
-			return nil, err
+	for i, ps := range corpora {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 		profiles = append(profiles, ps...)
 	}

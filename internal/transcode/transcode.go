@@ -141,13 +141,17 @@ func Transcode(data []byte, opts Options) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	img, fast, err := jpegcodec.DecodeScalarWorkers(data, opts.Scale, opts.Workers)
+	d, err := jpegcodec.Open(data, jpegcodec.Options{Scale: opts.Scale})
+	if err != nil {
+		return nil, err
+	}
+	img, err := d.Run(opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	decNs := time.Since(t0).Nanoseconds()
 	defer img.Release()
-	return EncodeImage(img, opts, fast, decNs)
+	return EncodeImage(img, opts, d.Frame().DCOnly(), decNs)
 }
 
 // NaiveThumbnail is the reference the fast path is benchmarked against:
