@@ -1,15 +1,16 @@
 # Developer entry points. The repo is plain `go build ./...` /
 # `go test ./...`; these targets wrap the recurring workflows.
 #
-# Static analysis:
-#   make lint           runs the project analyzers (cmd/hetlint:
-#                       poolcheck, errwrapcheck, ctxloopcheck) over the
-#                       whole module, then the codegen-regression gate
-#                       (cmd/hetaudit: new bounds checks or heap
-#                       escapes in the hot packages vs the committed
-#                       baselines in internal/lint/testdata/).
-#   make lint-baseline  re-blesses the hetaudit baselines after an
-#                       intentional codegen change; commit the diff.
+# Static analysis (one command, cmd/hetlint):
+#   make lint           runs the project analyzers (poolcheck,
+#                       errwrapcheck, ctxloopcheck) over the whole
+#                       module, then the codegen-regression audit (new
+#                       bounds checks or heap escapes in the hot
+#                       packages vs the committed baselines in
+#                       internal/lint/testdata/).
+#   make lint-baseline  runs the analyzers and re-blesses the audit
+#                       baselines after an intentional codegen change;
+#                       commit the diff.
 
 .PHONY: all build test race bench-smoke fuzz-smoke conformance conformance-faults conformance-transcode cover fmt vet lint lint-baseline
 
@@ -66,8 +67,7 @@ conformance-faults:
 # quality (decoded with Go's image/jpeg on the encoder side), bit-exact
 # equality of the DC-only 1/8 fast path with the pixel round trip, and
 # byte identity of executor-decoded transcodes (imaged's /transcode
-# composition) with the one-shot path across workers 1-8 × execution
-# modes.
+# composition) with the one-shot path across workers 1-8.
 conformance-transcode:
 	go test ./internal/conformance/ -v -run 'TestConformanceTranscode|TestConformanceEncoderRoundTrip'
 
@@ -112,15 +112,14 @@ vet:
 	go vet ./...
 
 # lint runs the project-specific analyzers and the codegen-regression
-# gate. Both exit non-zero on findings; `make lint` green is a merge
-# requirement. Raw hetaudit compiler output lands in hetaudit_*.txt
-# (gitignored) for inspection.
+# audit in one pass; it exits non-zero on any finding, and `make lint`
+# green is a merge requirement. Raw audit compiler output lands in
+# hetaudit_*.txt (gitignored) for inspection.
 lint:
 	go run ./cmd/hetlint ./...
-	go run ./cmd/hetaudit
 
-# lint-baseline re-blesses the hetaudit codegen baselines from the
-# current tree. Run it only after verifying an intentional change (a
-# new kernel, a rewritten loop) and commit the baseline diff with it.
+# lint-baseline re-blesses the codegen audit baselines from the current
+# tree. Run it only after verifying an intentional change (a new
+# kernel, a rewritten loop) and commit the baseline diff with it.
 lint-baseline:
-	go run ./cmd/hetaudit -bless
+	go run ./cmd/hetlint -bless ./...

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	platformName := flag.String("platform", "GTX 560", "simulated platform (see hetjpeg.Platforms)")
+	platformName := flag.String("platform", "GTX 560", "machine whose committed performance model seeds the scheduler's calibrator (see hetjpeg.Platforms)")
 	workers := flag.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "band scheduler in-flight image cap (0 = workers+2)")
 	salvage := flag.Bool("salvage", false, "serve corrupt-but-recoverable uploads as 200 + X-Hetjpeg-Salvaged")
@@ -60,11 +60,11 @@ func main() {
 }
 
 func run(addr, platformName string, cfg imaged.Config, drainTimeout time.Duration) error {
-	cfg.Spec = hetjpeg.PlatformByName(platformName)
-	if cfg.Spec == nil {
+	spec := hetjpeg.PlatformByName(platformName)
+	if spec == nil {
 		return fmt.Errorf("unknown platform %q (see hetjpeg.Platforms)", platformName)
 	}
-	model, err := hetjpeg.DefaultModel(cfg.Spec)
+	model, err := hetjpeg.DefaultModel(spec)
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func run(addr, platformName string, cfg imaged.Config, drainTimeout time.Duratio
 	srv := newHTTPServer(addr, s.Handler(), cfg.MaxBody)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("imaged: serving on %s (platform %s)", addr, cfg.Spec.Name)
+	log.Printf("imaged: serving on %s (%s model)", addr, spec.Name)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -103,8 +103,10 @@ func DefaultModel(spec *Platform) (*Model, error) { return perfmodel.Default(spe
 // ModeSPS and ModePPS.
 type Options = core.Options
 
-// Result is a finished decode: the RGB image, scheduling statistics and
-// the virtual timeline of the schedule.
+// Result is a finished decode: the RGB image, the frame's geometry and
+// statistics and, when the decode was priced (Decode, DecodeBatch), the
+// virtual timeline of its schedule. A BatchExecutor's results are not
+// priced: their Timeline is nil and TotalNs zero.
 type Result = core.Result
 
 // Image is an interleaved 8-bit RGB image.
@@ -272,8 +274,11 @@ func FromStdImage(src image.Image) *Image {
 	return out
 }
 
-// BatchOptions configures DecodeBatch. Workers bounds wall-clock
-// concurrency (0 = GOMAXPROCS).
+// BatchOptions configures DecodeBatch and NewBatchExecutor. Workers
+// bounds wall-clock concurrency (0 = GOMAXPROCS) and Model seeds the
+// scheduler's calibrator. Spec (required by DecodeBatch) and Mode are
+// what DecodeBatch prices each image under; a BatchExecutor ignores
+// both.
 type BatchOptions = batch.Options
 
 // BatchResult is the outcome of DecodeBatch.
@@ -307,7 +312,8 @@ type BatchQueueStats = batch.QueueStats
 var ErrBatchClosed = batch.ErrClosed
 
 // NewBatchExecutor starts a band scheduler that decodes submitted images
-// concurrently.
+// concurrently on the wall clock. It simulates nothing: its results
+// carry pixels and frame statistics, not a virtual timeline.
 func NewBatchExecutor(opts BatchOptions) (*BatchExecutor, error) {
 	return batch.NewExecutor(opts)
 }
@@ -315,14 +321,15 @@ func NewBatchExecutor(opts BatchOptions) (*BatchExecutor, error) {
 // DecodeBatch decodes a stream of images with the pipelined band
 // scheduler (wall-clock concurrency: entropy decoding of in-flight
 // images overlapped with work-stolen back-phase bands from all of
-// them, each band handed over as soon as its rows are decoded) while
-// preserving the paper's virtual-time story: the
-// merged timeline overlaps each image's CPU-side entropy decoding with
-// the previous image's device work — the gallery/browser workload the
-// paper's introduction motivates. Per-image scheduling uses PPS when a
-// model is provided. Decode failures are isolated per image in
-// BatchImageResult.Err; the returned error covers configuration
-// problems only.
+// them, each band handed over as soon as its rows are decoded), then
+// prices each delivered image's schedule under BatchOptions.Mode on
+// BatchOptions.Spec, exactly as Decode would, for the paper's
+// virtual-time story: the merged timeline overlaps each image's
+// CPU-side entropy decoding with the previous image's device work —
+// the gallery/browser workload the paper's introduction motivates.
+// Per-image scheduling uses PPS when a model is provided. Decode
+// failures are isolated per image in BatchImageResult.Err; the
+// returned error covers configuration problems only.
 func DecodeBatch(datas [][]byte, opts BatchOptions) (*BatchResult, error) {
 	return batch.Decode(datas, opts)
 }

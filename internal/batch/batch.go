@@ -8,12 +8,15 @@
 // MCU-row-band back-phase tasks from all of them, with band size and
 // in-flight depth chosen by an online-calibrated performance model.
 // Executor.Decode waits for one image; Submit/Results stream many in
-// completion order; the package-level Decode is the slice-based
-// convenience wrapper. Pixels and virtual timelines are byte-identical
-// to a plain loop of core.Decode.
+// completion order. The executor simulates nothing: its results carry
+// pixels, frame geometry and the frame's own statistics, but no virtual
+// timeline.
 //
-// In virtual time, the paper's semantics are preserved exactly: each
-// image's timeline keeps the invariant that entropy decoding is
+// In virtual time, the package-level Decode is the reproduction's entry:
+// it runs the executor over a slice, then prices each delivered image
+// with core.Price under Options.Mode, Spec and Model, so its pixels and
+// virtual timelines are byte-identical to a plain loop of core.Decode.
+// Each image's timeline keeps the invariant that entropy decoding is
 // sequential per image, and the per-image timelines are merged
 // deterministically (in submission order) into a single batch schedule
 // in which image k's CPU-side Huffman work overlaps image k-1's
@@ -44,11 +47,15 @@ var ErrClosed = errors.New("batch: executor closed")
 
 // Options configures a batch decode.
 type Options struct {
-	Spec  *platform.Spec
+	// Spec is the simulated machine Decode prices each image on
+	// (required by Decode). The Executor ignores it.
+	Spec *platform.Spec
+	// Model seeds the executor's online calibrator (nil: it calibrates
+	// purely online) and is the fit Decode's SPS and PPS pricing uses.
 	Model *perfmodel.Model
-	// Mode is the per-image execution mode. The zero value
-	// (core.ModeAuto) resolves to ModePPS when a model is present and
-	// ModePipelinedGPU otherwise.
+	// Mode is the per-image execution mode Decode prices under. The
+	// zero value (core.ModeAuto) resolves to ModePPS when a model is
+	// present and ModePipelinedGPU otherwise. The Executor ignores it.
 	Mode core.Mode
 	// Workers bounds the wall-clock decode parallelism (band workers).
 	// Zero means runtime.GOMAXPROCS(0). The virtual batch timeline is
@@ -101,8 +108,21 @@ func (o Options) maxInflight() int {
 // failure condition.
 type ImageResult struct {
 	Index int
-	Res   *core.Result
-	Err   error
+	// Res is the decoded image. An executor's result has no virtual
+	// timeline; Decode's results are priced.
+	Res *core.Result
+	Err error
+}
+
+// delivered is the result of an image whose bands all ran: its pixels,
+// frame and salvage report, unpriced. A salvaged image carries both Res
+// and an Err wrapping jpegcodec.ErrPartialData.
+func delivered(index int, d *jpegcodec.Decode) ImageResult {
+	ir := ImageResult{Index: index, Res: core.Unpriced(d.Output(), d.Frame(), d.SalvageReport())}
+	if err := ir.Res.Salvage.Err(); err != nil {
+		ir.Err = fmt.Errorf("batch: image %d: %w", index, err)
+	}
+	return ir
 }
 
 // Result summarizes a batch decode.
@@ -172,15 +192,13 @@ type Executor struct {
 	bands *bandScheduler
 }
 
-// NewExecutor starts the scheduler's worker goroutines.
+// NewExecutor starts the scheduler's worker goroutines. Of the
+// options' reproduction fields it reads only Model, to seed its
+// calibrator.
 func NewExecutor(opts Options) (*Executor, error) {
-	if opts.Spec == nil {
-		return nil, fmt.Errorf("batch: Spec is required")
-	}
 	if err := opts.Scale.Validate(); err != nil {
-		// A bad scale is a configuration problem like a missing Spec:
-		// fail the batch up front instead of reporting it as N
-		// per-image decode failures.
+		// A bad scale is a configuration problem: fail the batch up
+		// front instead of reporting it as N per-image decode failures.
 		return nil, fmt.Errorf("batch: %w", err)
 	}
 	n := opts.workers()
@@ -349,11 +367,12 @@ func (e *Executor) Stop() {
 	e.Close()
 }
 
-// Decode decodes the images concurrently (bounded by Options.Workers),
-// producing per-image results plus the overlapped batch timeline. It
-// returns an error only for configuration problems (a missing Spec);
-// per-image decode failures are isolated in ImageResult.Err and counted
-// in Result.Failed.
+// Decode decodes the images concurrently (bounded by Options.Workers)
+// on an Executor, then prices each delivered image with core.Price under
+// Options.Mode, producing per-image timelines plus the overlapped batch
+// timeline. It returns an error only for configuration problems (a
+// missing Spec); per-image decode and pricing failures are isolated in
+// ImageResult.Err and counted in Result.Failed.
 func Decode(datas [][]byte, opts Options) (*Result, error) {
 	return DecodeContext(context.Background(), datas, opts)
 }
@@ -365,6 +384,9 @@ func Decode(datas [][]byte, opts Options) (*Result, error) {
 // every slot of Result.Images is populated with either a result or an
 // error (or, salvaged, both); cancellation never yields an empty slot.
 func DecodeContext(ctx context.Context, datas [][]byte, opts Options) (*Result, error) {
+	if opts.Spec == nil {
+		return nil, errors.New("batch: Spec is required")
+	}
 	ex, err := NewExecutor(opts)
 	if err != nil {
 		return nil, err
@@ -386,7 +408,12 @@ func DecodeContext(ctx context.Context, datas [][]byte, opts Options) (*Result, 
 			}
 		}
 	}()
+	po := core.Options{Mode: opts.Mode, Spec: opts.Spec, Model: opts.Model}
+	//hetlint:nopoll drains the executor, which ctx stops; pricing one image is microseconds
 	for ir := range ex.Results() {
+		if ir.Res != nil {
+			ir = price(ir, po)
+		}
 		out.Images[ir.Index] = ir
 	}
 	<-done
@@ -404,6 +431,20 @@ func DecodeContext(ctx context.Context, datas [][]byte, opts Options) (*Result, 
 	out.Timeline = MergeTimelines(out.Images)
 	out.PipelinedNs = out.Timeline.Makespan()
 	return out, nil
+}
+
+// price replaces ir's result with its priced copy. A pricing failure
+// (an SPS or PPS mode without a fit for the image) fails the image like
+// a decode error, and its buffers go back.
+func price(ir ImageResult, opts core.Options) ImageResult {
+	res, err := core.Price(ir.Res.Frame, ir.Res.Salvage, opts)
+	if err != nil {
+		ir.Res.Release()
+		return ImageResult{Index: ir.Index, Err: fmt.Errorf("batch: image %d: %w", ir.Index, err)}
+	}
+	res.Image = ir.Res.Image
+	ir.Res = res
+	return ir
 }
 
 // MergeTimelines replays the per-image timelines onto one merged batch

@@ -85,12 +85,44 @@ func TestBatchPixelCorrectness(t *testing.T) {
 	}
 }
 
+// Decode prices on Options.Spec, so a batch without one is refused up
+// front; the executor prices nothing and needs none (below).
 func TestBatchConfigError(t *testing.T) {
 	if _, err := Decode(nil, Options{}); err == nil {
 		t.Fatal("missing spec accepted")
 	}
-	if _, err := NewExecutor(Options{}); err == nil {
-		t.Fatal("executor without spec accepted")
+}
+
+// An executor built with zero Spec and Mode decodes, and what it
+// delivers is unpriced: pixels equal to the reference and the frame's
+// own statistics, but no timeline.
+func TestExecutorWithoutSpecIsUnpriced(t *testing.T) {
+	data := corpus(t, 1)[0]
+	ex, err := NewExecutor(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	ir, err := ex.Decode(context.Background(), data, 0)
+	if err != nil || ir.Err != nil {
+		t.Fatalf("decode: %v, %v", err, ir.Err)
+	}
+	defer ir.Res.Release()
+	ref, err := core.Decode(data, core.Options{Spec: platform.GTX560()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Release()
+	res := ir.Res
+	if res.Timeline != nil || res.TotalNs != 0 || res.HuffNs != 0 {
+		t.Errorf("executor result is priced: timeline %v, %.1f ns, Huffman %.1f ns", res.Timeline != nil, res.TotalNs, res.HuffNs)
+	}
+	want := core.Stats{MCURows: ref.Stats.MCURows, Scale: ref.Stats.Scale, EntropyScans: ref.Stats.EntropyScans}
+	if res.Stats != want {
+		t.Errorf("stats %+v, want the frame's own %+v", res.Stats, want)
+	}
+	if !bytes.Equal(res.Image.Pix, ref.Image.Pix) {
+		t.Error("pixels differ from core.Decode")
 	}
 }
 

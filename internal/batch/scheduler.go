@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"hetjpeg/internal/core"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/perfmodel"
@@ -31,9 +30,10 @@ import (
 // still decodes the stream, a multi-megapixel straggler's back phase
 // is shredded across every idle worker, and a worker with no bands left
 // pulls the next image's entropy stream. Pixels are byte-identical to
-// every other execution path; each image's virtual timeline and stats
-// come from core.Prepared.FinishVirtual once its entropy stage ends, as
-// in core.Decode, so the paper's virtual-time story is unchanged.
+// every other execution path. Each image is a jpegcodec.Decode, opened
+// and stepped here and nothing else: the scheduler prices no virtual
+// time, and a delivered result carries no timeline (the package-level
+// Decode prices its results for the reproduction).
 //
 // Two knobs adapt online instead of being tuned offline:
 //
@@ -204,9 +204,8 @@ type flightImage struct {
 	ctx   context.Context
 	index int
 	reply chan ImageResult // Decode's own channel (job.reply), or nil
-	prep  *core.Prepared
+	dec   *jpegcodec.Decode
 	plan  *jpegcodec.BandPlan
-	res   *core.Result
 	// The rest is guarded by bandScheduler.mu, but band i's runner alone
 	// writes bandNs[i], its wall time. The image completes once stage 1
 	// ended and every pushed band finished. No band starts after err is
@@ -374,40 +373,31 @@ func (s *bandScheduler) take(id int) (bandTask, bool) {
 func (s *bandScheduler) runEntropy(id int, j job) {
 	s.mu.Unlock()
 	err := j.ctx.Err()
-	var prep *core.Prepared
+	var dec *jpegcodec.Decode
 	if err == nil {
-		prep, err = core.Prepare(j.data, core.Options{
-			Mode:    s.opts.Mode,
-			Spec:    s.opts.Spec,
-			Model:   s.opts.Model,
-			Scale:   j.scale,
-			Salvage: s.opts.Salvage,
-		})
+		dec, err = jpegcodec.Open(j.data, jpegcodec.Options{Scale: j.scale, Salvage: s.opts.Salvage})
 	}
 	s.mu.Lock()
 	if err != nil {
 		s.deliver(ImageResult{Index: j.index, Err: s.wrap(j, err)}, j.reply)
 		return
 	}
-	f := prep.Frame()
+	f := dec.Frame()
 	s.cal.seedFromModel(s.opts.Model, f, f.Img.EntropyDensity())
 	plan := jpegcodec.PlanBands(f, 0, f.MCURows, s.cal.bandRows(f, s.workers))
 	img := &flightImage{
-		ctx: j.ctx, index: j.index, reply: j.reply, prep: prep, plan: plan,
+		ctx: j.ctx, index: j.index, reply: j.reply, dec: dec, plan: plan,
 		decoding: true,
 		bandNs:   make([]float64, plan.Bands()),
 	}
 	var entNs float64
 	var from, to int
-	for img.err == nil && !prep.Done() {
+	for img.err == nil && !dec.Done() {
 		s.mu.Unlock()
 		hook(evStep, img, to-from)
 		t0 := time.Now()
-		from, to, err = prep.Step(j.ctx, plan)
+		from, to, err = dec.Step(j.ctx, plan)
 		entNs += float64(time.Since(t0))
-		if err == nil && prep.Done() {
-			img.res, err = prep.FinishVirtual()
-		}
 		s.mu.Lock()
 		if err != nil {
 			s.fail(img, s.wrap(j, err))
@@ -420,7 +410,7 @@ func (s *bandScheduler) runEntropy(id int, j job) {
 		s.cond.Broadcast()
 	}
 	img.decoding = false
-	if img.err == nil && img.res.Salvage == nil {
+	if img.err == nil && !dec.SalvageReport().Impaired() {
 		// A salvaged stream lost entropy bytes: its measured rate would
 		// drag the EWMA below the cost of intact traffic.
 		mcus := float64(f.MCURows * f.MCUsPerRow)
@@ -465,7 +455,7 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 	s.mu.Unlock()
 	if run {
 		t0 := time.Now()
-		img.plan.ExecBand(t.band, img.prep.Output(), scratch)
+		img.plan.ExecBand(t.band, img.dec.Output(), scratch)
 		img.bandNs[t.band] = float64(time.Since(t0))
 	}
 	s.mu.Lock()
@@ -477,32 +467,29 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 
 // complete finishes an image whose entropy stage and bands all ended:
 // delivery, or buffer release on failure. A salvaged image delivers
-// with BOTH Res and Err set, matching core.Decode's contract; its bands
-// render zeroed MCUs through the DC-flat fast path, so only an intact
-// image's bands are observations of the back-phase EWMA, one each.
+// with BOTH Res and Err set; its bands render zeroed MCUs through the
+// DC-flat fast path, so only an intact image's bands are observations
+// of the back-phase EWMA, one each.
 // Called and returns with mu held.
 func (s *bandScheduler) complete(img *flightImage) {
 	err := img.err
-	if f := img.prep.Frame(); err == nil && img.res.Salvage == nil {
+	if f := img.dec.Frame(); err == nil && !img.dec.SalvageReport().Impaired() {
 		rate := s.cal.backPerMCU.At(f.Scale)
 		for i, ns := range img.bandNs {
 			rate.Observe(ns / float64(img.plan.BandMCURows(i)*f.MCUsPerRow))
 		}
 	}
 	s.mu.Unlock()
-	ir := ImageResult{Index: img.index}
+	var ir ImageResult
 	if err != nil {
-		img.prep.Release()
+		img.dec.Release()
 		hook(evRelease, img, 0)
-		ir.Err = err
+		ir = ImageResult{Index: img.index, Err: err}
 	} else {
 		// Coefficients and planes are dead once the last band ran; they
 		// go back now, not when the consumer is done with the pixels.
-		img.prep.Frame().Release()
-		ir.Res = img.res
-		if serr := img.res.Salvage.Err(); serr != nil {
-			ir.Err = fmt.Errorf("batch: image %d: %w", img.index, serr)
-		}
+		img.dec.Frame().Release()
+		ir = delivered(img.index, img.dec)
 	}
 	s.mu.Lock()
 	s.deliver(ir, img.reply)

@@ -12,6 +12,7 @@ import (
 	"hetjpeg/internal/core"
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
+	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/perfmodel"
 	"hetjpeg/internal/platform"
 )
@@ -211,17 +212,16 @@ func TestModeAutoResolution(t *testing.T) {
 // shredding bound and the in-flight target stays within its clamps as
 // observations move.
 func TestCalibratorBounds(t *testing.T) {
-	spec := platform.GTX560()
 	items, err := imagegen.SizeSweep(jfif.Sub420, 0.5, [][2]int{{640, 480}}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.Prepare(items[0].Data, core.Options{Spec: spec})
+	d, err := jpegcodec.Open(items[0].Data, jpegcodec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Release()
-	f := p.Frame()
+	defer d.Release()
+	f := d.Frame()
 
 	var c calibrator
 	// Cold: some sane size in [1, MCURows].

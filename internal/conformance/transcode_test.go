@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hetjpeg/internal/batch"
-	"hetjpeg/internal/core"
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
@@ -293,46 +292,5 @@ func TestConformanceTranscodeSchedulersWorkers(t *testing.T) {
 			}
 			closeExecutor(ex)
 		}
-	}
-}
-
-// TestConformanceTranscodeModesIdentical runs the executor under every
-// execution mode (the test above pins the worker counts; this
-// pins the per-image decode kernels) and asserts byte identity with the
-// one-shot path on the DC fast-path options.
-func TestConformanceTranscodeModesIdentical(t *testing.T) {
-	m := trainedModel(t)
-	items := corpus(t)
-	subset := []imagegen.Item{items[0], items[len(items)-1]}
-	opts := transcodeIdentityOpts[0]
-	refs := make([][]byte, len(subset))
-	for i, it := range subset {
-		res, err := transcode.Transcode(it.Data, opts)
-		if err != nil {
-			t.Fatalf("one-shot %s: %v", it.Name, err)
-		}
-		refs[i] = res.Data
-	}
-	for _, mode := range core.AllModes() {
-		ex, err := batch.NewExecutor(batch.Options{
-			Spec:    conformSpec,
-			Model:   m,
-			Mode:    mode,
-			Workers: 2,
-		})
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		for i, it := range subset {
-			got, err := executorTranscode(t, ex, it.Data, opts)
-			if err != nil {
-				t.Errorf("mode %v: %s: %v", mode, it.Name, err)
-				continue
-			}
-			if !bytes.Equal(got, refs[i]) {
-				t.Errorf("mode %v: %s differs from the one-shot transcode", mode, it.Name)
-			}
-		}
-		closeExecutor(ex)
 	}
 }

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"hetjpeg/internal/jpegcodec"
@@ -136,7 +137,9 @@ type Result struct {
 	// Frame carries the decode's geometry (Sub, DCOnly, the MCU grid).
 	// Its coefficient and sample slabs went back to the pools when the
 	// back phase finished, whichever scheduler ran it.
-	Frame    *jpegcodec.Frame
+	Frame *jpegcodec.Frame
+	// Timeline is the priced schedule (Price); nil, with TotalNs and
+	// HuffNs zero, for an Unpriced result such as the batch executor's.
 	Timeline *sim.Timeline
 	// TotalNs is the virtual makespan of the schedule.
 	TotalNs float64
@@ -183,19 +186,86 @@ func Decode(data []byte, opts Options) (*Result, error) {
 		p.Release() // corrupt stream: hand the slabs back to the pools
 		return nil, err
 	}
-	res, err := p.FinishVirtual()
+	f, out := p.Frame(), p.Output()
+	res, err := Price(f, p.SalvageReport(), opts)
 	if err != nil {
 		p.Release()
 		return nil, err
 	}
-	f := p.Frame()
-	if !opts.VirtualOnly {
-		jpegcodec.ParallelPhaseScalar(f, 0, f.MCURows, res.Image)
+	if opts.VirtualOnly {
+		clear(out.Pix)
+	} else {
+		jpegcodec.ParallelPhaseScalar(f, 0, f.MCURows, out)
 	}
 	// Nothing reads coefficients or sample planes again; the frame keeps
 	// its geometry.
 	f.Release()
+	res.Image = out
 	return res, res.Salvage.Err()
+}
+
+// Unpriced is the result of a decode whose back phase ran on the wall
+// clock: its pixels, its frame, its salvage report when impaired and
+// the frame's own statistics (MCURows, Scale, EntropyScans). It has no
+// timeline; Price builds one.
+func Unpriced(img *jpegcodec.RGBImage, f *jpegcodec.Frame, rep *jpegcodec.SalvageReport) *Result {
+	res := &Result{Image: img, Frame: f, Stats: Stats{MCURows: f.MCURows, Scale: f.Scale, EntropyScans: 1}}
+	if f.Img.Progressive {
+		res.Stats.EntropyScans = len(f.Img.Scans)
+	}
+	if rep.Impaired() {
+		res.Salvage = rep
+	}
+	return res
+}
+
+// Price builds the virtual schedule of an ended decode under the
+// options' resolved mode: the timeline, its makespan, the Huffman time
+// and the scheduling statistics. It reads only the frame's geometry and
+// BitsPerRow, which Frame.Release keeps, so a delivered result can be
+// priced after its slabs went back to the pools; rep (nil for a strict
+// decode) is carried when impaired. It executes nothing: the mode
+// runners price the device work through kernels.CostPlan, so the
+// schedule is the same whoever produced the pixels. The result has no
+// Image.
+func Price(f *jpegcodec.Frame, rep *jpegcodec.SalvageReport, opts Options) (*Result, error) {
+	if opts.Spec == nil {
+		return nil, errors.New("core: Options.Spec is required")
+	}
+	if f.BitsPerRow == nil {
+		return nil, errors.New("core: Price before the entropy stage ended")
+	}
+	opts.Mode = opts.Mode.Resolve(opts.Model)
+	st := &decodeState{opts: opts, f: f, d: f.Img.EntropyDensity(), res: Unpriced(nil, f, rep)}
+	st.rowCost = make([]float64, f.MCURows)
+	blocksPerRow := blocksPerMCURow(f)
+	//hetlint:nopoll one polynomial evaluation per MCU row, microseconds for the whole image
+	for i, bits := range f.BitsPerRow {
+		st.rowCost[i] = opts.Spec.HuffmanNs(bits, blocksPerRow)
+	}
+	var err error
+	switch opts.Mode {
+	case ModeSequential:
+		err = st.runCPUOnly(false)
+	case ModeSIMD:
+		err = st.runCPUOnly(true)
+	case ModeGPU:
+		err = st.runGPU(false)
+	case ModePipelinedGPU:
+		err = st.runGPU(true)
+	case ModeSPS:
+		err = st.runPartitioned(false)
+	case ModePPS:
+		err = st.runPartitioned(true)
+	default:
+		err = fmt.Errorf("core: unknown mode %v", opts.Mode)
+	}
+	if err != nil {
+		return nil, err
+	}
+	st.res.HuffNs = st.huffTotal()
+	st.res.TotalNs = st.res.Timeline.Makespan()
+	return st.res, nil
 }
 
 // decodeState carries one decode through its mode runner.
@@ -205,7 +275,7 @@ type decodeState struct {
 	d    float64 // entropy density
 
 	rowCost []float64 // virtual huffman ns per MCU row
-	res     Result
+	res     *Result
 }
 
 // progressive reports whether the frame is multi-scan. Progressive

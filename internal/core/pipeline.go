@@ -3,48 +3,40 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"hetjpeg/internal/jpegcodec"
 )
 
-// Prepared is a decode split open at the paper's pipeline boundary: the
-// strictly sequential entropy stage on one side and the data-parallel
-// back phase on the other, handed over band by band. It is the
-// jpegcodec handle, which owns the frame, the entropy step and the
-// output, plus what prices the resolved mode's virtual time. The batch
-// band scheduler drives the two stages itself:
+// Prepared is a decode split open at the paper's pipeline boundary for
+// the reproduction's probes: the jpegcodec handle, which owns the frame,
+// the entropy step and the output, plus the options its schedule is
+// priced under. Wall-clock callers drive a jpegcodec.Decode themselves
+// and price the finished frame with Price only where they report
+// virtual time:
 //
-//	p, _ := core.Prepare(data, opts)         // jpegcodec.Open: parse + allocate the frame
-//	bp := jpegcodec.PlanBands(p.Frame(), 0, p.Frame().MCURows, rows)
-//	for !p.Done() {
-//		from, to, _ := p.Step(ctx, bp)   // stage 1, a band at a time
-//		... run bands [from, to) into p.Output() on any pool ...
-//	}
-//	res, _ := p.FinishVirtual()              // the mode's virtual schedule
+//	p, _ := core.Prepare(data, opts)  // jpegcodec.Open: parse + allocate the frame
+//	_ = p.EntropyDecode(ctx)          // stage 1: Step over a plan of one band
+//	res, _ := p.FinishVirtual()       // Price, plus the (unfilled) output
 //
-// Decode itself is Prepare + EntropyDecode (the steps over one band) +
-// FinishVirtual, then jpegcodec.ParallelPhaseScalar over the frame.
+// Decode is Prepare + EntropyDecode + Price, then
+// jpegcodec.ParallelPhaseScalar over the frame.
 type Prepared struct {
 	*jpegcodec.Decode
-	st       decodeState
-	finished bool
+	opts Options
 }
 
 // Prepare opens the stream (jpegcodec.Open at the options' scale and
-// salvage mode) and resolves ModeAuto. No entropy decoding happens yet,
-// and the RGB output is not allocated until the first band is ready.
+// salvage mode). No entropy decoding happens yet, and the RGB output is
+// not allocated until the first band is ready.
 func Prepare(data []byte, opts Options) (*Prepared, error) {
 	if opts.Spec == nil {
 		return nil, errors.New("core: Options.Spec is required")
 	}
-	opts.Mode = opts.Mode.Resolve(opts.Model)
 	d, err := jpegcodec.Open(data, jpegcodec.Options{Scale: opts.Scale, Salvage: opts.Salvage})
 	if err != nil {
 		return nil, err
 	}
-	f := d.Frame()
-	return &Prepared{Decode: d, st: decodeState{opts: opts, f: f, d: f.Img.EntropyDensity()}}, nil
+	return &Prepared{Decode: d, opts: opts}, nil
 }
 
 // EntropyDecode runs stage 1 to its end: the handle's Step over a plan
@@ -60,66 +52,14 @@ func (p *Prepared) EntropyDecode(ctx context.Context) error {
 	return nil
 }
 
-// FinishVirtual prices the decoded rows and builds the resolved mode's
-// virtual timeline, statistics and result. It executes nothing: the
-// caller owns the back phase (band tasks into Output, or Decode's one
-// scalar pass) and the frame's release. The mode runners price the
-// device work through kernels.CostPlan, so the result is the same
-// whoever produces the pixels. A VirtualOnly decode's Image is zeroed.
+// FinishVirtual prices the ended decode (Price) and returns it with the
+// handle's output. It executes nothing: the caller owns the back phase
+// and the frame's release.
 func (p *Prepared) FinishVirtual() (*Result, error) {
-	if !p.Done() {
-		return nil, errors.New("core: finish before EntropyDecode")
-	}
-	if p.finished {
-		return nil, errors.New("core: decode already finished")
-	}
-	p.finished = true
-	st := &p.st
-	st.rowCost = make([]float64, st.f.MCURows)
-	blocksPerRow := blocksPerMCURow(st.f)
-	//hetlint:nopoll one polynomial evaluation per MCU row, microseconds for the whole image
-	for i, bits := range p.BitsPerRow() {
-		st.rowCost[i] = st.opts.Spec.HuffmanNs(bits, blocksPerRow)
-	}
-	if rep := p.SalvageReport(); rep.Impaired() {
-		st.res.Salvage = rep
-	}
-	out := p.Output()
-	if st.opts.VirtualOnly {
-		clear(out.Pix)
-	}
-	var err error
-	switch st.opts.Mode {
-	case ModeSequential:
-		err = st.runCPUOnly(false)
-	case ModeSIMD:
-		err = st.runCPUOnly(true)
-	case ModeGPU:
-		err = st.runGPU(false)
-	case ModePipelinedGPU:
-		err = st.runGPU(true)
-	case ModeSPS:
-		err = st.runPartitioned(false)
-	case ModePPS:
-		err = st.runPartitioned(true)
-	default:
-		err = fmt.Errorf("core: unknown mode %v", st.opts.Mode)
-	}
+	res, err := Price(p.Frame(), p.SalvageReport(), p.opts)
 	if err != nil {
 		return nil, err
 	}
-	st.res.Image = out
-	st.res.Frame = st.f
-	st.res.Stats.MCURows = st.f.MCURows
-	st.res.Stats.Scale = st.f.Scale
-	st.res.Stats.EntropyScans = 1
-	if st.f.Img.Progressive {
-		st.res.Stats.EntropyScans = len(st.f.Img.Scans)
-	}
-	st.res.HuffNs = st.huffTotal()
-	st.res.TotalNs = st.res.Timeline.Makespan()
-	// A copy, so that the result, which a cache may keep, does not keep
-	// the decode state alive.
-	res := st.res
-	return &res, nil
+	res.Image = p.Output()
+	return res, nil
 }

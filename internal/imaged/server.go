@@ -64,17 +64,16 @@ import (
 	"hetjpeg/internal/transcode"
 )
 
-// Config configures a Server. Spec is required; everything else has a
-// serviceable default.
+// Config configures a Server. Every field has a serviceable default.
 type Config struct {
-	// Spec is the simulated platform decodes run against (required).
+	// Spec and Mode name a simulated machine and a schedule of the
+	// paper's reproduction. The service prices no virtual time, so it
+	// ignores both.
 	Spec *hetjpeg.Platform
-	// Model is the fitted performance model (nil is allowed: ModeAuto
-	// then resolves to the pipelined mode and the scheduler calibrates
-	// purely online).
-	Model *hetjpeg.Model
-	// Mode is the per-image execution mode (default ModeAuto).
 	Mode hetjpeg.Mode
+	// Model is the fitted performance model that seeds the scheduler's
+	// calibrator (nil: it calibrates purely online).
+	Model *hetjpeg.Model
 	// Workers bounds decode parallelism (0 = GOMAXPROCS).
 	Workers int
 	// MaxInFlight caps the band scheduler's in-flight images.
@@ -113,11 +112,8 @@ type Config struct {
 	Log *log.Logger
 }
 
-func (c *Config) withDefaults() (Config, error) {
+func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Spec == nil {
-		return out, errors.New("imaged: Config.Spec is required")
-	}
 	if out.Workers <= 0 {
 		out.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -154,7 +150,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Log == nil {
 		out.Log = log.Default()
 	}
-	return out, nil
+	return out
 }
 
 // Server is the imaged HTTP service: Handler() is its routing tree,
@@ -186,14 +182,9 @@ type Server struct {
 
 // New builds a Server and starts its decode executor.
 func New(cfg Config) (*Server, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.withDefaults()
 	ex, err := hetjpeg.NewBatchExecutor(hetjpeg.BatchOptions{
-		Spec:        cfg.Spec,
 		Model:       cfg.Model,
-		Mode:        cfg.Mode,
 		Workers:     cfg.Workers,
 		MaxInFlight: cfg.MaxInFlight,
 		Salvage:     cfg.Salvage,
@@ -254,14 +245,11 @@ func (s *Server) Handler() http.Handler {
 // decodeReply is the JSON body of every /decode response, success or
 // error — clients always get a machine-readable reason.
 type decodeReply struct {
-	Width    int    `json:"width,omitempty"`
-	Height   int    `json:"height,omitempty"`
-	Mode     string `json:"mode,omitempty"`
-	Platform string `json:"platform,omitempty"`
+	Width  int `json:"width,omitempty"`
+	Height int `json:"height,omitempty"`
 	// Scale is the decode scale that actually ran — "1/8" when the
 	// request was degraded under overload.
 	Scale        string  `json:"scale,omitempty"`
-	VirtualMs    float64 `json:"virtualMs,omitempty"`
 	EntropyScans int     `json:"entropyScans,omitempty"`
 	WallMs       float64 `json:"wallMs,omitempty"`
 	// Degraded mirrors the X-Hetjpeg-Degraded header: the service was
@@ -354,8 +342,6 @@ func (s *Server) replyFor(w http.ResponseWriter, p *part, q *request) (decodeRep
 		return decodeReply{Error: "admission queue full", Shed: true, RetryAfterSec: sec}, http.StatusTooManyRequests
 	}
 	reply := decodeReply{
-		Mode:     s.cfg.Mode.Resolve(s.cfg.Model).String(),
-		Platform: s.cfg.Spec.Name,
 		Scale:    q.scale.String(),
 		Degraded: q.degraded,
 		Cache:    p.cache,
@@ -400,7 +386,6 @@ func (s *Server) replyFor(w http.ResponseWriter, p *part, q *request) (decodeRep
 		}
 	}
 	reply.Width, reply.Height = p.res.Image.W, p.res.Image.H
-	reply.VirtualMs = p.res.TotalNs / 1e6
 	reply.EntropyScans = p.res.Stats.EntropyScans
 	return reply, http.StatusOK
 }

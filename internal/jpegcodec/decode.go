@@ -12,9 +12,9 @@ import (
 // sequential entropy stage and the RGB output. Step is the one entropy
 // step: it runs the entropy stage through a band plan until the next
 // band is ready, for whoever runs the bands (the batch band scheduler,
-// core's virtual-time decode). Run is the paper's pipeline inside one
-// image (§4.5/§5.2) on the wall clock: the caller steps the entropy
-// stage and a crew runs each band whose rows are decoded.
+// Run, and core's reproduction adapters). Run is the paper's pipeline
+// inside one image (§4.5/§5.2) on the wall clock: the caller steps the
+// entropy stage and a crew runs each band whose rows are decoded.
 
 // Options selects how Open prepares a decode. The zero value is a
 // strict decode at full size.
@@ -39,7 +39,6 @@ type Decode struct {
 	f      *Frame
 	ed     *EntropyDecoder // &entropy until the entropy stage ended, then nil
 	out    *RGBImage       // nil until the first band is ready
-	bits   []int64         // the entropy decoder's BitsPerRow, once it ended
 	report *SalvageReport  // nil for a strict decode
 
 	entropy EntropyDecoder // ed's storage, allocated with the handle
@@ -93,9 +92,6 @@ func (d *Decode) Output() *RGBImage { return d.out }
 // Done reports whether the entropy stage has decoded the whole image.
 func (d *Decode) Done() bool { return d.ed == nil }
 
-// BitsPerRow returns the entropy bits each MCU row consumed, once Done.
-func (d *Decode) BitsPerRow() []int64 { return d.bits }
-
 // SalvageReport returns what a salvage decode absorbed (complete once
 // Done; Impaired reports whether it lost anything), nil for a strict
 // decode.
@@ -112,7 +108,7 @@ const pollRows = 32
 // RGB output is allocated with the first ready band: a decode holds its
 // largest buffer only once there is something to put in it. After the
 // last row Step drops the entropy decoder, which reads the input, and
-// keeps its BitsPerRow.
+// keeps its BitsPerRow on the frame.
 func (d *Decode) Step(ctx context.Context, bp *BandPlan) (from, to int, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -126,7 +122,7 @@ func (d *Decode) Step(ctx context.Context, bp *BandPlan) (from, to int, err erro
 		d.out = NewRGBImage(d.f.OutW, d.f.OutH)
 	}
 	if d.ed.Done() {
-		d.bits, d.ed, d.entropy = d.ed.BitsPerRow, nil, EntropyDecoder{}
+		d.f.BitsPerRow, d.ed, d.entropy = d.ed.BitsPerRow, nil, EntropyDecoder{}
 	}
 	return from, to, nil
 }

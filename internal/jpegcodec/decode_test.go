@@ -73,7 +73,7 @@ func TestBandPlanStep(t *testing.T) {
 		if ready != bp.Bands() {
 			t.Errorf("progressive %v: %d of %d bands ready at the end", progressive, ready, bp.Bands())
 		}
-		if n := len(d.BitsPerRow()); n != f.MCURows {
+		if n := len(f.BitsPerRow); n != f.MCURows {
 			t.Errorf("progressive %v: BitsPerRow has %d rows, want %d", progressive, n, f.MCURows)
 		}
 		d.Release()

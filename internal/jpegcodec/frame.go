@@ -115,6 +115,11 @@ type Frame struct {
 	// dispatches DC-only and 4x4-sparse fast paths on it.
 	NZ [][]uint8
 
+	// BitsPerRow[i] is the number of entropy bits MCU row i consumed,
+	// set by Decode.Step when the entropy stage ends. Release keeps it
+	// with the geometry: pricing a decode needs nothing else.
+	BitsPerRow []int64
+
 	// quantInt caches the per-component quantization tables widened to
 	// int32, the form every IDCT kernel consumes.
 	quantInt [][dct.BlockSize]int32
@@ -268,7 +273,7 @@ func (f *Frame) TotalBlocks() int {
 // decoder's buffer pools and drops its slices of the input stream, so a
 // kept result does not pin the input. The frame's geometry stays valid,
 // but Coeff, Samples and the scan data become nil: call it only once
-// the pixels (or coefficients) are no longer needed. Releasing is
+// the pixels (or coefficients) are no longer needed. BitsPerRow stays. Releasing is
 // optional — an unreleased frame is simply garbage-collected.
 func (f *Frame) Release() {
 	f.Img.EntropyData = nil

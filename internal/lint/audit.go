@@ -7,7 +7,7 @@ package lint
 // color convert) were hand-shaped so the compiler proves their index
 // expressions in bounds and keeps their scratch on the stack; a NEW
 // bounds check or heap escape in one of them is a silent performance
-// regression that go test cannot see. cmd/hetaudit runs
+// regression that go test cannot see. cmd/hetlint runs
 //
 //	go build -gcflags='<pkg>=-d=ssa/check_bce/debug=1' <pkg>   (BCE)
 //	go build -gcflags='<pkg>=-m' <pkg>                         (escape)
@@ -165,7 +165,7 @@ func Summarize(root string, lines []AuditLine) (map[AuditKey]int, error) {
 			var err error
 			spans, err = fileFuncs(filepath.Join(root, l.File))
 			if err != nil {
-				return nil, fmt.Errorf("hetaudit: attributing %s: %w", l.File, err)
+				return nil, fmt.Errorf("audit: attributing %s: %w", l.File, err)
 			}
 			spanCache[l.File] = spans
 		}
@@ -192,7 +192,7 @@ func FormatBaseline(header string, counts map[AuditKey]int) string {
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n", header)
-	b.WriteString("# Regenerate with: make lint-baseline (runs hetaudit -bless).\n")
+	b.WriteString("# Regenerate with: make lint-baseline (runs hetlint -bless).\n")
 	b.WriteString("# Format: file function kind count\n")
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%s %s %s %d\n", k.File, k.Func, k.Kind, counts[k])
