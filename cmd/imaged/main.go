@@ -13,7 +13,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -21,13 +20,11 @@ import (
 	"syscall"
 	"time"
 
-	"hetjpeg"
 	"hetjpeg/internal/imaged"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	platformName := flag.String("platform", "GTX 560", "machine whose committed performance model seeds the scheduler's calibrator (see hetjpeg.Platforms)")
 	workers := flag.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "band scheduler in-flight image cap (0 = workers+2)")
 	salvage := flag.Bool("salvage", false, "serve corrupt-but-recoverable uploads as 200 + X-Hetjpeg-Salvaged")
@@ -42,7 +39,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	flag.Parse()
 
-	if err := run(*addr, *platformName, imaged.Config{
+	if err := run(*addr, imaged.Config{
 		Workers:          *workers,
 		MaxInFlight:      *maxInflight,
 		Salvage:          *salvage,
@@ -59,16 +56,7 @@ func main() {
 	}
 }
 
-func run(addr, platformName string, cfg imaged.Config, drainTimeout time.Duration) error {
-	spec := hetjpeg.PlatformByName(platformName)
-	if spec == nil {
-		return fmt.Errorf("unknown platform %q (see hetjpeg.Platforms)", platformName)
-	}
-	model, err := hetjpeg.DefaultModel(spec)
-	if err != nil {
-		return err
-	}
-	cfg.Model = model
+func run(addr string, cfg imaged.Config, drainTimeout time.Duration) error {
 	s, err := imaged.New(cfg)
 	if err != nil {
 		return err
@@ -77,7 +65,7 @@ func run(addr, platformName string, cfg imaged.Config, drainTimeout time.Duratio
 	srv := newHTTPServer(addr, s.Handler(), cfg.MaxBody)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("imaged: serving on %s (%s model)", addr, spec.Name)
+	log.Printf("imaged: serving on %s", addr)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

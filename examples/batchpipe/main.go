@@ -73,7 +73,7 @@ func main() {
 	// The same scheduler at full width, through the streaming interface
 	// a long-running service consumes. The executor prices nothing: this
 	// run is timed on the wall clock only.
-	ex, err := hetjpeg.NewBatchExecutor(hetjpeg.BatchOptions{Model: model, Workers: *workers})
+	ex, err := hetjpeg.NewBatchExecutor(hetjpeg.BatchOptions{Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}

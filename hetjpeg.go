@@ -275,10 +275,10 @@ func FromStdImage(src image.Image) *Image {
 }
 
 // BatchOptions configures DecodeBatch and NewBatchExecutor. Workers
-// bounds wall-clock concurrency (0 = GOMAXPROCS) and Model seeds the
-// scheduler's calibrator. Spec (required by DecodeBatch) and Mode are
-// what DecodeBatch prices each image under; a BatchExecutor ignores
-// both.
+// bounds wall-clock concurrency (0 = GOMAXPROCS). Spec (required by
+// DecodeBatch), Mode and Model are what DecodeBatch prices each image
+// under; a BatchExecutor ignores all three and learns its scheduling
+// rates from the host clock alone.
 type BatchOptions = batch.Options
 
 // BatchResult is the outcome of DecodeBatch.
@@ -298,13 +298,13 @@ type BatchImageResult = batch.ImageResult
 // decoded their rows, so a lone image on several workers costs about
 // the larger of its two stages, not their sum.
 // Beside them it offers the service-robustness surface cmd/imaged is
-// built on: QueueStats (occupancy + calibrated rates for Retry-After
+// built on: QueueStats (occupancy + measured rates for Retry-After
 // arithmetic) and Stop (abandonment-safe shutdown that never leaks
 // workers).
 type BatchExecutor = batch.Executor
 
 // BatchQueueStats is a point-in-time snapshot of a BatchExecutor's
-// admission occupancy and calibrated ns/MCU rates.
+// admission occupancy and measured ns/MCU rates.
 type BatchQueueStats = batch.QueueStats
 
 // ErrBatchClosed marks a submission to a closed BatchExecutor; check it
@@ -312,8 +312,9 @@ type BatchQueueStats = batch.QueueStats
 var ErrBatchClosed = batch.ErrClosed
 
 // NewBatchExecutor starts a band scheduler that decodes submitted images
-// concurrently on the wall clock. It simulates nothing: its results
-// carry pixels and frame statistics, not a virtual timeline.
+// concurrently on the wall clock. It simulates nothing and reads no
+// performance model: its results carry pixels and frame statistics, not
+// a virtual timeline.
 func NewBatchExecutor(opts BatchOptions) (*BatchExecutor, error) {
 	return batch.NewExecutor(opts)
 }

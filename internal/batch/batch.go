@@ -6,7 +6,7 @@
 // scheduler (scheduler.go) — overlaps sequential entropy decoding of
 // several in-flight images with a shared work-stealing pool executing
 // MCU-row-band back-phase tasks from all of them, with band size and
-// in-flight depth chosen by an online-calibrated performance model.
+// in-flight depth chosen from rates it measures on the host clock.
 // Executor.Decode waits for one image; Submit/Results stream many in
 // completion order. The executor simulates nothing: its results carry
 // pixels, frame geometry and the frame's own statistics, but no virtual
@@ -50,8 +50,8 @@ type Options struct {
 	// Spec is the simulated machine Decode prices each image on
 	// (required by Decode). The Executor ignores it.
 	Spec *platform.Spec
-	// Model seeds the executor's online calibrator (nil: it calibrates
-	// purely online) and is the fit Decode's SPS and PPS pricing uses.
+	// Model is the fit Decode's SPS and PPS pricing uses. The Executor
+	// ignores it: its calibrator learns from the host clock alone.
 	Model *perfmodel.Model
 	// Mode is the per-image execution mode Decode prices under. The
 	// zero value (core.ModeAuto) resolves to ModePPS when a model is
@@ -192,9 +192,8 @@ type Executor struct {
 	bands *bandScheduler
 }
 
-// NewExecutor starts the scheduler's worker goroutines. Of the
-// options' reproduction fields it reads only Model, to seed its
-// calibrator.
+// NewExecutor starts the scheduler's worker goroutines. It ignores the
+// options' reproduction fields (Spec, Model and Mode).
 func NewExecutor(opts Options) (*Executor, error) {
 	if err := opts.Scale.Validate(); err != nil {
 		// A bad scale is a configuration problem: fail the batch up
@@ -300,7 +299,7 @@ func (e *Executor) beginSubmit() bool {
 
 // QueueStats is a point-in-time snapshot of the band scheduler's
 // occupancy and calibrated rates — what a service front end needs to
-// compute honest backpressure signals (a Retry-After from the fitted
+// compute honest backpressure signals (a Retry-After from the measured
 // ns/MCU rates, an overload watermark from InFlight vs Target).
 type QueueStats struct {
 	// InFlight counts images between admission and result delivery.
@@ -313,8 +312,8 @@ type QueueStats struct {
 	Queued int `json:"queued"`
 	// EntropyNsPerMCU and BackNsPerMCU are the calibrator's current
 	// ns/MCU estimates (the maximum across entropy classes and decode
-	// scales — the conservative drain-time basis); zero until seeded or
-	// observed.
+	// scales — the conservative drain-time basis); zero until the first
+	// observation.
 	EntropyNsPerMCU float64 `json:"entropyNsPerMcu"`
 	BackNsPerMCU    float64 `json:"backNsPerMcu"`
 	// BytesPerMCU converts pending input bytes into estimated MCUs

@@ -241,7 +241,7 @@ func TestDecodeRepliesBesideStream(t *testing.T) {
 }
 
 // TestQueueStatsCalibrates decodes a small batch and checks the
-// introspection snapshot: rates seeded by real observations, occupancy
+// introspection snapshot: rates learned from real observations, occupancy
 // back to zero once drained — the inputs a service needs for honest
 // Retry-After arithmetic.
 func TestQueueStatsCalibrates(t *testing.T) {

@@ -3,10 +3,10 @@ package batch
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
-	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/perfmodel"
 )
@@ -45,10 +45,11 @@ import (
 //     back-phase time — bounded by MaxInFlight (whole-image buffers are
 //     the memory cost of an in-flight image).
 //
-// When a performance model is present, the EWMAs are seeded from its
-// predictions for the first image and then corrected by measurement —
-// the same predict-then-correct feedback loop as partition.Repartition,
-// but against the host clock instead of virtual time.
+// Every EWMA learns from the host clock alone: the correcting half of
+// partition.Repartition's feedback loop, against wall time instead of
+// virtual time. The offline fit predicts the simulated platform, not
+// this host, so it seeds nothing; until the first observation both
+// knobs take their cold-start values.
 
 const (
 	// bandTargetNs is the wall-clock cost one band task aims for:
@@ -61,97 +62,50 @@ const (
 	minInflight = 2
 )
 
-// calibrator is the online performance model: EWMA-corrected ns/MCU of
-// each stage, optionally seeded from the offline perfmodel fit.
+// calibrator is the online performance model: EWMA-measured ns/MCU of
+// each stage.
 //
-// Entropy keeps three rates: a progressive image traverses its
-// coefficient grid once per scan, so its entropy cost per MCU is a
+// Entropy keeps one rate per image class: a progressive image traverses
+// its coefficient grid once per scan, so its entropy cost per MCU is a
 // multiple of the baseline rate, while a DC-only (baseline 1/8-scale)
 // stream skips AC stores and runs cheaper than baseline. Folding the
 // classes into one EWMA would make a burst of one class skew band
 // sizing and in-flight depth for the others; separate rates keep the
-// calibration honest under mixed traffic. The back phase learns one
-// rate per decode scale (perfmodel.ScaledRates): a DC-only band is
-// orders of magnitude cheaper per MCU than a full-size band.
+// calibration honest under mixed traffic, and in-flight sizing takes
+// the largest. The back phase learns one rate per decode scale: a
+// DC-only band is orders of magnitude cheaper per MCU than a full-size
+// band.
 type calibrator struct {
-	entPerMCU     perfmodel.OnlineRate  // stage 1: baseline entropy ns per MCU
-	entPerMCUProg perfmodel.OnlineRate  // stage 1: progressive (multi-scan) entropy ns per MCU
-	entPerMCUDC   perfmodel.OnlineRate  // stage 1: DC-only (baseline 1/8 scale) entropy ns per MCU
-	backPerMCU    perfmodel.ScaledRates // stage 2: back-phase ns per MCU, per decode scale
+	entPerMCU  perfmodel.RateSet // stage 1: entropy ns per MCU, by entropySlot
+	backPerMCU perfmodel.RateSet // stage 2: back-phase ns per MCU, by scaleSlot
 	// bytesPerMCU converts input bytes into estimated MCU counts — the
 	// bridge a service needs to turn "this many bytes are pending" into
 	// "this long until the queue drains" (Retry-After) using the ns/MCU
 	// rates above. Observed per intact image at entropy completion.
 	bytesPerMCU perfmodel.OnlineRate
-	seeded      bool
 }
 
-// entropyRate returns the EWMA matching the image class.
-func (c *calibrator) entropyRate(progressive, dcOnly bool) *perfmodel.OnlineRate {
-	if progressive {
-		return &c.entPerMCUProg
+// Entropy rate slots.
+const (
+	entBaseline = iota
+	entProgressive
+	entDCOnly
+)
+
+// entropySlot returns the entropy rate slot of a frame's class.
+func entropySlot(f *jpegcodec.Frame) int {
+	switch {
+	case f.Img.Progressive:
+		return entProgressive
+	case f.DCOnly():
+		return entDCOnly
 	}
-	if dcOnly {
-		return &c.entPerMCUDC
-	}
-	return &c.entPerMCU
+	return entBaseline
 }
 
-// seedFromModel primes the EWMAs from the fitted model's predictions.
-// The fit predicts the *simulated* platform, not this host, so only the
-// magnitude and entropy:back ratio are borrowed for the first
-// scheduling decisions; measurements correct them immediately (the
-// Repartition-style feedback step). Entropy classes seed once from the
-// first image; each decode scale's back-phase rate seeds from the first
-// image seen at that scale, evaluating the fitted parallel-phase
-// polynomial at the scaled output geometry (Seed is a no-op once a
-// value exists).
-func (c *calibrator) seedFromModel(model *perfmodel.Model, f *jpegcodec.Frame, d float64) {
-	if model == nil {
-		return
-	}
-	sub := f.Sub
-	if sub == jfif.SubGray {
-		sub = jfif.Sub444
-	}
-	sm := model.ForSub(sub)
-	if sm == nil {
-		return
-	}
-	mcus := float64(f.MCURows * f.MCUsPerRow)
-	w, h := float64(f.Img.Width), float64(f.Img.Height)
-	if !c.seeded {
-		c.seeded = true
-		c.entPerMCU.Seed(sm.THuff(w, h, d) / mcus)
-		// The fit was trained on single-scan baseline images; a progressive
-		// image pays roughly one baseline-shaped pass per scan, and the
-		// DC-only entropy pass is the baseline pass minus its stores.
-		if f.Img.Progressive {
-			c.entPerMCUProg.Seed(c.entPerMCU.Value() * float64(len(f.Img.Scans)))
-		}
-		c.entPerMCUDC.Seed(c.entPerMCU.Value())
-	}
-	s := float64(f.Scale)
-	if s < 1 {
-		s = 1
-	}
-	c.backPerMCU.At(f.Scale).Seed(sm.PCPUScalar.Eval(w/s, h/s) / mcus)
-}
-
-// entropyEstimate is the effective entropy rate for in-flight sizing:
-// the maximum over the classes seen so far, so a mix of baseline,
-// progressive and DC-only traffic keeps enough entropy streams open to
-// feed the band pool even when the slower class dominates.
-func (c *calibrator) entropyEstimate() float64 {
-	e := c.entPerMCU.Value()
-	if p := c.entPerMCUProg.Value(); p > e {
-		e = p
-	}
-	if dc := c.entPerMCUDC.Value(); dc > e {
-		e = dc
-	}
-	return e
-}
+// scaleSlot returns the back-phase rate slot of a scale denominator:
+// 1, 2, 4 and 8 take slots 0 to 3.
+func scaleSlot(scale int) int { return bits.TrailingZeros(uint(scale)) }
 
 // bandRows sizes one image's band tasks from the calibrated back-phase
 // rate of its decode scale: aim for bandTargetNs per band, but never
@@ -160,7 +114,7 @@ func (c *calibrator) entropyEstimate() float64 {
 func (c *calibrator) bandRows(f *jpegcodec.Frame, workers int) int {
 	rows := f.MCURows
 	br := 1
-	if per := c.backPerMCU.At(f.Scale).Value(); per > 0 {
+	if per := c.backPerMCU.At(scaleSlot(f.Scale)).Value(); per > 0 {
 		br = int(bandTargetNs/(per*float64(f.MCUsPerRow)) + 0.5)
 	} else if workers > 0 {
 		// Cold start: a few bands per worker.
@@ -186,7 +140,7 @@ func (c *calibrator) bandRows(f *jpegcodec.Frame, workers int) int {
 // slack, clamped to the memory bound.
 func (c *calibrator) inflightTarget(workers, maxInflight int) int {
 	t := minInflight + workers/2 // cold start
-	e, b := c.entropyEstimate(), c.backPerMCU.Max()
+	e, b := c.entPerMCU.Max(), c.backPerMCU.Max()
 	if e > 0 && b > 0 {
 		t = int(float64(workers)*e/(e+b)+0.5) + minInflight
 	}
@@ -286,7 +240,7 @@ func (s *bandScheduler) queueStats() QueueStats {
 		InFlight:        s.inflight,
 		Target:          s.target,
 		Queued:          len(s.entropyQ),
-		EntropyNsPerMCU: s.cal.entropyEstimate(),
+		EntropyNsPerMCU: s.cal.entPerMCU.Max(),
 		BackNsPerMCU:    s.cal.backPerMCU.Max(),
 		BytesPerMCU:     s.cal.bytesPerMCU.Value(),
 	}
@@ -383,7 +337,6 @@ func (s *bandScheduler) runEntropy(id int, j job) {
 		return
 	}
 	f := dec.Frame()
-	s.cal.seedFromModel(s.opts.Model, f, f.Img.EntropyDensity())
 	plan := jpegcodec.PlanBands(f, 0, f.MCURows, s.cal.bandRows(f, s.workers))
 	img := &flightImage{
 		ctx: j.ctx, index: j.index, reply: j.reply, dec: dec, plan: plan,
@@ -414,7 +367,7 @@ func (s *bandScheduler) runEntropy(id int, j job) {
 		// A salvaged stream lost entropy bytes: its measured rate would
 		// drag the EWMA below the cost of intact traffic.
 		mcus := float64(f.MCURows * f.MCUsPerRow)
-		s.cal.entropyRate(f.Img.Progressive, f.DCOnly()).Observe(entNs / mcus)
+		s.cal.entPerMCU.At(entropySlot(f)).Observe(entNs / mcus)
 		s.cal.bytesPerMCU.Observe(float64(len(j.data)) / mcus)
 	}
 	s.target = s.cal.inflightTarget(s.workers, s.maxInflight)
@@ -474,7 +427,7 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 func (s *bandScheduler) complete(img *flightImage) {
 	err := img.err
 	if f := img.dec.Frame(); err == nil && !img.dec.SalvageReport().Impaired() {
-		rate := s.cal.backPerMCU.At(f.Scale)
+		rate := s.cal.backPerMCU.At(scaleSlot(f.Scale))
 		for i, ns := range img.bandNs {
 			rate.Observe(ns / float64(img.plan.BandMCURows(i)*f.MCUsPerRow))
 		}

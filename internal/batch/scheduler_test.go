@@ -229,24 +229,76 @@ func TestCalibratorBounds(t *testing.T) {
 		t.Fatalf("cold bandRows = %d", br)
 	}
 	// A very slow back phase wants tiny bands.
-	c.backPerMCU.At(f.Scale).Observe(1e6)
+	c.backPerMCU.At(scaleSlot(f.Scale)).Observe(1e6)
 	if br := c.bandRows(f, 4); br != 1 {
 		t.Errorf("slow back phase bandRows = %d, want 1", br)
 	}
 	// A very fast back phase wants coarse bands, but a lone image must
 	// still split across all workers.
 	c = calibrator{}
-	c.backPerMCU.At(f.Scale).Observe(1)
+	c.backPerMCU.At(scaleSlot(f.Scale)).Observe(1)
 	workers := 4
 	lim := (f.MCURows + workers - 1) / workers
 	if br := c.bandRows(f, workers); br != lim {
 		t.Errorf("fast back phase bandRows = %d, want worker cap %d", br, lim)
 	}
 	for _, entNs := range []float64{1, 1e3, 1e6} {
-		c.entPerMCU.Observe(entNs)
+		c.entPerMCU.At(entBaseline).Observe(entNs)
 		got := c.inflightTarget(8, 10)
 		if got < minInflight || got > 10 {
 			t.Errorf("inflightTarget(ent=%g) = %d out of bounds", entNs, got)
 		}
+	}
+}
+
+// A burst of progressive and DC-only entropy observations leaves the
+// baseline entropy rate where the baseline image put it, and QueueStats
+// reports the largest class, the in-flight sizing basis.
+func TestCalibratorEntropyClassIsolation(t *testing.T) {
+	base, prog := handoffFixture(t, false), handoffFixture(t, true)
+	ex, err := NewExecutor(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	decode := func(data []byte, scale jpegcodec.Scale) {
+		t.Helper()
+		ir, err := ex.Decode(context.Background(), data, scale)
+		if err == nil {
+			err = ir.Err
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ir.Res.Release()
+	}
+	entropy := func() (v [3]float64) {
+		ex.bands.mu.Lock()
+		defer ex.bands.mu.Unlock()
+		for i := range v {
+			v[i] = ex.bands.cal.entPerMCU.At(i).Value()
+		}
+		return v
+	}
+
+	decode(base, jpegcodec.Scale1)
+	baseline := entropy()[entBaseline]
+	if baseline <= 0 {
+		t.Fatalf("baseline entropy rate %v after a baseline decode", baseline)
+	}
+	for i := 0; i < 4; i++ {
+		decode(prog, jpegcodec.Scale1)
+		decode(base, jpegcodec.Scale8) // baseline at 1/8: the DC-only class
+	}
+	got := entropy()
+	if got[entBaseline] != baseline {
+		t.Errorf("baseline entropy rate moved from %v to %v under other classes' traffic", baseline, got[entBaseline])
+	}
+	if got[entProgressive] <= 0 || got[entDCOnly] <= 0 {
+		t.Errorf("progressive and DC-only rates not observed: %v", got)
+	}
+	want := max(got[0], got[1], got[2])
+	if s := ex.QueueStats().EntropyNsPerMCU; s != want {
+		t.Errorf("QueueStats().EntropyNsPerMCU = %v, want the largest class %v (%v)", s, want, got)
 	}
 }

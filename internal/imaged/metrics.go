@@ -5,7 +5,7 @@ import (
 
 	"hetjpeg"
 	"hetjpeg/internal/metrics"
-	"hetjpeg/internal/perfmodel"
+	"hetjpeg/internal/transcode"
 )
 
 // buildMetrics registers the service's Prometheus catalog. Counters the
@@ -38,7 +38,7 @@ func (s *Server) buildMetrics() {
 		metrics.DurationBuckets, "class")
 	encRate := reg.NewGaugeFuncVec("hetjpeg_encode_ns_per_mcu",
 		"Learned re-encode cost per output MCU by encode rate class.", "class")
-	for _, c := range perfmodel.EncodeClasses() {
+	for _, c := range transcode.Classes() {
 		s.mEncodeDur.With(c.String())
 		encRate.Bind(func() float64 { return s.encRates.Value(c) }, c.String())
 	}

@@ -71,9 +71,6 @@ type Config struct {
 	// ignores both.
 	Spec *hetjpeg.Platform
 	Mode hetjpeg.Mode
-	// Model is the fitted performance model that seeds the scheduler's
-	// calibrator (nil: it calibrates purely online).
-	Model *hetjpeg.Model
 	// Workers bounds decode parallelism (0 = GOMAXPROCS).
 	Workers int
 	// MaxInFlight caps the band scheduler's in-flight images.
@@ -184,7 +181,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ex, err := hetjpeg.NewBatchExecutor(hetjpeg.BatchOptions{
-		Model:       cfg.Model,
 		Workers:     cfg.Workers,
 		MaxInFlight: cfg.MaxInFlight,
 		Salvage:     cfg.Salvage,
@@ -201,9 +197,9 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 	s.buildMetrics()
-	// Seed the encode rate classes with a calibration encode so the
-	// first 429 already prices the transcode backlog defensibly; live
-	// traffic corrects the seeds through the EWMA.
+	// Observe each encode rate class once with a calibration encode so
+	// the first 429 already prices the transcode backlog defensibly;
+	// live traffic corrects it through the EWMA.
 	s.encRates.Calibrate()
 	return s, nil
 }

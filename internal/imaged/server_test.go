@@ -509,7 +509,7 @@ func TestRetryAfterFromCalibratedRates(t *testing.T) {
 	}
 	st := s.ex.QueueStats()
 	if st.BytesPerMCU <= 0 || st.EntropyNsPerMCU <= 0 {
-		t.Fatalf("calibrator not seeded after a decode: %+v", st)
+		t.Fatalf("calibrator has no rates after a decode: %+v", st)
 	}
 	s.gate.admit(1 << 30) // a pretend gigabyte of queued JPEG bytes
 	defer s.gate.release(1 << 30)

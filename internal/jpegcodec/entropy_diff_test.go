@@ -19,7 +19,10 @@ import (
 // subsampling, with and without restart intervals, partial and aligned
 // MCU grids, Annex-K and optimised tables, every progressive script) and
 // the fault-injection families over them; the corpus itself lives in a
-// package that imports this one.
+// package that imports this one. The clean corpus (diffStreams) and the
+// truncation sweep (truncationStreams) are checked once, by
+// TestEntropyFaultGolden: a stream whose paths disagree splits into a
+// probe line and a general line, which the golden does not hold.
 
 // entropyOutcome is everything the entropy stage hands to later stages.
 type entropyOutcome struct {
@@ -190,8 +193,10 @@ func wideRefineStreams(t testing.TB) []diffStream {
 	return out
 }
 
+// TestEntropyPathsAgreeClean checks the streams the entropy golden
+// leaves out.
 func TestEntropyPathsAgreeClean(t *testing.T) {
-	for _, s := range append(diffStreams(t), wideRefineStreams(t)...) {
+	for _, s := range wideRefineStreams(t) {
 		checkPathsAgree(t, s.name, s.data)
 	}
 }
@@ -200,10 +205,10 @@ func TestEntropyPathsAgreeClean(t *testing.T) {
 // the conformance gate to the restart and no-restart fixtures, baseline
 // and progressive.
 func TestEntropyPathsAgreeFaults(t *testing.T) {
-	// Every byte is TestEntropyTruncationSweep's job; this family
-	// samples the second half of the stream. -short thins every family,
-	// keeping at least one fault of each per fixture and entropy span;
-	// the full corpus runs without it.
+	// Every byte near the end is the truncation sweep's (see
+	// truncationStreams); this family samples the second half of the
+	// stream. -short thins every family, keeping at least one fault of
+	// each per fixture and entropy span; the full corpus runs without it.
 	stride, sample := 7, 1
 	if testing.Short() {
 		stride, sample = 29, 4
@@ -283,19 +288,12 @@ func badDCCategories(data []byte) []faultgen.Fault {
 	return out
 }
 
-// TestEntropyTruncationSweep cuts one dense stream at every length over
-// its last 64 bytes and across a restart marker, so the 32-bit refill
-// meets the end of data, a pending marker and marker padding at every
-// alignment.
-func TestEntropyTruncationSweep(t *testing.T) {
-	for _, s := range truncationStreams(t) {
-		checkPathsAgree(t, s.name, s.data)
-	}
-}
-
-// truncationStreams builds TestEntropyTruncationSweep's cuts, in
-// ascending order, each also with the stream's own EOI appended: the
-// entropy data then ends at a marker instead of at the end of input.
+// truncationStreams cuts one dense stream at every length over its last
+// 64 bytes and across a restart marker, so the 32-bit refill meets the
+// end of data, a pending marker and marker padding at every alignment.
+// The cuts come in ascending order, each also with the stream's own EOI
+// appended: the entropy data then ends at a marker instead of at the
+// end of input.
 func truncationStreams(t testing.TB) []diffStream {
 	t.Helper()
 	img := makeNoisyImage(64, 48, 21)

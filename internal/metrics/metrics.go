@@ -1,8 +1,8 @@
-// Package metrics is a stdlib-only Prometheus client: counters, gauges
-// and fixed-bucket histograms (all with optional labels, all also
-// available func-backed over existing atomics) collected into a
-// Registry that renders the Prometheus text exposition format
-// (version 0.0.4) on an http.Handler.
+// Package metrics is a stdlib-only Prometheus client: counters and
+// gauges read at scrape time from funcs over existing atomics, and
+// fixed-bucket labeled histograms, collected into a Registry that
+// renders the Prometheus text exposition format (version 0.0.4) on an
+// http.Handler.
 //
 // It exists so cmd/imaged can expose a scrapeable /metrics endpoint
 // without pulling a dependency into a module that is deliberately
@@ -13,8 +13,8 @@
 //     by label values, histogram buckets cumulative and in order;
 //   - metric and label names are validated at registration (panic on
 //     programmer error, like prometheus/client_golang);
-//   - collection is cheap and lock-light: counters and histograms are
-//     atomics, func-backed collectors read their source at scrape time.
+//   - collection is cheap and lock-light: histograms are atomics,
+//     counters and gauges read their source at scrape time.
 //
 // ParseText is the matching validator/parser: tests use it to prove the
 // endpoint's output parses and to pin the metric catalog against a
@@ -38,31 +38,6 @@ var (
 	nameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	labelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
-
-// Counter is a monotonically increasing counter.
-type Counter struct {
-	n atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds n (unsigned by construction — counters only go up).
-func (c *Counter) Add(n uint64) { c.n.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram of float64 observations.
 // Buckets are cumulative upper bounds; an implicit +Inf bucket catches
@@ -117,9 +92,7 @@ const (
 // series is one labeled instance within a family.
 type series struct {
 	labelValues []string
-	counter     *Counter
 	counterFn   func() uint64
-	gauge       *Gauge
 	gaugeFn     func() float64
 	hist        *Histogram
 }
@@ -185,12 +158,7 @@ func (f *family) with(labelValues []string) *series {
 		return s
 	}
 	s := &series{labelValues: append([]string(nil), labelValues...)}
-	switch f.kind {
-	case kindCounter:
-		s.counter = &Counter{}
-	case kindGauge:
-		s.gauge = &Gauge{}
-	case kindHistogram:
+	if f.kind == kindHistogram {
 		s.hist = newHistogram(f.buckets)
 	}
 	f.byLabels[sig] = s
@@ -198,46 +166,17 @@ func (f *family) with(labelValues []string) *series {
 	return s
 }
 
-// NewCounter registers an unlabeled counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.register(name, help, kindCounter, nil, nil).with(nil).counter
-}
-
 // NewCounterFunc registers a counter whose value is read from fn at
 // scrape time — the bridge to counters that already live in another
 // subsystem's atomics (the admission gate, the cache).
 func (r *Registry) NewCounterFunc(name, help string, fn func() uint64) {
-	s := r.register(name, help, kindCounter, nil, nil).with(nil)
-	s.counter, s.counterFn = nil, fn
-}
-
-// NewGauge registers an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, nil, nil).with(nil).gauge
+	r.register(name, help, kindCounter, nil, nil).with(nil).counterFn = fn
 }
 
 // NewGaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	s := r.register(name, help, kindGauge, nil, nil).with(nil)
-	s.gauge, s.gaugeFn = nil, fn
+	r.register(name, help, kindGauge, nil, nil).with(nil).gaugeFn = fn
 }
-
-// NewHistogram registers an unlabeled histogram with the given
-// cumulative upper bounds (strictly increasing; +Inf implicit).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, kindHistogram, nil, append([]float64(nil), buckets...)).with(nil).hist
-}
-
-// CounterVec is a family of counters partitioned by labels.
-type CounterVec struct{ f *family }
-
-// NewCounterVec registers a labeled counter family.
-func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, kindCounter, labelNames, nil)}
-}
-
-// With returns (creating on first use) the counter for the label values.
-func (v *CounterVec) With(labelValues ...string) *Counter { return v.f.with(labelValues).counter }
 
 // CounterFuncVec adds a func-backed series per label set.
 type CounterFuncVec struct{ f *family }
@@ -250,8 +189,7 @@ func (r *Registry) NewCounterFuncVec(name, help string, labelNames ...string) *C
 
 // Bind attaches fn as the series for the label values.
 func (v *CounterFuncVec) Bind(fn func() uint64, labelValues ...string) {
-	s := v.f.with(labelValues)
-	s.counter, s.counterFn = nil, fn
+	v.f.with(labelValues).counterFn = fn
 }
 
 // GaugeFuncVec adds a func-backed gauge series per label set.
@@ -265,20 +203,8 @@ func (r *Registry) NewGaugeFuncVec(name, help string, labelNames ...string) *Gau
 
 // Bind attaches fn as the series for the label values.
 func (v *GaugeFuncVec) Bind(fn func() float64, labelValues ...string) {
-	s := v.f.with(labelValues)
-	s.gauge, s.gaugeFn = nil, fn
+	v.f.with(labelValues).gaugeFn = fn
 }
-
-// GaugeVec is a family of gauges partitioned by labels.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labelNames, nil)}
-}
-
-// With returns (creating on first use) the gauge for the label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.f.with(labelValues).gauge }
 
 // HistogramVec is a family of histograms partitioned by labels.
 type HistogramVec struct{ f *family }
@@ -360,22 +286,9 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			ls := labelString(f.labelNames, s.labelValues, "", "")
 			switch f.kind {
 			case kindCounter:
-				v := s.counterFn
-				var n uint64
-				if v != nil {
-					n = v()
-				} else {
-					n = s.counter.Value()
-				}
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, ls, formatValue(float64(n)))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, ls, formatValue(float64(s.counterFn())))
 			case kindGauge:
-				var v float64
-				if s.gaugeFn != nil {
-					v = s.gaugeFn()
-				} else {
-					v = s.gauge.Value()
-				}
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, ls, formatValue(v))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, ls, formatValue(s.gaugeFn()))
 			case kindHistogram:
 				h := s.hist
 				var cum uint64

@@ -32,27 +32,6 @@ func parse(t *testing.T, r *Registry) map[string]Family {
 	return out
 }
 
-func TestCounterGaugeRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("requests_total", "Requests served.")
-	g := r.NewGauge("queue_depth", "Current queue depth.")
-	c.Inc()
-	c.Add(41)
-	g.Set(3.5)
-
-	fams := parse(t, r)
-	if f := fams["requests_total"]; f.Type != "counter" || f.Help != "Requests served." || f.Samples[0].Value != 42 {
-		t.Errorf("counter family = %+v", f)
-	}
-	if f := fams["queue_depth"]; f.Type != "gauge" || f.Samples[0].Value != 3.5 {
-		t.Errorf("gauge family = %+v", f)
-	}
-	g.Set(-1)
-	if g.Value() != -1 {
-		t.Errorf("gauge after Set(-1) = %v", g.Value())
-	}
-}
-
 func TestFuncBackedCollectors(t *testing.T) {
 	r := NewRegistry()
 	n := uint64(7)
@@ -65,8 +44,11 @@ func TestFuncBackedCollectors(t *testing.T) {
 	vec.Bind(func() uint64 { return b }, "beta")
 
 	fams := parse(t, r)
-	if fams["external_total"].Samples[0].Value != 7 || fams["external_value"].Samples[0].Value != 2.25 {
-		t.Errorf("func-backed values wrong: %+v", fams)
+	if f := fams["external_total"]; f.Type != "counter" || f.Help != "Counter read from elsewhere." || f.Samples[0].Value != 7 {
+		t.Errorf("counter family = %+v", f)
+	}
+	if f := fams["external_value"]; f.Type != "gauge" || f.Samples[0].Value != 2.25 {
+		t.Errorf("gauge family = %+v", f)
 	}
 	// Scrape-time reads: mutate the sources, re-render.
 	n, v, a = 8, 9.5, 10
@@ -82,18 +64,23 @@ func TestFuncBackedCollectors(t *testing.T) {
 
 func TestVecSeriesIdentityAndOrder(t *testing.T) {
 	r := NewRegistry()
-	vec := r.NewCounterVec("ops_total", "Ops by kind.", "kind")
-	if vec.With("read") != vec.With("read") {
+	hv := r.NewHistogramVec("op_seconds", "Op latency by kind.", []float64{1}, "kind")
+	if hv.With("read") != hv.With("read") {
 		t.Error("same labels returned different series")
 	}
-	vec.With("write").Add(2)
-	vec.With("read").Inc()
-	gv := r.NewGaugeVec("temp", "Labeled gauge.", "zone")
-	gv.With("b").Set(2)
-	gv.With("a").Set(1)
+	hv.With("write").Observe(0.5)
+	vec := r.NewCounterFuncVec("ops_total", "Ops by kind.", "kind")
+	vec.Bind(func() uint64 { return 2 }, "write")
+	vec.Bind(func() uint64 { return 1 }, "read")
+	gv := r.NewGaugeFuncVec("temp", "Labeled gauge.", "zone")
+	gv.Bind(func() float64 { return 2 }, "b")
+	gv.Bind(func() float64 { return 1 }, "a")
 
 	out := render(t, r)
 	// Series sorted by label value regardless of creation order.
+	if strings.Index(out, `op_seconds_count{kind="read"}`) > strings.Index(out, `op_seconds_count{kind="write"}`) {
+		t.Errorf("histogram series not sorted:\n%s", out)
+	}
 	if strings.Index(out, `ops_total{kind="read"}`) > strings.Index(out, `ops_total{kind="write"}`) {
 		t.Errorf("counter series not sorted:\n%s", out)
 	}
@@ -111,7 +98,7 @@ func TestVecSeriesIdentityAndOrder(t *testing.T) {
 
 func TestHistogramBucketsCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
+	h := r.NewHistogramVec("latency_seconds", "Latency.", []float64{0.01, 0.1, 1}).With()
 	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 2, 3} {
 		h.Observe(v)
 	}
@@ -158,9 +145,9 @@ func TestHistogramVecPerLabel(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	vec := r.NewGaugeVec("weird", `Help with \ backslash
+	vec := r.NewGaugeFuncVec("weird", `Help with \ backslash
 and newline.`, "path")
-	vec.With(`a"b\c` + "\n" + `d`).Set(1)
+	vec.Bind(func() float64 { return 1 }, `a"b\c`+"\n"+`d`)
 	fams := parse(t, r)
 	s := fams["weird"].Samples[0]
 	if s.Labels["path"] != `a"b\c`+"\n"+`d` {
@@ -186,12 +173,12 @@ func TestSpecialValues(t *testing.T) {
 
 func TestRegistrationPanics(t *testing.T) {
 	for name, f := range map[string]func(*Registry){
-		"bad metric name":   func(r *Registry) { r.NewCounter("bad-name", "") },
-		"bad label name":    func(r *Registry) { r.NewCounterVec("ok_total", "", "bad-label") },
-		"reserved label":    func(r *Registry) { r.NewCounterVec("ok_total", "", "__name__") },
-		"duplicate family":  func(r *Registry) { r.NewCounter("twice", ""); r.NewGauge("twice", "") },
-		"wrong label count": func(r *Registry) { r.NewCounterVec("v_total", "", "a", "b").With("only-one") },
-		"unsorted buckets":  func(r *Registry) { r.NewHistogram("h", "", []float64{1, 1}) },
+		"bad metric name":   func(r *Registry) { r.NewCounterFunc("bad-name", "", nil) },
+		"bad label name":    func(r *Registry) { r.NewCounterFuncVec("ok_total", "", "bad-label") },
+		"reserved label":    func(r *Registry) { r.NewGaugeFuncVec("ok", "", "__name__") },
+		"duplicate family":  func(r *Registry) { r.NewCounterFunc("twice", "", nil); r.NewGaugeFunc("twice", "", nil) },
+		"wrong label count": func(r *Registry) { r.NewHistogramVec("v", "", nil, "a", "b").With("only-one") },
+		"unsorted buckets":  func(r *Registry) { r.NewHistogramVec("h", "", []float64{1, 1}).With() },
 	} {
 		func() {
 			defer func() {
@@ -206,34 +193,27 @@ func TestRegistrationPanics(t *testing.T) {
 
 func TestConcurrentObservations(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c_total", "")
-	h := r.NewHistogram("h_seconds", "", DurationBuckets)
-	vec := r.NewCounterVec("v_total", "", "k")
+	vec := r.NewHistogramVec("h_seconds", "", DurationBuckets, "k")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
-				h.Observe(float64(i%7) * 0.001)
-				vec.With([]string{"a", "b"}[g%2]).Inc()
+				vec.With([]string{"a", "b"}[g%2]).Observe(float64(i%7) * 0.001)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 {
-		t.Errorf("lost updates: counter %d histogram %d", c.Value(), h.Count())
-	}
-	if vec.With("a").Value()+vec.With("b").Value() != 8000 {
-		t.Error("lost labeled updates")
+	if a, b := vec.With("a").Count(), vec.With("b").Count(); a != 4000 || b != 4000 {
+		t.Errorf("lost updates: %d + %d observations, want 4000 each", a, b)
 	}
 	parse(t, r)
 }
 
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("x_total", "X.").Inc()
+	r.NewCounterFunc("x_total", "X.", func() uint64 { return 1 })
 	rr := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rr.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {

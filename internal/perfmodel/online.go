@@ -1,17 +1,16 @@
 package perfmodel
 
 // OnlineRate is the runtime companion to the offline fit: an
-// exponentially weighted moving average of a measured rate (e.g. ns per
-// MCU of one pipeline stage), optionally seeded from a model
-// prediction. It is the wall-clock analog of the partition package's
-// Equation (16)/(17) feedback correction: start from what the fitted
-// model predicts, then pull toward what the host actually measures, so
-// schedulers adapt to the machine they run on instead of trusting the
-// offline fit.
+// exponentially weighted moving average of a rate measured on the host
+// (e.g. ns per MCU of one pipeline stage). It is the wall-clock analog
+// of the partition package's Equation (16)/(17) feedback correction,
+// without the offline half: the fit predicts the simulated platform,
+// not the host, so a scheduler learns its rates from what it measures
+// alone.
 //
-// The zero value is unseeded; Value returns 0 until the first Seed or
-// Observe. OnlineRate is not goroutine-safe — callers serialize access
-// (the batch scheduler updates it under its scheduling lock).
+// The zero value is empty; Value returns 0 until the first Observe.
+// OnlineRate is not goroutine-safe — callers serialize access (the
+// batch scheduler updates it under its scheduling lock).
 type OnlineRate struct {
 	v float64
 }
@@ -21,15 +20,8 @@ type OnlineRate struct {
 // numb to real drift (GC pauses, frequency scaling, corpus shifts).
 const onlineAlpha = 0.25
 
-// Seed primes an unseeded rate with a model prediction; once a value
-// exists (seeded or observed), Seed is a no-op.
-func (r *OnlineRate) Seed(x float64) {
-	if r.v == 0 && x > 0 {
-		r.v = x
-	}
-}
-
-// Observe folds one measurement into the estimate.
+// Observe folds one measurement into the estimate; the first one
+// becomes the estimate as it is.
 func (r *OnlineRate) Observe(x float64) {
 	if x <= 0 {
 		return
@@ -41,44 +33,39 @@ func (r *OnlineRate) Observe(x float64) {
 	r.v += onlineAlpha * (x - r.v)
 }
 
-// Value returns the current estimate (0 when unseeded).
+// Value returns the current estimate (0 before the first Observe).
 func (r *OnlineRate) Value() float64 { return r.v }
 
-// ScaledRates keys an OnlineRate by decode scale: the back-phase cost
-// per MCU differs by more than an order of magnitude between a full
-// decode and a DC-only 1/8 decode, so folding them into one EWMA would
-// let a burst of thumbnail traffic wreck the full-size estimate (and
-// vice versa). Each supported scale (1, 2, 4, 8) learns independently;
-// the batch scheduler seeds each from the offline fit evaluated at that
-// scale's output geometry and corrects it with measurements.
+// rateSlots is the number of keys a RateSet holds: the most any caller
+// needs is one per decode scale.
+const rateSlots = 4
+
+// RateSet keys an OnlineRate by a small slot number: one class of work
+// whose cost per unit differs from the others' by a large factor (a
+// decode scale, an entropy class, an encoder configuration). Folding
+// the classes into one EWMA would let a burst of one wreck the
+// estimate of the others; each slot learns on its own, and Max gives
+// the conservative rate for sizing shared resources under mixed
+// traffic. Callers map their keys onto slots 0 to 3; a slot out of
+// range shares slot 0.
 //
 // Like OnlineRate, the zero value is ready to use and access must be
 // serialized by the caller.
-type ScaledRates struct {
-	rates [4]OnlineRate
+type RateSet struct {
+	rates [rateSlots]OnlineRate
 }
 
-// scaleIdx maps a scale denominator to its slot; unknown values share
-// the full-size slot (they cannot occur for validated decodes).
-func scaleIdx(scale int) int {
-	switch scale {
-	case 2:
-		return 1
-	case 4:
-		return 2
-	case 8:
-		return 3
+// At returns the rate of a slot.
+func (r *RateSet) At(slot int) *OnlineRate {
+	if slot < 0 || slot >= rateSlots {
+		slot = 0
 	}
-	return 0
+	return &r.rates[slot]
 }
 
-// At returns the rate for a scale denominator (1, 2, 4 or 8).
-func (r *ScaledRates) At(scale int) *OnlineRate { return &r.rates[scaleIdx(scale)] }
-
-// Max returns the largest current estimate across scales (0 when all
-// are unseeded) — the conservative choice when sizing shared resources
-// for mixed-scale traffic.
-func (r *ScaledRates) Max() float64 {
+// Max returns the largest current estimate across slots (0 when none
+// has been observed).
+func (r *RateSet) Max() float64 {
 	var m float64
 	for i := range r.rates {
 		if v := r.rates[i].Value(); v > m {

@@ -8,12 +8,13 @@ import (
 	"hetjpeg/internal/perfmodel"
 )
 
-// Rates is the concurrency-safe wrapper around the perfmodel encode
-// rate classes: many transcode handlers observe into it while the
-// admission path reads it for Retry-After pricing.
+// Rates learns the encode cost in ns per output MCU of each Class, one
+// perfmodel.RateSet slot each, behind a lock: many transcode handlers
+// observe into it while the admission path reads it for Retry-After
+// pricing.
 type Rates struct {
 	mu sync.Mutex
-	r  perfmodel.EncodeRates
+	r  perfmodel.RateSet
 }
 
 // ObserveResult folds a finished transcode's encode cost into its
@@ -23,16 +24,16 @@ func (r *Rates) ObserveResult(res *Result) {
 		return
 	}
 	r.mu.Lock()
-	r.r.At(res.Class).Observe(float64(res.EncodeNs) / float64(res.MCUs))
+	r.r.At(int(res.Class)).Observe(float64(res.EncodeNs) / float64(res.MCUs))
 	r.mu.Unlock()
 }
 
-// Value returns the current ns/MCU estimate for a class (0 when
-// unseeded).
-func (r *Rates) Value(c perfmodel.EncodeClass) float64 {
+// Value returns the current ns/MCU estimate for a class (0 before its
+// first observation).
+func (r *Rates) Value(c Class) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.r.At(c).Value()
+	return r.r.At(int(c)).Value()
 }
 
 // Max returns the largest estimate across classes — the conservative
@@ -43,10 +44,10 @@ func (r *Rates) Max() float64 {
 	return r.r.Max()
 }
 
-// Calibrate seeds every class by encoding one small synthetic image
-// under it, so Retry-After pricing has a defensible number before the
-// first real request instead of a cold zero. Observed traffic then
-// corrects the seed through the EWMA. The calibration image is a
+// Calibrate observes every class once by encoding one small synthetic
+// image under it, so Retry-After pricing has a defensible number before
+// the first real request instead of a cold zero. Observed traffic then
+// corrects it through the EWMA. The calibration image is a
 // 128x128 diagonal gradient — cheap, but with enough AC energy that
 // the measured ns/MCU is not a best-case outlier.
 func (r *Rates) Calibrate() {
@@ -57,10 +58,7 @@ func (r *Rates) Calibrate() {
 		}
 	}
 	defer img.Release()
-	for _, opts := range []Options{
-		{Progressive: false}, // EncodeOptimized (optimal Huffman is always on)
-		{Progressive: true},  // EncodeProgressive
-	} {
+	for _, opts := range []Options{{Progressive: false}, {Progressive: true}} {
 		t0 := time.Now()
 		if _, err := jpegcodec.Encode(img, opts.encodeOptions()); err != nil {
 			continue
@@ -68,7 +66,7 @@ func (r *Rates) Calibrate() {
 		ns := time.Since(t0).Nanoseconds()
 		mcus := opts.outputMCUs(img.W, img.H)
 		r.mu.Lock()
-		r.r.At(opts.Class()).Seed(float64(ns) / float64(mcus))
+		r.r.At(int(opts.Class())).Observe(float64(ns) / float64(mcus))
 		r.mu.Unlock()
 	}
 }

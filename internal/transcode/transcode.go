@@ -16,7 +16,6 @@ import (
 
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
-	"hetjpeg/internal/perfmodel"
 )
 
 // ErrBadOptions marks a transcode refused for invalid knobs (quality
@@ -64,11 +63,38 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// Class returns the perfmodel rate class this transcode is billed
-// under. Output always uses optimal Huffman tables, so non-progressive
-// transcodes are EncodeOptimized.
-func (o *Options) Class() perfmodel.EncodeClass {
-	return perfmodel.ClassFor(o.Progressive, true)
+// Class names the encoder configuration an encode-rate observation
+// belongs to. Output always uses optimal Huffman tables, so there are
+// two: the single-scan emitter with its statistics pass, and the
+// progressive emitter, which runs two passes per scan of its script.
+// They cost very differently per MCU, so Rates learns each on its own.
+type Class int
+
+const (
+	// ClassOptimized is single-scan output with optimal Huffman tables.
+	ClassOptimized Class = iota
+	// ClassProgressive is progressive output.
+	ClassProgressive
+)
+
+// Classes lists every class.
+func Classes() []Class { return []Class{ClassOptimized, ClassProgressive} }
+
+// String returns the class's stable label ("optimized",
+// "progressive"), the spelling metrics and logs use.
+func (c Class) String() string {
+	if c == ClassProgressive {
+		return "progressive"
+	}
+	return "optimized"
+}
+
+// Class returns the rate class this transcode is billed under.
+func (o *Options) Class() Class {
+	if o.Progressive {
+		return ClassProgressive
+	}
+	return ClassOptimized
 }
 
 // Result is one finished transcode.
@@ -87,7 +113,7 @@ type Result struct {
 	// denominator of the ns/MCU encode rate observation.
 	MCUs int
 	// Class is the encode rate class the EncodeNs observation belongs to.
-	Class perfmodel.EncodeClass
+	Class Class
 }
 
 // encodeOptions lowers the transcode knobs onto the encoder.

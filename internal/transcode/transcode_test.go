@@ -7,7 +7,6 @@ import (
 
 	"hetjpeg/internal/jfif"
 	"hetjpeg/internal/jpegcodec"
-	"hetjpeg/internal/perfmodel"
 )
 
 // testJPEG encodes a synthetic detail image so decode inputs carry real
@@ -190,21 +189,38 @@ func TestRates(t *testing.T) {
 	if r.Max() != 0 {
 		t.Errorf("zero-value Max = %v, want 0", r.Max())
 	}
-	r.ObserveResult(&Result{EncodeNs: 1000, MCUs: 10, Class: perfmodel.EncodeOptimized})
-	if v := r.Value(perfmodel.EncodeOptimized); v != 100 {
+	r.ObserveResult(&Result{EncodeNs: 1000, MCUs: 10, Class: ClassOptimized})
+	if v := r.Value(ClassOptimized); v != 100 {
 		t.Errorf("observed rate = %v, want 100", v)
 	}
 	// Degenerate observations are dropped, not folded in as zeros.
 	r.ObserveResult(nil)
 	r.ObserveResult(&Result{EncodeNs: 0, MCUs: 10})
 	r.ObserveResult(&Result{EncodeNs: 10, MCUs: 0})
-	if v := r.Value(perfmodel.EncodeOptimized); v != 100 {
+	if v := r.Value(ClassOptimized); v != 100 {
 		t.Errorf("rate after degenerate observations = %v, want 100", v)
 	}
 
-	var seeded Rates
-	seeded.Calibrate()
-	if seeded.Value(perfmodel.EncodeOptimized) <= 0 || seeded.Value(perfmodel.EncodeProgressive) <= 0 {
-		t.Error("Calibrate left encode classes unseeded")
+	var calibrated Rates
+	calibrated.Calibrate()
+	if calibrated.Value(ClassOptimized) <= 0 || calibrated.Value(ClassProgressive) <= 0 {
+		t.Error("Calibrate left encode classes unobserved")
+	}
+}
+
+// Options.Class bills progressive output to its own rate, and the
+// labels are the spellings /metrics pins.
+func TestOptionsClass(t *testing.T) {
+	for _, c := range []struct {
+		opts Options
+		want Class
+		name string
+	}{
+		{Options{}, ClassOptimized, "optimized"},
+		{Options{Progressive: true}, ClassProgressive, "progressive"},
+	} {
+		if got := c.opts.Class(); got != c.want || got.String() != c.name {
+			t.Errorf("%+v: class %v (%d), want %s", c.opts, got, got, c.name)
+		}
 	}
 }
