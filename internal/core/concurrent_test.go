@@ -62,10 +62,9 @@ func TestDecodeConcurrentAllModes(t *testing.T) {
 	}
 }
 
-// Released buffers must come back from the pool zeroed and usable: a
-// decode after Release produces the same pixels as a fresh one, and a
-// VirtualOnly decode (which promises a zeroed image) stays zeroed even
-// when its buffers are recycled from a real decode's dirty slabs.
+// Released buffers must come back from the pool usable: a decode after
+// Release produces the same pixels as a fresh one. A VirtualOnly decode
+// returns no image at all, so it has no recycled pixels to show.
 func TestReleaseRecyclesSafely(t *testing.T) {
 	spec := platform.GTX680()
 	items, err := imagegen.SizeSweep(jfif.Sub422, 0.7, [][2]int{{256, 192}}, 42)
@@ -96,9 +95,8 @@ func TestReleaseRecyclesSafely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range virt.Image.Pix {
-		if p != 0 {
-			t.Fatalf("VirtualOnly image dirty at byte %d (recycled slab not zeroed)", i)
-		}
+	if virt.Image != nil {
+		t.Fatal("VirtualOnly decode returned an image")
 	}
+	virt.Release()
 }

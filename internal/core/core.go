@@ -3,9 +3,10 @@
 // over the re-engineered whole-image-buffer codec, the priced OpenCL
 // kernels of the simulated device, the fitted performance model and the
 // dynamic partitioning schemes. Every mode's pixels come from the one
-// scalar back phase, so they are identical by construction; modes differ
-// only in how the work is scheduled, which the per-decode virtual
-// timeline records.
+// sequential decode (jpegcodec's Run on one worker), so they are
+// identical by construction; modes differ only in how the work is
+// scheduled, which Price builds into a virtual timeline from the
+// finished frame alone.
 package core
 
 import (
@@ -92,11 +93,11 @@ type Options struct {
 	ChunkRows int
 	// SplitKernels disables the Section 4.4 kernel merging (ablation).
 	SplitKernels bool
-	// VirtualOnly skips the back phase. The timeline is the same as an
-	// executed decode's, since the mode runners only build timelines and
-	// price the device work through kernels.CostPlan. The returned Image
-	// is zeroed. Large experiment sweeps use it to evaluate schedules
-	// cheaply.
+	// VirtualOnly runs the entropy stage alone (jpegcodec's Entropy):
+	// no back phase and no RGB output, so the returned Image is nil. The
+	// timeline is the same as an executed decode's, since Price reads
+	// only the frame's geometry and per-row entropy bits. Large
+	// experiment sweeps use it to evaluate schedules cheaply.
 	VirtualOnly bool
 	// Scale selects decode-to-scale (1/2, 1/4, 1/8): the back phase
 	// reconstructs directly at the reduced resolution through scaled
@@ -136,7 +137,7 @@ type Result struct {
 	Image *jpegcodec.RGBImage
 	// Frame carries the decode's geometry (Sub, DCOnly, the MCU grid).
 	// Its coefficient and sample slabs went back to the pools when the
-	// back phase finished, whichever scheduler ran it.
+	// decode finished, whichever scheduler ran it.
 	Frame *jpegcodec.Frame
 	// Timeline is the priced schedule (Price); nil, with TotalNs and
 	// HuffNs zero, for an Unpriced result such as the batch executor's.
@@ -168,8 +169,12 @@ func (r *Result) Release() {
 	}
 }
 
-// Decode decompresses a baseline or progressive JPEG stream under the
-// given mode. With Options.Salvage set, an impaired-but-decodable
+// Decode decompresses a baseline or progressive JPEG stream and prices
+// it under the given mode: jpegcodec.Open, then Run(1) for the pixels
+// (Entropy alone under VirtualOnly, with no Image), then Price over the
+// released frame. Every mode's pixels come from that one sequential
+// decode; the mode's schedule only places the per-row costs on the
+// virtual timeline. With Options.Salvage set, an impaired-but-decodable
 // stream returns BOTH a usable *Result and an error wrapping
 // jpegcodec.ErrPartialData (Result.Salvage holds the report); callers
 // must check the Result before treating the error as fatal.
@@ -178,29 +183,23 @@ func Decode(data []byte, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Entropy decoding is strictly sequential (variable-length codes);
-	// every mode performs it on the CPU. The mode's schedule only places
-	// the per-row costs on the virtual timeline; the pixels of every mode
-	// come from the one scalar back phase.
-	if err := p.EntropyDecode(nil); err != nil {
-		p.Release() // corrupt stream: hand the slabs back to the pools
-		return nil, err
-	}
-	f, out := p.Frame(), p.Output()
-	res, err := Price(f, p.SalvageReport(), opts)
-	if err != nil {
-		p.Release()
-		return nil, err
-	}
+	var img *jpegcodec.RGBImage
 	if opts.VirtualOnly {
-		clear(out.Pix)
+		err = p.Entropy(nil)
 	} else {
-		jpegcodec.ParallelPhaseScalar(f, 0, f.MCURows, out)
+		img, err = p.Run(1)
 	}
-	// Nothing reads coefficients or sample planes again; the frame keeps
-	// its geometry.
-	f.Release()
-	res.Image = out
+	if err != nil && !errors.Is(err, jpegcodec.ErrPartialData) {
+		return nil, err
+	}
+	res, err := Price(p.Frame(), p.SalvageReport(), opts)
+	if err != nil {
+		if img != nil {
+			img.Release()
+		}
+		return nil, err
+	}
+	res.Image = img
 	return res, res.Salvage.Err()
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"hetjpeg/internal/imagegen"
@@ -67,24 +70,62 @@ func TestOptimizedHuffmanStreamAllModes(t *testing.T) {
 	}
 }
 
+// TestVirtualOnlyMatchesExecutedTimeline: a VirtualOnly decode (the
+// entropy stage alone) prices the same schedule as an executed one, task
+// for task, in every mode, and returns no image. The truncated restart
+// stream under Salvage goes through the entropy-only path with its
+// losses: both decodes give the same report and the same ErrPartialData.
 func TestVirtualOnlyMatchesExecutedTimeline(t *testing.T) {
 	spec := platform.GTX560()
 	model := defaultModel(t, spec)
-	data := encodeTest(t, 400, 304, jfif.Sub422, 0.6)
-	for _, mode := range AllModes() {
-		real, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model})
-		if err != nil {
-			t.Fatal(err)
-		}
-		virt, err := Decode(data, Options{Mode: mode, Spec: spec, Model: model, VirtualOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel := (real.TotalNs - virt.TotalNs) / real.TotalNs; rel > 1e-9 || rel < -1e-9 {
-			t.Errorf("%v: virtual-only makespan %.3f != executed %.3f", mode, virt.TotalNs, real.TotalNs)
-		}
-		if real.Stats != virt.Stats {
-			t.Errorf("%v: stats differ: %+v vs %+v", mode, real.Stats, virt.Stats)
+	img := imagegen.Generate(imagegen.Scene{Seed: 23, Detail: 0.6}, 320, 256)
+	rst, err := jpegcodec.Encode(img, jpegcodec.EncodeOptions{Quality: 85, Subsampling: jfif.Sub420, RestartInterval: 4})
+	img.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name    string
+		data    []byte
+		salvage bool
+	}{
+		{"422", encodeTest(t, 400, 304, jfif.Sub422, 0.6), false},
+		{"420 restart truncated salvage", rst[:len(rst)*2/3], true},
+	} {
+		for _, mode := range AllModes() {
+			name := fmt.Sprintf("%s %v", in.name, mode)
+			opts := Options{Mode: mode, Spec: spec, Model: model, Salvage: in.salvage}
+			real, rerr := Decode(in.data, opts)
+			opts.VirtualOnly = true
+			virt, verr := Decode(in.data, opts)
+			if in.salvage {
+				if !errors.Is(rerr, jpegcodec.ErrPartialData) || !errors.Is(verr, jpegcodec.ErrPartialData) {
+					t.Fatalf("%s: errors %v and %v, want ErrPartialData from both", name, rerr, verr)
+				}
+				if rerr.Error() != verr.Error() {
+					t.Errorf("%s: executed error %q, VirtualOnly %q", name, rerr, verr)
+				}
+				if real.Salvage == nil || !reflect.DeepEqual(real.Salvage, virt.Salvage) {
+					t.Errorf("%s: executed report %+v, VirtualOnly %+v", name, real.Salvage, virt.Salvage)
+				}
+			} else if rerr != nil || verr != nil {
+				t.Fatalf("%s: %v, %v", name, rerr, verr)
+			}
+			if virt.Image != nil {
+				t.Errorf("%s: VirtualOnly returned an image", name)
+			}
+			if real.TotalNs != virt.TotalNs || real.HuffNs != virt.HuffNs {
+				t.Errorf("%s: virtual-only makespan %.3f (Huffman %.3f) != executed %.3f (%.3f)",
+					name, virt.TotalNs, virt.HuffNs, real.TotalNs, real.HuffNs)
+			}
+			if real.Stats != virt.Stats {
+				t.Errorf("%s: stats differ: %+v vs %+v", name, real.Stats, virt.Stats)
+			}
+			if taskDigest(real) != taskDigest(virt) {
+				t.Errorf("%s: task lists differ", name)
+			}
+			real.Release()
+			virt.Release()
 		}
 	}
 }

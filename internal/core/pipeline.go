@@ -8,26 +8,24 @@ import (
 )
 
 // Prepared is a decode split open at the paper's pipeline boundary for
-// the reproduction's probes: the jpegcodec handle, which owns the frame,
-// the entropy step and the output, plus the options its schedule is
-// priced under. Wall-clock callers drive a jpegcodec.Decode themselves
-// and price the finished frame with Price only where they report
-// virtual time:
+// the benchmark's probes: the jpegcodec handle, which owns the frame and
+// the entropy step, plus the options its schedule is priced under.
+// Wall-clock callers drive a jpegcodec.Decode themselves and price the
+// finished frame with Price only where they report virtual time:
 //
 //	p, _ := core.Prepare(data, opts)  // jpegcodec.Open: parse + allocate the frame
-//	_ = p.EntropyDecode(ctx)          // stage 1: Step over a plan of one band
-//	res, _ := p.FinishVirtual()       // Price, plus the (unfilled) output
+//	_ = p.EntropyDecode(ctx)          // stage 1: the handle's Entropy
+//	res, _ := p.FinishVirtual()       // Price
 //
-// Decode is Prepare + EntropyDecode + Price, then
-// jpegcodec.ParallelPhaseScalar over the frame.
+// Decode is Prepare, then the handle's Run(1) (Entropy alone under
+// VirtualOnly), then Price.
 type Prepared struct {
 	*jpegcodec.Decode
 	opts Options
 }
 
 // Prepare opens the stream (jpegcodec.Open at the options' scale and
-// salvage mode). No entropy decoding happens yet, and the RGB output is
-// not allocated until the first band is ready.
+// salvage mode). No entropy decoding happens yet.
 func Prepare(data []byte, opts Options) (*Prepared, error) {
 	if opts.Spec == nil {
 		return nil, errors.New("core: Options.Spec is required")
@@ -39,27 +37,13 @@ func Prepare(data []byte, opts Options) (*Prepared, error) {
 	return &Prepared{Decode: d, opts: opts}, nil
 }
 
-// EntropyDecode runs stage 1 to its end: the handle's Step over a plan
-// of one band.
+// EntropyDecode runs stage 1 to its end: the handle's Entropy, which
+// takes no RGB output and returns the frame's slabs to the pools.
 func (p *Prepared) EntropyDecode(ctx context.Context) error {
-	f := p.Frame()
-	bp := jpegcodec.PlanBands(f, 0, f.MCURows, f.MCURows)
-	for !p.Done() {
-		if _, _, err := p.Step(ctx, bp); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Entropy(ctx)
 }
 
-// FinishVirtual prices the ended decode (Price) and returns it with the
-// handle's output. It executes nothing: the caller owns the back phase
-// and the frame's release.
+// FinishVirtual prices the ended decode (Price). It executes nothing.
 func (p *Prepared) FinishVirtual() (*Result, error) {
-	res, err := Price(p.Frame(), p.SalvageReport(), p.opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Image = p.Output()
-	return res, nil
+	return Price(p.Frame(), p.SalvageReport(), p.opts)
 }

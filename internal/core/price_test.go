@@ -28,10 +28,18 @@ func TestPriceAfterRelease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.EntropyDecode(nil); err != nil {
-				t.Fatal(err)
-			}
+			// Step over a one-band plan ends the entropy stage and, unlike
+			// EntropyDecode, keeps the frame's slabs.
 			f := p.Frame()
+			bp := jpegcodec.PlanBands(f, 0, f.MCURows, f.MCURows)
+			for !p.Done() {
+				if _, _, err := p.Step(nil, bp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if f.Coeff[0] == nil {
+				t.Fatal("the frame lost its slabs before Release")
+			}
 			before := map[Mode]*Result{}
 			for _, mode := range AllModes() {
 				if before[mode], err = Price(f, p.SalvageReport(), Options{Mode: mode, Spec: spec, Model: model}); err != nil {

@@ -28,10 +28,11 @@ func TestChunksAndTileCoverOutputRows(t *testing.T) {
 	}
 	for name, data := range streams {
 		for _, scale := range []jpegcodec.Scale{jpegcodec.Scale1, jpegcodec.Scale2, jpegcodec.Scale4, jpegcodec.Scale8} {
-			f, _, err := jpegcodec.PrepareDecodeScaled(data, scale)
+			d, err := jpegcodec.Open(data, jpegcodec.Options{Scale: scale})
 			if err != nil {
 				t.Fatal(err)
 			}
+			f := d.Frame()
 			st := &decodeState{f: f}
 			for s := 0; s <= f.MCURows; s++ {
 				for _, c := range []int{1, 2, 3, f.MCURows} {

@@ -6,6 +6,7 @@ import (
 	"hetjpeg/internal/core"
 	"hetjpeg/internal/imagegen"
 	"hetjpeg/internal/jfif"
+	"hetjpeg/internal/jpegcodec"
 	"hetjpeg/internal/perfmodel"
 	"hetjpeg/internal/platform"
 	"hetjpeg/internal/sim"
@@ -16,18 +17,24 @@ import (
 // deliberately loose: the goal is the paper's qualitative landscape (who
 // wins, by roughly what factor), not its exact numbers.
 
-func fig9Data(t testing.TB) []byte {
+// fig9Frame entropy-decodes the 2048x2048 4:2:2 image of Figure 9 once;
+// each test prices its released frame under every machine and mode.
+func fig9Frame(t testing.TB) *jpegcodec.Frame {
 	t.Helper()
 	items, err := imagegen.SizeSweep(jfif.Sub422, 0.6, [][2]int{{2048, 2048}}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return items[0].Data
+	f, err := perfmodel.SummarizeItem(items[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
-func decodeV(t testing.TB, data []byte, mode core.Mode, spec *platform.Spec, model *perfmodel.Model) *core.Result {
+func price(t testing.TB, f *jpegcodec.Frame, mode core.Mode, spec *platform.Spec, model *perfmodel.Model) *core.Result {
 	t.Helper()
-	res, err := core.Decode(data, core.Options{Mode: mode, Spec: spec, Model: model, VirtualOnly: true})
+	res, err := core.Price(f, nil, core.Options{Mode: mode, Spec: spec, Model: model})
 	if err != nil {
 		t.Fatalf("%v on %s: %v", mode, spec.Name, err)
 	}
@@ -35,10 +42,10 @@ func decodeV(t testing.TB, data []byte, mode core.Mode, spec *platform.Spec, mod
 }
 
 func TestCalibrationSIMDvsSequential(t *testing.T) {
-	data := fig9Data(t)
+	f := fig9Frame(t)
 	for _, spec := range platform.All() {
-		seq := decodeV(t, data, core.ModeSequential, spec, nil)
-		simd := decodeV(t, data, core.ModeSIMD, spec, nil)
+		seq := price(t, f, core.ModeSequential, spec, nil)
+		simd := price(t, f, core.ModeSIMD, spec, nil)
 		ratio := seq.TotalNs / simd.TotalNs
 		t.Logf("%s: sequential/SIMD = %.2f (huff share of SIMD: %.0f%%)",
 			spec.Name, ratio, 100*simd.HuffNs/simd.TotalNs)
@@ -51,7 +58,7 @@ func TestCalibrationSIMDvsSequential(t *testing.T) {
 }
 
 func TestCalibrationFigure9Anchors(t *testing.T) {
-	data := fig9Data(t)
+	f := fig9Frame(t)
 
 	type anchor struct {
 		spec          *platform.Spec
@@ -70,8 +77,8 @@ func TestCalibrationFigure9Anchors(t *testing.T) {
 		{platform.GTX680(), [2]float64{10, 18}, [2]float64{3.2, 5.6}, [2]float64{0.5, 0.75}, false},
 	}
 	for _, a := range anchors {
-		simd := decodeV(t, data, core.ModeSIMD, a.spec, nil)
-		gpu := decodeV(t, data, core.ModeGPU, a.spec, nil)
+		simd := price(t, f, core.ModeSIMD, a.spec, nil)
+		gpu := price(t, f, core.ModeGPU, a.spec, nil)
 
 		simdParallel := simd.TotalNs - simd.HuffNs
 		bd := gpu.Timeline.TotalByKind()
@@ -103,15 +110,15 @@ func TestCalibrationFigure9Anchors(t *testing.T) {
 func TestCalibrationModeOrdering(t *testing.T) {
 	// On every machine: PPS >= SPS and PPS >= Pipeline >= GPU (within a
 	// small tolerance), as in Tables 2 and 3.
-	data := fig9Data(t)
+	f := fig9Frame(t)
 	for _, spec := range platform.All() {
 		model, err := perfmodel.Default(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		speedup := func(mode core.Mode) float64 {
-			simd := decodeV(t, data, core.ModeSIMD, spec, model)
-			res := decodeV(t, data, mode, spec, model)
+			simd := price(t, f, core.ModeSIMD, spec, model)
+			res := price(t, f, mode, spec, model)
 			return simd.TotalNs / res.TotalNs
 		}
 		gpu := speedup(core.ModeGPU)

@@ -1,7 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (Section 6) from the reproduction: breakdowns, speedup
 // sweeps, Amdahl-bound comparisons and load-balance measurements. Each
-// experiment returns structured rows and can render itself as text:
+// image's entropy stage runs once (perfmodel.SummarizeItem), and its
+// released frame is priced (core.Price) under every machine and mode.
+// Each experiment returns structured rows and can render itself as text:
 // `repro figures` writes the text reports, and this package's tests pin
 // the shape of each.
 package harness
@@ -20,16 +22,6 @@ import (
 	"hetjpeg/internal/platform"
 	"hetjpeg/internal/sim"
 )
-
-// decodeVirtual runs a virtual-only decode and returns the result.
-func decodeVirtual(data []byte, mode core.Mode, spec *platform.Spec, model *perfmodel.Model) (*core.Result, error) {
-	return core.Decode(data, core.Options{
-		Mode:        mode,
-		Spec:        spec,
-		Model:       model,
-		VirtualOnly: true,
-	})
-}
 
 // Mean and CV of a sample.
 func meanCV(xs []float64) (mean, cv float64) {
@@ -243,12 +235,15 @@ func Figure9(size int) ([]Fig9Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := items[0].Data
+	f, err := perfmodel.SummarizeItem(items[0])
+	if err != nil {
+		return nil, err
+	}
 	var cols []Fig9Column
 	for _, spec := range platform.All() {
 		var simdTotal float64
 		for _, mode := range []core.Mode{core.ModeSequential, core.ModeSIMD, core.ModeGPU} {
-			res, err := decodeVirtual(data, mode, spec, nil)
+			res, err := core.Price(f, nil, core.Options{Mode: mode, Spec: spec})
 			if err != nil {
 				return nil, err
 			}
@@ -301,20 +296,24 @@ type SpeedupCell struct {
 // SpeedupTable computes mean speedup over SIMD per machine and mode for a
 // corpus of one subsampling (Tables 2 and 3).
 func SpeedupTable(sub jfif.Subsampling, corpus []imagegen.Item, models map[string]*perfmodel.Model) ([]SpeedupCell, error) {
+	frames, err := perfmodel.Summarize(corpus)
+	if err != nil {
+		return nil, err
+	}
 	modes := []core.Mode{core.ModeGPU, core.ModePipelinedGPU, core.ModeSPS, core.ModePPS}
 	var cells []SpeedupCell
 	for _, spec := range platform.All() {
 		model := models[spec.Name]
 		samples := make(map[core.Mode][]float64)
-		for _, it := range corpus {
-			simdRes, err := decodeVirtual(it.Data, core.ModeSIMD, spec, model)
+		for i, f := range frames {
+			simdRes, err := core.Price(f, nil, core.Options{Mode: core.ModeSIMD, Spec: spec, Model: model})
 			if err != nil {
 				return nil, err
 			}
 			for _, mode := range modes {
-				res, err := decodeVirtual(it.Data, mode, spec, model)
+				res, err := core.Price(f, nil, core.Options{Mode: mode, Spec: spec, Model: model})
 				if err != nil {
-					return nil, fmt.Errorf("%s %v %s: %w", spec.Name, mode, it.Name, err)
+					return nil, fmt.Errorf("%s %v %s: %w", spec.Name, mode, corpus[i].Name, err)
 				}
 				samples[mode] = append(samples[mode], simdRes.TotalNs/res.TotalNs)
 			}
@@ -363,24 +362,28 @@ func Figure10(sub jfif.Subsampling, sizes [][2]int, models map[string]*perfmodel
 	if err != nil {
 		return nil, err
 	}
+	frames, err := perfmodel.Summarize(items)
+	if err != nil {
+		return nil, err
+	}
 	modes := []core.Mode{core.ModeGPU, core.ModePipelinedGPU, core.ModeSPS, core.ModePPS}
 	var pts []Fig10Point
 	for _, spec := range platform.All() {
 		model := models[spec.Name]
-		for _, it := range items {
-			simdRes, err := decodeVirtual(it.Data, core.ModeSIMD, spec, model)
+		for i, f := range frames {
+			simdRes, err := core.Price(f, nil, core.Options{Mode: core.ModeSIMD, Spec: spec, Model: model})
 			if err != nil {
 				return nil, err
 			}
 			for _, mode := range modes {
-				res, err := decodeVirtual(it.Data, mode, spec, model)
+				res, err := core.Price(f, nil, core.Options{Mode: mode, Spec: spec, Model: model})
 				if err != nil {
 					return nil, err
 				}
 				pts = append(pts, Fig10Point{
 					Machine: spec.Name,
 					Mode:    mode,
-					Pixels:  it.W * it.H,
+					Pixels:  items[i].W * items[i].H,
 					Speedup: simdRes.TotalNs / res.TotalNs,
 				})
 			}
@@ -419,11 +422,15 @@ func Figure11(spec *platform.Spec, sub jfif.Subsampling, sizes [][2]int, model *
 	}
 	var pts []Fig11Point
 	for _, it := range items {
-		simdRes, err := decodeVirtual(it.Data, core.ModeSIMD, spec, model)
+		f, err := perfmodel.SummarizeItem(it)
 		if err != nil {
 			return nil, err
 		}
-		ppsRes, err := decodeVirtual(it.Data, core.ModePPS, spec, model)
+		simdRes, err := core.Price(f, nil, core.Options{Mode: core.ModeSIMD, Spec: spec, Model: model})
+		if err != nil {
+			return nil, err
+		}
+		ppsRes, err := core.Price(f, nil, core.Options{Mode: core.ModePPS, Spec: spec, Model: model})
 		if err != nil {
 			return nil, err
 		}
@@ -474,12 +481,16 @@ func Figure12(sub jfif.Subsampling, sizes [][2]int, models map[string]*perfmodel
 	if err != nil {
 		return nil, err
 	}
+	frames, err := perfmodel.Summarize(items)
+	if err != nil {
+		return nil, err
+	}
 	var pts []Fig12Point
 	for _, spec := range platform.All() {
 		model := models[spec.Name]
 		for _, mode := range []core.Mode{core.ModeSPS, core.ModePPS} {
-			for _, it := range items {
-				res, err := decodeVirtual(it.Data, mode, spec, model)
+			for i, f := range frames {
+				res, err := core.Price(f, nil, core.Options{Mode: mode, Spec: spec, Model: model})
 				if err != nil {
 					return nil, err
 				}
@@ -512,7 +523,7 @@ func Figure12(sub jfif.Subsampling, sizes [][2]int, models map[string]*perfmodel
 				pts = append(pts, Fig12Point{
 					Machine: spec.Name,
 					Mode:    mode,
-					Pixels:  it.W * it.H,
+					Pixels:  items[i].W * items[i].H,
 					CPUNs:   cpu,
 					GPUNs:   gpu,
 				})

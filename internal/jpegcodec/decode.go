@@ -11,10 +11,11 @@ import (
 // allocates the frame; the Decode it returns owns the frame, the
 // sequential entropy stage and the RGB output. Step is the one entropy
 // step: it runs the entropy stage through a band plan until the next
-// band is ready, for whoever runs the bands (the batch band scheduler,
-// Run, and core's reproduction adapters). Run is the paper's pipeline
-// inside one image (§4.5/§5.2) on the wall clock: the caller steps the
-// entropy stage and a crew runs each band whose rows are decoded.
+// band is ready, for whoever runs the bands (the batch band scheduler
+// and Run). Entropy steps the entropy stage alone, for the reproduction,
+// which prices the frame it leaves. Run is the paper's pipeline inside
+// one image (§4.5/§5.2) on the wall clock: the caller steps the entropy
+// stage and a crew runs each band whose rows are decoded.
 
 // Options selects how Open prepares a decode. The zero value is a
 // strict decode at full size.
@@ -127,6 +128,23 @@ func (d *Decode) Step(ctx context.Context, bp *BandPlan) (from, to int, err erro
 	return from, to, nil
 }
 
+// Entropy runs the entropy stage to its end through Step over a plan
+// with no bands, so no band becomes ready and no RGB output is taken:
+// the decode of a caller that only prices the frame. The frame goes
+// back to the pools on every path; its geometry, its BitsPerRow and the
+// SalvageReport stay readable. A salvage decode's losses are in the
+// report, not the error.
+func (d *Decode) Entropy(ctx context.Context) error {
+	defer d.f.Release()
+	bp := &BandPlan{f: d.f}
+	for !d.Done() {
+		if _, _, err := d.Step(ctx, bp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Run decodes the whole image on up to workers goroutines and returns
 // its pixels, byte-identical at every worker count. One worker runs the
 // fused sequential pass as one band. With more, each MCU row is a band
@@ -182,8 +200,9 @@ func DecodeScalar(data []byte) (*RGBImage, error) {
 }
 
 // PrepareDecode is Open at full size, returning the frame and its
-// entropy decoder positioned at row 0: the entropy-only entry of the
-// benchmark's layer probes and of profiling.
+// entropy decoder positioned at row 0, for tests and the benchmark's
+// layer probes that drive the entropy decoder directly. Decodes go
+// through Open: Entropy for the entropy stage alone, Run for pixels.
 func PrepareDecode(data []byte) (*Frame, *EntropyDecoder, error) {
 	return PrepareDecodeScaled(data, Scale1)
 }

@@ -82,7 +82,8 @@ func (bp *BandPlan) BandMCURows(i int) int { return bp.edges[i+1].m - bp.edges[i
 // bands [from, to) that became ready: Decode.Step's work. A band is
 // ready once every one of its MCU rows lies below ed.Row(): a baseline
 // stream readies bands as its rows land, a progressive one readies them
-// all after its last scan. The plan must cover the whole frame.
+// all after its last scan. The plan must cover the whole frame, or hold
+// no bands at all (Entropy's), in which case no band ever becomes ready.
 func (bp *BandPlan) step(ed *EntropyDecoder, rows int) (from, to int, err error) {
 	from, edges := bp.ready, bp.edges
 	if !bp.f.Img.Progressive && from+1 < len(edges) {

@@ -2,6 +2,7 @@ package jpegcodec
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -110,6 +111,55 @@ func TestOpenFailureBeforeFirstBandTakesNoOutput(t *testing.T) {
 		}
 		if _, err := d.Run(workers); err == nil || d.Output() != nil {
 			t.Fatalf("Run(%d): err %v, output taken %v", workers, err, d.Output() != nil)
+		}
+	}
+}
+
+// TestOpenEntropyTakesNoOutput: Entropy runs the entropy stage to its
+// end without taking the RGB output, hands the frame's slabs back, and
+// leaves the same BitsPerRow an executed decode (Run(1)) records, for a
+// baseline and a progressive stream; a cancel stops it at a poll and
+// still hands the slabs back.
+func TestOpenEntropyTakesNoOutput(t *testing.T) {
+	for _, progressive := range []bool{false, true} {
+		data := encodeFixture(t, 64, 1100, jfif.Sub420, 9, func(eo *EncodeOptions) { eo.Progressive = progressive })
+		ref, err := Open(data, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ref.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Release()
+		d, err := Open(data, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := d.Frame()
+		if err := d.Entropy(nil); err != nil {
+			t.Fatal(err)
+		}
+		if !d.Done() || d.Output() != nil || f.Coeff[0] != nil || f.Samples[0] != nil {
+			t.Fatalf("progressive %v: done %v, output taken %v, slabs kept %v", progressive, d.Done(), d.Output() != nil, f.Coeff[0] != nil || f.Samples[0] != nil)
+		}
+		if !slices.Equal(f.BitsPerRow, ref.Frame().BitsPerRow) {
+			t.Errorf("progressive %v: Entropy left bits per row %v, Run(1) %v", progressive, f.BitsPerRow, ref.Frame().BitsPerRow)
+		}
+
+		d, err = Open(data, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f = d.Frame()
+		if f.MCURows < 2*pollRows {
+			t.Fatalf("fixture too small to cancel mid-stream: %d MCU rows", f.MCURows)
+		}
+		if err := d.Entropy(&pollCountCtx{Context: context.Background(), cancelAt: 2}); err != context.Canceled {
+			t.Fatalf("progressive %v: Entropy = %v, want context.Canceled", progressive, err)
+		}
+		if d.Done() || d.Output() != nil || f.Coeff[0] != nil {
+			t.Fatalf("progressive %v: cancelled Entropy: done %v, output taken %v, slabs kept %v", progressive, d.Done(), d.Output() != nil, f.Coeff[0] != nil)
 		}
 	}
 }

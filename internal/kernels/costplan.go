@@ -1,6 +1,6 @@
 // Package kernels prices the paper's OpenCL kernels (Section 4) on the
 // simulated device. Nothing here executes: every mode's pixels come from
-// the one scalar back phase (jpegcodec.ParallelPhaseScalar), and
+// the one sequential decode (jpegcodec's Run on one worker), and
 // CostPlan restates each kernel launch's geometry and work from the
 // frame alone, so virtual time is the same whether or not a decode
 // produces pixels. The launches it prices are the IDCT kernel, the

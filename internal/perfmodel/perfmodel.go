@@ -10,8 +10,12 @@
 //	PGPU(w, h)         - GPU parallel-phase time incl. transfers
 //	TDisp(w, h)        - CPU-side dispatch overhead
 //
-// The fit of each machine in Fitted is committed as data (Default);
-// Train refits them.
+// An image's profile is the released frame of its entropy-only decode
+// (SummarizeItem): its geometry and per-row entropy bits are all that
+// profiling reads. MeasureParallel prices a frame on one platform, Fit
+// regresses those figures, and SelectChunkRows sweeps chunk sizes over
+// the same frames. The fit of each machine in Fitted is committed as
+// data (Default); Train refits them.
 package perfmodel
 
 import (
@@ -57,104 +61,79 @@ func (m *Model) ForSub(sub jfif.Subsampling) *SubModel {
 	return m.Subs[sub.String()]
 }
 
-// ItemProfile is the platform-independent summary of one training image.
-type ItemProfile struct {
-	W, H       int
-	Sub        jfif.Subsampling
-	Density    float64
-	BitsPerRow []int64
-	Blocks     int // total coefficient blocks
-	MCURows    int
-	// Frame is the released frame of the profiling decode: its
-	// geometry (the MCU grid, planes and output size the cost plan
-	// prices) stays valid, its coefficient and sample buffers are gone.
-	Frame *jpegcodec.Frame
-}
-
-// SummarizeItem decodes one corpus item's entropy stage through the
-// product decoder, so the profiled bits are the decoded ones, and
-// collects everything platform-specific profiling needs. The frame's
-// buffers go back to the decoder's pools before it returns.
-func SummarizeItem(it imagegen.Item) (*ItemProfile, error) {
-	f, ed, err := jpegcodec.PrepareDecode(it.Data)
+// SummarizeItem runs one corpus item's entropy stage through the
+// product decoder (jpegcodec.Open, then Entropy), so the profiled bits
+// are the decoded ones, and returns its released frame: the geometry
+// (size, subsampling, file size, the MCU grid and planes the cost plan
+// prices) and BitsPerRow are everything profiling reads, and the
+// coefficient and sample buffers are back in the decoder's pools.
+func SummarizeItem(it imagegen.Item) (*jpegcodec.Frame, error) {
+	d, err := jpegcodec.Open(it.Data, jpegcodec.Options{})
 	if err != nil {
 		return nil, err
 	}
-	defer f.Release()
-	if err := ed.DecodeAll(); err != nil {
+	if err := d.Entropy(nil); err != nil {
 		return nil, err
 	}
-	return &ItemProfile{
-		W:          f.Img.Width,
-		H:          f.Img.Height,
-		Sub:        f.Sub,
-		Density:    f.Img.EntropyDensity(),
-		BitsPerRow: ed.BitsPerRow,
-		Blocks:     f.TotalBlocks(),
-		MCURows:    f.MCURows,
-		Frame:      f,
-	}, nil
+	return d.Frame(), nil
 }
 
 // Summarize summarizes a whole corpus.
-func Summarize(items []imagegen.Item) ([]*ItemProfile, error) {
-	out := make([]*ItemProfile, 0, len(items))
+func Summarize(items []imagegen.Item) ([]*jpegcodec.Frame, error) {
+	out := make([]*jpegcodec.Frame, 0, len(items))
 	for _, it := range items {
-		p, err := SummarizeItem(it)
+		f, err := SummarizeItem(it)
 		if err != nil {
 			return nil, fmt.Errorf("perfmodel: %s: %w", it.Name, err)
 		}
-		out = append(out, p)
+		out = append(out, f)
 	}
 	return out, nil
 }
 
-// measure evaluates the calibrated cost model for one profiled image on
-// one platform — the virtual equivalent of running the instrumented
-// decoder of Section 5.1.
-type measurement struct {
-	w, h, d    float64
-	tHuffPerPx float64
-	pCPU       float64
-	pCPUScalar float64
-	pGPU       float64
-	tDisp      float64
+// ParallelMeasurement is the calibrated cost model evaluated for one
+// profiled image on one platform: the virtual equivalent of running the
+// instrumented decoder of Section 5.1, what Fit regresses, and the
+// points of Figures 6 and 7.
+type ParallelMeasurement struct {
+	THuff      float64 // whole-image Huffman time, ns
+	PCPU       float64 // SIMD parallel phase, ns
+	PCPUScalar float64 // scalar parallel phase, ns
+	PGPU       float64 // GPU parallel phase incl. transfers, ns
+	TDisp      float64 // dispatch overhead, ns
 }
 
-func measure(spec *platform.Spec, p *ItemProfile) measurement {
+// MeasureParallel evaluates the calibrated cost model for one profiled
+// frame.
+func MeasureParallel(spec *platform.Spec, f *jpegcodec.Frame) ParallelMeasurement {
 	var bits int64
-	for _, b := range p.BitsPerRow {
+	for _, b := range f.BitsPerRow {
 		bits += b
 	}
-	tHuff := spec.HuffmanNs(bits, p.Blocks)
-	pixels := p.W * p.H
-	upsampled := p.Sub == jfif.Sub422 || p.Sub == jfif.Sub420
-
-	recs := kernels.CostPlan(spec, p.Frame, 0, p.MCURows, -1, -1, true)
+	blocks := f.TotalBlocks()
+	pixels := f.Img.Width * f.Img.Height
+	upsampled := f.Sub == jfif.Sub422 || f.Sub == jfif.Sub420
 	var pGPU float64
-	for _, r := range recs {
+	for _, r := range kernels.CostPlan(spec, f, 0, f.MCURows, -1, -1, true) {
 		pGPU += r.Ns
 	}
-	return measurement{
-		w:          float64(p.W),
-		h:          float64(p.H),
-		d:          p.Density,
-		tHuffPerPx: tHuff / float64(pixels),
-		pCPU:       spec.CPUParallelNs(true, p.Blocks, pixels, p.H, upsampled),
-		pCPUScalar: spec.CPUParallelNs(false, p.Blocks, pixels, p.H, upsampled),
-		pGPU:       pGPU,
-		tDisp:      spec.DispatchNs(p.Frame.CoeffBytes(0, p.MCURows)),
+	return ParallelMeasurement{
+		THuff:      spec.HuffmanNs(bits, blocks),
+		PCPU:       spec.CPUParallelNs(true, blocks, pixels, f.Img.Height, upsampled),
+		PCPUScalar: spec.CPUParallelNs(false, blocks, pixels, f.Img.Height, upsampled),
+		PGPU:       pGPU,
+		TDisp:      spec.DispatchNs(f.CoeffBytes(0, f.MCURows)),
 	}
 }
 
-// Fit profiles the training corpus on one platform and fits the model.
-// Profiles must contain at least one subsampling; each subsampling is
-// fitted independently (the paper trains 4:2:2 and 4:4:4 separately).
-func Fit(spec *platform.Spec, profiles []*ItemProfile) (*Model, error) {
-	bySub := make(map[string][]*ItemProfile)
-	for _, p := range profiles {
-		key := p.Sub.String()
-		bySub[key] = append(bySub[key], p)
+// Fit fits the model of one platform to the profiled frames. Profiles
+// must contain at least one subsampling; each subsampling is fitted
+// independently (the paper trains 4:2:2 and 4:4:4 separately).
+func Fit(spec *platform.Spec, profiles []*jpegcodec.Frame) (*Model, error) {
+	bySub := make(map[string][]*jpegcodec.Frame)
+	for _, f := range profiles {
+		key := f.Sub.String()
+		bySub[key] = append(bySub[key], f)
 	}
 	m := &Model{Platform: spec.Name, ChunkRows: spec.DefaultChunkRows, Subs: make(map[string]*SubModel)}
 	for key, ps := range bySub {
@@ -167,7 +146,7 @@ func Fit(spec *platform.Spec, profiles []*ItemProfile) (*Model, error) {
 	return m, nil
 }
 
-func fitSub(spec *platform.Spec, ps []*ItemProfile) (*SubModel, error) {
+func fitSub(spec *platform.Spec, ps []*jpegcodec.Frame) (*SubModel, error) {
 	n := len(ps)
 	ws := make([]float64, n)
 	hs := make([]float64, n)
@@ -177,14 +156,14 @@ func fitSub(spec *platform.Spec, ps []*ItemProfile) (*SubModel, error) {
 	pcpuS := make([]float64, n)
 	pgpu := make([]float64, n)
 	disp := make([]float64, n)
-	for i, p := range ps {
-		me := measure(spec, p)
-		ws[i], hs[i], ds[i] = me.w, me.h, me.d
-		huff[i] = me.tHuffPerPx
-		pcpu[i] = me.pCPU
-		pcpuS[i] = me.pCPUScalar
-		pgpu[i] = me.pGPU
-		disp[i] = me.tDisp
+	for i, f := range ps {
+		me := MeasureParallel(spec, f)
+		ws[i], hs[i], ds[i] = float64(f.Img.Width), float64(f.Img.Height), f.Img.EntropyDensity()
+		huff[i] = me.THuff / float64(f.Img.Width*f.Img.Height)
+		pcpu[i] = me.PCPU
+		pcpuS[i] = me.PCPUScalar
+		pgpu[i] = me.PGPU
+		disp[i] = me.TDisp
 	}
 	var sm SubModel
 	var err error
@@ -216,19 +195,19 @@ func fitSub(spec *platform.Spec, ps []*ItemProfile) (*SubModel, error) {
 // to one MCU row, simulate the pipelined GPU execution in virtual time,
 // and keep the best size per image. The final choice is the largest size
 // on the best list (guarding GPU utilization).
-func SelectChunkRows(spec *platform.Spec, profiles []*ItemProfile, candidates []int) int {
+func SelectChunkRows(spec *platform.Spec, profiles []*jpegcodec.Frame, candidates []int) int {
 	if len(candidates) == 0 {
 		candidates = []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128}
 	}
 	best := 0
-	for _, p := range profiles {
+	for _, f := range profiles {
 		bestNs := 0.0
 		bestRows := 0
 		for _, c := range candidates {
-			if c < 1 || c > p.MCURows {
+			if c < 1 || c > f.MCURows {
 				continue
 			}
-			ns := simulatePipelined(spec, p, c)
+			ns := simulatePipelined(spec, f, c)
 			if bestRows == 0 || ns < bestNs {
 				bestNs, bestRows = ns, c
 			}
@@ -244,23 +223,20 @@ func SelectChunkRows(spec *platform.Spec, profiles []*ItemProfile, candidates []
 }
 
 // simulatePipelined computes the virtual makespan of pipelined GPU
-// execution (Figure 5b) for one profiled image and chunk size.
-func simulatePipelined(spec *platform.Spec, p *ItemProfile, chunkRows int) float64 {
-	blocksPerRow := p.Blocks / p.MCURows
+// execution (Figure 5b) for one profiled frame and chunk size.
+func simulatePipelined(spec *platform.Spec, f *jpegcodec.Frame, chunkRows int) float64 {
+	blocksPerRow := f.TotalBlocks() / f.MCURows
 	cpu, gpu := 0.0, 0.0
-	for m0 := 0; m0 < p.MCURows; m0 += chunkRows {
-		m1 := m0 + chunkRows
-		if m1 > p.MCURows {
-			m1 = p.MCURows
-		}
+	for m0 := 0; m0 < f.MCURows; m0 += chunkRows {
+		m1 := min(m0+chunkRows, f.MCURows)
 		var bits int64
-		for _, b := range p.BitsPerRow[m0:m1] {
+		for _, b := range f.BitsPerRow[m0:m1] {
 			bits += b
 		}
 		cpu += spec.HuffmanNs(bits, (m1-m0)*blocksPerRow)
-		cpu += spec.DispatchNs(p.Frame.CoeffBytes(m0, m1))
+		cpu += spec.DispatchNs(f.CoeffBytes(m0, m1))
 		var kns float64
-		for _, r := range kernels.CostPlan(spec, p.Frame, m0, m1, -1, -1, true) {
+		for _, r := range kernels.CostPlan(spec, f, m0, m1, -1, -1, true) {
 			kns += r.Ns
 		}
 		// The chunk's device work starts when both the queue is free and
@@ -294,7 +270,7 @@ func (m *Model) Save(path string) error {
 // about a minute of CPU; each machine's fit adds about 0.1 s.
 func Train(specs ...*platform.Spec) ([]*Model, error) {
 	subs := []jfif.Subsampling{jfif.Sub422, jfif.Sub444, jfif.Sub420}
-	corpora := make([][]*ItemProfile, len(subs))
+	corpora := make([][]*jpegcodec.Frame, len(subs))
 	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
 	for i, sub := range subs {
@@ -309,7 +285,7 @@ func Train(specs ...*platform.Spec) ([]*Model, error) {
 		}()
 	}
 	wg.Wait()
-	var profiles []*ItemProfile
+	var profiles []*jpegcodec.Frame
 	for i, ps := range corpora {
 		if errs[i] != nil {
 			return nil, errs[i]
@@ -321,11 +297,11 @@ func Train(specs ...*platform.Spec) ([]*Model, error) {
 
 // fitAll fits every spec from one set of profiles, which it only reads,
 // and selects each chunk size on the largest of them.
-func fitAll(specs []*platform.Spec, profiles []*ItemProfile) ([]*Model, error) {
-	var large []*ItemProfile
-	for _, p := range profiles {
-		if p.W*p.H >= 512*512 {
-			large = append(large, p)
+func fitAll(specs []*platform.Spec, profiles []*jpegcodec.Frame) ([]*Model, error) {
+	var large []*jpegcodec.Frame
+	for _, f := range profiles {
+		if f.Img.Width*f.Img.Height >= 512*512 {
+			large = append(large, f)
 		}
 	}
 	models := make([]*Model, len(specs))
@@ -338,27 +314,4 @@ func fitAll(specs []*platform.Spec, profiles []*ItemProfile) ([]*Model, error) {
 		models[i] = m
 	}
 	return models, nil
-}
-
-// ParallelMeasurement exposes the profiled virtual timings of one image
-// on one platform (used by the harness for Figures 6 and 7).
-type ParallelMeasurement struct {
-	THuff      float64 // whole-image Huffman time, ns
-	PCPU       float64 // SIMD parallel phase, ns
-	PCPUScalar float64 // scalar parallel phase, ns
-	PGPU       float64 // GPU parallel phase incl. transfers, ns
-	TDisp      float64 // dispatch overhead, ns
-}
-
-// MeasureParallel evaluates the calibrated cost model for one profiled
-// image.
-func MeasureParallel(spec *platform.Spec, p *ItemProfile) ParallelMeasurement {
-	me := measure(spec, p)
-	return ParallelMeasurement{
-		THuff:      me.tHuffPerPx * float64(p.W*p.H),
-		PCPU:       me.pCPU,
-		PCPUScalar: me.pCPUScalar,
-		PGPU:       me.pGPU,
-		TDisp:      me.tDisp,
-	}
 }

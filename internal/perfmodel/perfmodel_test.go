@@ -15,7 +15,7 @@ import (
 	"hetjpeg/internal/platform"
 )
 
-func quickProfiles(t testing.TB, sub jfif.Subsampling) []*ItemProfile {
+func quickProfiles(t testing.TB, sub jfif.Subsampling) []*jpegcodec.Frame {
 	t.Helper()
 	items, err := imagegen.Build(imagegen.CorpusOptions{
 		Widths:   []int{96, 256, 512},
@@ -37,15 +37,16 @@ func quickProfiles(t testing.TB, sub jfif.Subsampling) []*ItemProfile {
 
 func TestSummarizeItem(t *testing.T) {
 	ps := quickProfiles(t, jfif.Sub422)
-	for _, p := range ps {
-		if p.Density <= 0 {
-			t.Fatalf("density %v", p.Density)
+	for _, f := range ps {
+		density := f.Img.EntropyDensity()
+		if density <= 0 {
+			t.Fatalf("density %v", density)
 		}
-		if len(p.BitsPerRow) != p.MCURows {
-			t.Fatalf("bits rows %d != MCU rows %d", len(p.BitsPerRow), p.MCURows)
+		if len(f.BitsPerRow) != f.MCURows {
+			t.Fatalf("bits rows %d != MCU rows %d", len(f.BitsPerRow), f.MCURows)
 		}
 		var total int64
-		for _, b := range p.BitsPerRow {
+		for _, b := range f.BitsPerRow {
 			if b <= 0 {
 				t.Fatal("non-positive row bits")
 			}
@@ -53,7 +54,7 @@ func TestSummarizeItem(t *testing.T) {
 		}
 		// The entropy segment dominates the file: decoded bits should be
 		// a large fraction of the density estimate.
-		estBits := p.Density * float64(p.W*p.H) * 8
+		estBits := density * float64(f.Img.Width*f.Img.Height) * 8
 		if float64(total) < 0.5*estBits || float64(total) > 1.05*estBits {
 			t.Fatalf("decoded bits %d vs file-size estimate %.0f", total, estBits)
 		}
@@ -61,11 +62,11 @@ func TestSummarizeItem(t *testing.T) {
 }
 
 // TestSummarizeItemCountsDecoderBits pins that profiling counts the
-// product decoder's bits: SummarizeItem's BitsPerRow equals what
-// PrepareDecode + DecodeAll record on the same bytes, for each chroma
-// layout, a restart interval and a progressive stream. The profile
-// hands back its frame released, and profiling the same bytes again
-// takes its buffers from the pools: a profile that kept its slabs
+// product decoder's bits: SummarizeItem's BitsPerRow equals what an
+// executed decode (Open + Run(1)) records on the same bytes, for each
+// chroma layout, a restart interval and a progressive stream. The
+// profile hands back its frame released, and profiling the same bytes
+// again takes its buffers from the pools: a profile that kept its slabs
 // would allocate the coefficient buffer anew on every call.
 func TestSummarizeItemCountsDecoderBits(t *testing.T) {
 	img := imagegen.Generate(imagegen.Scene{Seed: 38, Detail: 0.6}, 512, 384)
@@ -91,24 +92,26 @@ func TestSummarizeItemCountsDecoderBits(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 
-		f, ed, err := jpegcodec.PrepareDecode(data)
+		d, err := jpegcodec.Open(data, jpegcodec.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := ed.DecodeAll(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		f := d.Frame()
 		coeffBytes := 0
 		for _, s := range f.Coeff {
 			coeffBytes += 4 * len(s)
 		}
-		f.Release()
-		if !slices.Equal(p.BitsPerRow, ed.BitsPerRow) {
-			t.Errorf("%s: profiled bits per row %v, decoded %v", c.name, p.BitsPerRow, ed.BitsPerRow)
+		out, err := d.Run(1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		out.Release()
+		if !slices.Equal(p.BitsPerRow, f.BitsPerRow) {
+			t.Errorf("%s: profiled bits per row %v, decoded %v", c.name, p.BitsPerRow, f.BitsPerRow)
 		}
 
-		for ci := range p.Frame.Planes {
-			if p.Frame.Coeff[ci] != nil || p.Frame.Samples[ci] != nil || p.Frame.NZ[ci] != nil {
+		for ci := range p.Planes {
+			if p.Coeff[ci] != nil || p.Samples[ci] != nil || p.NZ[ci] != nil {
 				t.Errorf("%s: component %d keeps its buffers after profiling", c.name, ci)
 			}
 		}
@@ -156,9 +159,10 @@ func TestFitPredictsHeldOutImages(t *testing.T) {
 			t.Fatal(err)
 		}
 		me := MeasureParallel(spec, p)
-		predCPU := sm.PCPU.Eval(float64(p.W), float64(p.H))
-		predGPU := sm.PGPU.Eval(float64(p.W), float64(p.H))
-		predHuff := sm.THuff(float64(p.W), float64(p.H), p.Density)
+		w, h := float64(p.Img.Width), float64(p.Img.Height)
+		predCPU := sm.PCPU.Eval(w, h)
+		predGPU := sm.PGPU.Eval(w, h)
+		predHuff := sm.THuff(w, h, p.Img.EntropyDensity())
 		if relErr(predCPU, me.PCPU) > 0.10 {
 			t.Errorf("%s: PCPU predicted %.0f measured %.0f", it.Name, predCPU, me.PCPU)
 		}
@@ -247,9 +251,9 @@ func TestHuffmanFitIsMonotoneInDensity(t *testing.T) {
 	// Monotonicity is only guaranteed within the fitted density range
 	// (polynomials extrapolate poorly — the Section 5.1 caveat).
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range train {
-		lo = math.Min(lo, p.Density)
-		hi = math.Max(hi, p.Density)
+	for _, f := range train {
+		lo = math.Min(lo, f.Img.EntropyDensity())
+		hi = math.Max(hi, f.Img.EntropyDensity())
 	}
 	// The scatter in the density estimate (file headers inflate d for
 	// small images, exactly as in the paper's Figure 7) permits local
@@ -282,14 +286,14 @@ func TestSharedProfileFit(t *testing.T) {
 		}
 		items = append(items, its...)
 	}
-	summarize := func() []*ItemProfile {
+	summarize := func() []*jpegcodec.Frame {
 		ps, err := Summarize(items)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ps
 	}
-	fit := func(specs []*platform.Spec, ps []*ItemProfile) map[string][]byte {
+	fit := func(specs []*platform.Spec, ps []*jpegcodec.Frame) map[string][]byte {
 		ms, err := fitAll(specs, ps)
 		if err != nil {
 			t.Fatal(err)
