@@ -26,7 +26,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
-	maxInflight := flag.Int("max-inflight", 0, "band scheduler in-flight image cap (0 = workers+2)")
 	salvage := flag.Bool("salvage", false, "serve corrupt-but-recoverable uploads as 200 + X-Hetjpeg-Salvaged")
 	maxBody := flag.Int64("max-body", defaultMaxBody, "per-request body cap in bytes (413 past it)")
 	maxQueue := flag.Int("max-queue", 0, "admission cap on concurrently admitted requests (0 = 4×workers); 429 past it")
@@ -41,7 +40,6 @@ func main() {
 
 	if err := run(*addr, imaged.Config{
 		Workers:          *workers,
-		MaxInFlight:      *maxInflight,
 		Salvage:          *salvage,
 		MaxBody:          *maxBody,
 		MaxQueue:         *maxQueue,

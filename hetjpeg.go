@@ -30,7 +30,6 @@
 package hetjpeg
 
 import (
-	"context"
 	"image"
 	"runtime"
 
@@ -275,10 +274,11 @@ func FromStdImage(src image.Image) *Image {
 }
 
 // BatchOptions configures DecodeBatch and NewBatchExecutor. Workers
-// bounds wall-clock concurrency (0 = GOMAXPROCS). Spec (required by
-// DecodeBatch), Mode and Model are what DecodeBatch prices each image
-// under; a BatchExecutor ignores all three and learns its scheduling
-// rates from the host clock alone.
+// bounds wall-clock concurrency (0 = GOMAXPROCS) and, with it, a
+// BatchExecutor's in-flight image budget, which stays in
+// [2, Workers+2]. Spec (required by DecodeBatch), Mode and Model are
+// what DecodeBatch prices each image under; a BatchExecutor ignores
+// all three and learns its scheduling rates from the host clock alone.
 type BatchOptions = batch.Options
 
 // BatchResult is the outcome of DecodeBatch.
@@ -296,7 +296,11 @@ type BatchImageResult = batch.ImageResult
 // handler makes); Submit/Results stream many in completion order. Each
 // image's back-phase bands start as soon as its entropy stage has
 // decoded their rows, so a lone image on several workers costs about
-// the larger of its two stages, not their sum.
+// the larger of its two stages, not their sum. Backpressure is exact:
+// Submit and Decode return only once their image is admitted under the
+// in-flight budget (QueueStats().Target), so the executor retains at
+// most that many inputs, and Close refuses submissions still waiting
+// for budget with ErrBatchClosed while admitted images still deliver.
 // Beside them it offers the service-robustness surface cmd/imaged is
 // built on: QueueStats (occupancy + measured rates for Retry-After
 // arithmetic) and Stop (abandonment-safe shutdown that never leaks
@@ -333,12 +337,4 @@ func NewBatchExecutor(opts BatchOptions) (*BatchExecutor, error) {
 // returned error covers configuration problems only.
 func DecodeBatch(datas [][]byte, opts BatchOptions) (*BatchResult, error) {
 	return batch.Decode(datas, opts)
-}
-
-// DecodeBatchContext is DecodeBatch with cancellation: images not yet
-// decoded when ctx is cancelled report ctx.Err() in their slot, while
-// images that completed first are still delivered — every slot carries
-// a result or an error, never neither.
-func DecodeBatchContext(ctx context.Context, datas [][]byte, opts BatchOptions) (*BatchResult, error) {
-	return batch.DecodeContext(ctx, datas, opts)
 }

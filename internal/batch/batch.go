@@ -58,16 +58,11 @@ type Options struct {
 	// present and ModePipelinedGPU otherwise. The Executor ignores it.
 	Mode core.Mode
 	// Workers bounds the wall-clock decode parallelism (band workers).
-	// Zero means runtime.GOMAXPROCS(0). The virtual batch timeline is
-	// independent of Workers.
+	// Zero means runtime.GOMAXPROCS(0). It also sizes the Executor's
+	// in-flight image budget, which lies in [2, Workers+2] (see
+	// Executor.Submit). The virtual batch timeline is independent of
+	// Workers.
 	Workers int
-	// MaxInFlight caps how many images the band scheduler holds open
-	// at once (each costs whole-image coefficient + sample + RGB
-	// buffers). Zero means Workers+2. The online model chooses the
-	// actual depth within [2, MaxInFlight]. The intake additionally
-	// holds at most one submitted-but-unadmitted image's input bytes,
-	// so peak input retention is MaxInFlight+1 images.
-	MaxInFlight int
 	// Scale selects decode-to-scale for the batch's images (the
 	// gallery/thumbnailer workload); Executor.SubmitScaled overrides it
 	// per image. The zero value decodes full size. The band scheduler's
@@ -87,13 +82,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) maxInflight() int {
-	if o.MaxInFlight > 0 {
-		return o.MaxInFlight
-	}
-	return o.workers() + 2
 }
 
 // ImageResult is one decoded image of the batch.
@@ -153,46 +141,38 @@ func (r *Result) Gain() float64 {
 	return r.SerialNs / r.PipelinedNs
 }
 
-// job is one submitted image.
-type job struct {
-	ctx   context.Context
-	index int
-	data  []byte
-	// scale is the decode scale for this image (already validated).
-	scale jpegcodec.Scale
-	// reply, when set, receives this image's result instead of the
-	// shared Results stream (Executor.Decode). It is 1-buffered, so the
-	// delivery never blocks.
-	reply chan ImageResult
-}
-
 // Executor is a concurrent batch-decode service: submitted images are
-// decoded by the band scheduler. Decode waits for one image's result;
-// Submit delivers on Results in completion order. A long-running
-// process creates one Executor and feeds it requests; one-shot batches
-// can use the package-level Decode instead.
+// decoded by the band scheduler (scheduler.go). Decode waits for one
+// image's result; Submit delivers on Results in completion order. A
+// long-running process creates one Executor and feeds it requests;
+// one-shot batches can use the package-level Decode instead.
+//
+// One mutex and one cond own admission and scheduling alike: a
+// submission joins the entropy queue under the lock the workers
+// schedule under.
 type Executor struct {
 	opts    Options
-	jobs    chan job
+	workers int
 	results chan ImageResult
-	wg      sync.WaitGroup
-	once    sync.Once
-	// mu guards closed; senders counts submissions in progress so Close
-	// can close the jobs channel only once no Submit can be mid-send —
-	// Submit racing Close returns ErrClosed instead of panicking.
-	mu      sync.Mutex
-	closed  bool
-	senders sync.WaitGroup
+	wg      sync.WaitGroup // the workers
 	// stopc is closed by Stop: undelivered results are discarded (their
 	// buffers released) instead of blocking on an absent Results reader,
 	// so abandoning Results cannot leak the worker goroutines.
 	stopc    chan struct{}
 	stopOnce sync.Once
-	// bands is the scheduler; QueueStats consults its admission state.
-	bands *bandScheduler
+
+	mu       sync.Mutex
+	cond     *sync.Cond
+	entropyQ []*flightImage // admitted images awaiting stage 1
+	deques   [][]bandTask   // per-worker band deques
+	inflight int            // images between admission and delivery
+	target   int            // calibrated in-flight budget
+	closed   bool           // Close was called: nothing more is admitted
+	cal      calibrator
 }
 
-// NewExecutor starts the scheduler's worker goroutines. It ignores the
+// NewExecutor starts the scheduler's worker goroutines, and one more
+// that closes Results once they have all exited. It ignores the
 // options' reproduction fields (Spec, Model and Mode).
 func NewExecutor(opts Options) (*Executor, error) {
 	if err := opts.Scale.Validate(); err != nil {
@@ -203,29 +183,36 @@ func NewExecutor(opts Options) (*Executor, error) {
 	n := opts.workers()
 	e := &Executor{
 		opts:    opts,
-		jobs:    make(chan job),
+		workers: n,
 		results: make(chan ImageResult, n),
 		stopc:   make(chan struct{}),
+		deques:  make([][]bandTask, n),
 	}
-	e.bands = newBandScheduler(opts, n, e.results, e.stopc)
-	e.wg.Add(n + 1)
-	go e.bands.intake(e.jobs, &e.wg)
+	e.cond = sync.NewCond(&e.mu)
+	e.target = e.cal.inflightTarget(n)
+	e.wg.Add(n)
 	for i := 0; i < n; i++ {
-		go e.bands.worker(i, &e.wg)
+		go e.worker(i)
 	}
+	go func() {
+		e.wg.Wait()
+		close(e.results)
+	}()
 	return e, nil
 }
 
-// Submit enqueues one image at the executor's configured scale. It
-// blocks while the scheduler's calibrated in-flight image budget (at
-// most Options.MaxInFlight) is spent, and returns ctx.Err() if ctx is
-// cancelled first. Index is echoed in the corresponding ImageResult,
-// which arrives on Results.
+// Submit enqueues one image at the executor's configured scale. Index
+// is echoed in the corresponding ImageResult, which arrives on Results.
 //
-// Submit after Close (or racing it) returns ErrClosed; it never panics.
-// A Submit already blocked in the intake when Close lands completes
-// normally — its image counts as admitted and is decoded and delivered
-// before Results closes.
+// Backpressure is exact: Submit returns once the image is admitted,
+// and it is admitted only while fewer than QueueStats().Target images
+// are in flight. Otherwise it blocks until a delivery frees a slot,
+// ctx ends (it returns ctx.Err()) or Close lands (it returns
+// ErrClosed); in both failure cases nothing was admitted and no result
+// follows. The target follows the measured entropy:back-phase ratio
+// within [2, Workers+2], so the executor retains at most that many
+// images' inputs and whole-image buffers, and no submission still
+// waiting for budget.
 func (e *Executor) Submit(ctx context.Context, index int, data []byte) error {
 	return e.SubmitScaled(ctx, index, data, e.opts.Scale)
 }
@@ -237,64 +224,66 @@ func (e *Executor) Submit(ctx context.Context, index int, data []byte) error {
 // scale so mixed traffic stays accurately sized. An invalid scale fails
 // immediately with ErrUnsupportedScale.
 func (e *Executor) SubmitScaled(ctx context.Context, index int, data []byte, scale jpegcodec.Scale) error {
-	return e.submit(ctx, job{ctx: ctx, index: index, data: data, scale: scale})
+	return e.submit(&flightImage{ctx: ctx, index: index, data: data, scale: scale})
 }
 
 // Decode decodes one image at scale and waits for its result — the
-// blocking per-image call a request handler makes. The result comes
-// back on the image's own reply channel, never on Results, so callers
-// of Decode need no router over the shared stream. The wait itself is
-// unbounded on purpose: ctx flows into the decode (the entropy stage
-// polls it, every back-phase band checks it), so a deadline aborts the
-// decode machinery and the result, carrying ctx's error, arrives
-// promptly rather than the caller abandoning a decode that keeps
-// burning CPU.
+// blocking per-image call a request handler makes. It is admitted as
+// Submit is. The result comes back on the image's own reply channel,
+// never on Results, so callers of Decode need no router over the
+// shared stream. The wait for the result is unbounded on purpose: ctx
+// flows into the decode (the entropy stage polls it, every back-phase
+// band checks it), so a deadline aborts the decode machinery and the
+// result, carrying ctx's error, arrives promptly rather than the
+// caller abandoning a decode that keeps burning CPU.
 //
 // The returned error reports a submission that never happened — an
-// invalid scale, ErrClosed, or ctx ending while the intake was full —
-// and then the ImageResult is zero. Decode failures are in
+// invalid scale, ErrClosed, or ctx ending while the image waited for
+// budget — and then the ImageResult is zero. Decode failures are in
 // ImageResult.Err, with the batch contract: a salvaged image carries
 // both Res and Err. The image is not part of a stream, so its Index is
 // 0.
 func (e *Executor) Decode(ctx context.Context, data []byte, scale jpegcodec.Scale) (ImageResult, error) {
 	reply := make(chan ImageResult, 1)
-	if err := e.submit(ctx, job{ctx: ctx, data: data, scale: scale, reply: reply}); err != nil {
+	if err := e.submit(&flightImage{ctx: ctx, data: data, scale: scale, reply: reply}); err != nil {
 		return ImageResult{}, err
 	}
 	return <-reply, nil
 }
 
-// submit validates j's scale and hands j to the intake.
-func (e *Executor) submit(ctx context.Context, j job) error {
-	if err := j.scale.Validate(); err != nil {
+// submit validates img's scale and admits img under the in-flight
+// budget, waiting on the cond while it is spent. Only a submission that
+// must wait registers a wake for its ctx.
+func (e *Executor) submit(img *flightImage) error {
+	if err := img.scale.Validate(); err != nil {
 		return fmt.Errorf("batch: %w", err)
 	}
-	if !e.beginSubmit() {
-		return ErrClosed
-	}
-	defer e.senders.Done()
-	select {
-	case e.jobs <- j:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.stopc:
-		return ErrClosed
-	}
-}
-
-// beginSubmit registers a submission in progress unless the executor is
-// closed. The senders gate orders every in-flight submission before
-// Close's close(e.jobs): a Submit that got in completes its send (the
-// intake is still draining), one that lost the race sees closed first.
-func (e *Executor) beginSubmit() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return false
+	if !e.closed && e.inflight >= e.target {
+		stop := context.AfterFunc(img.ctx, e.wake)
+		defer stop()
 	}
-	e.senders.Add(1)
-	return true
+	for !e.closed && e.inflight >= e.target {
+		if err := img.ctx.Err(); err != nil {
+			return err
+		}
+		e.cond.Wait()
+	}
+	if e.closed {
+		return ErrClosed
+	}
+	e.inflight++
+	e.entropyQ = append(e.entropyQ, img)
+	e.cond.Broadcast()
+	return nil
+}
+
+// wake rouses every waiter to re-check its condition.
+func (e *Executor) wake() {
+	e.mu.Lock()
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 // QueueStats is a point-in-time snapshot of the band scheduler's
@@ -324,7 +313,18 @@ type QueueStats struct {
 // QueueStats snapshots the scheduler's admission state. The snapshot is
 // advisory: it is stale the moment it returns, which is fine for load
 // shedding and Retry-After hints.
-func (e *Executor) QueueStats() QueueStats { return e.bands.queueStats() }
+func (e *Executor) QueueStats() QueueStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return QueueStats{
+		InFlight:        e.inflight,
+		Target:          e.target,
+		Queued:          len(e.entropyQ),
+		EntropyNsPerMCU: e.cal.entPerMCU.Max(),
+		BackNsPerMCU:    e.cal.backPerMCU.Max(),
+		BytesPerMCU:     e.cal.bytesPerMCU.Value(),
+	}
+}
 
 // Results returns the channel on which images submitted through Submit
 // or SubmitScaled arrive, in completion order (not submission order);
@@ -334,24 +334,15 @@ func (e *Executor) QueueStats() QueueStats { return e.bands.queueStats() }
 // to an absent reader.
 func (e *Executor) Results() <-chan ImageResult { return e.results }
 
-// Close stops accepting submissions and, once the in-flight decodes
-// drain, closes the Results channel. It does not block. Submissions
-// racing Close either complete (their images are decoded and delivered
-// before Results closes) or return ErrClosed; the jobs channel is
-// closed only after no submission can be mid-send, so the race never
-// panics.
+// Close stops admitting: later submissions, and submissions still
+// waiting for budget, return ErrClosed, while admitted images still
+// decode and deliver before Results closes. It does not block, and a
+// second call does nothing.
 func (e *Executor) Close() {
-	e.once.Do(func() {
-		e.mu.Lock()
-		e.closed = true
-		e.mu.Unlock()
-		go func() {
-			e.senders.Wait()
-			close(e.jobs)
-			e.wg.Wait()
-			close(e.results)
-		}()
-	})
+	e.mu.Lock()
+	e.closed = true
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 // Stop is the abandonment-safe shutdown: Close plus discarding. A
@@ -392,30 +383,29 @@ func DecodeContext(ctx context.Context, datas [][]byte, opts Options) (*Result, 
 	}
 	out := &Result{Images: make([]ImageResult, len(datas))}
 
-	// The producer writes only the indices it fails to submit; the
-	// collector below writes only submitted indices — disjoint slots.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer ex.Close()
-		for i, data := range datas {
-			if err := ex.Submit(ctx, i, data); err != nil {
-				for j := i; j < len(datas); j++ {
-					out.Images[j] = ImageResult{Index: j, Err: err}
-				}
-				return
+	// Every image replies on one channel that holds them all, so no
+	// delivery waits for the loop below and submitting needs no
+	// goroutine of its own.
+	replies := make(chan ImageResult, len(datas))
+	n := 0
+	for ; n < len(datas); n++ {
+		if err := ex.submit(&flightImage{ctx: ctx, index: n, data: datas[n], scale: opts.Scale, reply: replies}); err != nil {
+			for j := n; j < len(datas); j++ {
+				out.Images[j] = ImageResult{Index: j, Err: err}
 			}
+			break
 		}
-	}()
+	}
+	ex.Close()
 	po := core.Options{Mode: opts.Mode, Spec: opts.Spec, Model: opts.Model}
 	//hetlint:nopoll drains the executor, which ctx stops; pricing one image is microseconds
-	for ir := range ex.Results() {
+	for ; n > 0; n-- {
+		ir := <-replies
 		if ir.Res != nil {
 			ir = price(ir, po)
 		}
 		out.Images[ir.Index] = ir
 	}
-	<-done
 
 	for _, ir := range out.Images {
 		if ir.Res == nil {

@@ -1,10 +1,12 @@
 package batch
 
-// Lifecycle-contract coverage for the Executor: Submit racing Close
-// must never panic (no send on a closed channel — ErrClosed instead),
-// a caller that abandons Results must have a no-leak escape hatch
-// (Stop), and Decode's reply must reach its caller alone, never the
-// shared Results stream. CI runs these under -race explicitly.
+// Lifecycle-contract coverage for the Executor: admission is exact, a
+// Submit racing Close or waiting for budget when Close lands returns
+// ErrClosed and is never delivered, one waiting when its ctx ends
+// returns the ctx's error, a caller that abandons Results must have a
+// no-leak escape hatch (Stop), and Decode's reply must reach its
+// caller alone, never the shared Results stream. CI runs these under
+// -race explicitly.
 
 import (
 	"bytes"
@@ -21,17 +23,16 @@ import (
 	"hetjpeg/internal/platform"
 )
 
-func executorOpts(workers, maxInflight int) Options {
+func executorOpts(workers int) Options {
 	return Options{
-		Spec:        platform.GTX560(),
-		Mode:        core.ModePipelinedGPU,
-		Workers:     workers,
-		MaxInFlight: maxInflight,
+		Spec:    platform.GTX560(),
+		Mode:    core.ModePipelinedGPU,
+		Workers: workers,
 	}
 }
 
 func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
-	ex, err := NewExecutor(executorOpts(2, 0))
+	ex, err := NewExecutor(executorOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +48,146 @@ func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	}
 }
 
+// corruptImage fails in its first parse, before it reaches the
+// calibrator, so a stream of it keeps the in-flight target at its cold
+// value.
+var corruptImage = []byte{0xFF, 0xD8, 0x00, 0x01}
+
+// clog submits corruptImage to ex, whose Results nobody reads, until a
+// Submit blocks, and waits until the pipeline is stuck: Results is
+// full, every worker waits to deliver one more result, and the entropy
+// queue holds the rest of the budget. It returns how many Submits were
+// admitted and the channel on which the blocked one reports.
+func clog(t *testing.T, ex *Executor) (admitted int, blocked <-chan error) {
+	t.Helper()
+	var n atomic.Int64
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			if err := ex.Submit(context.Background(), i, corruptImage); err != nil {
+				errc <- err
+				return
+			}
+			n.Add(1)
+		}
+	}()
+	results := ex.Results()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		s := ex.QueueStats()
+		if s.InFlight >= s.Target && len(results) == cap(results) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the executor never clogged: %+v, %d results buffered", s, len(results))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Nothing can be admitted or delivered now. Wait until the Submit
+	// admitted last is counted; then a blocked Submit has no event to
+	// wait on, so give one past the budget time to return wrongly.
+	for held := int64(ex.QueueStats().InFlight + len(results)); n.Load() < held; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d Submits returned, but the executor holds %d images", n.Load(), held)
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	select {
+	case err := <-errc:
+		t.Fatalf("a Submit past the budget returned %v", err)
+	default:
+	}
+	return int(n.Load()), errc
+}
+
+// awaitErr returns what errc reports, failing the test if it reports
+// nothing within a generous bound.
+func awaitErr(t *testing.T, errc <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never returned", what)
+		return nil
+	}
+}
+
+// With Results unread, Submits are admitted until exactly Target
+// images are in flight, and the next one blocks: no stage between
+// Submit and the entropy queue holds an image of its own.
+func TestSubmitBackpressureIsExact(t *testing.T) {
+	ex, err := NewExecutor(executorOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted, blocked := clog(t, ex)
+	s := ex.QueueStats()
+	if s.InFlight != s.Target {
+		t.Errorf("clogged with %d images in flight, target %d", s.InFlight, s.Target)
+	}
+	if held := s.InFlight + len(ex.Results()); admitted != held {
+		t.Errorf("%d Submits returned, but the executor holds %d images (%+v)", admitted, held, s)
+	}
+	ex.Stop()
+	if err := awaitErr(t, blocked, "the blocked Submit"); !errors.Is(err, ErrClosed) {
+		t.Errorf("blocked Submit after Stop: got %v, want ErrClosed", err)
+	}
+	for range ex.Results() {
+	}
+}
+
+// A submission waiting for budget wakes when its ctx ends (Submit and
+// Decode return the ctx's error) and when Close lands (ErrClosed), and
+// no result is delivered for it either way.
+func TestSubmitWaitingWakes(t *testing.T) {
+	ex, err := NewExecutor(executorOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted, blocked := clog(t, ex)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- ex.Submit(ctx, -1, corruptImage) }()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	if err := awaitErr(t, errc, "a waiting Submit whose ctx ended"); !errors.Is(err, context.Canceled) {
+		t.Errorf("waiting Submit after cancel: got %v, want context.Canceled", err)
+	}
+	dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer dcancel()
+	go func() {
+		_, err := ex.Decode(dctx, corruptImage, jpegcodec.Scale1)
+		errc <- err
+	}()
+	if err := awaitErr(t, errc, "a waiting Decode whose deadline passed"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("waiting Decode after its deadline: got %v, want context.DeadlineExceeded", err)
+	}
+
+	ex.Close()
+	if err := awaitErr(t, blocked, "the Submit waiting when Close landed"); !errors.Is(err, ErrClosed) {
+		t.Errorf("waiting Submit after Close: got %v, want ErrClosed", err)
+	}
+	n := 0
+	for ir := range ex.Results() {
+		n++
+		if ir.Index < 0 || ir.Index >= admitted {
+			t.Errorf("result for image %d, which was never admitted", ir.Index)
+		}
+	}
+	if n != admitted {
+		t.Errorf("%d images admitted, %d delivered", admitted, n)
+	}
+}
+
 // TestSubmitRacesClose hammers the Submit/Close race: every Submit must
 // either be admitted (and its result delivered exactly once before
 // Results closes) or return ErrClosed — never panic, never vanish.
 func TestSubmitRacesClose(t *testing.T) {
 	data := corpus(t, 1)[0]
 	for round := 0; round < 8; round++ {
-		ex, err := NewExecutor(executorOpts(2, 0))
+		ex, err := NewExecutor(executorOpts(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +239,7 @@ func TestSubmitRacesClose(t *testing.T) {
 func TestStopReleasesAbandonedResults(t *testing.T) {
 	datas := corpus(t, 6)
 	before := runtime.NumGoroutine()
-	ex, err := NewExecutor(executorOpts(2, 3))
+	ex, err := NewExecutor(executorOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +307,7 @@ func waitClosed(results <-chan ImageResult) <-chan struct{} {
 // other's results. A bad scale fails the call, not an image.
 func TestDecodeRepliesBesideStream(t *testing.T) {
 	datas := corpus(t, 4)
-	ex, err := NewExecutor(executorOpts(2, 0))
+	ex, err := NewExecutor(executorOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +364,7 @@ func TestDecodeRepliesBesideStream(t *testing.T) {
 		t.Errorf("stream delivered %d of %d submitted images", len(seen), len(datas))
 	}
 
-	ex2, err := NewExecutor(executorOpts(1, 0))
+	ex2, err := NewExecutor(executorOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +380,7 @@ func TestDecodeRepliesBesideStream(t *testing.T) {
 // Retry-After arithmetic.
 func TestQueueStatsCalibrates(t *testing.T) {
 	datas := corpus(t, 4)
-	ex, err := NewExecutor(executorOpts(2, 0))
+	ex, err := NewExecutor(executorOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,11 @@ import (
 // handoffRun decodes data on a fresh two-worker executor with hook
 // installed as testHook and returns the result; the executor's
 // goroutines are gone when it returns.
-func handoffRun(t *testing.T, ctx context.Context, data []byte, hook func(s *bandScheduler, ev hookEvent, img *flightImage, pushed int)) ImageResult {
+func handoffRun(t *testing.T, ctx context.Context, data []byte, hook func(s *Executor, ev hookEvent, img *flightImage, pushed int)) ImageResult {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	var ex *Executor
-	testHook = func(ev hookEvent, img *flightImage, pushed int) { hook(ex.bands, ev, img, pushed) }
+	testHook = func(ev hookEvent, img *flightImage, pushed int) { hook(ex, ev, img, pushed) }
 	ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestHandoffBandBeforeEntropyEnds(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	var held, overlapped bool
-	ir := handoffRun(t, context.Background(), data, func(_ *bandScheduler, ev hookEvent, img *flightImage, pushed int) {
+	ir := handoffRun(t, context.Background(), data, func(_ *Executor, ev hookEvent, img *flightImage, pushed int) {
 		switch ev {
 		case evStep:
 			if pushed > 0 && !held {
@@ -116,7 +116,7 @@ func TestHandoffBandBeforeEntropyEnds(t *testing.T) {
 func TestHandoffProgressiveWaitsForLastScan(t *testing.T) {
 	data := handoffFixture(t, true)
 	steps := 0
-	ir := handoffRun(t, context.Background(), data, func(_ *bandScheduler, ev hookEvent, img *flightImage, pushed int) {
+	ir := handoffRun(t, context.Background(), data, func(_ *Executor, ev hookEvent, img *flightImage, pushed int) {
 		switch ev {
 		case evStep:
 			steps++
@@ -152,7 +152,7 @@ func TestHandoffProgressiveWaitsForLastScan(t *testing.T) {
 // failure was seen and that the buffers go back exactly once.
 type failureHook struct {
 	t        *testing.T
-	fire     func(s *bandScheduler)
+	fire     func(s *Executor)
 	started  chan struct{}
 	once     sync.Once
 	held     bool
@@ -161,7 +161,7 @@ type failureHook struct {
 	released int
 }
 
-func (h *failureHook) observe(s *bandScheduler, ev hookEvent, img *flightImage, pushed int) {
+func (h *failureHook) observe(s *Executor, ev hookEvent, img *flightImage, pushed int) {
 	switch ev {
 	case evStep:
 		if pushed > 0 && !h.held {
@@ -222,7 +222,7 @@ func TestHandoffCancelMidEntropy(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	h := &failureHook{t: t, started: make(chan struct{})}
-	h.fire = func(s *bandScheduler) {
+	h.fire = func(s *Executor) {
 		// Cancel under the scheduling lock: a band either started
 		// before the cancel or sees it.
 		s.mu.Lock()

@@ -199,7 +199,7 @@ func TestBatchSalvageStress(t *testing.T) {
 	if testing.Short() {
 		n = 16
 	}
-	ex, err := NewExecutor(Options{Spec: spec, Salvage: true, Workers: 4, MaxInFlight: 6})
+	ex, err := NewExecutor(Options{Spec: spec, Salvage: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 	"time"
 
 	"hetjpeg/internal/jpegcodec"
@@ -42,8 +41,9 @@ import (
 //     overhead stays negligible while stragglers still split finely.
 //   - Images in flight: enough concurrent entropy streams to keep the
 //     band pool fed — derived from the EWMA ratio of entropy to
-//     back-phase time — bounded by MaxInFlight (whole-image buffers are
-//     the memory cost of an in-flight image).
+//     back-phase time, so between minInflight and workers+minInflight
+//     (whole-image buffers are the memory cost of an in-flight image).
+//     Submissions wait for this budget under the scheduling lock.
 //
 // Every EWMA learns from the host clock alone: the correcting half of
 // partition.Repartition's feedback loop, against wall time instead of
@@ -137,30 +137,30 @@ func (c *calibrator) bandRows(f *jpegcodec.Frame, workers int) int {
 // inflightTarget chooses how many images may be in flight: the share of
 // workers the entropy stage needs to keep the band pool fed (the
 // entropy fraction of per-MCU work), plus minInflight of pipeline
-// slack, clamped to the memory bound.
-func (c *calibrator) inflightTarget(workers, maxInflight int) int {
-	t := minInflight + workers/2 // cold start
+// slack. The fraction is at most one, so the target lies in
+// [minInflight, workers+minInflight].
+func (c *calibrator) inflightTarget(workers int) int {
 	e, b := c.entPerMCU.Max(), c.backPerMCU.Max()
 	if e > 0 && b > 0 {
-		t = int(float64(workers)*e/(e+b)+0.5) + minInflight
+		return int(float64(workers)*e/(e+b)+0.5) + minInflight
 	}
-	if t < minInflight {
-		t = minInflight
-	}
-	if t > maxInflight {
-		t = maxInflight
-	}
-	return t
+	return minInflight + workers/2 // cold start
 }
 
-// flightImage is one image between entropy start and result delivery.
+// flightImage is one image from admission to result delivery.
 type flightImage struct {
 	ctx   context.Context
 	index int
-	reply chan ImageResult // Decode's own channel (job.reply), or nil
-	dec   *jpegcodec.Decode
-	plan  *jpegcodec.BandPlan
-	// The rest is guarded by bandScheduler.mu, but band i's runner alone
+	data  []byte
+	scale jpegcodec.Scale // already validated
+	// reply, when set, receives this image's result instead of the
+	// shared Results stream. It has room for every result sent to it,
+	// so the delivery never blocks.
+	reply chan ImageResult
+	// Stage 1 sets dec and plan before it pushes a band.
+	dec  *jpegcodec.Decode
+	plan *jpegcodec.BandPlan
+	// The rest is guarded by Executor.mu, but band i's runner alone
 	// writes bandNs[i], its wall time. The image completes once stage 1
 	// ended and every pushed band finished. No band starts after err is
 	// set.
@@ -197,115 +197,47 @@ type bandTask struct {
 	band int
 }
 
-// bandScheduler is the two-stage pipelined engine behind Executor.
-type bandScheduler struct {
-	opts        Options
-	workers     int
-	maxInflight int
-	results     chan<- ImageResult
-	// stopc mirrors Executor.stopc: once closed, deliveries to an
-	// abandoned Results reader are discarded instead of blocking.
-	stopc <-chan struct{}
-
-	mu         sync.Mutex
-	cond       *sync.Cond
-	entropyQ   []job        // accepted images awaiting stage 1
-	deques     [][]bandTask // per-worker band deques
-	inflight   int          // images between acceptance and delivery
-	target     int          // calibrated in-flight budget
-	intakeDone bool
-	cal        calibrator
-}
-
-func newBandScheduler(opts Options, workers int, results chan<- ImageResult, stopc <-chan struct{}) *bandScheduler {
-	s := &bandScheduler{
-		opts:        opts,
-		workers:     workers,
-		maxInflight: opts.maxInflight(),
-		results:     results,
-		stopc:       stopc,
-		deques:      make([][]bandTask, workers),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	s.target = s.cal.inflightTarget(workers, s.maxInflight)
-	return s
-}
-
-// queueStats snapshots occupancy and calibration under the scheduling
-// lock.
-func (s *bandScheduler) queueStats() QueueStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return QueueStats{
-		InFlight:        s.inflight,
-		Target:          s.target,
-		Queued:          len(s.entropyQ),
-		EntropyNsPerMCU: s.cal.entPerMCU.Max(),
-		BackNsPerMCU:    s.cal.backPerMCU.Max(),
-		BytesPerMCU:     s.cal.bytesPerMCU.Value(),
-	}
-}
-
-// intake accepts submitted jobs into the pipeline, blocking while the
-// in-flight budget is spent — the backpressure Submit callers feel.
-func (s *bandScheduler) intake(jobs <-chan job, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for j := range jobs {
-		s.mu.Lock()
-		for s.inflight >= s.target {
-			s.cond.Wait()
-		}
-		s.inflight++
-		s.entropyQ = append(s.entropyQ, j)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	s.intakeDone = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // worker is one pool goroutine. Band tasks come first (own deque, then
 // stealing); with no bands runnable it starts the next image's entropy
 // stream; with nothing at all it sleeps until the state changes.
-func (s *bandScheduler) worker(id int, wg *sync.WaitGroup) {
-	defer wg.Done()
+// It exits once the executor is closed and nothing is in flight.
+func (e *Executor) worker(id int) {
+	defer e.wg.Done()
 	scratch := &jpegcodec.ConvertScratch{}
-	s.mu.Lock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for {
-		if t, ok := s.take(id); ok {
-			s.runBand(t, scratch)
+		if t, ok := e.take(id); ok {
+			e.runBand(t, scratch)
 			continue
 		}
-		if len(s.entropyQ) > 0 {
-			j := s.entropyQ[0]
-			s.entropyQ[0] = job{} // the queue's array must not pin the input
-			s.entropyQ = s.entropyQ[1:]
-			s.runEntropy(id, j)
+		if len(e.entropyQ) > 0 {
+			img := e.entropyQ[0]
+			e.entropyQ[0] = nil // the queue's array must not pin the input
+			e.entropyQ = e.entropyQ[1:]
+			e.runEntropy(id, img)
 			continue
 		}
-		if s.intakeDone && s.inflight == 0 {
-			break
+		if e.closed && e.inflight == 0 {
+			return
 		}
-		s.cond.Wait()
+		e.cond.Wait()
 	}
-	s.mu.Unlock()
 }
 
 // take pops a band task: newest from the worker's own deque (cache-hot
 // LIFO), else the oldest from the longest other deque (steal FIFO). The
 // slot it leaves is cleared, so a deque's array does not pin a finished
 // image. Caller holds mu.
-func (s *bandScheduler) take(id int) (bandTask, bool) {
-	if d := s.deques[id]; len(d) > 0 {
+func (e *Executor) take(id int) (bandTask, bool) {
+	if d := e.deques[id]; len(d) > 0 {
 		t := d[len(d)-1]
 		d[len(d)-1] = bandTask{}
-		s.deques[id] = d[:len(d)-1]
+		e.deques[id] = d[:len(d)-1]
 		return t, true
 	}
 	victim, best := -1, 0
-	for i, d := range s.deques {
+	for i, d := range e.deques {
 		if i != id && len(d) > best {
 			victim, best = i, len(d)
 		}
@@ -313,10 +245,10 @@ func (s *bandScheduler) take(id int) (bandTask, bool) {
 	if victim < 0 {
 		return bandTask{}, false
 	}
-	d := s.deques[victim]
+	d := e.deques[victim]
 	t := d[0]
 	d[0] = bandTask{}
-	s.deques[victim] = d[1:]
+	e.deques[victim] = d[1:]
 	return t, true
 }
 
@@ -324,69 +256,71 @@ func (s *bandScheduler) take(id int) (bandTask, bool) {
 // bands, then entropy-decodes it a band at a time, pushing each band
 // onto the worker's own deque as soon as its rows are decoded. Called
 // and returns with mu held.
-func (s *bandScheduler) runEntropy(id int, j job) {
-	s.mu.Unlock()
-	err := j.ctx.Err()
+func (e *Executor) runEntropy(id int, img *flightImage) {
+	e.mu.Unlock()
+	err := img.ctx.Err()
 	var dec *jpegcodec.Decode
 	if err == nil {
-		dec, err = jpegcodec.Open(j.data, jpegcodec.Options{Scale: j.scale, Salvage: s.opts.Salvage})
+		dec, err = jpegcodec.Open(img.data, jpegcodec.Options{Scale: img.scale, Salvage: e.opts.Salvage})
 	}
-	s.mu.Lock()
+	e.mu.Lock()
 	if err != nil {
-		s.deliver(ImageResult{Index: j.index, Err: s.wrap(j, err)}, j.reply)
+		e.deliver(img, ImageResult{Index: img.index, Err: e.wrap(img, err)})
 		return
 	}
 	f := dec.Frame()
-	plan := jpegcodec.PlanBands(f, 0, f.MCURows, s.cal.bandRows(f, s.workers))
-	img := &flightImage{
-		ctx: j.ctx, index: j.index, reply: j.reply, dec: dec, plan: plan,
-		decoding: true,
-		bandNs:   make([]float64, plan.Bands()),
-	}
+	plan := jpegcodec.PlanBands(f, 0, f.MCURows, e.cal.bandRows(f, e.workers))
+	img.dec, img.plan = dec, plan
+	img.decoding = true
+	img.bandNs = make([]float64, plan.Bands())
 	var entNs float64
 	var from, to int
 	for img.err == nil && !dec.Done() {
-		s.mu.Unlock()
+		e.mu.Unlock()
 		hook(evStep, img, to-from)
 		t0 := time.Now()
-		from, to, err = dec.Step(j.ctx, plan)
+		from, to, err = dec.Step(img.ctx, plan)
 		entNs += float64(time.Since(t0))
-		s.mu.Lock()
+		e.mu.Lock()
 		if err != nil {
-			s.fail(img, s.wrap(j, err))
+			e.fail(img, e.wrap(img, err))
 			break
 		}
 		for i := from; i < to; i++ {
-			s.deques[id] = append(s.deques[id], bandTask{img: img, band: i})
+			e.deques[id] = append(e.deques[id], bandTask{img: img, band: i})
 		}
 		img.remaining += to - from
-		s.cond.Broadcast()
+		e.cond.Broadcast()
 	}
 	img.decoding = false
 	if img.err == nil && !dec.SalvageReport().Impaired() {
 		// A salvaged stream lost entropy bytes: its measured rate would
 		// drag the EWMA below the cost of intact traffic.
 		mcus := float64(f.MCURows * f.MCUsPerRow)
-		s.cal.entPerMCU.At(entropySlot(f)).Observe(entNs / mcus)
-		s.cal.bytesPerMCU.Observe(float64(len(j.data)) / mcus)
+		e.cal.entPerMCU.At(entropySlot(f)).Observe(entNs / mcus)
+		e.cal.bytesPerMCU.Observe(float64(len(img.data)) / mcus)
 	}
-	s.target = s.cal.inflightTarget(s.workers, s.maxInflight)
+	old := e.target
+	e.target = e.cal.inflightTarget(e.workers)
+	if e.target > old {
+		e.cond.Broadcast() // admit a submission waiting for budget
+	}
 	if img.remaining == 0 {
-		s.complete(img)
+		e.complete(img)
 	}
 }
 
 // wrap names the image in a decode error; a cancelled request reports
 // its context's error as it is.
-func (s *bandScheduler) wrap(j job, err error) error {
-	if j.ctx.Err() != nil {
+func (e *Executor) wrap(img *flightImage, err error) error {
+	if img.ctx.Err() != nil {
 		return err
 	}
-	return fmt.Errorf("batch: image %d: %w", j.index, err)
+	return fmt.Errorf("batch: image %d: %w", img.index, err)
 }
 
 // fail records img's first failure. Caller holds mu.
-func (s *bandScheduler) fail(img *flightImage, err error) {
+func (e *Executor) fail(img *flightImage, err error) {
 	if img.err == nil {
 		img.err = err
 		hook(evFail, img, 0)
@@ -396,25 +330,25 @@ func (s *bandScheduler) fail(img *flightImage, err error) {
 // runBand executes one band task, unless its image failed or its
 // request was cancelled, and completes the image after its last band.
 // Called and returns with mu held.
-func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
+func (e *Executor) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 	img := t.img
 	if err := img.ctx.Err(); err != nil {
-		s.fail(img, err)
+		e.fail(img, err)
 	}
 	run := img.err == nil
 	if run {
 		hook(evBand, img, 0)
 	}
-	s.mu.Unlock()
+	e.mu.Unlock()
 	if run {
 		t0 := time.Now()
 		img.plan.ExecBand(t.band, img.dec.Output(), scratch)
 		img.bandNs[t.band] = float64(time.Since(t0))
 	}
-	s.mu.Lock()
+	e.mu.Lock()
 	img.remaining--
 	if img.remaining == 0 && !img.decoding {
-		s.complete(img)
+		e.complete(img)
 	}
 }
 
@@ -424,15 +358,15 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 // DC-flat fast path, so only an intact image's bands are observations
 // of the back-phase EWMA, one each.
 // Called and returns with mu held.
-func (s *bandScheduler) complete(img *flightImage) {
+func (e *Executor) complete(img *flightImage) {
 	err := img.err
 	if f := img.dec.Frame(); err == nil && !img.dec.SalvageReport().Impaired() {
-		rate := s.cal.backPerMCU.At(scaleSlot(f.Scale))
+		rate := e.cal.backPerMCU.At(scaleSlot(f.Scale))
 		for i, ns := range img.bandNs {
 			rate.Observe(ns / float64(img.plan.BandMCURows(i)*f.MCUsPerRow))
 		}
 	}
-	s.mu.Unlock()
+	e.mu.Unlock()
 	var ir ImageResult
 	if err != nil {
 		img.dec.Release()
@@ -444,30 +378,30 @@ func (s *bandScheduler) complete(img *flightImage) {
 		img.dec.Frame().Release()
 		ir = delivered(img.index, img.dec)
 	}
-	s.mu.Lock()
-	s.deliver(ir, img.reply)
+	e.mu.Lock()
+	e.deliver(img, ir)
 }
 
-// deliver sends one result and retires its in-flight slot: to the
-// image's reply channel when it has one (1-buffered, so the send never
-// blocks), otherwise to the shared Results stream. Called and returns
+// deliver sends img's result and retires its in-flight slot: to the
+// image's reply channel when it has one (the send never blocks),
+// otherwise to the shared Results stream. Called and returns
 // with mu held (the send itself is unlocked). After Stop the Results
 // reader may be gone: the result is discarded and its buffers released
 // so the pipeline always drains.
-func (s *bandScheduler) deliver(ir ImageResult, reply chan<- ImageResult) {
-	s.mu.Unlock()
-	if reply != nil {
-		reply <- ir
+func (e *Executor) deliver(img *flightImage, ir ImageResult) {
+	e.mu.Unlock()
+	if img.reply != nil {
+		img.reply <- ir
 	} else {
 		select {
-		case s.results <- ir:
-		case <-s.stopc:
+		case e.results <- ir:
+		case <-e.stopc:
 			if ir.Res != nil {
 				ir.Res.Release()
 			}
 		}
 	}
-	s.mu.Lock()
-	s.inflight--
-	s.cond.Broadcast()
+	e.mu.Lock()
+	e.inflight--
+	e.cond.Broadcast()
 }

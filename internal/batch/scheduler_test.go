@@ -112,7 +112,7 @@ func TestBandSchedulerStressCancellation(t *testing.T) {
 	datas[corrupt] = []byte{0xFF, 0xD8, 0x00, 0x01} // SOI then garbage
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := NewExecutor(Options{Spec: spec, Workers: 4, MaxInFlight: 3})
+	ex, err := NewExecutor(Options{Spec: spec, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +244,8 @@ func TestCalibratorBounds(t *testing.T) {
 	}
 	for _, entNs := range []float64{1, 1e3, 1e6} {
 		c.entPerMCU.At(entBaseline).Observe(entNs)
-		got := c.inflightTarget(8, 10)
-		if got < minInflight || got > 10 {
+		got := c.inflightTarget(8)
+		if got < minInflight || got > 8+minInflight {
 			t.Errorf("inflightTarget(ent=%g) = %d out of bounds", entNs, got)
 		}
 	}
@@ -273,10 +273,10 @@ func TestCalibratorEntropyClassIsolation(t *testing.T) {
 		ir.Res.Release()
 	}
 	entropy := func() (v [3]float64) {
-		ex.bands.mu.Lock()
-		defer ex.bands.mu.Unlock()
+		ex.mu.Lock()
+		defer ex.mu.Unlock()
 		for i := range v {
-			v[i] = ex.bands.cal.entPerMCU.At(i).Value()
+			v[i] = ex.cal.entPerMCU.At(i).Value()
 		}
 		return v
 	}

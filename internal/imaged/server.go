@@ -73,8 +73,6 @@ type Config struct {
 	Mode hetjpeg.Mode
 	// Workers bounds decode parallelism (0 = GOMAXPROCS).
 	Workers int
-	// MaxInFlight caps the band scheduler's in-flight images.
-	MaxInFlight int
 	// Salvage enables error-resilient decoding: corrupt-but-recoverable
 	// uploads return 200 with X-Hetjpeg-Salvaged instead of 422.
 	Salvage bool
@@ -181,9 +179,8 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ex, err := hetjpeg.NewBatchExecutor(hetjpeg.BatchOptions{
-		Workers:     cfg.Workers,
-		MaxInFlight: cfg.MaxInFlight,
-		Salvage:     cfg.Salvage,
+		Workers: cfg.Workers,
+		Salvage: cfg.Salvage,
 	})
 	if err != nil {
 		return nil, err

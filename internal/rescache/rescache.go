@@ -108,9 +108,6 @@ func (e *Entry) Result() *core.Result { return e.res }
 // result (nil, or a salvage error wrapping ErrPartialData).
 func (e *Entry) Err() error { return e.err }
 
-// Size is the entry's accounted resident bytes.
-func (e *Entry) Size() int64 { return e.size }
-
 // Release drops the caller's reference. When the last reference goes —
 // the caller's, a waiter's, or the cache's own on eviction — the
 // result's pooled slabs are returned. Releasing more than once panics:

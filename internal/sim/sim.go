@@ -121,9 +121,6 @@ func (tl *Timeline) Makespan() float64 {
 	return m
 }
 
-// ResourceEnd returns the time at which a resource becomes idle.
-func (tl *Timeline) ResourceEnd(resource string) float64 { return tl.resources[resource] }
-
 // Tasks returns the scheduled tasks in submission order.
 func (tl *Timeline) Tasks() []*Task { return tl.tasks }
 
